@@ -31,7 +31,7 @@ Gbdt::Gbdt(GbdtParams params) : params_(std::move(params)) {
 }
 
 namespace {
-/// Rows per chunk for the element-wise gradient / prediction-update loops.
+/// Rows per chunk for the element-wise gradient loop.
 constexpr std::size_t kRowChunk = 2048;
 }  // namespace
 
@@ -70,8 +70,10 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
                             params_.colsample * static_cast<double>(d))))
           : -1;
 
+  TreeBuilder builder(train, columns);
   std::vector<double> pred(n, base_score_);
   std::vector<double> g(n), h(n, 1.0), weight(n, 1.0);
+  std::vector<int> leaf(n);
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Squared loss: g = prediction residual, constant hessian. Element-wise
     // over rows, so the chunked parallel loop is bit-identical to serial.
@@ -83,11 +85,17 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
       for (std::size_t i = 0; i < n; ++i)
         weight[i] = rng.bernoulli(params_.subsample) ? 1.0 : 0.0;
     }
-    RegressionTree tree = build_tree(train, columns, g, h, weight, tp, rng);
-    parallel_for_chunks(n, kRowChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        pred[i] += params_.learning_rate * tree.predict(train.row(i));
-    });
+    RegressionTree tree = builder.build(g, h, weight, tp, rng, leaf);
+    // The builder already knows the leaf of every row it fitted; only rows
+    // left out by subsampling walk the tree. Either way it is the leaf
+    // predict() reaches, so predictions match the walk bit for bit.
+    const auto& nodes = tree.nodes();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value =
+          leaf[i] >= 0 ? nodes[static_cast<std::size_t>(leaf[i])].value
+                       : tree.predict(train.row(i));
+      pred[i] += params_.learning_rate * value;
+    }
     trees_.push_back(std::move(tree));
   }
   rebuild_flat();

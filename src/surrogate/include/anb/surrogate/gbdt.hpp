@@ -32,10 +32,11 @@ struct GbdtParams {
 /// surrogate family (Table 1: R²=0.984, τ=0.922 on ANB-Acc; Table 2 uses it
 /// for all device datasets).
 ///
-/// Boosting is inherently sequential, so trees build one at a time; the
-/// element-wise gradient and prediction-update loops run in parallel row
+/// Boosting is inherently sequential, so trees build one at a time with one
+/// TreeBuilder per fit; the element-wise gradient loop runs in parallel row
 /// chunks (a pure partition — results are bit-identical at any thread
-/// count), and the context overload reuses a shared ColumnIndex.
+/// count), predictions update by the leaf index the builder reports, and
+/// the context overload reuses a shared ColumnIndex.
 class Gbdt final : public Surrogate {
  public:
   explicit Gbdt(GbdtParams params = {});

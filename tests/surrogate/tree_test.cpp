@@ -179,6 +179,56 @@ TEST(TreeTest, ColumnIndexSortsColumns) {
   EXPECT_THROW(columns.sorted_rows(2), Error);
 }
 
+TEST(TreeTest, TopRunBeginsAtTheTiedLargestValues) {
+  Dataset ds(3);
+  ds.add(std::vector<double>{3.0, 1.0, 4.0}, 0.0);
+  ds.add(std::vector<double>{1.0, 0.0, 4.0}, 0.0);
+  ds.add(std::vector<double>{2.0, 1.0, 4.0}, 0.0);
+  ds.add(std::vector<double>{3.0, 1.0, 4.0}, 0.0);
+  const ColumnIndex columns(ds);
+  EXPECT_EQ(columns.top_run_begin(0), 2u);  // 1 2 | 3 3
+  EXPECT_EQ(columns.top_run_begin(1), 1u);  // 0 | 1 1 1
+  EXPECT_EQ(columns.top_run_begin(2), 0u);  // constant
+  EXPECT_THROW(columns.top_run_begin(3), Error);
+}
+
+TEST(TreeTest, BuilderReportsTheLeafPredictReaches) {
+  Dataset ds(3);
+  Rng rng(9);
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<double> x{rng.uniform(), rng.bernoulli(0.4) ? 1.0 : 0.0,
+                                static_cast<double>(rng.uniform_index(3))};
+    ds.add(x, x[0] * x[2] - x[1] + 0.1 * rng.normal());
+  }
+  const std::size_t n = ds.size();
+  std::vector<double> g(n), h(n, 1.0), w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] = -ds.target(i);
+    w[i] = rng.bernoulli(0.7) ? 1.0 : 0.0;
+  }
+  TreeParams params;
+  params.max_depth = 4;
+  const ColumnIndex columns(ds);
+  TreeBuilder builder(ds, columns);
+  std::vector<int> leaf(n);
+  // Two builds through one builder: scratch reuse must not leak state.
+  for (int round = 0; round < 2; ++round) {
+    const RegressionTree tree = builder.build(g, h, w, params, rng, leaf);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (w[i] == 0.0) {
+        EXPECT_EQ(leaf[i], -1) << "row " << i;
+        continue;
+      }
+      ASSERT_GE(leaf[i], 0) << "row " << i;
+      const TreeNode& node = tree.nodes()[static_cast<std::size_t>(leaf[i])];
+      EXPECT_LT(node.feature, 0) << "row " << i;
+      EXPECT_EQ(node.value, tree.predict(ds.row(i))) << "row " << i;
+    }
+  }
+  std::vector<int> wrong_size(n - 1);
+  EXPECT_THROW(builder.build(g, h, w, params, rng, wrong_size), Error);
+}
+
 TEST(TreeTest, MaxDepthBoundsLeafCount) {
   Dataset ds(4);
   Rng rng(5);
