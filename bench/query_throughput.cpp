@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -56,7 +57,7 @@ double time_per_call(const std::function<void()>& body) {
     const double secs = seconds_of([&] {
       for (int r = 0; r < reps; ++r) body();
     });
-    if (secs > 0.05 || reps >= 1024) return secs / reps;
+    if (secs > 0.05 || reps >= (1 << 16)) return secs / reps;
     reps *= 4;
   }
 }
@@ -129,9 +130,12 @@ RowResult bench_model(const std::string& name, const Surrogate& model,
 // forest family runs serial predict_batch under every forced descent
 // engine; engines a fitted forest cannot support (shape outside the
 // quantized/masked eligibility rules) are reported as unavailable rather
-// than timed. Speedups are relative to the interleaved walk — the
-// pre-SIMD baseline — which keeps them comparable across hosts even
-// though absolute rows/sec are not.
+// than timed. Speedups are relative to the interleaved walk at the same
+// batch size — the pre-SIMD baseline — which keeps them comparable
+// across hosts even though absolute rows/sec are not. Besides the full
+// query matrix, every engine is timed on a 40-row batch (an NSGA-II
+// population) and a 1-row batch (a scalar query), keyed `<engine>@40`
+// and `<engine>@1`: there a batch is all tail block.
 // ---------------------------------------------------------------------------
 
 struct PathResult {
@@ -155,38 +159,49 @@ std::vector<PathResult> bench_paths(const std::string& name,
   }
   const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kSimd,
                                 DescentPath::kQuantized, DescentPath::kMasked};
+  const std::size_t kBatchRows[] = {n, 40, 1};
   std::vector<PathResult> results;
-  for (const DescentPath path : kPaths) {
-    PathResult r;
-    r.model = name;
-    r.path = descent_path_name(path);
-    ScopedDescentPath sp(path);
-    try {
-      model.predict_batch(rows, num_features, out);  // availability probe
-    } catch (const Error&) {
+  for (std::size_t b = 0; b < std::size(kBatchRows); ++b) {
+    const std::size_t m = kBatchRows[b];
+    if (b > 0 && m >= n) continue;
+    const std::string suffix = b == 0 ? "" : "@" + std::to_string(m);
+    const auto batch = rows.first(m * num_features);
+    const std::span<double> batch_out(out.data(), m);
+    const std::size_t interleaved = results.size();
+    for (const DescentPath path : kPaths) {
+      PathResult r;
+      r.model = name;
+      r.path = descent_path_name(path) + suffix;
+      ScopedDescentPath sp(path);
+      try {
+        model.predict_batch(batch, num_features, batch_out);  // probe
+      } catch (const Error&) {
+        results.push_back(r);
+        continue;
+      }
+      r.available = true;
+      const double secs = time_per_call(
+          [&] { model.predict_batch(batch, num_features, batch_out); });
+      r.rps = static_cast<double>(m) / secs;
+      r.bit_identical =
+          std::memcmp(ref.data(), out.data(), m * sizeof(double)) == 0;
+      r.speedup = results.size() == interleaved
+                      ? 1.0
+                      : r.rps / results[interleaved].rps;
       results.push_back(r);
-      continue;
     }
-    r.available = true;
-    const double secs = time_per_call(
-        [&] { model.predict_batch(rows, num_features, out); });
-    r.rps = static_cast<double>(n) / secs;
-    r.bit_identical =
-        std::memcmp(ref.data(), out.data(), n * sizeof(double)) == 0;
-    r.speedup = results.empty() ? 1.0 : r.rps / results.front().rps;
-    results.push_back(r);
   }
   return results;
 }
 
 void print_path_row(const PathResult& r) {
   if (!r.available) {
-    std::printf("  %-14s %-12s unavailable (forest shape outside "
+    std::printf("  %-14s %-15s unavailable (forest shape outside "
                 "eligibility)\n",
                 r.model.c_str(), r.path.c_str());
     return;
   }
-  std::printf("  %-14s %-12s %10.0f r/s  (%5.2fx interleaved)  exact=%s\n",
+  std::printf("  %-14s %-15s %10.0f r/s  (%5.2fx interleaved)  exact=%s\n",
               r.model.c_str(), r.path.c_str(), r.rps, r.speedup,
               r.bit_identical ? "yes" : "NO");
 }

@@ -81,8 +81,8 @@ using QuantFn = void (*)(const SoaView& f, const QuantView& q,
                          const std::uint8_t* codes, std::size_t d_codes,
                          double scale, double* out, std::size_t n);
 using MaskedFn = void (*)(const MaskedView& m, std::size_t num_trees,
-                          const std::uint8_t* codes_t, double scale,
-                          double* out, std::size_t n);
+                          const std::uint8_t* codes_t, std::size_t stride,
+                          double scale, double* out, std::size_t n);
 
 /// Per-ISA kernel entry points, dispatched at run time by
 /// FlatForest::accumulate.
@@ -337,71 +337,67 @@ void run_descent(const SoaView& f, const Step& st,
   }
 }
 
+/// Rows of one masked-engine block: two 32-lane byte vectors.
+constexpr std::size_t kMaskedBlock = 64;
+
+/// One block of `nb` rows through every tree: one 32-row vector
+/// accumulator, plus a second when kTwo. Lanes past `nb` evaluate padding
+/// codes; their leaves are never read.
+template <class Isa, bool kTwo>
+inline void masked_block(const MaskedView& m, std::size_t num_trees,
+                         const std::uint8_t* codes_t, std::size_t stride,
+                         double scale, double* out, std::size_t nb) {
+  using VU8 = typename Isa::VU8;
+  alignas(64) std::uint8_t accb[kMaskedBlock];
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    VU8 acc0 = Isa::b_ones();
+    VU8 acc1 = Isa::b_ones();
+    const std::uint32_t k1 = m.node_off[t + 1];
+    for (std::uint32_t k = m.node_off[t]; k < k1; ++k) {
+      const std::uint8_t* const c =
+          codes_t + static_cast<std::size_t>(m.feature[k]) * stride;
+      const VU8 split = Isa::b_splat(m.qsplit_x[k]);
+      const VU8 msk = Isa::b_splat(m.mask[k]);
+      // Condition true (code < qsplit): compare lanes are 0xFF, the OR
+      // saturates and the node constrains nothing. Condition false: the
+      // node's leaf mask is ANDed in.
+      acc0 = Isa::b_and(
+          acc0, Isa::b_or(Isa::b_cmplt_s8(Isa::b_load(c), split), msk));
+      if constexpr (kTwo)
+        acc1 = Isa::b_and(
+            acc1, Isa::b_or(Isa::b_cmplt_s8(Isa::b_load(c + 32), split), msk));
+    }
+    Isa::b_store(accb, acc0);
+    if constexpr (kTwo) Isa::b_store(accb + 32, acc1);
+    const double* const lv = m.leaf + m.leaf_off[t];
+    // Tree t's contribution lands before tree t+1's for every row — the
+    // scalar accumulation order, mul and add unfused.
+    for (std::size_t i = 0; i < nb; ++i)
+      out[i] += scale * lv[std::countr_zero(accb[i])];
+  }
+}
+
 /// Masked leaf-set evaluation (see MaskedView). `codes_t` is the batch's
-/// quantized feature matrix transposed to feature-major (stride n) with
-/// every code XOR 0x80, so one unaligned 32-byte load covers 32 rows of
-/// one feature and the signed byte compare reproduces the unsigned
-/// `code < qsplit` decision. Full 64-row blocks run two 32-row vector
-/// accumulators; the tail block falls back to a per-row scalar loop. The
-/// exit-leaf lookup `countr_zero` never sees 0: the exit leaf's bit
-/// survives every mask by construction.
+/// quantized feature matrix transposed to feature-major with every code
+/// XOR 0x80, so one unaligned 32-byte load covers 32 rows of one feature
+/// and the signed byte compare reproduces the unsigned `code < qsplit`
+/// decision. The row stride is n rounded up to a multiple of 32, so every
+/// block — the tail included — runs as one or two whole vectors; the
+/// padding lanes hold any initialized bytes and their results are
+/// discarded. The exit-leaf lookup `countr_zero` never sees 0: the exit
+/// leaf's bit survives every mask by construction.
 template <class Isa>
 void run_masked(const MaskedView& m, std::size_t num_trees,
-                const std::uint8_t* codes_t, double scale, double* out,
-                std::size_t n) {
-  using VU8 = typename Isa::VU8;
-  constexpr std::size_t kRowBlock = 64;
-  alignas(64) std::uint8_t accb[kRowBlock];
-
-  for (std::size_t begin = 0; begin < n; begin += kRowBlock) {
-    const std::size_t nb = std::min(n - begin, kRowBlock);
-    if (nb == kRowBlock) {
-      for (std::size_t t = 0; t < num_trees; ++t) {
-        VU8 acc0 = Isa::b_ones();
-        VU8 acc1 = Isa::b_ones();
-        const std::uint32_t k1 = m.node_off[t + 1];
-        for (std::uint32_t k = m.node_off[t]; k < k1; ++k) {
-          const std::uint8_t* const c =
-              codes_t + static_cast<std::size_t>(m.feature[k]) * n + begin;
-          const VU8 split = Isa::b_splat(m.qsplit_x[k]);
-          const VU8 msk = Isa::b_splat(m.mask[k]);
-          // Condition true (code < qsplit): compare lanes are 0xFF, the
-          // OR saturates and the node constrains nothing. Condition
-          // false: the node's leaf mask is ANDed in.
-          acc0 = Isa::b_and(
-              acc0, Isa::b_or(Isa::b_cmplt_s8(Isa::b_load(c), split), msk));
-          acc1 = Isa::b_and(
-              acc1,
-              Isa::b_or(Isa::b_cmplt_s8(Isa::b_load(c + 32), split), msk));
-        }
-        Isa::b_store(accb, acc0);
-        Isa::b_store(accb + 32, acc1);
-        const double* const lv = m.leaf + m.leaf_off[t];
-        double* const o = out + begin;
-        // Tree t's contribution lands before tree t+1's for every row —
-        // the scalar accumulation order, mul and add unfused.
-        for (std::size_t i = 0; i < kRowBlock; ++i)
-          o[i] += scale * lv[std::countr_zero(accb[i])];
-      }
-    } else {
-      for (std::size_t t = 0; t < num_trees; ++t) {
-        const std::uint32_t k0 = m.node_off[t];
-        const std::uint32_t k1 = m.node_off[t + 1];
-        const double* const lv = m.leaf + m.leaf_off[t];
-        for (std::size_t i = 0; i < nb; ++i) {
-          std::uint8_t acc = 0xFF;
-          for (std::uint32_t k = k0; k < k1; ++k) {
-            const std::uint8_t cx =
-                codes_t[static_cast<std::size_t>(m.feature[k]) * n + begin +
-                        i];
-            if (static_cast<std::int8_t>(cx) >=
-                static_cast<std::int8_t>(m.qsplit_x[k]))
-              acc &= m.mask[k];
-          }
-          out[begin + i] += scale * lv[std::countr_zero(acc)];
-        }
-      }
-    }
+                const std::uint8_t* codes_t, std::size_t stride, double scale,
+                double* out, std::size_t n) {
+  for (std::size_t begin = 0; begin < n; begin += kMaskedBlock) {
+    const std::size_t nb = std::min(n - begin, kMaskedBlock);
+    if (nb > 32)
+      masked_block<Isa, true>(m, num_trees, codes_t + begin, stride,
+                              scale, out + begin, nb);
+    else
+      masked_block<Isa, false>(m, num_trees, codes_t + begin, stride,
+                               scale, out + begin, nb);
   }
 }
 

@@ -168,19 +168,20 @@ void quantize_block(const FlatForest::SimdTables& tb, const double* rows,
   }
 }
 
-/// The masked engine's input layout: feature-major (stride n, so one
-/// 32-byte load covers 32 rows of a feature) with every code XOR 0x80 so
-/// the kernel's signed byte compare orders the unsigned codes. Rows are
-/// read contiguously; the d_q strided byte streams each stay within one
-/// cache line for 64 consecutive rows.
+/// The masked engine's input layout: feature-major (one 32-byte load
+/// covers 32 rows of a feature) with every code XOR 0x80 so the kernel's
+/// signed byte compare orders the unsigned codes. `stride` is n rounded
+/// up to a multiple of 32; lanes n..stride-1 are left as they are. Rows
+/// are read contiguously; the d_q strided byte streams each stay within
+/// one cache line for 64 consecutive rows.
 void quantize_transposed(const FlatForest::SimdTables& tb, const double* rows,
                          std::size_t n, std::size_t num_features,
-                         std::uint8_t* codes_t) {
+                         std::size_t stride, std::uint8_t* codes_t) {
   const std::size_t d_q = tb.d_q;
   for (std::size_t r = 0; r < n; ++r) {
     const double* const x = rows + r * num_features;
     for (std::size_t f = 0; f < d_q; ++f)
-      codes_t[f * n + r] =
+      codes_t[f * stride + r] =
           static_cast<std::uint8_t>(quantize_value(tb, f, x[f]) ^ 0x80);
   }
 }
@@ -581,8 +582,8 @@ namespace {
 
 /// The PR 2 engine, unchanged: two trees x four rows of scalar walks in
 /// lockstep. Still the dispatch floor — it is what runs when SIMD is off
-/// (ANB_SIMD=off), when the CPU offers no vector target, and for tiny
-/// batches that cannot fill 8 lanes.
+/// (ANB_SIMD=off), when the CPU offers no vector target, and for forests
+/// the masked engine cannot represent.
 void interleaved_accumulate(const FlatNode* nodes,
                             std::span<const std::int32_t> roots,
                             std::span<const double> rows,
@@ -725,19 +726,17 @@ void FlatForest::accumulate(std::span<const double> rows,
   const simd::Target target = simd::active_target();
   DescentPath path = forced;
   if (path == DescentPath::kAuto) {
-    if (target == simd::Target::kScalar || n < 8) {
-      path = DescentPath::kInterleaved;
-    } else {
-      // The masked leaf-set engine is the only one measured decisively
-      // faster than the interleaved walk on current x86 cores — the
-      // gather-stepping kSimd/kQuantized engines are bound by their
-      // serial node-gather chains and land at or below the eight scalar
-      // chains of the interleaved walk (DESIGN.md "SIMD descent"). They
-      // stay forceable for the differential tests and benches, but auto
-      // only leaves the interleaved floor when masks apply.
-      path = simd_tables().masked_ok ? DescentPath::kMasked
-                                     : DescentPath::kInterleaved;
-    }
+    // The masked leaf-set engine is the only one measured decisively
+    // faster than the interleaved walk on current x86 cores, and its
+    // padded tail block keeps it ahead down to a single row — the
+    // gather-stepping kSimd/kQuantized engines are bound by their serial
+    // node-gather chains and land at or below the eight scalar chains of
+    // the interleaved walk (DESIGN.md "SIMD descent"). They stay
+    // forceable for the differential tests and benches, but auto only
+    // leaves the interleaved floor when masks apply.
+    path = target != simd::Target::kScalar && simd_tables().masked_ok
+               ? DescentPath::kMasked
+               : DescentPath::kInterleaved;
   }
 
   if (path == DescentPath::kSimd || path == DescentPath::kQuantized ||
@@ -793,11 +792,15 @@ void FlatForest::accumulate(std::span<const double> rows,
   if (path == DescentPath::kMasked) {
     // Masked leaf-set evaluation: quantize the batch feature-major (XOR
     // 0x80 for the kernel's signed byte compares), then AND-reduce
-    // per-node leaf masks — no gathers, no settle loop.
+    // per-node leaf masks — no gathers, no settle loop. The padded stride
+    // lets the tail block run as whole vectors; resize() keeps every
+    // padding byte initialized.
+    const std::size_t stride = (n + 31) & ~std::size_t{31};
     static thread_local std::vector<std::uint8_t> codes_t;
-    codes_t.resize(n * tb.d_q);
-    quantize_transposed(tb, rows.data(), n, num_features, codes_t.data());
-    kernels.masked(tb.mview, roots_.size(), codes_t.data(), scale,
+    codes_t.resize(stride * tb.d_q);
+    quantize_transposed(tb, rows.data(), n, num_features, stride,
+                        codes_t.data());
+    kernels.masked(tb.mview, roots_.size(), codes_t.data(), stride, scale,
                    out.data(), n);
     return;
   }

@@ -108,15 +108,11 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
 void Gbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double Gbdt::predict(std::span<const double> x) const {
-  // Walks flat_ so binary-loaded models (which never materialize trees_)
-  // share one code path; predict_tree performs the identical comparisons
-  // and the loop the identical accumulation order as the per-tree walk,
-  // so results are unchanged bit for bit.
-  ANB_CHECK(!flat_.empty(), "Gbdt::predict: model not fitted");
-  double acc = base_score_;
-  for (std::size_t t = 0; t < flat_.num_trees(); ++t)
-    acc += params_.learning_rate * flat_.predict_tree(t, x);
-  return acc;
+  // A one-row batch: scalar queries take the same descent engine as
+  // batched ones, bit-identical to the per-tree walk by its contract.
+  double out = 0.0;
+  predict_batch(x, x.size(), std::span<double>(&out, 1));
+  return out;
 }
 
 void Gbdt::predict_batch(std::span<const double> rows,

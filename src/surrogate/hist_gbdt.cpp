@@ -299,13 +299,10 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
 void HistGbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double HistGbdt::predict(std::span<const double> x) const {
-  // Same flat_ walk as Gbdt::predict — one code path for fitted and
-  // binary-loaded models, bit-identical to the per-tree walk.
-  ANB_CHECK(!flat_.empty(), "HistGbdt::predict: model not fitted");
-  double acc = base_score_;
-  for (std::size_t t = 0; t < flat_.num_trees(); ++t)
-    acc += params_.learning_rate * flat_.predict_tree(t, x);
-  return acc;
+  // A one-row batch, as in Gbdt::predict.
+  double out = 0.0;
+  predict_batch(x, x.size(), std::span<double>(&out, 1));
+  return out;
 }
 
 void HistGbdt::predict_batch(std::span<const double> rows,

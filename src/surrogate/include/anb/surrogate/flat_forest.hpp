@@ -56,6 +56,9 @@ struct FlatNode {
   std::int32_t feature = 0;
   std::int32_t left = -1;
   std::int32_t right = -1;
+  /// Explicit padding to the 8-byte alignment. Always written as 0, so
+  /// saving the same forest twice gives the same bytes; never read.
+  std::int32_t reserved = 0;
 };
 
 // The binary artifact stores FlatNode arrays verbatim, so the layout is

@@ -55,6 +55,9 @@ class Gbdt final : public Surrogate {
 
   const GbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
+  double base_score() const { return base_score_; }
+  /// The flattened trees every prediction descends.
+  const FlatForest& forest() const { return flat_; }
 
  private:
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);

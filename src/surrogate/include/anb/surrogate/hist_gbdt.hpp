@@ -62,6 +62,9 @@ class HistGbdt final : public Surrogate {
 
   const HistGbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
+  double base_score() const { return base_score_; }
+  /// The flattened trees every prediction descends.
+  const FlatForest& forest() const { return flat_; }
 
  private:
   void rebuild_flat();

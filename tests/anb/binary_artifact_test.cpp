@@ -3,7 +3,8 @@
 // mmap of the binary file must produce *bit-identical* predictions for
 // every surrogate family and every MetricKey, on the scalar and the
 // batched query paths. Plus the format-level rejection guarantees
-// (version/checksum mismatch) and save→load→save byte-stability.
+// (version/checksum mismatch), save→load→save byte-stability, and
+// identical bytes from two identically seeded fits.
 
 #include <gtest/gtest.h>
 
@@ -168,6 +169,17 @@ TEST_F(BinaryArtifactTest, SaveLoadSaveIsByteStable) {
   const AccelNASBench reloaded = AccelNASBench::load_binary(anbb_path_);
   const std::string again = scratch("binary_artifact_again.anbb");
   reloaded.save_binary(again);
+  const auto first = io::Buffer::read_file(anbb_path_);
+  const auto second = io::Buffer::read_file(again);
+  ASSERT_EQ(first->size(), second->size());
+  EXPECT_EQ(std::memcmp(first->data(), second->data(), first->size()), 0);
+}
+
+TEST_F(BinaryArtifactTest, RefitSaveIsByteIdentical) {
+  // Fitting the same models from the same seeds must save the same bytes:
+  // nothing uninitialized (struct padding included) reaches the file.
+  const std::string again = scratch("binary_artifact_refit.anbb");
+  make_full_benchmark().save_binary(again);
   const auto first = io::Buffer::read_file(anbb_path_);
   const auto second = io::Buffer::read_file(again);
   ASSERT_EQ(first->size(), second->size());

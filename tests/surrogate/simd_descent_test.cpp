@@ -28,6 +28,7 @@
 #include "anb/util/parallel.hpp"
 #include "anb/util/rng.hpp"
 #include "anb/util/simd.hpp"
+#include "tree_reference.hpp"
 
 namespace anb {
 namespace {
@@ -45,9 +46,11 @@ std::vector<simd::Target> test_targets() {
 }
 
 /// Batch sizes crossing every kernel regime: empty, below one 8-lane
-/// group, exactly one group, group+1, and the 255/256/257 straddle of
-/// four 64-row blocks (full vector blocks plus a scalar tail block).
-const std::size_t kBatchSizes[] = {0, 1, 7, 8, 9, 255, 256, 257};
+/// group, exactly one group, group+1, both sides of the masked engine's
+/// one- and two-vector blocks (31/32/33, 63/64/65, 127), and the
+/// 255/256/257 straddle of four 64-row blocks plus a padded tail block.
+const std::size_t kBatchSizes[] = {0,  1,  2,  7,   8,   9,   31,  32,
+                                   33, 63, 64, 65, 127, 255, 256, 257};
 
 /// Chain tree with `leaves` leaves: internal node k (k = 0..leaves-2)
 /// splits feature 0 at threshold k+1 with a leaf on the left and the
@@ -221,10 +224,10 @@ TEST(SimdDescentTest, ManyThresholdsDisableQuantizedAndMasked) {
 }
 
 // ---------------------------------------------------------------------------
-// Fitted families end to end: model.predict (scalar walk) vs
-// predict_batch / predict_matrix under every engine. Discrete feature
-// values keep the per-feature threshold count small, so quantization is
-// available by construction for every family below.
+// Fitted families end to end: the per-tree reference vs predict_batch /
+// predict_matrix under every engine. Discrete feature values keep the
+// per-feature threshold count small, so quantization is available by
+// construction for every family below.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kNumFeatures = 7;
@@ -249,19 +252,21 @@ std::vector<double> make_family_rows(std::size_t n, std::uint64_t seed) {
   return rows;
 }
 
+/// Per-tree reference for every row (tree_reference.hpp).
+std::vector<double> family_reference(const Surrogate& model,
+                                     std::span<const double> rows) {
+  std::vector<double> ref(rows.size() / kNumFeatures);
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ref[i] = per_tree_predict(
+        model, rows.subspan(i * kNumFeatures, kNumFeatures));
+  return ref;
+}
+
 void run_family(const Surrogate& model,
                 const std::vector<DescentPath>& paths) {
   for (const std::size_t n : kBatchSizes) {
     const std::vector<double> rows = make_family_rows(n, 0xF00 + n);
-    std::vector<double> scalar(n);
-    {
-      // Reference on the PR 2 interleaved walk (itself proven
-      // bit-identical to per-row predict by predict_batch_test).
-      ScopedDescentPath sp(DescentPath::kInterleaved);
-      for (std::size_t i = 0; i < n; ++i)
-        scalar[i] = model.predict(std::span<const double>(rows).subspan(
-            i * kNumFeatures, kNumFeatures));
-    }
+    const std::vector<double> scalar = family_reference(model, rows);
     for (const simd::Target target : test_targets()) {
       simd::ScopedTarget st(target);
       for (const DescentPath path : paths) {
@@ -280,13 +285,7 @@ void run_family(const Surrogate& model,
   // dispatch must keep bit-identity whatever the chunking.
   const std::size_t n = 257;
   const std::vector<double> rows = make_family_rows(n, 0xBEE);
-  std::vector<double> scalar(n);
-  {
-    ScopedDescentPath sp(DescentPath::kInterleaved);
-    for (std::size_t i = 0; i < n; ++i)
-      scalar[i] = model.predict(std::span<const double>(rows).subspan(
-          i * kNumFeatures, kNumFeatures));
-  }
+  const std::vector<double> scalar = family_reference(model, rows);
   for (const unsigned threads : {1u, 2u, 0u}) {
     set_default_num_threads(threads);
     for (const DescentPath path : paths) {
@@ -371,6 +370,64 @@ TEST(SimdDescentTest, ObsCountsSimdRowsAndTarget) {
   EXPECT_EQ(simd_rows, 64u);
   EXPECT_EQ(dispatch,
             static_cast<double>(static_cast<int>(simd::active_target())));
+}
+
+/// anb.query.simd.rows after running `body` on freshly reset metrics.
+template <class Body>
+std::uint64_t simd_rows_of(Body body) {
+  obs::reset_metrics();
+  body();
+  for (const obs::MetricValue& m : obs::snapshot_metrics())
+    if (m.name == "anb.query.simd.rows") return m.value;
+  return 0;
+}
+
+TEST(SimdDescentTest, AutoTakesMaskedDownToOneRow) {
+  // No batch-size cutoff: on a vector target, auto sends a masked-
+  // eligible forest through the masked engine at any batch size, a
+  // scalar Gbdt::predict (a one-row batch) included. A forest the masks
+  // cannot represent (a 9-leaf tree, like a deep RandomForest), and
+  // scalar dispatch, stay on the interleaved walk, which counts no SIMD
+  // rows.
+  std::vector<RegressionTree> deep;
+  deep.push_back(make_chain_tree(9, 0.0));
+  const FlatForest nine_leaves(deep);
+  ASSERT_FALSE(nine_leaves.masked_available());
+
+  GbdtParams p;
+  p.n_estimators = 10;
+  p.max_depth = 3;
+  Gbdt gbdt(p);
+  Rng rng(62);
+  gbdt.fit(make_family_dataset(200, 61), rng);
+  ASSERT_TRUE(gbdt.forest().masked_available());
+  const std::vector<double> x = make_family_rows(1, 0xD0);
+  const std::vector<double> rows40 = make_family_rows(40, 0xD1);
+  std::vector<double> out40(40);
+
+  for (const simd::Target target : test_targets()) {
+    simd::ScopedTarget st(target);
+    const std::uint64_t vector_rows = target == simd::Target::kScalar ? 0 : 1;
+    EXPECT_EQ(simd_rows_of([&] { (void)gbdt.predict(x); }), vector_rows)
+        << simd::target_name(target);
+    EXPECT_EQ(simd_rows_of([&] {
+                gbdt.predict_batch(rows40, kNumFeatures, out40);
+              }),
+              40 * vector_rows)
+        << simd::target_name(target);
+
+    const std::vector<double> col = {3.0};
+    std::vector<double> out(1, 0.0);
+    EXPECT_EQ(simd_rows_of([&] { nine_leaves.accumulate(col, 1, 1.0, out); }),
+              0u)
+        << simd::target_name(target);
+    const std::vector<double> col40(40, 5.0);
+    EXPECT_EQ(simd_rows_of([&] {
+                nine_leaves.accumulate(col40, 1, 1.0, out40);
+              }),
+              0u)
+        << simd::target_name(target);
+  }
 }
 
 }  // namespace
