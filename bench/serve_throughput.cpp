@@ -42,11 +42,12 @@ namespace anb::bench {
 namespace {
 
 /// A deliberately heavy accuracy surrogate (full size: 10 x 1500-tree
-/// GBDT ensemble, ~0.5ms scalar predict): serving is only interesting
-/// when prediction dominates socket chatter, which is the regime a fitted
-/// full-size benchmark lives in — and the regime where the coalescer's
-/// batched SIMD descent (20x per-row over scalar, query_throughput.csv)
-/// pays for its scheduling overhead.
+/// GBDT ensemble): serving is only interesting when prediction dominates
+/// socket chatter, which is the regime a fitted full-size benchmark lives
+/// in — and the regime where a batched prediction pays for the
+/// coalescer's scheduling. Under the interleaved walk pinned in run(),
+/// measured on a 4-core x86 host: about 350 us/row scalar and 120 us/row
+/// in a 32-row batch.
 AccelNASBench make_served_bench() {
   Rng probe_rng(1);
   const std::size_t num_features =
@@ -163,14 +164,12 @@ int run(int argc, char** argv) {
   print_header("serve throughput: coalescing micro-batch scheduler",
                "benchmark-as-a-service extension (anbd)");
 
-  // Pin the batch engine to the interleaved walk: it is the dispatch
-  // floor with a flat ~5-7x per-row win over scalar at ANY batch size,
-  // whereas auto-dispatch hands n >= 8 to the masked engine, whose
-  // per-call fixed cost only amortizes at batches (~64+) that blocking
-  // clients structurally cannot produce (each has one request in
-  // flight, so a flush carries at most one row per connection). All
-  // engines are bit-identical (query_throughput's differential
-  // contract), so this changes timing only.
+  // Pin every prediction, scalar and batched, to the interleaved walk,
+  // so this CSV stays comparable with earlier runs. kAuto, which anbd
+  // runs, now takes the masked engine at every batch size and is faster
+  // on both paths: on the same host about 200 us/row scalar and 40 us/row
+  // in a 32-row batch. All engines are bit-identical (query_throughput's
+  // differential contract), so this changes timing only.
   ScopedDescentPath interleaved(DescentPath::kInterleaved);
 
   const AccelNASBench bench = make_served_bench();

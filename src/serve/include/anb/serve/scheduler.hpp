@@ -13,14 +13,15 @@
 #include "anb/util/mutex.hpp"
 #include "anb/util/thread_annotations.hpp"
 
-// The coalescing micro-batch scheduler: the systems core of anbd. Many
-// concurrent scalar queries are worth little individually — FlatForest's
-// SIMD descent only pays off on wide batches (PR 8) — so the scheduler
-// queues incoming rows into per-target buckets and flushes each bucket
-// into a single AccelNASBench batched query when either threshold hits:
-//
-//   - the bucket reaches `batch_max` rows (a full SIMD batch), or
-//   - `coalesce_wait_us` elapses with rows pending (latency bound).
+// The coalescing micro-batch scheduler: the systems core of anbd. It
+// queues incoming rows into per-target buckets and runs each flush as a
+// single AccelNASBench batched query. Flushing is work-conserving: a
+// worker that finds rows pending takes the largest bucket, up to
+// `batch_max` rows, and flushes it at once. Rows pile up into bigger
+// batches only while every worker is busy, so a lightly loaded server
+// answers a lone query with a batch of one (no timer in its path) and a
+// saturated one flushes full batches, where FlatForest's batched descent
+// pays off.
 //
 // Determinism contract: coalescing NEVER changes a response value. A
 // flushed batch runs through query_*_batch, which is bit-identical to
@@ -49,15 +50,16 @@ struct BucketKey {
 };
 
 struct SchedulerOptions {
-  /// Flush a bucket as soon as it holds this many rows.
+  /// Most rows one flush takes from a bucket.
   std::uint32_t batch_max = 64;
-  /// Flush a non-empty bucket at most this long after rows arrive.
-  std::uint32_t coalesce_wait_us = 200;
+  /// How long a partial bucket is held for more rows: always 0, since a
+  /// free worker flushes at once. Kept so reports can print the window.
+  static constexpr std::uint32_t coalesce_wait_us = 0;
   /// Admission control: total rows pending across all buckets. A submit
   /// that would exceed it is rejected (the server answers kRetryLater).
   std::size_t queue_capacity = 4096;
   /// Flush workers; 0 = anb::default_num_threads(). With >= 2 workers,
-  /// one in-flight flush never delays another bucket's deadline.
+  /// one in-flight flush never holds up another bucket's rows.
   unsigned worker_threads = 0;
 };
 
@@ -133,7 +135,10 @@ class Scheduler {
   bool paused_ ANB_GUARDED_BY(mu_) = false;
   std::size_t total_rows_ ANB_GUARDED_BY(mu_) = 0;
   std::map<BucketKey, Bucket> buckets_ ANB_GUARDED_BY(mu_);
-  SchedulerStats stats_ ANB_GUARDED_BY(mu_);
+  // SchedulerStats, keyed by bucket; stats() turns keys into names.
+  std::uint64_t batches_ ANB_GUARDED_BY(mu_) = 0;
+  std::uint64_t rows_ ANB_GUARDED_BY(mu_) = 0;
+  std::map<BucketKey, std::uint64_t> bucket_rows_ ANB_GUARDED_BY(mu_);
 
   std::vector<std::thread> workers_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <span>
 #include <utility>
@@ -80,9 +79,11 @@ struct Scheduler::Bucket {
   obs::Counter* rows_counter = nullptr;
 };
 
-/// An extracted unit of work, executed outside the lock.
+/// An extracted unit of work, executed outside the lock. Carries the
+/// bucket's counter so a flush never looks an obs name up.
 struct Scheduler::Flush {
   BucketKey bucket;
+  obs::Counter* rows_counter = nullptr;
   std::vector<Row> rows;
 };
 
@@ -136,7 +137,6 @@ Admit Scheduler::submit(const BucketKey& bucket,
   group->remaining.store(archs.size(), std::memory_order_relaxed);
   group->done = std::move(done);
 
-  bool full_bucket = false;
   {
     MutexLock lock(mu_);
     if (!started_ || draining_) return Admit::kStopped;
@@ -151,15 +151,8 @@ Admit Scheduler::submit(const BucketKey& bucket,
       b.rows.push_back(Row{archs[i], group, i});
     }
     total_rows_ += archs.size();
-    full_bucket = b.rows.size() >= options_.batch_max;
   }
-  // A full bucket may satisfy several windowed waiters; a trickle needs
-  // only one worker to start its coalescing window.
-  if (full_bucket) {
-    cv_.notify_all();
-  } else {
-    cv_.notify_one();
-  }
+  cv_.notify_one();
   return Admit::kOk;
 }
 
@@ -178,7 +171,13 @@ void Scheduler::resume() {
 
 SchedulerStats Scheduler::stats() const {
   MutexLock lock(mu_);
-  return stats_;
+  SchedulerStats out;
+  out.batches = batches_;
+  out.rows = rows_;
+  for (const auto& [key, rows] : bucket_rows_) {
+    out.bucket_rows[key.name()] += rows;
+  }
+  return out;
 }
 
 Scheduler::Flush Scheduler::extract_flush() {
@@ -192,6 +191,7 @@ Scheduler::Flush Scheduler::extract_flush() {
     }
   }
   ANB_ASSERT(best != nullptr, "extract_flush with no pending rows");
+  flush.rows_counter = best->rows_counter;
   const std::size_t take =
       std::min<std::size_t>(best->rows.size(), options_.batch_max);
   flush.rows.reserve(take);
@@ -200,54 +200,27 @@ Scheduler::Flush Scheduler::extract_flush() {
     best->rows.pop_front();
   }
   total_rows_ -= take;
-  stats_.batches += 1;
-  stats_.rows += take;
-  stats_.bucket_rows[flush.bucket.name()] += take;
+  batches_ += 1;
+  rows_ += take;
+  bucket_rows_[flush.bucket] += take;
   return flush;
 }
 
 void Scheduler::worker_loop() {
-  const auto window = std::chrono::microseconds(options_.coalesce_wait_us);
   for (;;) {
     Flush flush;
+    bool more = false;
     {
       MutexLock lock(mu_);
-      for (;;) {
-        cv_.wait(mu_, [this]() ANB_REQUIRES(mu_) {
-          return draining_ || (total_rows_ > 0 && !paused_);
-        });
-        if (total_rows_ == 0) {
-          if (draining_) return;
-          continue;  // another worker took the rows between notify and wake
-        }
-        if (paused_ && !draining_) continue;  // paused after wake; re-wait
-        // Coalescing window: no bucket is full yet, so hold the flush for
-        // up to the deadline hoping more rows arrive. Waking early on a
-        // full bucket keeps throughput; waking on the timeout bounds
-        // latency. Draining flushes immediately.
-        if (!draining_) {
-          const bool bucket_full = [this]() ANB_REQUIRES(mu_) {
-            for (const auto& [key, bucket] : buckets_) {
-              if (bucket.rows.size() >= options_.batch_max) return true;
-            }
-            return false;
-          }();
-          if (!bucket_full) {
-            cv_.wait_for(mu_, window, [this]() ANB_REQUIRES(mu_) {
-              if (draining_) return true;
-              for (const auto& [key, bucket] : buckets_) {
-                if (bucket.rows.size() >= options_.batch_max) return true;
-              }
-              return false;
-            });
-          }
-          if (total_rows_ == 0) continue;  // raced: someone else flushed
-          if (paused_ && !draining_) continue;
-        }
-        flush = extract_flush();
-        break;
-      }
+      cv_.wait(mu_, [this]() ANB_REQUIRES(mu_) {
+        return draining_ || (total_rows_ > 0 && !paused_);
+      });
+      if (total_rows_ == 0) return;  // draining, and nothing is left
+      flush = extract_flush();
+      more = total_rows_ > 0;
     }
+    // Rows left behind a full flush go to the next idle worker.
+    if (more) cv_.notify_one();
     execute_flush(std::move(flush));
   }
 }
@@ -258,12 +231,7 @@ void Scheduler::execute_flush(Flush&& flush) {
   batch_count().add(1);
   batch_rows().add(n);
   batch_size_hist().observe(n);
-  {
-    // The per-bucket obs counter was registered under mu_ at submit time;
-    // re-look it up by name here (cheap, and avoids holding a Bucket
-    // pointer outside the lock).
-    obs::counter("anb.serve.rows." + flush.bucket.name()).add(n);
-  }
+  flush.rows_counter->add(n);
 
   const SearchSpace& sp = anb::space(flush.bucket.space);
   std::vector<Arch> archs;

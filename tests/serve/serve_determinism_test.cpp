@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -27,6 +29,29 @@ namespace {
 
 using namespace anb::serve;
 using namespace anb::serve_test;
+
+/// Shuts `socket` down if still alive after `limit`, so a read waiting
+/// for a reply that never comes throws Disconnected instead of blocking
+/// the suite until ctest's timeout.
+class ReadDeadline {
+ public:
+  ReadDeadline(net::Socket& socket, std::chrono::seconds limit)
+      : watchdog_([&socket, limit, done = done_.get_future()] {
+          if (done.wait_for(limit) == std::future_status::timeout) {
+            socket.shutdown_both();
+          }
+        }) {}
+  ~ReadDeadline() {
+    done_.set_value();
+    watchdog_.join();
+  }
+  ReadDeadline(const ReadDeadline&) = delete;
+  ReadDeadline& operator=(const ReadDeadline&) = delete;
+
+ private:
+  std::promise<void> done_;  // declared first: the watchdog reads it
+  std::thread watchdog_;
+};
 
 /// One client request: a target bucket and one or more architectures
 /// (size 1 = scalar frame, larger = batch frame).
@@ -238,8 +263,10 @@ TEST_F(ServeDeterminismTest, BackpressureIsDeterministicUnderPause) {
 
   // While paused, pipeline 10 scalar requests through the raw frame API
   // (the blocking client would deadlock waiting for held replies). The
-  // kRetryLater replies arrive immediately, the admitted values only
-  // after resume, so replies are matched to requests by echoed id.
+  // six kRetryLater replies arrive while still paused; reading them
+  // before resume() proves every frame was admitted or refused before
+  // any row could drain. The admitted values arrive only after resume.
+  // Replies are matched to requests by echoed id.
   std::map<std::uint64_t, std::uint64_t> arch_by_id;
   for (std::size_t i = 0; i < 10; ++i) {
     const std::uint64_t id = client.next_request_id();
@@ -247,11 +274,10 @@ TEST_F(ServeDeterminismTest, BackpressureIsDeterministicUnderPause) {
     const auto frame = encode_query_accuracy(id, pool_[i]);
     ASSERT_TRUE(client.socket().send_all(frame));
   }
-  server.scheduler_for_test().resume();
 
   std::size_t ok = 0;
   std::size_t retry = 0;
-  for (std::size_t i = 0; i < 10; ++i) {
+  auto read_reply = [&] {
     const Reply reply = client.recv_reply();
     ASSERT_TRUE(arch_by_id.count(reply.request_id));
     if (reply.type == MsgType::kRetryLater) {
@@ -263,6 +289,13 @@ TEST_F(ServeDeterminismTest, BackpressureIsDeterministicUnderPause) {
                     MnasSpace::instance().from_index(arch_by_id.at(reply.request_id))));
       ++ok;
     }
+  };
+  {
+    // A wrong admission count leaves a read waiting; fail it fast.
+    const ReadDeadline deadline(client.socket(), std::chrono::seconds(30));
+    for (std::size_t i = 0; i < 6; ++i) read_reply();
+    server.scheduler_for_test().resume();
+    for (std::size_t i = 0; i < 4; ++i) read_reply();
   }
   EXPECT_EQ(ok, 4u);
   EXPECT_EQ(retry, 6u);

@@ -1,7 +1,7 @@
 // anbd — the Accel-NASBench daemon.
 //
 //   anbd --bench FILE [--socket PATH] [--no-coalescing]
-//        [--batch-max N] [--wait-us N] [--queue N] [--workers N]
+//        [--batch-max N] [--queue N] [--workers N]
 //
 // Opens the benchmark artifact once (.anbb artifacts are memory-mapped,
 // so the surrogate tables are shared, page-cache-resident state) and
@@ -13,10 +13,19 @@
 // The daemon prints the socket path on stdout (so wrappers can discover
 // a --socket-less default) and blocks until a client sends the kShutdown
 // frame (`anbench query-remote --socket PATH --shutdown`).
+//
+// Scheduler flags: a free worker flushes pending rows at once, up to
+// --batch-max per batch (default 64), so rows batch up only while every
+// worker (--workers, default one per core) is busy. --queue bounds the
+// rows pending before requests get kRetryLater.
+// Numbers are parsed strictly; a bad value is a usage error (exit 2).
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "anb/anb/benchmark.hpp"
@@ -24,13 +33,39 @@
 
 namespace {
 
+/// More flush workers than this is a typo, not a deployment.
+constexpr unsigned long kMaxWorkers = 1024;
+constexpr unsigned long kU32Max = std::numeric_limits<std::uint32_t>::max();
+
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: anbd --bench FILE [--socket PATH] [--no-coalescing]\n"
-               "            [--batch-max N] [--wait-us N] [--queue N] "
-               "[--workers N]\n");
+               "            [--batch-max N] [--queue N] [--workers N]\n"
+               "  --batch-max N  most rows per batched query (>= 1, "
+               "default 64)\n"
+               "  --queue N      rows pending before kRetryLater (>= 1, "
+               "default 4096)\n"
+               "  --workers N    flush workers (0 = one per core, at most "
+               "%lu)\n",
+               kMaxWorkers);
   std::exit(2);
+}
+
+/// `text` as a decimal integer in [lo, hi]: digits only, so a sign,
+/// blanks, trailing junk or an overflow is a usage error.
+unsigned long parse_count(const std::string& flag, const std::string& text,
+                          unsigned long lo, unsigned long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
+  const bool digits = !text.empty() && text[0] >= '0' && text[0] <= '9';
+  if (!digits || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    usage((flag + " wants an integer in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "], got '" + text + "'")
+              .c_str());
+  }
+  return v;
 }
 
 }  // namespace
@@ -51,17 +86,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-coalescing") {
       options.coalescing = false;
     } else if (arg == "--batch-max") {
-      options.scheduler.batch_max =
-          static_cast<std::uint32_t>(std::atoi(value().c_str()));
-    } else if (arg == "--wait-us") {
-      options.scheduler.coalesce_wait_us =
-          static_cast<std::uint32_t>(std::atoi(value().c_str()));
+      options.scheduler.batch_max = static_cast<std::uint32_t>(
+          parse_count(arg, value(), 1, kU32Max));
     } else if (arg == "--queue") {
       options.scheduler.queue_capacity =
-          static_cast<std::size_t>(std::atoi(value().c_str()));
+          parse_count(arg, value(), 1, std::numeric_limits<std::size_t>::max());
     } else if (arg == "--workers") {
       options.scheduler.worker_threads =
-          static_cast<unsigned>(std::atoi(value().c_str()));
+          static_cast<unsigned>(parse_count(arg, value(), 0, kMaxWorkers));
     } else {
       usage(("unknown argument " + arg).c_str());
     }
