@@ -129,8 +129,8 @@ RowResult bench_model(const std::string& name, const Surrogate& model,
 // Per-engine descent throughput (DESIGN.md "SIMD descent"). Each flat-
 // forest family runs serial predict_batch under every forced descent
 // engine; engines a fitted forest cannot support (shape outside the
-// quantized/masked eligibility rules) are reported as unavailable rather
-// than timed. Speedups are relative to the interleaved walk at the same
+// masked eligibility rules) are reported as unavailable rather than
+// timed. Speedups are relative to the interleaved walk at the same
 // batch size — the pre-SIMD baseline — which keeps them comparable
 // across hosts even though absolute rows/sec are not. Besides the full
 // query matrix, every engine is timed on a 40-row batch (an NSGA-II
@@ -157,8 +157,7 @@ std::vector<PathResult> bench_paths(const std::string& name,
     ScopedDescentPath sp(DescentPath::kInterleaved);
     model.predict_batch(rows, num_features, ref);
   }
-  const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kSimd,
-                                DescentPath::kQuantized, DescentPath::kMasked};
+  const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kMasked};
   const std::size_t kBatchRows[] = {n, 40, 1};
   std::vector<PathResult> results;
   for (std::size_t b = 0; b < std::size(kBatchRows); ++b) {

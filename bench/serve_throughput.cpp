@@ -32,7 +32,6 @@
 #include "anb/serve/client.hpp"
 #include "anb/serve/server.hpp"
 #include "anb/surrogate/ensemble.hpp"
-#include "anb/surrogate/flat_forest.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/json.hpp"
@@ -45,9 +44,9 @@ namespace {
 /// GBDT ensemble): serving is only interesting when prediction dominates
 /// socket chatter, which is the regime a fitted full-size benchmark lives
 /// in — and the regime where a batched prediction pays for the
-/// coalescer's scheduling. Under the interleaved walk pinned in run(),
-/// measured on a 4-core x86 host: about 350 us/row scalar and 120 us/row
-/// in a 32-row batch.
+/// coalescer's scheduling. Under the auto-selected masked engine, which
+/// anbd runs, measured on a 4-core x86 host: about 200 us/row scalar and
+/// 40 us/row in a 32-row batch.
 AccelNASBench make_served_bench() {
   Rng probe_rng(1);
   const std::size_t num_features =
@@ -163,14 +162,6 @@ int run(int argc, char** argv) {
             "serve_throughput: requests_per_conn must be >= 1");
   print_header("serve throughput: coalescing micro-batch scheduler",
                "benchmark-as-a-service extension (anbd)");
-
-  // Pin every prediction, scalar and batched, to the interleaved walk,
-  // so this CSV stays comparable with earlier runs. kAuto, which anbd
-  // runs, now takes the masked engine at every batch size and is faster
-  // on both paths: on the same host about 200 us/row scalar and 40 us/row
-  // in a 32-row batch. All engines are bit-identical (query_throughput's
-  // differential contract), so this changes timing only.
-  ScopedDescentPath interleaved(DescentPath::kInterleaved);
 
   const AccelNASBench bench = make_served_bench();
   const std::size_t pool_size = 64;

@@ -4,7 +4,8 @@
 //   1. grid-search a training proxy p* under a GPU-hour budget (Eq. 1),
 //   2. collect ANB-Acc and all ANB-{device}-{metric} datasets with p*,
 //   3. fit XGB surrogates per dataset and report held-out test metrics,
-//   4. save the finished benchmark to accel_nasbench.json and reload it.
+//   4. save the finished benchmark to the binary container
+//      accel_nasbench.anbb and reopen it (memory-mapped, zero-copy).
 //
 // Pass --fast to shrink the proxy grid and the collection for a quick demo.
 
@@ -51,13 +52,13 @@ int main(int argc, char** argv) {
                 metrics.r2, metrics.kendall_tau, metrics.mae);
   }
 
-  const std::string path = "accel_nasbench.json";
-  result.bench.save(path);
-  const AccelNASBench reloaded = AccelNASBench::load(path);
+  const std::string path = "accel_nasbench.anbb";
+  result.bench.save_binary(path);
+  const AccelNASBench reloaded = AccelNASBench::open(path);
   Rng rng(1);
   std::vector<Arch> probes;
   for (int i = 0; i < 16; ++i) probes.push_back(MnasSpace::instance().sample(rng));
-  std::printf("[4/4] saved + reloaded %s; probe queries match: %s\n",
+  std::printf("[4/4] saved + reopened %s; probe queries match: %s\n",
               path.c_str(),
               reloaded.query_accuracy_batch(probes) ==
                       result.bench.query_accuracy_batch(probes)

@@ -344,8 +344,8 @@ std::vector<double> AccelNASBench::cached_query_batch(
 
   // Encodes the rows listed in `rows_to_encode` into one flat feature
   // matrix and predicts them with the surrogate's parallel batch path.
-  // For the tree families that path auto-dispatches to the SIMD descent
-  // engines (DESIGN.md "SIMD descent") — assembling misses into one
+  // For the tree families that path auto-dispatches to the masked SIMD
+  // descent engine (DESIGN.md "SIMD descent") — assembling misses into one
   // matrix here is what hands them vector-width batches instead of
   // per-arch scalar walks, at identical (bit-for-bit) results.
   const auto predict_rows = [&](std::span<const std::size_t> rows_to_encode,

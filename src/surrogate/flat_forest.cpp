@@ -35,7 +35,7 @@ inline std::int32_t step(const FlatNode* nodes, std::int32_t at,
 /// override is test/bench scaffolding flipped while the engine is quiet.
 std::atomic<int> g_forced_path{0};
 
-/// Max distinct thresholds per feature the quantized path can encode: a
+/// Max distinct thresholds per feature the masked engine can encode: a
 /// uint8 row code must order x against every threshold, and code 255 is
 /// reserved so NaN rows can sit above every split code.
 constexpr std::size_t kMaxThresholds = 255;
@@ -48,10 +48,6 @@ const char* descent_path_name(DescentPath p) {
       return "auto";
     case DescentPath::kInterleaved:
       return "interleaved";
-    case DescentPath::kSimd:
-      return "simd";
-    case DescentPath::kQuantized:
-      return "quantized";
     case DescentPath::kMasked:
       return "masked";
   }
@@ -66,35 +62,23 @@ DescentPath descent_path_override() {
   return static_cast<DescentPath>(g_forced_path.load(std::memory_order_relaxed));
 }
 
-/// Derived lookaside for the SIMD paths. The on-disk .anbb format and the
-/// in-memory source of truth stay AoS (FlatNode); these arrays are a pure
-/// cache, rebuilt from nodes_ on demand and never serialized.
+/// Derived lookaside for the masked engine. The on-disk .anbb format and
+/// the in-memory source of truth stay AoS (FlatNode); these arrays are a
+/// pure cache, rebuilt from nodes_ on demand and never serialized.
 struct FlatForest::SimdTables {
-  // Structure-of-arrays node layout, 64-byte aligned: one gather per
-  // field instead of strided 24-byte AoS loads.
-  simd::AlignedBuf<double> value;
-  simd::AlignedBuf<std::int32_t> feature;
-  simd::AlignedBuf<std::int32_t> left;
-  simd::AlignedBuf<std::int32_t> right;
-  simd::AlignedBuf<std::int32_t> roots;
-
-  // Quantized descent tables (only when quant_ok):
-  //  - qnodes: packed u64 per node (see detail::QuantView).
-  //  - thr: per-feature sorted distinct thresholds, padded with +inf to a
-  //    power of two so the row quantizer's branchless binary search runs
-  //    a fixed ladder per feature. thr_off[f] is the feature's start;
-  //    thr_half[f] is the first search step (L/2), 0 for unused features.
-  bool quant_ok = false;
-  std::size_t d_q = 0;  ///< quantized feature-code stride (max_feature+1)
-  simd::AlignedBuf<std::uint64_t> qnodes;
+  // Row quantizer tables: per-feature sorted distinct thresholds, padded
+  // with +inf to a power of two so the branchless binary search runs a
+  // fixed ladder per feature. thr_off[f] is the feature's start;
+  // thr_half[f] is the first search step (L/2), 0 for unused features.
+  std::size_t d_q = 0;  ///< quantized feature count (max_feature+1)
   simd::AlignedBuf<double> thr;
   std::vector<std::uint32_t> thr_off;
   std::vector<std::uint32_t> thr_half;
 
-  // Masked leaf-set tables (only when masked_ok: quant_ok and every tree
-  // has <= 8 leaves). Internal nodes grouped per tree in mk_node_off
-  // ranges; leaves numbered left to right per tree, values in mk_leaf at
-  // mk_leaf_off. See detail::MaskedView for the evaluation scheme.
+  // Masked leaf-set tables (only when masked_ok). Internal nodes grouped
+  // per tree in mk_node_off ranges; leaves numbered left to right per
+  // tree, values in mk_leaf at mk_leaf_off. See detail::MaskedView for
+  // the evaluation scheme.
   bool masked_ok = false;
   simd::AlignedBuf<std::uint32_t> mk_feature;
   simd::AlignedBuf<std::uint8_t> mk_qsplit_x;  ///< threshold code ^ 0x80
@@ -103,44 +87,37 @@ struct FlatForest::SimdTables {
   simd::AlignedBuf<double> mk_leaf;
   simd::AlignedBuf<std::uint32_t> mk_leaf_off;
 
-  detail::SoaView view;
-  detail::QuantView qview;
   detail::MaskedView mview;
 };
 
 namespace {
 
-/// Pick the kernel table for a dispatch target. AVX2 kernels live in
-/// their own -mavx2 TU and may be absent (non-x86 toolchain); anything
+/// Pick the masked kernel for a dispatch target. The AVX2 kernel lives
+/// in its own -mavx2 TU and may be absent (non-x86 toolchain); anything
 /// unavailable degrades to the scalar instantiation, which is always
 /// compiled into this TU.
-const detail::DescentKernels& kernels_for(simd::Target target) {
-  static const detail::DescentKernels scalar =
-      detail::kernels::make_kernels<simd::ScalarIsa>();
-#if defined(__ARM_NEON)
-  static const detail::DescentKernels neon =
-      detail::kernels::make_kernels<simd::NeonIsa>();
-#endif
+detail::MaskedFn masked_kernel_for(simd::Target target) {
   switch (target) {
     case simd::Target::kAvx2:
-      if (const auto* k = detail::avx2_descent_kernels()) return *k;
+      if (const detail::MaskedFn k = detail::avx2_masked_kernel()) return k;
       break;
     case simd::Target::kNeon:
 #if defined(__ARM_NEON)
-      return neon;
+      return &detail::kernels::run_masked<simd::NeonIsa>;
 #else
       break;
 #endif
     case simd::Target::kScalar:
       break;
   }
-  return scalar;
+  return &detail::kernels::run_masked<simd::ScalarIsa>;
 }
 
-/// Quantize a row block against the forest's threshold tables: code(r,f)
-/// counts thresholds of feature f that are <= x. Because thr_f is sorted
-/// and distinct, `x < thr_f[j]  <=>  code < j+1`, so the descent's byte
-/// compare against qsplit = j+1 reproduces every double compare exactly.
+/// Quantize one feature value against the forest's threshold tables:
+/// code(x,f) counts thresholds of feature f that are <= x. Because thr_f
+/// is sorted and distinct, `x < thr_f[j]  <=>  code < j+1`, so the
+/// kernel's byte compare against qsplit = j+1 reproduces every double
+/// compare exactly.
 /// NaN gets code 255 (>= every qsplit <= 255): the walk always goes
 /// right, matching IEEE `NaN < t == false` on the scalar path. +/-inf
 /// need no special case — thresholds are finite, so the search counts all
@@ -155,17 +132,6 @@ inline std::uint8_t quantize_value(const FlatForest::SimdTables& tb,
       if (t[pos + stepw - 1] <= xv) pos += stepw;
   }
   return static_cast<std::uint8_t>(pos);
-}
-
-void quantize_block(const FlatForest::SimdTables& tb, const double* rows,
-                    std::size_t n, std::size_t num_features,
-                    std::uint8_t* codes) {
-  const std::size_t d_q = tb.d_q;
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* const x = rows + r * num_features;
-    std::uint8_t* const c = codes + r * d_q;
-    for (std::size_t f = 0; f < d_q; ++f) c[f] = quantize_value(tb, f, x[f]);
-  }
 }
 
 /// The masked engine's input layout: feature-major (one 32-byte load
@@ -331,68 +297,51 @@ const FlatForest::SimdTables& FlatForest::simd_tables() const {
   auto tb = std::make_unique<SimdTables>();
   const std::size_t num_nodes = nodes_.size();
   const std::size_t num_trees = roots_.size();
+  const auto tree_end = [&](std::size_t t) {
+    return t + 1 < num_trees ? roots_[t + 1]
+                             : static_cast<std::int32_t>(num_nodes);
+  };
 
-  tb->value = simd::AlignedBuf<double>(num_nodes);
-  tb->feature = simd::AlignedBuf<std::int32_t>(num_nodes);
-  tb->left = simd::AlignedBuf<std::int32_t>(num_nodes);
-  tb->right = simd::AlignedBuf<std::int32_t>(num_nodes);
-  tb->roots = simd::AlignedBuf<std::int32_t>(num_trees);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    const FlatNode& n = nodes_[i];
-    tb->value[i] = n.split;
-    tb->feature[i] = n.feature;
-    tb->left[i] = n.left;
-    tb->right[i] = n.right;
-  }
-  for (std::size_t t = 0; t < num_trees; ++t) tb->roots[t] = roots_[t];
-
-  // Quantized tables. Eligibility: every feature index and tree-local
-  // child offset must fit 16 bits, every internal threshold must be
-  // finite, and no feature may carry more than 255 distinct thresholds
-  // (the uint8 code must order x against all of them, with 255 reserved
-  // for NaN). Histogram-trained forests qualify by construction —
-  // thresholds are bin edges, at most max_bins-1 <= 255 per feature
-  // (hist_gbdt.cpp); exact-split forests qualify whenever features take
-  // few distinct values, which holds for the one-hot architecture
-  // encodings this repo serves.
+  // Eligibility. The leaf-set mask is one byte, so every tree must have
+  // <= 8 leaves — true by construction for the default Gbdt (max_depth 3)
+  // and HistGbdt (max_leaves 8) forests; deep RandomForest trees fail the
+  // count and keep the interleaved walk. The uint8 row code must order x
+  // against every threshold of its feature, with 255 reserved for NaN, so
+  // every internal threshold must be finite and no feature may carry more
+  // than 255 distinct ones. Histogram-trained forests qualify by
+  // construction — thresholds are bin edges, at most max_bins-1 <= 255
+  // per feature (hist_gbdt.cpp); exact-split forests qualify whenever
+  // features take few distinct values, which holds for the one-hot
+  // architecture encodings this repo serves.
   tb->d_q = static_cast<std::size_t>(max_feature_ + 1);
   if (tb->d_q == 0) tb->d_q = 1;  // all-leaf forest: codes never read
-  bool ok = max_feature_ <= 0xFFFF &&
-            num_nodes <= static_cast<std::size_t>(
-                             std::numeric_limits<std::int32_t>::max());
+  bool ok = true;
+  std::size_t total_leaves = 0;
+  for (std::size_t t = 0; t < num_trees && ok; ++t) {
+    std::size_t leaves = 0;
+    for (std::int32_t i = roots_[t]; i < tree_end(t); ++i) {
+      const FlatNode& n = nodes_[static_cast<std::size_t>(i)];
+      if (n.left == i && n.right == i) ++leaves;
+    }
+    ok = leaves <= 8;
+    total_leaves += leaves;
+  }
   std::vector<std::vector<double>> sets(tb->d_q);
-  if (ok) {
-    for (std::size_t i = 0; i < num_nodes && ok; ++i) {
-      const FlatNode& n = nodes_[i];
-      if (n.left == static_cast<std::int32_t>(i) &&
-          n.right == static_cast<std::int32_t>(i))
-        continue;  // leaf
-      if (!std::isfinite(n.split)) {
-        ok = false;
-        break;
-      }
-      sets[static_cast<std::size_t>(n.feature)].push_back(n.split);
-    }
+  for (std::size_t i = 0; i < num_nodes && ok; ++i) {
+    const FlatNode& n = nodes_[i];
+    if (n.left == static_cast<std::int32_t>(i) &&
+        n.right == static_cast<std::int32_t>(i))
+      continue;  // leaf
+    ok = std::isfinite(n.split);
+    sets[static_cast<std::size_t>(n.feature)].push_back(n.split);
   }
-  if (ok) {
-    for (auto& s : sets) {
-      std::sort(s.begin(), s.end());
-      s.erase(std::unique(s.begin(), s.end()), s.end());
-      if (s.size() > kMaxThresholds) {
-        ok = false;
-        break;
-      }
-    }
+  for (auto& s : sets) {
+    if (!ok) break;
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    ok = s.size() <= kMaxThresholds;
   }
-  if (ok) {
-    for (std::size_t t = 0; t < num_trees && ok; ++t) {
-      const std::size_t lo = static_cast<std::size_t>(roots_[t]);
-      const std::size_t hi = t + 1 < num_trees
-                                 ? static_cast<std::size_t>(roots_[t + 1])
-                                 : num_nodes;
-      if (hi - lo > 0x10000) ok = false;  // local child offsets need u16
-    }
-  }
+
   if (ok) {
     // Padded threshold ladders for the branchless row quantizer.
     tb->thr_off.assign(tb->d_q, 0);
@@ -416,107 +365,54 @@ const FlatForest::SimdTables& FlatForest::simd_tables() const {
                               : std::numeric_limits<double>::infinity();
     }
 
-    // Packed quantized nodes: children tree-local, threshold replaced by
-    // its rank+1 in the feature's ladder (exact double match by
-    // construction — the ladder was built from these very splits).
-    tb->qnodes = simd::AlignedBuf<std::uint64_t>(num_nodes);
+    // Masked leaf-set tables.
+    const std::size_t total_internal = num_nodes - total_leaves;
+    tb->mk_feature = simd::AlignedBuf<std::uint32_t>(total_internal);
+    tb->mk_qsplit_x = simd::AlignedBuf<std::uint8_t>(total_internal);
+    tb->mk_mask = simd::AlignedBuf<std::uint8_t>(total_internal);
+    tb->mk_node_off = simd::AlignedBuf<std::uint32_t>(num_trees + 1);
+    tb->mk_leaf = simd::AlignedBuf<double>(total_leaves);
+    tb->mk_leaf_off = simd::AlignedBuf<std::uint32_t>(num_trees);
+    std::size_t nk = 0;
+    std::size_t nl = 0;
     for (std::size_t t = 0; t < num_trees; ++t) {
-      const auto lo = roots_[t];
-      const auto hi = t + 1 < num_trees
-                          ? roots_[t + 1]
-                          : static_cast<std::int32_t>(num_nodes);
-      for (std::int32_t i = lo; i < hi; ++i) {
+      tb->mk_node_off[t] = static_cast<std::uint32_t>(nk);
+      tb->mk_leaf_off[t] = static_cast<std::uint32_t>(nl);
+      std::uint32_t next_leaf = 0;
+      // In-order walk: leaves numbered left to right, each internal node's
+      // mask clears exactly its left subtree's leaf bits. The node entry
+      // order within a tree is irrelevant to the kernel (the AND-reduction
+      // is commutative).
+      const auto dfs = [&](const auto& self, std::int32_t i) -> std::uint8_t {
         const FlatNode& n = nodes_[static_cast<std::size_t>(i)];
-        const auto l = static_cast<std::uint64_t>(n.left - lo);
-        const auto r = static_cast<std::uint64_t>(n.right - lo);
-        std::uint64_t feat = 0;
-        std::uint64_t qsplit = 0;
-        if (!(n.left == i && n.right == i)) {
-          const auto& s = sets[static_cast<std::size_t>(n.feature)];
-          const auto it = std::lower_bound(s.begin(), s.end(), n.split);
-          ANB_CHECK(it != s.end() && *it == n.split,
-                    "FlatForest: quantized threshold ladder out of sync");
-          feat = static_cast<std::uint64_t>(n.feature);
-          qsplit = static_cast<std::uint64_t>(it - s.begin()) + 1;
+        if (n.left == i && n.right == i) {
+          const std::uint32_t idx = next_leaf++;
+          tb->mk_leaf[nl + idx] = n.split;
+          return static_cast<std::uint8_t>(1u << idx);
         }
-        tb->qnodes[static_cast<std::size_t>(i)] =
-            l | (r << 16) | (feat << 32) | (qsplit << 48);
-      }
+        const std::uint8_t lbits = self(self, n.left);
+        // The threshold's code is its rank+1 in the feature's ladder — an
+        // exact double match by construction, the ladder was built from
+        // these very splits.
+        const auto& s = sets[static_cast<std::size_t>(n.feature)];
+        const auto it = std::lower_bound(s.begin(), s.end(), n.split);
+        ANB_CHECK(it != s.end() && *it == n.split,
+                  "FlatForest: threshold ladder out of sync");
+        const auto qsplit = static_cast<std::uint32_t>(it - s.begin()) + 1;
+        tb->mk_feature[nk] = static_cast<std::uint32_t>(n.feature);
+        tb->mk_qsplit_x[nk] = static_cast<std::uint8_t>(qsplit ^ 0x80u);
+        tb->mk_mask[nk] = static_cast<std::uint8_t>(~lbits);
+        ++nk;
+        const std::uint8_t rbits = self(self, n.right);
+        return static_cast<std::uint8_t>(lbits | rbits);
+      };
+      dfs(dfs, roots_[t]);
+      nl += next_leaf;
     }
-    tb->quant_ok = true;
+    tb->mk_node_off[num_trees] = static_cast<std::uint32_t>(nk);
+    tb->masked_ok = true;
   }
 
-  // Masked leaf-set tables. On top of quantization eligibility the
-  // leaf-set mask is one byte, so every tree must have <= 8 leaves —
-  // true by construction for the default Gbdt (max_depth 3) and HistGbdt
-  // (max_leaves 8) forests; deep RandomForest trees fail the count and
-  // keep the stepping engines.
-  if (tb->quant_ok) {
-    bool mok = true;
-    std::size_t total_leaves = 0;
-    for (std::size_t t = 0; t < num_trees && mok; ++t) {
-      const auto lo = roots_[t];
-      const auto hi = t + 1 < num_trees
-                          ? roots_[t + 1]
-                          : static_cast<std::int32_t>(num_nodes);
-      std::size_t leaves = 0;
-      for (std::int32_t i = lo; i < hi; ++i) {
-        const FlatNode& n = nodes_[static_cast<std::size_t>(i)];
-        if (n.left == i && n.right == i) ++leaves;
-      }
-      if (leaves > 8) mok = false;
-      total_leaves += leaves;
-    }
-    if (mok) {
-      const std::size_t total_internal = num_nodes - total_leaves;
-      tb->mk_feature = simd::AlignedBuf<std::uint32_t>(total_internal);
-      tb->mk_qsplit_x = simd::AlignedBuf<std::uint8_t>(total_internal);
-      tb->mk_mask = simd::AlignedBuf<std::uint8_t>(total_internal);
-      tb->mk_node_off = simd::AlignedBuf<std::uint32_t>(num_trees + 1);
-      tb->mk_leaf = simd::AlignedBuf<double>(total_leaves);
-      tb->mk_leaf_off = simd::AlignedBuf<std::uint32_t>(num_trees);
-      std::size_t nk = 0;
-      std::size_t nl = 0;
-      for (std::size_t t = 0; t < num_trees; ++t) {
-        tb->mk_node_off[t] = static_cast<std::uint32_t>(nk);
-        tb->mk_leaf_off[t] = static_cast<std::uint32_t>(nl);
-        std::uint32_t next_leaf = 0;
-        // In-order walk: leaves numbered left to right, each internal
-        // node's mask clears exactly its left subtree's leaf bits. The
-        // node entry order within a tree is irrelevant to the kernel
-        // (the AND-reduction is commutative).
-        const auto dfs = [&](const auto& self,
-                             std::int32_t i) -> std::uint8_t {
-          const FlatNode& n = nodes_[static_cast<std::size_t>(i)];
-          if (n.left == i && n.right == i) {
-            const std::uint32_t idx = next_leaf++;
-            tb->mk_leaf[nl + idx] = n.split;
-            return static_cast<std::uint8_t>(1u << idx);
-          }
-          const std::uint8_t lbits = self(self, n.left);
-          const auto& s = sets[static_cast<std::size_t>(n.feature)];
-          const auto it = std::lower_bound(s.begin(), s.end(), n.split);
-          const auto qsplit =
-              static_cast<std::uint32_t>(it - s.begin()) + 1;
-          tb->mk_feature[nk] = static_cast<std::uint32_t>(n.feature);
-          tb->mk_qsplit_x[nk] = static_cast<std::uint8_t>(qsplit ^ 0x80u);
-          tb->mk_mask[nk] = static_cast<std::uint8_t>(~lbits);
-          ++nk;
-          const std::uint8_t rbits = self(self, n.right);
-          return static_cast<std::uint8_t>(lbits | rbits);
-        };
-        dfs(dfs, roots_[t]);
-        nl += next_leaf;
-      }
-      tb->mk_node_off[num_trees] = static_cast<std::uint32_t>(nk);
-      tb->masked_ok = true;
-    }
-  }
-
-  tb->view = detail::SoaView{tb->value.data(), tb->feature.data(),
-                             tb->left.data(),  tb->right.data(),
-                             tb->roots.data(), num_trees};
-  tb->qview = detail::QuantView{tb->qnodes.data()};
   tb->mview = detail::MaskedView{
       tb->mk_feature.data(), tb->mk_qsplit_x.data(),  tb->mk_mask.data(),
       tb->mk_node_off.data(), tb->mk_leaf.data(), tb->mk_leaf_off.data()};
@@ -525,11 +421,6 @@ const FlatForest::SimdTables& FlatForest::simd_tables() const {
   simd_owned_ = std::move(tb);
   simd_cache_.store(raw, std::memory_order_release);
   return *raw;
-}
-
-bool FlatForest::quantized_available() const {
-  if (empty()) return false;
-  return simd_tables().quant_ok;
 }
 
 bool FlatForest::masked_available() const {
@@ -718,54 +609,18 @@ void FlatForest::accumulate(std::span<const double> rows,
   const std::size_t n = out.size();
   if (n == 0) return;
 
-  // Dispatch: forced path (test/bench hook) wins; otherwise pick by the
-  // active SIMD target. The SIMD kernels index rows with i32 lane
-  // offsets, so oversized batches fall back to the interleaved walk (the
-  // parallel predict_matrix chunking keeps real batches far below this).
+  // Dispatch: forced path (test/bench hook) wins; otherwise the masked
+  // leaf-set engine runs whenever masks apply on a vector target — it is
+  // measured faster than the interleaved walk down to a single row (its
+  // padded tail block runs as whole vectors; DESIGN.md "SIMD descent") —
+  // and the interleaved walk is the floor everywhere else.
   const DescentPath forced = descent_path_override();
   const simd::Target target = simd::active_target();
   DescentPath path = forced;
-  if (path == DescentPath::kAuto) {
-    // The masked leaf-set engine is the only one measured decisively
-    // faster than the interleaved walk on current x86 cores, and its
-    // padded tail block keeps it ahead down to a single row — the
-    // gather-stepping kSimd/kQuantized engines are bound by their serial
-    // node-gather chains and land at or below the eight scalar chains of
-    // the interleaved walk (DESIGN.md "SIMD descent"). They stay
-    // forceable for the differential tests and benches, but auto only
-    // leaves the interleaved floor when masks apply.
+  if (path == DescentPath::kAuto)
     path = target != simd::Target::kScalar && simd_tables().masked_ok
                ? DescentPath::kMasked
                : DescentPath::kInterleaved;
-  }
-
-  if (path == DescentPath::kSimd || path == DescentPath::kQuantized ||
-      path == DescentPath::kMasked) {
-    const SimdTables& tb = simd_tables();
-    if (path == DescentPath::kMasked && !tb.masked_ok) {
-      ANB_CHECK(forced == DescentPath::kAuto,
-                "FlatForest::accumulate: masked descent forced but "
-                "unavailable for this forest");
-      path = DescentPath::kInterleaved;
-    }
-    if (path == DescentPath::kQuantized && !tb.quant_ok) {
-      ANB_CHECK(forced == DescentPath::kAuto,
-                "FlatForest::accumulate: quantized descent forced but "
-                "unavailable for this forest");
-      path = DescentPath::kSimd;
-    }
-    // The stepping kernels index rows with i32 lane offsets; the masked
-    // kernel indexes with size_t and has no such cap. The parallel
-    // predict_matrix chunking keeps real batches far below this anyway.
-    constexpr std::size_t kMaxOff =
-        static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
-    const bool fits = n * num_features <= kMaxOff && n * tb.d_q <= kMaxOff;
-    if (!fits && path != DescentPath::kMasked) {
-      ANB_CHECK(forced == DescentPath::kAuto,
-                "FlatForest::accumulate: batch exceeds SIMD i32 indexing");
-      path = DescentPath::kInterleaved;
-    }
-  }
 
   if (path == DescentPath::kInterleaved) {
     interleaved_accumulate(nodes_.data(), roots_.span(), rows, num_features,
@@ -774,7 +629,9 @@ void FlatForest::accumulate(std::span<const double> rows,
   }
 
   const SimdTables& tb = simd_tables();
-  const detail::DescentKernels& kernels = kernels_for(target);
+  ANB_CHECK(tb.masked_ok,
+            "FlatForest::accumulate: masked descent forced but unavailable "
+            "for this forest");
 
   if (obs::metrics_enabled()) {
     static obs::Counter& simd_rows = obs::counter("anb.query.simd.rows");
@@ -784,36 +641,18 @@ void FlatForest::accumulate(std::span<const double> rows,
     dispatch.set(static_cast<double>(static_cast<int>(target)));
   }
 
-  if (path == DescentPath::kSimd) {
-    kernels.f64(tb.view, rows.data(), num_features, scale, out.data(), n);
-    return;
-  }
-
-  if (path == DescentPath::kMasked) {
-    // Masked leaf-set evaluation: quantize the batch feature-major (XOR
-    // 0x80 for the kernel's signed byte compares), then AND-reduce
-    // per-node leaf masks — no gathers, no settle loop. The padded stride
-    // lets the tail block run as whole vectors; resize() keeps every
-    // padding byte initialized.
-    const std::size_t stride = (n + 31) & ~std::size_t{31};
-    static thread_local std::vector<std::uint8_t> codes_t;
-    codes_t.resize(stride * tb.d_q);
-    quantize_transposed(tb, rows.data(), n, num_features, stride,
-                        codes_t.data());
-    kernels.masked(tb.mview, roots_.size(), codes_t.data(), stride, scale,
-                   out.data(), n);
-    return;
-  }
-
-  // Quantized: encode the block's feature values as uint8 threshold
-  // ranks, then descend on byte compares. The scratch is thread-local so
-  // parallel predict_matrix chunks reuse their allocation; +3 pad bytes
-  // keep the AVX2 byte gather's dword loads inside the buffer.
-  static thread_local std::vector<std::uint8_t> codes;
-  codes.resize(n * tb.d_q + 3);
-  quantize_block(tb, rows.data(), n, num_features, codes.data());
-  kernels.quant(tb.view, tb.qview, codes.data(), tb.d_q, scale, out.data(),
-                n);
+  // Masked leaf-set evaluation: quantize the batch feature-major (XOR 0x80
+  // for the kernel's signed byte compares), then AND-reduce per-node leaf
+  // masks — no gathers, no settle loop. The padded stride lets the tail
+  // block run as whole vectors; resize() keeps every padding byte
+  // initialized.
+  const std::size_t stride = (n + 31) & ~std::size_t{31};
+  static thread_local std::vector<std::uint8_t> codes_t;
+  codes_t.resize(stride * tb.d_q);
+  quantize_transposed(tb, rows.data(), n, num_features, stride,
+                      codes_t.data());
+  masked_kernel_for(target)(tb.mview, roots_.size(), codes_t.data(), stride,
+                            scale, out.data(), n);
 }
 
 }  // namespace anb

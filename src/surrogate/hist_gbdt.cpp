@@ -293,9 +293,9 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
 
 // Histogram training snaps every split to a bin edge, so each feature
 // carries at most max_bins distinct thresholds and the leaf count is
-// capped at max_leaves (default 8): fitted models qualify for both the
-// quantized and masked SIMD descent engines by construction (DESIGN.md
-// "SIMD descent" — the engine tables are derived lazily from flat_).
+// capped at max_leaves (default 8): fitted models qualify for the masked
+// SIMD descent engine by construction (DESIGN.md "SIMD descent" — the
+// engine tables are derived lazily from flat_).
 void HistGbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double HistGbdt::predict(std::span<const double> x) const {

@@ -23,12 +23,11 @@ namespace anb {
 /// Construction parallelizes over features; columns are independent, so
 /// the result is identical for any thread count.
 ///
-/// The same bin-edge idea powers the quantized/masked SIMD descent
-/// engines at query time: because histogram splits snap to these edges,
-/// a fitted forest's per-feature thresholds form a small ladder that
-/// FlatForest re-derives as uint8 comparison codes — training bins here,
-/// inference codes there, one losslessness argument (DESIGN.md "SIMD
-/// descent").
+/// The same bin-edge idea powers the masked SIMD descent engine at query
+/// time: because histogram splits snap to these edges, a fitted forest's
+/// per-feature thresholds form a small ladder that FlatForest re-derives
+/// as uint8 comparison codes — training bins here, inference codes there,
+/// one losslessness argument (DESIGN.md "SIMD descent").
 class BinnedMatrix {
  public:
   /// Quantize `data`. `max_bins` must be in [2, 256] (codes fit uint8).

@@ -20,19 +20,16 @@ namespace anb {
 /// in throughput and hardware/forest requirements.
 enum class DescentPath : int {
   kAuto = 0,         ///< pick per active simd::Target (the default)
-  kInterleaved = 1,  ///< PR 2 scalar walk: 2 trees x 4 rows in lockstep
-  kSimd = 2,         ///< SoA gather descent on full-precision thresholds
-  kQuantized = 3,    ///< SoA gather descent on uint8 threshold codes
-  kMasked = 4,       ///< leaf-set masks over uint8 codes (<= 8 leaves/tree)
+  kInterleaved = 1,  ///< scalar walk: 2 trees x 4 rows in lockstep
+  kMasked = 2,       ///< leaf-set masks over uint8 codes (<= 8 leaves/tree)
 };
 
 const char* descent_path_name(DescentPath p);
 
 /// Process-wide forced path (test/bench hook; kAuto clears). A forced
-/// kSimd/kQuantized/kMasked still honors the active simd::Target, so
-/// forcing target kScalar exercises the scalar-Isa kernels. Forcing
-/// kQuantized/kMasked on a forest where the engine is unavailable throws
-/// at accumulate time.
+/// kMasked still honors the active simd::Target, so forcing target
+/// kScalar exercises the scalar-Isa kernel. Forcing kMasked on a forest
+/// where the engine is unavailable throws at accumulate time.
 void set_descent_path_override(DescentPath p);
 DescentPath descent_path_override();
 
@@ -140,24 +137,20 @@ class FlatForest {
   std::span<const FlatNode> nodes() const { return nodes_.span(); }
   std::span<const std::int32_t> roots() const { return roots_.span(); }
 
-  /// True if the quantized descent can represent this forest: every
-  /// feature has <= 255 distinct finite thresholds, every tree fits
-  /// 16-bit local indexing, every feature index fits 16 bits. Builds the
-  /// SIMD tables on first call (lazily — never at load time, so the mmap
-  /// cold-start contract in bench/load_latency is untouched).
-  bool quantized_available() const;
-
-  /// True if the masked leaf-set engine can represent this forest:
-  /// quantized_available() plus every tree has <= 8 leaves (the leaf-set
-  /// mask is one byte). Holds for the default Gbdt (max_depth 3) and
-  /// HistGbdt (max_leaves 8) configurations; deep RandomForest trees
-  /// fall back. Builds the SIMD tables on first call.
+  /// True if the masked leaf-set engine can represent this forest: every
+  /// feature has <= 255 distinct finite thresholds (a uint8 row code
+  /// orders x against all of them) and every tree has <= 8 leaves (the
+  /// leaf-set mask is one byte). Holds for the default Gbdt (max_depth 3)
+  /// and HistGbdt (max_leaves 8) configurations; deep RandomForest trees
+  /// fall back. Builds the SIMD tables on first call (lazily — never at
+  /// load time, so the mmap cold-start contract in bench/load_latency is
+  /// untouched).
   bool masked_available() const;
 
-  /// Derived lookaside for the SIMD descent paths: SoA node arrays plus
-  /// the quantized node/threshold tables. Built once, on demand, from the
-  /// AoS nodes_ — the .anbb on-disk format stays AoS (DESIGN.md "SIMD
-  /// descent"). Defined (and only usable) in flat_forest.cpp.
+  /// Derived lookaside for the masked engine: threshold ladders plus the
+  /// per-node leaf-set masks. Built once, on demand, from the AoS nodes_
+  /// — the .anbb on-disk format stays AoS (DESIGN.md "SIMD descent").
+  /// Defined (and only usable) in flat_forest.cpp.
   struct SimdTables;
 
  private:

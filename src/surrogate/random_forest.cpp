@@ -87,8 +87,8 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
 
 // Deep trees (default max_depth 14) usually exceed the masked engine's
 // 8-leaf cap, so batched prediction auto-dispatches to the interleaved
-// walk for fitted forests; the quantized/masked engines light up only
-// for unusually shallow fits (DESIGN.md "SIMD descent").
+// walk for fitted forests; the masked engine lights up only for
+// unusually shallow fits (DESIGN.md "SIMD descent").
 void RandomForest::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double RandomForest::predict(std::span<const double> x) const {

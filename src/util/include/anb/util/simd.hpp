@@ -11,17 +11,15 @@
 //    compiled in its own -mavx2 translation unit; the probe picks at run
 //    time, so a binary built on an AVX2 box still runs on an older CPU.
 //  - ScalarIsa / Avx2Isa / NeonIsa: *compile-time* policy structs with an
-//    identical static interface (8 x i32 lanes), consumed by kernel
+//    identical static interface (32 x u8 lanes), consumed by kernel
 //    templates. The vector ISAs are only defined when the translation unit
 //    is compiled with the matching -m flags, which makes it impossible to
 //    instantiate an AVX2 kernel in a TU that could leak AVX2 instructions
 //    into baseline code paths.
 //
-// Exactness: every op here is bit-exact against its scalar meaning —
-// compares are IEEE `<` (ordered, quiet: NaN compares false), arithmetic
-// on doubles is mul-then-add with contraction disabled in the vector TUs,
-// so kernels built on these ops can promise bit-identical results to a
-// scalar loop.
+// Exactness: every op here is bitwise or an integer compare, so it is
+// bit-exact against its scalar meaning; kernels built on these ops can
+// promise bit-identical results to a scalar loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -82,23 +80,15 @@ class ScopedTarget {
   ScopedTarget& operator=(const ScopedTarget&) = delete;
 };
 
-/// Hint the prefetcher at `p` (read, high locality). No-op semantics: a
-/// wrong hint costs nothing, so callers may prefetch speculatively.
-inline void prefetch(const void* p) { __builtin_prefetch(p, 0, 3); }
-
-/// 64-byte-aligned zero-initialized heap array of a trivially copyable T,
-/// with `pad_bytes` extra zeroed bytes past the end: AVX2 byte gathers
-/// load 4 bytes per lane, so a gather whose last in-range byte is the
-/// final element reads up to 3 bytes past it. Padding keeps that read
-/// inside the allocation (ASan-clean by construction).
+/// 64-byte-aligned zero-initialized heap array of a trivially copyable T.
 template <class T>
 class AlignedBuf {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
   AlignedBuf() = default;
-  explicit AlignedBuf(std::size_t n, std::size_t pad_bytes = 0) : size_(n) {
-    const std::size_t bytes = n * sizeof(T) + pad_bytes;
+  explicit AlignedBuf(std::size_t n) : size_(n) {
+    const std::size_t bytes = n * sizeof(T);
     if (bytes == 0) return;
     ptr_.reset(static_cast<T*>(
         ::operator new(bytes, std::align_val_t{kAlignment})));
@@ -125,23 +115,9 @@ class AlignedBuf {
 };
 
 // ---------------------------------------------------------------------------
-// Isa policy structs. Shared interface, 8 lanes of i32 state:
-//
-//   VI32                  vector of 8 x i32 (lane masks are -1/0)
-//   splat/load/add        broadcast, unaligned load, lanewise add
-//   low16/high16          w & 0xFFFF, unsigned w >> 16 (packed-field reads)
-//   cmplt/cmpeq           signed compares -> lane masks
-//   bit_and/select        mask combine, mask ? a : b
-//   all_true              every lane mask set
-//   gather_i32            base[idx] per lane
-//   gather_u8             zero-extended base[off] per lane (callers pad +3B)
-//   gather_u64            base[idx] split into low/high dword vectors
-//   cmplt_f64             x[off] < t[idx] per lane (IEEE <, NaN -> false)
-//   axpy_leaf             out[l] += scale * leaf[idx[l]] (mul then add)
-//
-// plus a 32 x u8 byte tier for the masked leaf-set kernel (compare a
-// block of quantized row codes against one node threshold and fold the
-// node's leaf mask into per-row accumulators):
+// Isa policy structs. Shared interface: a 32 x u8 byte tier for the masked
+// leaf-set kernel (compare a block of quantized row codes against one node
+// threshold and fold the node's leaf mask into per-row accumulators):
 //
 //   VU8                   vector of 32 x u8
 //   b_splat/b_load/b_store broadcast, unaligned load/store (32 bytes)
@@ -152,101 +128,10 @@ class AlignedBuf {
 //                         sides with 0x80 (order-preserving bias).
 // ---------------------------------------------------------------------------
 
-/// Reference implementation: plain loops over an 8-lane struct. Always
+/// Reference implementation: plain loops over a 32-lane struct. Always
 /// compiled, used both as the fallback kernel and as the semantics spec
 /// the vector ISAs are tested against.
 struct ScalarIsa {
-  static constexpr Target kTarget = Target::kScalar;
-  static constexpr std::size_t kLanes = 8;
-
-  struct VI32 {
-    std::int32_t v[8];
-  };
-
-  static VI32 splat(std::int32_t x) {
-    VI32 r;
-    for (auto& lane : r.v) lane = x;
-    return r;
-  }
-  static VI32 load(const std::int32_t* p) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static VI32 add(VI32 a, VI32 b) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  static VI32 low16(VI32 a) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] & 0xFFFF;
-    return r;
-  }
-  static VI32 high16(VI32 a) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i)
-      r.v[i] = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(a.v[i]) >> 16);
-    return r;
-  }
-  static VI32 cmplt(VI32 a, VI32 b) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] < b.v[i] ? -1 : 0;
-    return r;
-  }
-  static VI32 cmpeq(VI32 a, VI32 b) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] == b.v[i] ? -1 : 0;
-    return r;
-  }
-  static VI32 bit_and(VI32 a, VI32 b) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = a.v[i] & b.v[i];
-    return r;
-  }
-  static VI32 select(VI32 mask, VI32 a, VI32 b) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = mask.v[i] != 0 ? a.v[i] : b.v[i];
-    return r;
-  }
-  static bool all_true(VI32 mask) {
-    bool ok = true;
-    for (int i = 0; i < 8; ++i) ok &= mask.v[i] == -1;
-    return ok;
-  }
-  static VI32 gather_i32(const std::int32_t* base, VI32 idx) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = base[idx.v[i]];
-    return r;
-  }
-  static VI32 gather_u8(const std::uint8_t* base, VI32 off) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i) r.v[i] = base[off.v[i]];
-    return r;
-  }
-  static void gather_u64(const std::uint64_t* base, VI32 idx, VI32& lo,
-                         VI32& hi) {
-    for (int i = 0; i < 8; ++i) {
-      const std::uint64_t w = base[idx.v[i]];
-      lo.v[i] = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(w & 0xFFFFFFFFu));
-      hi.v[i] = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(w >> 32));
-    }
-  }
-  static VI32 cmplt_f64(const double* xbase, VI32 xoff, const double* tbase,
-                        VI32 tidx) {
-    VI32 r;
-    for (int i = 0; i < 8; ++i)
-      r.v[i] = xbase[xoff.v[i]] < tbase[tidx.v[i]] ? -1 : 0;
-    return r;
-  }
-  static void axpy_leaf(const double* leaf, VI32 idx, double scale,
-                        double* out) {
-    for (int i = 0; i < 8; ++i) out[i] += scale * leaf[idx.v[i]];
-  }
-
   struct VU8 {
     std::uint8_t v[32];
   };
@@ -291,97 +176,8 @@ struct ScalarIsa {
 #if defined(__AVX2__)
 /// AVX2: only defined in TUs compiled with -mavx2 (the dedicated kernel
 /// TU), so baseline TUs cannot even name it — the type system enforces
-/// the "no AVX2 instructions outside the dispatched TU" rule. Gathers do
-/// the heavy lifting: node fields, packed qnodes, feature values and leaf
-/// values are all gathered per 8-lane step.
+/// the "no AVX2 instructions outside the dispatched TU" rule.
 struct Avx2Isa {
-  static constexpr Target kTarget = Target::kAvx2;
-  static constexpr std::size_t kLanes = 8;
-
-  using VI32 = __m256i;
-
-  static VI32 splat(std::int32_t x) { return _mm256_set1_epi32(x); }
-  static VI32 load(const std::int32_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static VI32 add(VI32 a, VI32 b) { return _mm256_add_epi32(a, b); }
-  static VI32 low16(VI32 a) {
-    return _mm256_and_si256(a, _mm256_set1_epi32(0xFFFF));
-  }
-  static VI32 high16(VI32 a) { return _mm256_srli_epi32(a, 16); }
-  static VI32 cmplt(VI32 a, VI32 b) { return _mm256_cmpgt_epi32(b, a); }
-  static VI32 cmpeq(VI32 a, VI32 b) { return _mm256_cmpeq_epi32(a, b); }
-  static VI32 bit_and(VI32 a, VI32 b) { return _mm256_and_si256(a, b); }
-  static VI32 select(VI32 mask, VI32 a, VI32 b) {
-    return _mm256_blendv_epi8(b, a, mask);
-  }
-  static bool all_true(VI32 mask) {
-    return _mm256_movemask_epi8(mask) == -1;
-  }
-  static VI32 gather_i32(const std::int32_t* base, VI32 idx) {
-    return _mm256_i32gather_epi32(base, idx, 4);
-  }
-  static VI32 gather_u8(const std::uint8_t* base, VI32 off) {
-    // Scale-1 dword gather, then mask to the addressed byte. Reads up to
-    // 3 bytes past base[off] — AlignedBuf's pad_bytes covers it.
-    const VI32 w = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(base), off, 1);
-    return _mm256_and_si256(w, _mm256_set1_epi32(0xFF));
-  }
-  static void gather_u64(const std::uint64_t* base, VI32 idx, VI32& lo,
-                         VI32& hi) {
-    const __m128i i0 = _mm256_castsi256_si128(idx);
-    const __m128i i1 = _mm256_extracti128_si256(idx, 1);
-    const __m256i q0 = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(base), i0, 8);
-    const __m256i q1 = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(base), i1, 8);
-    // Sort each gather's dwords into [low dwords | high dwords], then
-    // splice the 128-bit halves: two cross-lane shuffles per output.
-    const __m256i perm = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-    const __m256i p0 = _mm256_permutevar8x32_epi32(q0, perm);
-    const __m256i p1 = _mm256_permutevar8x32_epi32(q1, perm);
-    lo = _mm256_permute2x128_si256(p0, p1, 0x20);
-    hi = _mm256_permute2x128_si256(p0, p1, 0x31);
-  }
-  static VI32 cmplt_f64(const double* xbase, VI32 xoff, const double* tbase,
-                        VI32 tidx) {
-    const __m128i x0i = _mm256_castsi256_si128(xoff);
-    const __m128i x1i = _mm256_extracti128_si256(xoff, 1);
-    const __m128i t0i = _mm256_castsi256_si128(tidx);
-    const __m128i t1i = _mm256_extracti128_si256(tidx, 1);
-    const __m256d x0 = _mm256_i32gather_pd(xbase, x0i, 8);
-    const __m256d x1 = _mm256_i32gather_pd(xbase, x1i, 8);
-    const __m256d t0 = _mm256_i32gather_pd(tbase, t0i, 8);
-    const __m256d t1 = _mm256_i32gather_pd(tbase, t1i, 8);
-    // _CMP_LT_OQ: ordered quiet less-than — NaN compares false, exactly
-    // the scalar `x < t`.
-    const __m256i m0 = _mm256_castpd_si256(_mm256_cmp_pd(x0, t0, _CMP_LT_OQ));
-    const __m256i m1 = _mm256_castpd_si256(_mm256_cmp_pd(x1, t1, _CMP_LT_OQ));
-    // Each qword mask is all-ones/all-zeros; keeping the even dwords
-    // narrows to i32 lane masks.
-    const __m256i perm = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-    const __m256i p0 = _mm256_permutevar8x32_epi32(m0, perm);
-    const __m256i p1 = _mm256_permutevar8x32_epi32(m1, perm);
-    return _mm256_permute2x128_si256(p0, p1, 0x20);
-  }
-  static void axpy_leaf(const double* leaf, VI32 idx, double scale,
-                        double* out) {
-    const __m128i i0 = _mm256_castsi256_si128(idx);
-    const __m128i i1 = _mm256_extracti128_si256(idx, 1);
-    const __m256d v0 = _mm256_i32gather_pd(leaf, i0, 8);
-    const __m256d v1 = _mm256_i32gather_pd(leaf, i1, 8);
-    const __m256d s = _mm256_set1_pd(scale);
-    // Separate mul and add (never fused): bit-identical to the scalar
-    // `out += scale * leaf`. The kernel TU also builds with
-    // -mno-fma -ffp-contract=off as belt and braces.
-    _mm256_storeu_pd(
-        out, _mm256_add_pd(_mm256_loadu_pd(out), _mm256_mul_pd(s, v0)));
-    _mm256_storeu_pd(
-        out + 4,
-        _mm256_add_pd(_mm256_loadu_pd(out + 4), _mm256_mul_pd(s, v1)));
-  }
-
   using VU8 = __m256i;
 
   static VU8 b_splat(std::uint8_t x) {
@@ -401,108 +197,8 @@ struct Avx2Isa {
 #endif  // __AVX2__
 
 #if defined(__ARM_NEON)
-/// NEON: two int32x4 halves per 8-lane vector. NEON has no gather, so the
-/// memory-indirect ops go through small stack arrays (the compiler turns
-/// these into lane loads); the lanewise compare/select core is vector.
-/// Compares on doubles use scalar IEEE `<`, keeping the exactness
-/// contract trivially.
+/// NEON: two uint8x16 halves per 32-lane vector.
 struct NeonIsa {
-  static constexpr Target kTarget = Target::kNeon;
-  static constexpr std::size_t kLanes = 8;
-
-  struct VI32 {
-    int32x4_t a;
-    int32x4_t b;
-  };
-
-  static VI32 splat(std::int32_t x) {
-    return {vdupq_n_s32(x), vdupq_n_s32(x)};
-  }
-  static VI32 load(const std::int32_t* p) {
-    return {vld1q_s32(p), vld1q_s32(p + 4)};
-  }
-  static VI32 add(VI32 x, VI32 y) {
-    return {vaddq_s32(x.a, y.a), vaddq_s32(x.b, y.b)};
-  }
-  static VI32 low16(VI32 x) {
-    const int32x4_t m = vdupq_n_s32(0xFFFF);
-    return {vandq_s32(x.a, m), vandq_s32(x.b, m)};
-  }
-  static VI32 high16(VI32 x) {
-    return {vreinterpretq_s32_u32(vshrq_n_u32(vreinterpretq_u32_s32(x.a), 16)),
-            vreinterpretq_s32_u32(vshrq_n_u32(vreinterpretq_u32_s32(x.b), 16))};
-  }
-  static VI32 cmplt(VI32 x, VI32 y) {
-    return {vreinterpretq_s32_u32(vcltq_s32(x.a, y.a)),
-            vreinterpretq_s32_u32(vcltq_s32(x.b, y.b))};
-  }
-  static VI32 cmpeq(VI32 x, VI32 y) {
-    return {vreinterpretq_s32_u32(vceqq_s32(x.a, y.a)),
-            vreinterpretq_s32_u32(vceqq_s32(x.b, y.b))};
-  }
-  static VI32 bit_and(VI32 x, VI32 y) {
-    return {vandq_s32(x.a, y.a), vandq_s32(x.b, y.b)};
-  }
-  static VI32 select(VI32 mask, VI32 x, VI32 y) {
-    return {vbslq_s32(vreinterpretq_u32_s32(mask.a), x.a, y.a),
-            vbslq_s32(vreinterpretq_u32_s32(mask.b), x.b, y.b)};
-  }
-  static bool all_true(VI32 mask) {
-    const uint32x4_t both =
-        vandq_u32(vreinterpretq_u32_s32(mask.a), vreinterpretq_u32_s32(mask.b));
-#if defined(__aarch64__)
-    return vminvq_u32(both) == 0xFFFFFFFFu;
-#else
-    std::uint32_t lanes[4];
-    vst1q_u32(lanes, both);
-    return (lanes[0] & lanes[1] & lanes[2] & lanes[3]) == 0xFFFFFFFFu;
-#endif
-  }
-  static void store(std::int32_t* p, VI32 x) {
-    vst1q_s32(p, x.a);
-    vst1q_s32(p + 4, x.b);
-  }
-  static VI32 gather_i32(const std::int32_t* base, VI32 idx) {
-    std::int32_t i[8], r[8];
-    store(i, idx);
-    for (int k = 0; k < 8; ++k) r[k] = base[i[k]];
-    return load(r);
-  }
-  static VI32 gather_u8(const std::uint8_t* base, VI32 off) {
-    std::int32_t i[8], r[8];
-    store(i, off);
-    for (int k = 0; k < 8; ++k) r[k] = base[i[k]];
-    return load(r);
-  }
-  static void gather_u64(const std::uint64_t* base, VI32 idx, VI32& lo,
-                         VI32& hi) {
-    std::int32_t i[8], l[8], h[8];
-    store(i, idx);
-    for (int k = 0; k < 8; ++k) {
-      const std::uint64_t w = base[i[k]];
-      l[k] = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(w & 0xFFFFFFFFu));
-      h[k] = static_cast<std::int32_t>(static_cast<std::uint32_t>(w >> 32));
-    }
-    lo = load(l);
-    hi = load(h);
-  }
-  static VI32 cmplt_f64(const double* xbase, VI32 xoff, const double* tbase,
-                        VI32 tidx) {
-    std::int32_t xo[8], ti[8], r[8];
-    store(xo, xoff);
-    store(ti, tidx);
-    for (int k = 0; k < 8; ++k)
-      r[k] = xbase[xo[k]] < tbase[ti[k]] ? -1 : 0;
-    return load(r);
-  }
-  static void axpy_leaf(const double* leaf, VI32 idx, double scale,
-                        double* out) {
-    std::int32_t i[8];
-    store(i, idx);
-    for (int k = 0; k < 8; ++k) out[k] += scale * leaf[i[k]];
-  }
-
   struct VU8 {
     uint8x16_t a;
     uint8x16_t b;
@@ -531,16 +227,5 @@ struct NeonIsa {
   }
 };
 #endif  // __ARM_NEON
-
-/// The best ISA this translation unit was *compiled* for. In the default
-/// build this is ScalarIsa on x86 (AVX2 lives in its own TU) and NeonIsa
-/// on AArch64 (NEON is mandatory there, so there is no dispatch risk).
-#if defined(__AVX2__)
-using NativeIsa = Avx2Isa;
-#elif defined(__ARM_NEON)
-using NativeIsa = NeonIsa;
-#else
-using NativeIsa = ScalarIsa;
-#endif
 
 }  // namespace anb::simd

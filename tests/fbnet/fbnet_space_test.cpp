@@ -167,8 +167,9 @@ TEST(FbnetSpaceContract, SkipLegalityHoldsThroughTheInterface) {
     const FbnetArchitecture arch = FbnetSpace::to_ops(sp().sample(rng));
     const auto& slots = FbnetSpace::slots();
     for (int l = 0; l < kFbnetNumLayers; ++l) {
-      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip)
+      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip) {
         EXPECT_TRUE(slots[static_cast<std::size_t>(l)].skip_allowed) << l;
+      }
     }
   }
   // And a genotype forged to skip on a strided layer is invalid.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -45,23 +46,25 @@ std::vector<simd::Target> test_targets() {
   return targets;
 }
 
-/// Batch sizes crossing every kernel regime: empty, below one 8-lane
-/// group, exactly one group, group+1, both sides of the masked engine's
-/// one- and two-vector blocks (31/32/33, 63/64/65, 127), and the
+/// Batch sizes crossing every kernel regime: empty, below and around the
+/// interleaved walk's 4-row groups (1/2/7/8/9), both sides of the masked
+/// engine's one- and two-vector blocks (31/32/33, 63/64/65, 127), and the
 /// 255/256/257 straddle of four 64-row blocks plus a padded tail block.
 const std::size_t kBatchSizes[] = {0,  1,  2,  7,   8,   9,   31,  32,
                                    33, 63, 64, 65, 127, 255, 256, 257};
 
 /// Chain tree with `leaves` leaves: internal node k (k = 0..leaves-2)
-/// splits feature 0 at threshold k+1 with a leaf on the left and the
-/// chain continuing right — maximally unbalanced, depth = leaves-1.
-RegressionTree make_chain_tree(int leaves, double leaf_base) {
+/// splits feature 0 at threshold `threshold_base` + k+1 with a leaf on the
+/// left and the chain continuing right — maximally unbalanced, depth =
+/// leaves-1.
+RegressionTree make_chain_tree(int leaves, double leaf_base,
+                               double threshold_base = 0.0) {
   const int internal = leaves - 1;
   std::vector<TreeNode> nodes(static_cast<std::size_t>(2 * internal + 1));
   for (int k = 0; k < internal; ++k) {
     TreeNode& n = nodes[static_cast<std::size_t>(2 * k)];
     n.feature = 0;
-    n.threshold = static_cast<double>(k + 1);
+    n.threshold = threshold_base + static_cast<double>(k + 1);
     n.left = 2 * k + 1;
     n.right = 2 * k + 2;
     nodes[static_cast<std::size_t>(2 * k + 1)] =
@@ -125,10 +128,9 @@ void expect_paths_agree(const FlatForest& forest,
 }
 
 const std::vector<DescentPath> kAllPaths = {
-    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd,
-    DescentPath::kQuantized, DescentPath::kMasked};
-const std::vector<DescentPath> kUnquantizedPaths = {
-    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd};
+    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kMasked};
+const std::vector<DescentPath> kUnmaskedPaths = {DescentPath::kAuto,
+                                                 DescentPath::kInterleaved};
 
 TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
   std::vector<RegressionTree> trees;
@@ -136,7 +138,6 @@ TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
   trees.push_back(make_split_tree(0.125));
   trees.push_back(make_chain_tree(8, -2.0));
   const FlatForest forest(trees);
-  ASSERT_TRUE(forest.quantized_available());
   ASSERT_TRUE(forest.masked_available());
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -158,9 +159,10 @@ TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
 }
 
 TEST(SimdDescentTest, BatchShapesAndOddForests) {
-  // Odd tree count (exercises the single-tree remainder), a single-leaf
-  // tree (no internal nodes: the masked accumulator stays all-ones and
-  // must still pick leaf 0), and unbalanced chains.
+  // Odd tree count (exercises the interleaved walk's single-tree
+  // remainder), a single-leaf tree (no internal nodes: the masked
+  // accumulator stays all-ones and must still pick leaf 0), and
+  // unbalanced chains.
   std::vector<RegressionTree> trees;
   trees.push_back(make_split_tree(0.5));
   trees.push_back(RegressionTree({TreeNode{-1, 0.0, -1, -1, 0.75}}));
@@ -177,57 +179,61 @@ TEST(SimdDescentTest, BatchShapesAndOddForests) {
   }
 }
 
-TEST(SimdDescentTest, NineLeavesDisableMaskedOnly) {
+/// A forest the masked engine cannot represent: masked_available() is
+/// false, a forced kMasked throws, and auto and interleaved still agree
+/// with the scalar walk.
+void expect_masked_rejected(const FlatForest& forest,
+                            std::span<const double> rows, const char* label) {
+  EXPECT_FALSE(forest.masked_available()) << label;
+  expect_paths_agree(forest, rows, 1, kUnmaskedPaths, label);
+  ScopedDescentPath sp(DescentPath::kMasked);
+  std::vector<double> out(rows.size(), 0.0);
+  EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error) << label;
+}
+
+/// Chain trees of at most 8 leaves over feature 0 whose thresholds are
+/// 1, 2, ..., `count` — `count` distinct thresholds, every tree within
+/// the leaf budget.
+FlatForest make_threshold_forest(int count) {
+  std::vector<RegressionTree> trees;
+  for (int base = 0; base < count; base += 7) {
+    const int internal = std::min(7, count - base);
+    trees.push_back(make_chain_tree(internal + 1, 0.01 * base, base));
+  }
+  return FlatForest(trees);
+}
+
+TEST(SimdDescentTest, NineLeavesDisableMasked) {
   std::vector<RegressionTree> trees;
   trees.push_back(make_chain_tree(9, 0.0));
-  const FlatForest forest(trees);
-  EXPECT_TRUE(forest.quantized_available());
-  EXPECT_FALSE(forest.masked_available());
-
   std::vector<double> rows(16);
   for (std::size_t i = 0; i < rows.size(); ++i)
     rows[i] = static_cast<double>(i % 10);
-  expect_paths_agree(
-      forest, rows, 1,
-      {DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kSimd,
-       DescentPath::kQuantized},
-      "nine-leaves");
-
-  ScopedDescentPath sp(DescentPath::kMasked);
-  std::vector<double> out(16, 0.0);
-  EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
+  expect_masked_rejected(FlatForest(trees), rows, "nine-leaves");
 }
 
-TEST(SimdDescentTest, ManyThresholdsDisableQuantizedAndMasked) {
-  // 300 leaves -> 299 distinct thresholds on feature 0: past the 255-code
-  // budget, so only the full-precision engines may run.
-  std::vector<RegressionTree> trees;
-  trees.push_back(make_chain_tree(300, 0.0));
-  const FlatForest forest(trees);
-  EXPECT_FALSE(forest.quantized_available());
-  EXPECT_FALSE(forest.masked_available());
+TEST(SimdDescentTest, ThresholdBudgetIs255PerFeature) {
+  // The uint8 row code orders x against every threshold of its feature,
+  // with code 255 reserved for NaN: 255 distinct thresholds fit, 256 do
+  // not. Rows sit on, between and past every threshold.
+  std::vector<double> rows;
+  for (int i = 0; i <= 2 * 260; ++i) rows.push_back(0.5 * i);
+  rows.push_back(std::numeric_limits<double>::quiet_NaN());
+  rows.push_back(std::numeric_limits<double>::infinity());
+  rows.push_back(-std::numeric_limits<double>::infinity());
 
-  std::vector<double> rows(24);
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    rows[i] = static_cast<double>(i) * 17.0;
-  expect_paths_agree(forest, rows, 1, kUnquantizedPaths, "many-thresholds");
+  const FlatForest fits = make_threshold_forest(255);
+  ASSERT_TRUE(fits.masked_available());
+  expect_paths_agree(fits, rows, 1, kAllPaths, "255-thresholds");
 
-  std::vector<double> out(rows.size(), 0.0);
-  {
-    ScopedDescentPath sp(DescentPath::kQuantized);
-    EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
-  }
-  {
-    ScopedDescentPath sp(DescentPath::kMasked);
-    EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error);
-  }
+  expect_masked_rejected(make_threshold_forest(256), rows, "256-thresholds");
 }
 
 // ---------------------------------------------------------------------------
 // Fitted families end to end: the per-tree reference vs predict_batch /
 // predict_matrix under every engine. Discrete feature values keep the
-// per-feature threshold count small, so quantization is available by
-// construction for every family below.
+// per-feature threshold count small, so only the leaf count decides
+// masked eligibility for the families below.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kNumFeatures = 7;
@@ -329,10 +335,9 @@ TEST(SimdDescentTest, RandomForestFamily) {
   const Dataset train = make_family_dataset(400, 41);
   Rng rng(42);
   model.fit(train, rng);
-  // Masked eligibility depends on the fitted shapes, so the forced-path
-  // sweep stops at kQuantized (guaranteed by the discrete features).
-  run_family(model, {DescentPath::kAuto, DescentPath::kInterleaved,
-                     DescentPath::kSimd, DescentPath::kQuantized});
+  // Masked eligibility depends on the fitted shapes, so the sweep forces
+  // no engine that might be unavailable.
+  run_family(model, kUnmaskedPaths);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 // rows pending before requests get kRetryLater.
 // Numbers are parsed strictly; a bad value is a usage error (exit 2).
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +29,7 @@
 
 #include "anb/anb/benchmark.hpp"
 #include "anb/serve/server.hpp"
+#include "parse_count.hpp"
 
 namespace {
 
@@ -52,22 +52,6 @@ constexpr unsigned long kU32Max = std::numeric_limits<std::uint32_t>::max();
   std::exit(2);
 }
 
-/// `text` as a decimal integer in [lo, hi]: digits only, so a sign,
-/// blanks, trailing junk or an overflow is a usage error.
-unsigned long parse_count(const std::string& flag, const std::string& text,
-                          unsigned long lo, unsigned long hi) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  const bool digits = !text.empty() && text[0] >= '0' && text[0] <= '9';
-  if (!digits || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    usage((flag + " wants an integer in [" + std::to_string(lo) + ", " +
-           std::to_string(hi) + "], got '" + text + "'")
-              .c_str());
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,13 +71,13 @@ int main(int argc, char** argv) {
       options.coalescing = false;
     } else if (arg == "--batch-max") {
       options.scheduler.batch_max = static_cast<std::uint32_t>(
-          parse_count(arg, value(), 1, kU32Max));
+          anb::cli::parse_count(arg, value(), 1, kU32Max, usage));
     } else if (arg == "--queue") {
-      options.scheduler.queue_capacity =
-          parse_count(arg, value(), 1, std::numeric_limits<std::size_t>::max());
+      options.scheduler.queue_capacity = anb::cli::parse_count(
+          arg, value(), 1, std::numeric_limits<std::size_t>::max(), usage);
     } else if (arg == "--workers") {
-      options.scheduler.worker_threads =
-          static_cast<unsigned>(parse_count(arg, value(), 0, kMaxWorkers));
+      options.scheduler.worker_threads = static_cast<unsigned>(
+          anb::cli::parse_count(arg, value(), 0, kMaxWorkers, usage));
     } else {
       usage(("unknown argument " + arg).c_str());
     }

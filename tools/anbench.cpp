@@ -45,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -54,6 +55,7 @@
 #include "anb/serve/client.hpp"
 #include "anb/serve/server.hpp"
 #include "anb/util/table.hpp"
+#include "parse_count.hpp"
 
 namespace {
 
@@ -90,9 +92,14 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
+  /// --key as a strict decimal integer in [lo, INT_MAX]; a sign, junk
+  /// or overflow is a usage error.
+  int get_int(const std::string& key, int fallback, int lo = 0) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    return static_cast<int>(cli::parse_count(
+        "--" + key, it->second, static_cast<unsigned long>(lo),
+        static_cast<unsigned long>(std::numeric_limits<int>::max()), usage));
   }
   std::string require(const std::string& key) const {
     auto it = values_.find(key);
@@ -132,7 +139,7 @@ int cmd_build(const Args& args) {
   options.world_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
   options.space = space_arg(args).id();
-  options.n_archs = args.get_int("archs", 2600);
+  options.n_archs = args.get_int("archs", 2600, 1);
   options.tune = args.has("tune");
   options.collect_energy = args.has("energy");
   options.collect_peak_memory = args.has("memory");
@@ -219,7 +226,7 @@ int cmd_search(const Args& args) {
   ParetoSearchConfig config;
   config.key = MetricKey{device_kind_from_name(args.require("device")),
                          perf_metric_from_name(args.get("metric", "Thr"))};
-  const int budget = args.get_int("budget", 1000);
+  const int budget = args.get_int("budget", 1000, 1);
   config.n_targets = 5;
   config.n_evals_per_target = std::max(1, budget / config.n_targets);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
