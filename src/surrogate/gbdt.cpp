@@ -8,7 +8,6 @@
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
 #include "anb/util/error.hpp"
-#include "anb/util/parallel.hpp"
 #include "anb/util/stats.hpp"
 
 // GCC 12 at -O2 mis-attributes the std::vector destructor in fit() as
@@ -29,11 +28,6 @@ Gbdt::Gbdt(GbdtParams params) : params_(std::move(params)) {
   ANB_CHECK(params_.colsample > 0.0 && params_.colsample <= 1.0,
             "Gbdt: colsample must be in (0, 1]");
 }
-
-namespace {
-/// Rows per chunk for the element-wise gradient loop.
-constexpr std::size_t kRowChunk = 2048;
-}  // namespace
 
 void Gbdt::fit(const Dataset& train, Rng& rng) {
   ANB_CHECK(train.size() >= 2, "Gbdt::fit: need at least 2 rows");
@@ -75,12 +69,10 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
   std::vector<double> g(n), h(n, 1.0), weight(n, 1.0);
   std::vector<int> leaf(n);
   for (int t = 0; t < params_.n_estimators; ++t) {
-    // Squared loss: g = prediction residual, constant hessian. Element-wise
-    // over rows, so the chunked parallel loop is bit-identical to serial.
-    parallel_for_chunks(n, kRowChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        g[i] = pred[i] - train.target(i);
-    });
+    // Squared loss: g = prediction residual, constant hessian. A few
+    // microseconds of subtraction, so it runs inline: a parallel loop would
+    // start threads every round for less work than starting them costs.
+    for (std::size_t i = 0; i < n; ++i) g[i] = pred[i] - train.target(i);
     if (params_.subsample < 1.0) {
       for (std::size_t i = 0; i < n; ++i)
         weight[i] = rng.bernoulli(params_.subsample) ? 1.0 : 0.0;

@@ -46,7 +46,7 @@ struct Leaf {
 /// histogram cell receives its contributions in leaf-row order regardless.
 constexpr std::size_t kMinParallelHistWork = 1u << 16;
 
-/// Rows per chunk for the element-wise gradient / prediction-update loops.
+/// Rows per chunk for the element-wise prediction-update loop.
 constexpr std::size_t kRowChunk = 2048;
 
 }  // namespace
@@ -175,10 +175,8 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
   };
 
   for (int t = 0; t < params_.n_estimators; ++t) {
-    parallel_for_chunks(n, kRowChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        g[i] = pred[i] - train.target(i);
-    });
+    // Inline, as in Gbdt: too little work to start threads for.
+    for (std::size_t i = 0; i < n; ++i) g[i] = pred[i] - train.target(i);
 
     // Per-tree row bagging and feature sampling (serial: consumes `rng`).
     std::vector<std::uint32_t> root_rows;

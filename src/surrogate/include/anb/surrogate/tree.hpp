@@ -82,25 +82,44 @@ class ColumnIndex {
   std::size_t num_features() const { return num_features_; }
   std::size_t num_rows() const { return num_rows_; }
 
+  /// The two-valued columns, ascending: columns with rows below the top
+  /// run, all of which hold the column's smallest value (every 0/1 column).
+  /// Bit t of a row mask stands for two_valued_columns()[t].
+  std::span<const std::uint32_t> two_valued_columns() const {
+    return two_valued_;
+  }
+  /// 64-bit words per row mask.
+  std::size_t mask_words() const { return (two_valued_.size() + 63) / 64; }
+  /// Row-major row masks, mask_words() words per row: bit t of row i is set
+  /// when row i sits below the top run of two_valued_columns()[t].
+  std::span<const std::uint64_t> below_top_masks() const { return masks_; }
+
  private:
   std::size_t num_features_;
   std::size_t num_rows_;
   std::vector<std::uint32_t> order_;  // column-major blocks of row ids
   std::vector<double> values_;        // column-major, parallel to order_
   std::vector<std::size_t> top_run_begin_;
+  std::vector<std::uint32_t> two_valued_;
+  std::vector<std::uint64_t> masks_;
 };
 
 /// Level-wise exact-greedy tree construction from per-row gradients g and
 /// hessians h. `row_weight[i]` scales row i's contribution (0 excludes the
 /// row; bootstrap multiplicities use weights > 1).
 ///
-/// The split scan reads only the rows that can move a split: rows with
-/// nonzero weight in a node that is still growing, and only below the
-/// column's top run (ColumnIndex::top_run_begin). A node's last candidate,
-/// at the boundary to the top run, is scored once after the scan from the
-/// sums it has by then. Every gradient sum is added in the same order as a
-/// scan of the whole sorted column, and candidates are scored in the same
-/// order, so the fitted tree is bit-identical to one (tests/surrogate/
+/// Each level reads only the rows that can move a split: rows with nonzero
+/// weight in a node that is still growing, and only below a column's top
+/// run, whose rows never sit left of a candidate. Two-valued columns (every
+/// 0/1 column) are summed node by node: the node's rows, in ascending row
+/// order, add their sums into a per-column buffer for every set bit of
+/// their below-top mask (ColumnIndex::below_top_masks) that the node
+/// sampled. The other columns are scanned in sorted order. Either way each
+/// (node, column) sum adds the same rows in the same order as a scan of the
+/// whole stable-sorted column, because ties keep ascending row order and a
+/// skipped row adds nothing. Candidates tie-break to the lowest (feature,
+/// position), as a scan in feature order with a strict `>` would. So the
+/// fitted tree is bit-identical to a full scan (tests/surrogate/
 /// tree_golden_test.cpp pins this).
 ///
 /// A builder keeps its scratch buffers between build() calls, so one
@@ -120,9 +139,10 @@ class TreeBuilder {
 
  private:
   /// Weighted gradient sums of a set of rows, and how many rows it holds.
-  struct Sums {
-    double g = 0.0, h = 0.0, w = 0.0;
-    std::size_t rows = 0;
+  /// The count is a double (exact far past any row count) so that an add
+  /// is two paired double additions.
+  struct alignas(32) Sums {
+    double g = 0.0, h = 0.0, w = 0.0, rows = 0.0;
     void add(const Sums& o) {
       g += o.g;
       h += o.h;
@@ -135,33 +155,29 @@ class TreeBuilder {
     int feature = -1;
     double threshold = 0.0;
   };
-  /// The rows of one column the scan reads, in sorted order.
+  /// The rows of a multi-valued column the scan reads, in sorted order.
   struct ColumnView {
     const std::uint32_t* rows = nullptr;
-    const double* values = nullptr;  // null when every value is `low`
+    const double* values = nullptr;
     std::size_t size = 0;
   };
-  /// What the scan needs to know about one column, fixed by the data.
+  /// What the split search needs to know about one column, fixed by the
+  /// data.
   struct ColumnPlan {
-    std::size_t below_top = 0;  ///< rows below the top run
-    bool single_run = false;    ///< every row below the top run ties
-    double low = 0.0;           ///< smallest value
-    double top = 0.0;           ///< largest value
-    std::size_t rows_begin = 0;    ///< offset of its compacted view
-    std::size_t values_begin = 0;  ///< (values only when !single_run)
+    double low = 0.0;            ///< smallest value
+    double top = 0.0;            ///< largest value
+    int bit = -1;                ///< bit in the row masks if two-valued
+    std::size_t below_top = 0;   ///< rows below the top run
+    std::size_t view_begin = 0;  ///< offset of its compacted view
   };
 
   void compact_views(std::size_t live);
-  /// Sums tied columns f1 and f2 (f1 alone when f2 == f1), then scores.
-  void scan_tied(std::size_t f1, std::size_t f2, std::size_t num_active,
-                 const TreeParams& params);
+  /// Node by node: totals, the two-valued columns' sums and their
+  /// candidates.
+  void scan_two_valued(std::size_t num_active, const TreeParams& params);
   /// Sums and scores a column with several values below its top run.
   void scan_column(std::size_t f, std::size_t num_active,
                    const TreeParams& params);
-  /// Scores each node's candidate at the top run of column f; `last_value`
-  /// null means every row read had the column's smallest value.
-  void close_column(std::size_t f, const Sums* left, const double* last_value,
-                    std::size_t num_active, const TreeParams& params);
   void score(std::size_t a, std::size_t f, const Sums& left, double lo,
              double hi, const TreeParams& params);
   bool allowed(std::size_t a, std::size_t f) const {
@@ -171,17 +187,27 @@ class TreeBuilder {
   const Dataset& data_;
   const ColumnIndex& columns_;
   std::vector<ColumnPlan> plans_;
+  std::vector<std::size_t> multi_valued_;  // features scanned in sorted order
+  std::vector<std::uint64_t> all_bits_;    // every two-valued column
   // Scratch, reused across build() calls.
   std::vector<Sums> row_sums_;     // per row: w*g, w*h, w
   std::vector<int> position_;      // per row: slot of its active node, -1 once done
+  std::vector<std::uint32_t> node_rows_;  // live rows grouped by node
+  std::vector<std::size_t> node_begin_;   // node a: node_rows_[begin[a], begin[a+1])
+  std::vector<std::size_t> next_begin_;
+  std::vector<std::uint32_t> right_rows_;
+  std::vector<Sums> column_sums_;         // one node's two-valued sums
   std::vector<ColumnView> views_;  // per feature
   std::vector<std::uint32_t> view_rows_;  // compacted views live here
   std::vector<double> view_values_;
   std::size_t view_capacity_ = 0;  // rows the current views were cut for
   std::vector<Sums> totals_, left_;
+  std::vector<double> parent_gain_;  // per node: leaf_gain of its totals
   std::vector<double> last_value_;
   std::vector<Split> best_;
   std::vector<char> allowed_, feature_used_;
+  std::vector<std::uint64_t> sampled_bits_;  // per node: sampled two-valued
+  std::vector<std::size_t> picks_;
 };
 
 /// One tree with a fresh TreeBuilder.

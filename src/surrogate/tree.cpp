@@ -1,6 +1,7 @@
 #include "anb/surrogate/tree.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "anb/util/error.hpp"
 #include "anb/util/parallel.hpp"
@@ -109,6 +110,21 @@ ColumnIndex::ColumnIndex(const Dataset& data)
     while (top > 0 && vals[top - 1] == vals[num_rows_ - 1]) --top;
     top_run_begin_[f] = top;
   });
+
+  for (std::size_t f = 0; f < num_features_; ++f) {
+    const std::size_t top = top_run_begin_[f];
+    const double* vals = values_.data() + f * num_rows_;
+    if (top > 0 && vals[top - 1] == vals[0])
+      two_valued_.push_back(static_cast<std::uint32_t>(f));
+  }
+  const std::size_t words = mask_words();
+  masks_.assign(num_rows_ * words, 0);
+  for (std::size_t t = 0; t < two_valued_.size(); ++t) {
+    const std::size_t f = two_valued_[t];
+    const std::uint32_t* rows = order_.data() + f * num_rows_;
+    for (std::size_t s = 0; s < top_run_begin_[f]; ++s)
+      masks_[rows[s] * words + t / 64] |= std::uint64_t{1} << (t % 64);
+  }
 }
 
 std::span<const double> ColumnIndex::sorted_values(std::size_t f) const {
@@ -140,19 +156,25 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
                 columns.num_rows() == data.size(),
             "build_tree: column index built for a different dataset");
   plans_.resize(columns.num_features());
-  std::size_t rows_end = 0, values_end = 0;
+  const auto two_valued = columns.two_valued_columns();
+  for (std::size_t t = 0; t < two_valued.size(); ++t)
+    plans_[two_valued[t]].bit = static_cast<int>(t);
+  all_bits_.assign(columns.mask_words(), 0);
+  for (std::size_t t = 0; t < two_valued.size(); ++t)
+    all_bits_[t / 64] |= std::uint64_t{1} << (t % 64);
+  column_sums_.resize(64 * columns.mask_words());
+
+  std::size_t view_end = 0;
   for (std::size_t f = 0; f < plans_.size(); ++f) {
     const auto values = columns.sorted_values(f);
     ColumnPlan& plan = plans_[f];
     plan.below_top = columns.top_run_begin(f);
     plan.low = values.front();
     plan.top = values[plan.below_top];
-    plan.single_run =
-        plan.below_top == 0 || values[plan.below_top - 1] == plan.low;
-    plan.rows_begin = rows_end;
-    rows_end += plan.below_top;
-    plan.values_begin = values_end;
-    if (!plan.single_run) values_end += plan.below_top;
+    if (plan.bit >= 0 || plan.below_top == 0) continue;
+    multi_valued_.push_back(f);
+    plan.view_begin = view_end;
+    view_end += plan.below_top;
   }
 }
 
@@ -163,6 +185,7 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
                                   std::span<int> row_leaf) {
   const std::size_t n = data_.size();
   const std::size_t d = plans_.size();
+  const std::size_t words = columns_.mask_words();
   ANB_CHECK(g.size() == n && h.size() == n && row_weight.size() == n,
             "build_tree: gradient/weight arrays must match dataset size");
   ANB_CHECK(row_leaf.empty() || row_leaf.size() == n,
@@ -170,24 +193,26 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
   ANB_CHECK(params.max_depth >= 1, "build_tree: max_depth must be >= 1");
   ANB_CHECK(params.lambda >= 0.0, "build_tree: lambda must be >= 0");
 
-  // The products every sum is built from, formed once per row.
+  // The products every sum is built from, formed once per row. The live
+  // rows, grouped by node and ascending within a node (the order in which a
+  // stable-sorted column lists a node's tied rows), start as one group.
   row_sums_.resize(n);
   position_.resize(n);
-  std::size_t live = 0;
+  node_rows_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const double w = row_weight[i];
-    row_sums_[i] = {w * g[i], w * h[i], w, 1};
+    row_sums_[i] = {w * g[i], w * h[i], w, 1.0};
     position_[i] = w == 0.0 ? -1 : 0;
-    if (w != 0.0) ++live;
+    if (w != 0.0) node_rows_.push_back(static_cast<std::uint32_t>(i));
   }
+  node_begin_.assign({0, node_rows_.size()});
+  std::size_t live = node_rows_.size();
   std::fill(row_leaf.begin(), row_leaf.end(), -1);
 
   views_.resize(d);
-  for (std::size_t f = 0; f < d; ++f) {
+  for (const std::size_t f : multi_valued_) {
     views_[f] = {columns_.sorted_rows(f).data(),
-                 plans_[f].single_run ? nullptr
-                                      : columns_.sorted_values(f).data(),
-                 plans_[f].below_top};
+                 columns_.sorted_values(f).data(), plans_[f].below_top};
   }
   view_capacity_ = n;
 
@@ -207,49 +232,32 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
     // costs less than skipping them at every later level.
     if (live * 4 <= view_capacity_ * 3) compact_views(live);
 
-    // Totals per active node.
-    totals_.assign(na, Sums{});
-    for (std::size_t i = 0; i < n; ++i) {
-      const int p = position_[i];
-      if (p >= 0) totals_[static_cast<std::size_t>(p)].add(row_sums_[i]);
-    }
-
     // Optional per-node feature subsampling (random-forest style).
     allowed_.clear();
     if (subsample_features) {
       allowed_.assign(na * d, 0);
       feature_used_.assign(d, 0);
+      sampled_bits_.assign(na * words, 0);
       for (std::size_t a = 0; a < na; ++a) {
-        for (std::size_t f : rng.sample_indices(
-                 d, static_cast<std::size_t>(params.features_per_node))) {
+        rng.sample_indices(d, static_cast<std::size_t>(params.features_per_node),
+                           picks_);
+        for (const std::size_t f : picks_) {
           allowed_[a * d + f] = 1;
           feature_used_[f] = 1;
+          const int bit = plans_[f].bit;
+          if (bit >= 0)
+            sampled_bits_[a * words + static_cast<std::size_t>(bit) / 64] |=
+                std::uint64_t{1} << (bit % 64);
         }
       }
     }
 
-    // Candidates are scored in feature order. Tied columns are summed in
-    // pairs (their sums are independent chains, so two keep twice as many
-    // additions in flight); one waiting for a partner is flushed alone
-    // before a column that scores as it scans.
     best_.assign(na, Split{});
-    std::size_t waiting = d;
-    for (std::size_t f = 0; f < d; ++f) {
+    scan_two_valued(na, params);
+    for (const std::size_t f : multi_valued_) {
       if (subsample_features && !feature_used_[f]) continue;
-      if (plans_[f].single_run) {
-        if (waiting == d) {
-          waiting = f;
-          continue;
-        }
-        scan_tied(waiting, f, na, params);
-        waiting = d;
-      } else {
-        if (waiting != d) scan_tied(waiting, waiting, na, params);
-        waiting = d;
-        scan_column(f, na, params);
-      }
+      scan_column(f, na, params);
     }
-    if (waiting != d) scan_tied(waiting, waiting, na, params);
 
     // Materialize splits / leaves and the next level.
     next_active.clear();
@@ -286,67 +294,81 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
       }
     }
 
-    // Route rows to children (or retire them in finished leaves).
-    for (std::size_t i = 0; i < n; ++i) {
-      const int p = position_[i];
-      if (p < 0) continue;
-      const auto a = static_cast<std::size_t>(p);
+    // Route rows to children (or retire them in finished leaves), node by
+    // node in place: each child's rows stay ascending, and the children
+    // keep their parents' order.
+    const double* const x = data_.features_flat().data();
+    std::size_t kept = 0;
+    std::size_t begin = 0;
+    next_begin_.assign(1, 0);
+    for (std::size_t a = 0; a < na; ++a) {
+      const std::size_t end = node_begin_[a + 1];
       if (child_base[a] < 0) {
-        position_[i] = -1;
-        --live;
-        if (!row_leaf.empty()) row_leaf[i] = active[a];
+        for (std::size_t s = begin; s < end; ++s) {
+          const std::uint32_t row = node_rows_[s];
+          position_[row] = -1;
+          if (!row_leaf.empty()) row_leaf[row] = active[a];
+        }
+        live -= end - begin;
+        begin = end;
         continue;
       }
       const TreeNode& node = nodes[static_cast<std::size_t>(active[a])];
-      const bool goes_left =
-          data_.feature(i, static_cast<std::size_t>(node.feature)) <
-          node.threshold;
-      position_[i] = child_base[a] + (goes_left ? 0 : 1);
+      const auto f = static_cast<std::size_t>(node.feature);
+      const int left = child_base[a];
+      right_rows_.clear();
+      for (std::size_t s = begin; s < end; ++s) {
+        const std::uint32_t row = node_rows_[s];
+        if (x[row * d + f] < node.threshold) {
+          position_[row] = left;
+          node_rows_[kept++] = row;  // kept <= s: in place
+        } else {
+          position_[row] = left + 1;
+          right_rows_.push_back(row);
+        }
+      }
+      next_begin_.push_back(kept);
+      for (const std::uint32_t row : right_rows_) node_rows_[kept++] = row;
+      next_begin_.push_back(kept);
+      begin = end;
     }
+    node_begin_.swap(next_begin_);
     active.swap(next_active);
   }
 
   // Any nodes still active at max depth become leaves.
-  if (!active.empty()) {
-    totals_.assign(active.size(), Sums{});
-    for (std::size_t i = 0; i < n; ++i) {
-      const int p = position_[i];
-      if (p < 0) continue;
-      totals_[static_cast<std::size_t>(p)].add(row_sums_[i]);
-      if (!row_leaf.empty()) row_leaf[i] = active[static_cast<std::size_t>(p)];
+  for (std::size_t a = 0; a < active.size(); ++a) {
+    Sums total;
+    for (std::size_t s = node_begin_[a]; s < node_begin_[a + 1]; ++s) {
+      const std::uint32_t row = node_rows_[s];
+      total.add(row_sums_[row]);
+      if (!row_leaf.empty()) row_leaf[row] = active[a];
     }
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      TreeNode& node = nodes[static_cast<std::size_t>(active[a])];
-      node.feature = -1;
-      node.value = totals_[a].w > 0.0
-                       ? -totals_[a].g / (totals_[a].h + params.lambda)
-                       : 0.0;
-    }
+    TreeNode& node = nodes[static_cast<std::size_t>(active[a])];
+    node.feature = -1;
+    node.value = total.w > 0.0 ? -total.g / (total.h + params.lambda) : 0.0;
   }
 
   return RegressionTree(std::move(nodes));
 }
 
 void TreeBuilder::compact_views(std::size_t live) {
-  if (view_rows_.empty() && !plans_.empty()) {
-    const ColumnPlan& last = plans_.back();
-    view_rows_.resize(last.rows_begin + last.below_top);
-    view_values_.resize(last.values_begin +
-                        (last.single_run ? 0 : last.below_top));
+  if (view_rows_.empty() && !multi_valued_.empty()) {
+    const ColumnPlan& last = plans_[multi_valued_.back()];
+    view_rows_.resize(last.view_begin + last.below_top);
+    view_values_.resize(view_rows_.size());
   }
-  for (std::size_t f = 0; f < plans_.size(); ++f) {
+  for (const std::size_t f : multi_valued_) {
     ColumnView& view = views_[f];
     // In place once the view lives in the buffer: `kept` never passes `s`.
-    std::uint32_t* rows = view_rows_.data() + plans_[f].rows_begin;
-    double* values = view.values == nullptr
-                         ? nullptr
-                         : view_values_.data() + plans_[f].values_begin;
+    std::uint32_t* rows = view_rows_.data() + plans_[f].view_begin;
+    double* values = view_values_.data() + plans_[f].view_begin;
     std::size_t kept = 0;
     for (std::size_t s = 0; s < view.size; ++s) {
       const std::uint32_t row = view.rows[s];
       if (position_[row] < 0) continue;
       rows[kept] = row;
-      if (values != nullptr) values[kept] = view.values[s];
+      values[kept] = view.values[s];
       ++kept;
     }
     view = {rows, values, kept};
@@ -354,48 +376,51 @@ void TreeBuilder::compact_views(std::size_t live) {
   view_capacity_ = live;
 }
 
-void TreeBuilder::scan_tied(std::size_t f1, std::size_t f2,
-                            std::size_t num_active, const TreeParams& params) {
-  const ColumnView v1 = views_[f1];
-  const ColumnView v2 = f2 == f1 ? ColumnView{} : views_[f2];
-  const std::size_t common = std::min(v1.size, v2.size);
-  left_.assign(2 * num_active, Sums{});
-  Sums* const left1 = left_.data();
-  Sums* const left2 = left1 + num_active;
+void TreeBuilder::scan_two_valued(std::size_t num_active,
+                                  const TreeParams& params) {
+  totals_.resize(num_active);
+  parent_gain_.resize(num_active);
+  const std::size_t words = columns_.mask_words();
+  const std::uint64_t* const masks = columns_.below_top_masks().data();
+  const auto two_valued = columns_.two_valued_columns();
   const Sums* const row_sums = row_sums_.data();
-  const int* const position = position_.data();
+  Sums* const sums = column_sums_.data();
+  for (std::size_t a = 0; a < num_active; ++a) {
+    const std::uint64_t* const sampled =
+        allowed_.empty() ? all_bits_.data() : sampled_bits_.data() + a * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = sampled[w]; bits != 0; bits &= bits - 1)
+        sums[64 * w + static_cast<std::size_t>(std::countr_zero(bits))] = {};
+    }
+    Sums total;
+    for (std::size_t s = node_begin_[a]; s < node_begin_[a + 1]; ++s) {
+      const std::uint32_t row = node_rows_[s];
+      const Sums add = row_sums[row];  // a copy: the buffer stores cannot alias it
+      total.add(add);
+      const std::uint64_t* const mask = masks + std::size_t{row} * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        Sums* const word_sums = sums + 64 * w;
+        for (std::uint64_t bits = mask[w] & sampled[w]; bits != 0;
+             bits &= bits - 1)
+          word_sums[static_cast<unsigned>(std::countr_zero(bits))].add(add);
+      }
+    }
+    totals_[a] = total;
+    parent_gain_[a] = leaf_gain(total.g, total.h, params.lambda);
 
-  if (num_active == 1) {
-    // Same additions in the same order, but the running sums stay in
-    // registers instead of a store-to-load chain through memory.
-    Sums sum1, sum2;
-    const auto add = [&](Sums& sum, std::uint32_t row) {
-      if (position[row] >= 0) sum.add(row_sums[row]);
-    };
-    for (std::size_t s = 0; s < common; ++s) {
-      add(sum1, v1.rows[s]);
-      add(sum2, v2.rows[s]);
+    // Every row summed ties, so each column's one candidate sits at its top
+    // run, if the node has rows on both sides.
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = sampled[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t t = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        const Sums& left = sums[t];
+        if (left.rows > 0 && left.rows < total.rows) {
+          const ColumnPlan& plan = plans_[two_valued[t]];
+          score(a, two_valued[t], left, plan.low, plan.top, params);
+        }
+      }
     }
-    for (std::size_t s = common; s < v1.size; ++s) add(sum1, v1.rows[s]);
-    for (std::size_t s = common; s < v2.size; ++s) add(sum2, v2.rows[s]);
-    left1[0] = sum1;
-    left2[0] = sum2;
-  } else {
-    const auto add = [&](Sums* left, std::uint32_t row) {
-      const int p = position[row];
-      if (p >= 0) left[p].add(row_sums[row]);
-    };
-    for (std::size_t s = 0; s < common; ++s) {
-      add(left1, v1.rows[s]);
-      add(left2, v2.rows[s]);
-    }
-    for (std::size_t s = common; s < v1.size; ++s) add(left1, v1.rows[s]);
-    for (std::size_t s = common; s < v2.size; ++s) add(left2, v2.rows[s]);
   }
-
-  // Every row read ties, so the only candidates sit at the top run.
-  close_column(f1, left1, nullptr, num_active, params);
-  if (f2 != f1) close_column(f2, left2, nullptr, num_active, params);
 }
 
 void TreeBuilder::scan_column(std::size_t f, std::size_t num_active,
@@ -415,21 +440,12 @@ void TreeBuilder::scan_column(std::size_t f, std::size_t num_active,
     left[a].add(row_sums_[row]);
     last_value_[a] = v;
   }
-  close_column(f, left, last_value_.data(), num_active, params);
-}
-
-void TreeBuilder::close_column(std::size_t f, const Sums* left,
-                               const double* last_value,
-                               std::size_t num_active,
-                               const TreeParams& params) {
   // Each node's last candidate: between its last row read and the top run,
   // if it has rows on both sides.
-  const ColumnPlan& plan = plans_[f];
+  const double top = plans_[f].top;
   for (std::size_t a = 0; a < num_active; ++a) {
-    if (left[a].rows > 0 && left[a].rows < totals_[a].rows && allowed(a, f)) {
-      score(a, f, left[a], last_value == nullptr ? plan.low : last_value[a],
-            plan.top, params);
-    }
+    if (left[a].rows > 0 && left[a].rows < totals_[a].rows && allowed(a, f))
+      score(a, f, left[a], last_value_[a], top, params);
   }
 }
 
@@ -442,10 +458,14 @@ void TreeBuilder::score(std::size_t a, std::size_t f, const Sums& left,
   if (left.h >= params.min_child_weight && rh >= params.min_child_weight &&
       left.w >= params.min_samples_leaf && rw >= params.min_samples_leaf) {
     const double gain = leaf_gain(left.g, left.h, params.lambda) +
-                        leaf_gain(rg, rh, params.lambda) -
-                        leaf_gain(tot.g, tot.h, params.lambda);
-    if (gain > best_[a].gain)
-      best_[a] = {gain, static_cast<int>(f), 0.5 * (lo + hi)};
+                        leaf_gain(rg, rh, params.lambda) - parent_gain_[a];
+    // The lowest (feature, position) wins a tie, as in one scan of every
+    // column in feature order with a strict `>`: columns are not scored in
+    // feature order, but a column's own candidates are in position order.
+    Split& best = best_[a];
+    const int feature = static_cast<int>(f);
+    if (gain > best.gain || (gain == best.gain && feature < best.feature))
+      best = {gain, feature, 0.5 * (lo + hi)};
   }
 }
 

@@ -83,6 +83,10 @@ class Rng {
 
   /// Sample k distinct indices from [0, n) in random order. Requires k <= n.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
+  /// The same draws into a caller-owned buffer (its capacity is reused, so
+  /// a hot loop allocates nothing once the buffer has grown to n).
+  void sample_indices(std::size_t n, std::size_t k,
+                      std::vector<std::size_t>& out);
 
  private:
   std::uint64_t next();

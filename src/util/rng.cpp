@@ -59,10 +59,14 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   ANB_CHECK(n > 0, "Rng::uniform_index: n must be > 0");
-  // Rejection sampling for exact uniformity.
-  const std::uint64_t limit = max() - max() % n;
+  // Rejection sampling for exact uniformity: draws at or above
+  // limit = max() - max() % n are redrawn. limit > max() - n, so the
+  // division that finds it is only needed for a draw above max() - n.
   std::uint64_t x = next();
-  while (x >= limit) x = next();
+  if (x > max() - n) {
+    const std::uint64_t limit = max() - max() % n;
+    while (x >= limit) x = next();
+  }
   return x % n;
 }
 
@@ -119,16 +123,22 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+  std::vector<std::size_t> idx;
+  sample_indices(n, k, idx);
+  return idx;
+}
+
+void Rng::sample_indices(std::size_t n, std::size_t k,
+                         std::vector<std::size_t>& out) {
   ANB_CHECK(k <= n, "Rng::sample_indices: k must be <= n");
   // Partial Fisher-Yates over an index vector.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = i;
   for (std::size_t i = 0; i < k; ++i) {
     std::size_t j = i + uniform_index(n - i);
-    std::swap(idx[i], idx[j]);
+    std::swap(out[i], out[j]);
   }
-  idx.resize(k);
-  return idx;
+  out.resize(k);
 }
 
 }  // namespace anb

@@ -1,8 +1,9 @@
 // Golden fingerprints of the exact-greedy tree builder. Each case fits a
 // tree (or a whole Gbdt / RandomForest) on a seeded dataset and hashes
 // every node bit for bit, plus the caller's rng position afterwards. The
-// constants were recorded from the original full-column scan, so any
-// change to the split search that is not bit-identical (a re-associated
+// first two lists were recorded from the original full-column scan and the
+// third from the column-major scan that preceded the node-major pass, so
+// any change to the split search that is not bit-identical (a re-associated
 // gradient sum, a different candidate order, a different tie-break or
 // rng consumption) fails here. If a deliberate model change lands,
 // regenerate by pasting the "actual" values from the failure output.
@@ -82,6 +83,53 @@ Dataset mixed_dataset(int n, std::uint64_t seed) {
     const double y = 2.0 * x[0] - x[1] * x[2] + 1.5 * x[3] - 0.7 * x[5] +
                      3.0 * x[6] + 0.1 * x[7] + 0.1 * rng.normal();
     ds.add(x, y);
+  }
+  return ds;
+}
+
+/// FBNet-shaped rows: 22 layers of one-hot 7-way choices, 154 0/1
+/// columns, so a row's mask of two-valued columns spans three words.
+Dataset fbnet_dataset(int n, std::uint64_t seed) {
+  constexpr int kLayers = 22;
+  constexpr int kChoices = 7;
+  Dataset ds(kLayers * kChoices);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x;
+    double y = 0.0;
+    for (int l = 0; l < kLayers; ++l) {
+      const auto c = rng.uniform_index(kChoices);
+      for (std::uint64_t o = 0; o < kChoices; ++o)
+        x.push_back(c == o ? 1.0 : 0.0);
+      y += 0.1 * static_cast<double>(c) * static_cast<double>(l % 4 + 1) -
+           (c == 3 ? 0.4 : 0.0);
+    }
+    ds.add(x, y + 0.05 * rng.normal());
+  }
+  return ds;
+}
+
+/// 72 two-valued columns (0/1 and {-1, 2} pairs, some all-low-majority)
+/// interleaved with multi-valued and constant columns.
+Dataset wide_mixed_dataset(int n, std::uint64_t seed) {
+  constexpr int kGroups = 12;
+  Dataset ds(kGroups * 8);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x;
+    double y = 0.0;
+    for (int gi = 0; gi < kGroups; ++gi) {
+      const auto c = rng.uniform_index(4);
+      for (std::uint64_t o = 0; o < 4; ++o) x.push_back(c == o ? 1.0 : 0.0);
+      const double level = static_cast<double>(rng.uniform_index(5)) * 0.5;
+      x.push_back(level);
+      x.push_back(rng.bernoulli(0.3) ? 2.0 : -1.0);
+      x.push_back(gi % 5 == 0 ? 1.5 : rng.uniform());  // constant or not
+      x.push_back(rng.bernoulli(0.9) ? 1.0 : 0.0);
+      y += 0.2 * static_cast<double>(c) * (gi % 3 == 0 ? -1.0 : 1.0) +
+           0.3 * level * x[x.size() - 2] + 0.1 * x[x.size() - 3];
+    }
+    ds.add(x, y + 0.05 * rng.normal());
   }
   return ds;
 }
@@ -194,6 +242,51 @@ std::vector<std::uint64_t> model_fingerprints() {
   return out;
 }
 
+/// Multi-word row masks, more than 64 two-valued columns mixed with
+/// multi-valued ones, and bootstrap weights with 8 features per node.
+std::vector<std::uint64_t> wide_fingerprints() {
+  const Dataset fbnet = fbnet_dataset(600, 41);
+  const Dataset wide = wide_mixed_dataset(500, 42);
+  const Dataset onehot = onehot_dataset(700, 43);
+  std::vector<std::uint64_t> out;
+  for (const Dataset* data : {&fbnet, &wide, &onehot}) {
+    TreeParams deep;
+    deep.max_depth = 12;
+    deep.lambda = 0.0;
+    deep.gamma = 1e-12;
+    deep.min_child_weight = 0.0;
+    out.push_back(tree_fingerprint(*data, deep, Weights::kUnit, true, 1));
+
+    TreeParams forest;  // bootstrap weights, 8 sampled features per node
+    forest.max_depth = 14;
+    forest.lambda = 0.0;
+    forest.gamma = 1e-12;
+    forest.min_child_weight = 0.0;
+    forest.features_per_node = 8;
+    out.push_back(tree_fingerprint(*data, forest, Weights::kBootstrap, true, 2));
+
+    TreeParams boost;
+    boost.max_depth = 6;
+    boost.lambda = 1.5;
+    boost.features_per_node = 70;
+    out.push_back(tree_fingerprint(*data, boost, Weights::kBernoulli, false, 3));
+  }
+  for (const Dataset* data : {&fbnet, &wide}) {
+    GbdtParams sampled;
+    sampled.n_estimators = 30;
+    sampled.max_depth = 5;
+    sampled.subsample = 0.8;
+    sampled.colsample = 0.7;
+    out.push_back(model_fingerprint(Gbdt(sampled), *data, 51));
+
+    RandomForestParams rf;
+    rf.n_trees = 8;
+    rf.max_depth = 14;
+    out.push_back(model_fingerprint(RandomForest(rf), *data, 52));
+  }
+  return out;
+}
+
 std::string hex_list(const std::vector<std::uint64_t>& values) {
   std::string s;
   char buf[32];
@@ -222,6 +315,18 @@ TEST(TreeGoldenTest, FittedModelsMatchRecordedFingerprints) {
       0x346fa64313927a67ULL, 0x3e905155f664c7d4ULL, 0x4eeac907da49eac3ULL,
   };
   const auto actual = model_fingerprints();
+  EXPECT_EQ(actual, expected) << "actual:\n" << hex_list(actual);
+}
+
+TEST(TreeGoldenTest, WideAndMixedTreesMatchRecordedFingerprints) {
+  const std::vector<std::uint64_t> expected{
+      0xfbc36b804f62e035ULL, 0x2906a55e41009229ULL, 0xe71af22c4589aa38ULL,
+      0x86d011701aaa66a0ULL, 0x267012cda0fe3f85ULL, 0xabad32ce1e0e1ab8ULL,
+      0x75d9f102bf41fd73ULL, 0x879c5e5e7450f536ULL, 0xdb5ce12d1ddc0496ULL,
+      0x32e1e499dec5b702ULL, 0x32a2dd7142845647ULL, 0xad7f02217cb15656ULL,
+      0x931831fd26071733ULL,
+  };
+  const auto actual = wide_fingerprints();
   EXPECT_EQ(actual, expected) << "actual:\n" << hex_list(actual);
 }
 

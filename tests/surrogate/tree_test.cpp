@@ -192,6 +192,44 @@ TEST(TreeTest, TopRunBeginsAtTheTiedLargestValues) {
   EXPECT_THROW(columns.top_run_begin(3), Error);
 }
 
+TEST(TreeTest, RowMasksMarkRowsBelowTheTopOfTwoValuedColumns) {
+  Dataset ds(4);
+  ds.add(std::vector<double>{3.0, 1.0, 4.0, -1.0}, 0.0);
+  ds.add(std::vector<double>{1.0, 0.0, 4.0, 2.0}, 0.0);
+  ds.add(std::vector<double>{2.0, 1.0, 4.0, 2.0}, 0.0);
+  const ColumnIndex columns(ds);
+  // Column 0 is multi-valued and column 2 constant: neither has a bit.
+  const std::vector<std::uint32_t> two_valued(
+      columns.two_valued_columns().begin(), columns.two_valued_columns().end());
+  EXPECT_EQ(two_valued, (std::vector<std::uint32_t>{1, 3}));
+  ASSERT_EQ(columns.mask_words(), 1u);
+  const auto masks = columns.below_top_masks();
+  ASSERT_EQ(masks.size(), 3u);
+  EXPECT_EQ(masks[0], 0b10u);  // below the top of column 3 only
+  EXPECT_EQ(masks[1], 0b01u);  // below the top of column 1 only
+  EXPECT_EQ(masks[2], 0b00u);
+}
+
+TEST(TreeTest, RowMasksSpanSeveralWords) {
+  constexpr std::size_t kColumns = 70;
+  Dataset ds(kColumns);
+  for (std::size_t r = 0; r < 3; ++r) {
+    std::vector<double> x(kColumns);
+    for (std::size_t j = 0; j < kColumns; ++j) x[j] = j % 3 == r ? 1.0 : 0.0;
+    ds.add(x, 0.0);
+  }
+  const ColumnIndex columns(ds);
+  ASSERT_EQ(columns.two_valued_columns().size(), kColumns);
+  ASSERT_EQ(columns.mask_words(), 2u);
+  const auto masks = columns.below_top_masks();
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t j = 0; j < kColumns; ++j) {
+      const bool below = (masks[r * 2 + j / 64] >> (j % 64) & 1) != 0;
+      EXPECT_EQ(below, j % 3 != r) << "row " << r << " column " << j;
+    }
+  }
+}
+
 TEST(TreeTest, BuilderReportsTheLeafPredictReaches) {
   Dataset ds(3);
   Rng rng(9);

@@ -135,6 +135,17 @@ TEST(RngTest, SampleIndicesDistinctAndInRange) {
   EXPECT_THROW(rng.sample_indices(5, 6), Error);
 }
 
+TEST(RngTest, SampleIndicesIntoBufferMatchesReturnedVector) {
+  Rng a(52), b(52);
+  std::vector<std::size_t> buffer{7, 7, 7};  // stale contents are replaced
+  for (const std::size_t k : {5u, 0u, 40u, 1u}) {
+    b.sample_indices(40, k, buffer);
+    EXPECT_EQ(buffer, a.sample_indices(40, k));
+  }
+  EXPECT_EQ(a(), b());  // same draws consumed
+  EXPECT_THROW(b.sample_indices(5, 6, buffer), Error);
+}
+
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(61);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
