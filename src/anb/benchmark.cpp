@@ -451,33 +451,6 @@ std::vector<MetricKey> AccelNASBench::perf_targets() const {
   return out;
 }
 
-Json AccelNASBench::to_json() const {
-  Json j = Json::object();
-  j["format"] = "accel-nasbench-v1";
-  // The space key is always written; pre-interface artifacts lack it and
-  // load as MnasNet (the only space that existed when they were saved).
-  j["space"] = space_name(space_);
-  if (accuracy_ != nullptr) j["accuracy"] = accuracy_->to_json();
-  Json perf = Json::object();
-  for (const auto& [key, surrogate] : perf_)
-    perf[perf_json_key(key)] = surrogate->to_json();
-  j["perf"] = std::move(perf);
-  return j;
-}
-
-AccelNASBench AccelNASBench::from_json(const Json& j) {
-  ANB_CHECK(j.at("format").as_string() == "accel-nasbench-v1",
-            "AccelNASBench: unsupported format tag");
-  AccelNASBench bench;
-  if (j.contains("space"))
-    bench.set_space(space_id_from_name(j.at("space").as_string()));
-  if (j.contains("accuracy"))
-    bench.accuracy_ = surrogate_from_json(j.at("accuracy"));
-  for (const auto& [key, payload] : j.at("perf").as_object())
-    bench.perf_[perf_json_key_parse(key)] = surrogate_from_json(payload);
-  return bench;
-}
-
 void AccelNASBench::save(const std::string& path) const {
   const std::string text = to_json().dump();
   if (fault::any_armed()) {

@@ -1,8 +1,10 @@
-// Binary .anbb persistence of the whole benchmark: every surrogate's
-// arrays land in container sections (anb/util/binary.hpp) and a single
-// JSON meta section — written last — records the structure and the
-// section indices. The text format (benchmark.cpp) stays the
-// import/export interchange; this is the fast load path.
+// Persistence of the whole benchmark: one to_json/from_json pair renders
+// both formats. The text format is one JSON document (saved and loaded in
+// benchmark.cpp) and stays the import/export interchange. The binary
+// .anbb is the fast load path: the space and every surrogate's arrays
+// land in container sections (anb/util/binary.hpp), and a single JSON
+// meta section, written last, records the structure and the section
+// indices.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,24 +37,74 @@ struct SpaceSection {
 static_assert(sizeof(SpaceSection) == 8);
 }  // namespace
 
-void AccelNASBench::save_binary(const std::string& path) const {
-  ANB_SPAN("anb.benchmark.save_binary");
-  bin::Writer w;
-  const SpaceSection space_record{kSpaceSectionVersion,
-                                  static_cast<std::uint32_t>(space_)};
-  w.add_section(bin::Tag::kSpace,
-                {reinterpret_cast<const char*>(&space_record),
-                 sizeof(space_record)},
-                alignof(SpaceSection));
-  Json meta = Json::object();
-  meta["format"] = "accel-nasbench-v1";
-  if (accuracy_ != nullptr) meta["accuracy"] = accuracy_->to_binary(w);
+Json AccelNASBench::to_json(bin::Writer* sections) const {
+  Json j = Json::object();
+  j["format"] = "accel-nasbench-v1";
+  if (sections != nullptr) {
+    const SpaceSection record{kSpaceSectionVersion,
+                              static_cast<std::uint32_t>(space_)};
+    sections->add_section(
+        bin::Tag::kSpace,
+        {reinterpret_cast<const char*>(&record), sizeof(record)},
+        alignof(SpaceSection));
+  } else {
+    // The text format always writes the space key; pre-interface
+    // artifacts lack it and load as MnasNet (the only space that existed
+    // when they were saved).
+    j["space"] = space_name(space_);
+  }
+  if (accuracy_ != nullptr) j["accuracy"] = accuracy_->to_json(sections);
   Json perf = Json::object();
   // std::map iteration order makes the section layout — and thus the whole
   // file — deterministic: save→load→save_binary is byte-stable.
   for (const auto& [key, surrogate] : perf_)
-    perf[perf_json_key(key)] = surrogate->to_binary(w);
-  meta["perf"] = std::move(perf);
+    perf[perf_json_key(key)] = surrogate->to_json(sections);
+  j["perf"] = std::move(perf);
+  return j;
+}
+
+AccelNASBench AccelNASBench::from_json(const Json& j,
+                                       const bin::Reader* sections) {
+  ANB_CHECK(j.at("format").as_string() == "accel-nasbench-v1",
+            "AccelNASBench: unsupported format tag");
+  AccelNASBench bench;
+  if (sections != nullptr) {
+    // Space section: optional for backward compatibility (absent ⇒
+    // MnasNet, the only space that existed before the section was
+    // introduced). The meta section is the last one.
+    for (std::uint32_t i = 0; i + 1 < sections->num_sections(); ++i) {
+      if (sections->tag(i) != bin::Tag::kSpace) continue;
+      const std::span<const char> raw = sections->section(i, bin::Tag::kSpace);
+      ANB_CHECK(raw.size() == sizeof(SpaceSection),
+                "AccelNASBench: malformed space section");
+      SpaceSection record;
+      std::memcpy(&record, raw.data(), sizeof(record));
+      ANB_CHECK(record.version == kSpaceSectionVersion,
+                "AccelNASBench: unsupported space section version " +
+                    std::to_string(record.version));
+      ANB_CHECK(
+          record.space_id == static_cast<std::uint32_t>(SpaceId::kMnasNet) ||
+              record.space_id == static_cast<std::uint32_t>(SpaceId::kFbnet),
+          "AccelNASBench: unknown space id " +
+              std::to_string(record.space_id) + " in artifact");
+      bench.set_space(static_cast<SpaceId>(record.space_id));
+      break;
+    }
+  } else if (j.contains("space")) {
+    bench.set_space(space_id_from_name(j.at("space").as_string()));
+  }
+  if (j.contains("accuracy"))
+    bench.accuracy_ = surrogate_from_json(j.at("accuracy"), sections);
+  for (const auto& [key, payload] : j.at("perf").as_object())
+    bench.perf_[perf_json_key_parse(key)] =
+        surrogate_from_json(payload, sections);
+  return bench;
+}
+
+void AccelNASBench::save_binary(const std::string& path) const {
+  ANB_SPAN("anb.benchmark.save_binary");
+  bin::Writer w;
+  const Json meta = to_json(&w);
   const std::string text = meta.dump();
   w.add_section(bin::Tag::kMeta, {text.data(), text.size()}, 1);
   const std::vector<char> file = w.finish();
@@ -91,34 +143,8 @@ AccelNASBench AccelNASBench::load_binary_buffer(
   // The meta section is written last (after every surrogate's arrays).
   const auto meta_index = static_cast<std::uint32_t>(r.num_sections() - 1);
   const std::span<const char> meta_raw = r.section(meta_index, bin::Tag::kMeta);
-  const Json meta = Json::parse(std::string(meta_raw.data(), meta_raw.size()));
-  ANB_CHECK(meta.at("format").as_string() == "accel-nasbench-v1",
-            "AccelNASBench: unsupported format tag");
-  AccelNASBench bench;
-  // Space section: optional for backward compatibility (absent ⇒ MnasNet,
-  // the only space that existed before the section was introduced).
-  for (std::uint32_t i = 0; i < meta_index; ++i) {
-    if (r.tag(i) != bin::Tag::kSpace) continue;
-    const std::span<const char> raw = r.section(i, bin::Tag::kSpace);
-    ANB_CHECK(raw.size() == sizeof(SpaceSection),
-              "AccelNASBench: malformed space section");
-    SpaceSection record;
-    std::memcpy(&record, raw.data(), sizeof(record));
-    ANB_CHECK(record.version == kSpaceSectionVersion,
-              "AccelNASBench: unsupported space section version " +
-                  std::to_string(record.version));
-    ANB_CHECK(record.space_id == static_cast<std::uint32_t>(SpaceId::kMnasNet) ||
-                  record.space_id == static_cast<std::uint32_t>(SpaceId::kFbnet),
-              "AccelNASBench: unknown space id " +
-                  std::to_string(record.space_id) + " in artifact");
-    bench.set_space(static_cast<SpaceId>(record.space_id));
-    break;
-  }
-  if (meta.contains("accuracy"))
-    bench.accuracy_ = surrogate_from_binary(meta.at("accuracy"), r);
-  for (const auto& [key, payload] : meta.at("perf").as_object())
-    bench.perf_[perf_json_key_parse(key)] = surrogate_from_binary(payload, r);
-  return bench;
+  return from_json(Json::parse(std::string(meta_raw.data(), meta_raw.size())),
+                   &r);
 }
 
 AccelNASBench AccelNASBench::load_binary(const std::string& path,

@@ -200,8 +200,15 @@ class AccelNASBench {
   static AccelNASBench open(const std::string& path,
                             io::MapMode mode = io::MapMode::kMap);
 
-  Json to_json() const;
-  static AccelNASBench from_json(const Json& j);
+  /// The whole benchmark as one record in the format `sections` selects,
+  /// as in Surrogate::to_json: the text artifact when null, else the
+  /// .anbb meta record, with the space and every surrogate array appended
+  /// to `sections` (the binary meta has no "space" key).
+  Json to_json(bin::Writer* sections = nullptr) const;
+  /// Inverse of to_json(); a .anbb meta record needs the reader holding
+  /// its sections.
+  static AccelNASBench from_json(const Json& j,
+                                 const bin::Reader* sections = nullptr);
 
  private:
   /// Shared tail of load()/open(): fault-injected truncation + JSON parse.

@@ -5,7 +5,6 @@
 
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 
 namespace anb {
@@ -98,42 +97,23 @@ const Surrogate& EnsembleSurrogate::member(std::size_t i) const {
   return *members_[i];
 }
 
-Json EnsembleSurrogate::to_json() const {
+Json EnsembleSurrogate::to_json(bin::Writer* sections) const {
   ANB_CHECK(!members_.empty(), "EnsembleSurrogate: not fitted");
   Json j = Json::object();
   j["type"] = name();
   Json arr = Json::array();
-  for (const auto& m : members_) arr.push_back(m->to_json());
+  for (const auto& m : members_) arr.push_back(m->to_json(sections));
   j["members"] = std::move(arr);
   return j;
 }
 
-std::unique_ptr<EnsembleSurrogate> EnsembleSurrogate::from_json(const Json& j) {
+std::unique_ptr<EnsembleSurrogate> EnsembleSurrogate::from_json(
+    const Json& j, const bin::Reader* sections) {
   ANB_CHECK(j.at("type").as_string() == "ensemble",
             "EnsembleSurrogate::from_json: wrong type tag");
   std::vector<std::unique_ptr<Surrogate>> members;
   for (const auto& jm : j.at("members").as_array())
-    members.push_back(surrogate_from_json(jm));
-  return std::make_unique<EnsembleSurrogate>(std::move(members));
-}
-
-Json EnsembleSurrogate::to_binary(bin::Writer& w) const {
-  ANB_CHECK(!members_.empty(), "EnsembleSurrogate: not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  Json arr = Json::array();
-  for (const auto& m : members_) arr.push_back(m->to_binary(w));
-  j["members"] = std::move(arr);
-  return j;
-}
-
-std::unique_ptr<EnsembleSurrogate> EnsembleSurrogate::from_binary(
-    const Json& meta, const bin::Reader& r) {
-  ANB_CHECK(meta.at("type").as_string() == "ensemble",
-            "EnsembleSurrogate::from_binary: wrong type tag");
-  std::vector<std::unique_ptr<Surrogate>> members;
-  for (const auto& jm : meta.at("members").as_array())
-    members.push_back(surrogate_from_binary(jm, r));
+    members.push_back(surrogate_from_json(jm, sections));
   return std::make_unique<EnsembleSurrogate>(std::move(members));
 }
 

@@ -4,11 +4,11 @@
 #include <cmath>
 
 #include "anb/surrogate/train_context.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/stats.hpp"
+#include "serialize.hpp"
 
 // GCC 12 at -O2 mis-attributes the std::vector destructor in fit() as
 // freeing a non-heap pointer (bogus inlining artifact; ASan runs clean).
@@ -46,7 +46,6 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
                     Rng& rng) {
   ANB_SPAN("anb.fit.gbdt");
   obs::counter("anb.fit.gbdt.count").add(1);
-  trees_.clear();
   const std::size_t n = train.size();
   const std::size_t d = train.num_features();
 
@@ -68,6 +67,8 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
   std::vector<double> pred(n, base_score_);
   std::vector<double> g(n), h(n, 1.0), weight(n, 1.0);
   std::vector<int> leaf(n);
+  std::vector<RegressionTree> trees;
+  trees.reserve(static_cast<std::size_t>(params_.n_estimators));
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Squared loss: g = prediction residual, constant hessian. A few
     // microseconds of subtraction, so it runs inline: a parallel loop would
@@ -88,16 +89,14 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
                        : tree.predict(train.row(i));
       pred[i] += params_.learning_rate * value;
     }
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   }
-  rebuild_flat();
+  // Depth-capped boosting (default max_depth 3) keeps every tree at <= 8
+  // leaves, so fitted models qualify for the masked SIMD descent engine
+  // whenever their per-feature threshold counts fit the byte-code budget
+  // (DESIGN.md "SIMD descent").
+  flat_ = FlatForest(trees);
 }
-
-// Depth-capped boosting (default max_depth 3) keeps every tree at <= 8
-// leaves, so fitted models qualify for the masked SIMD descent engine
-// whenever their per-feature threshold counts fit the byte-code budget
-// (DESIGN.md "SIMD descent").
-void Gbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double Gbdt::predict(std::span<const double> x) const {
   // A one-row batch: scalar queries take the same descent engine as
@@ -117,91 +116,36 @@ void Gbdt::predict_batch(std::span<const double> rows,
 
 namespace {
 
-Json gbdt_params_json(const GbdtParams& p) {
-  Json params = Json::object();
-  params["n_estimators"] = p.n_estimators;
-  params["learning_rate"] = p.learning_rate;
-  params["max_depth"] = p.max_depth;
-  params["lambda"] = p.lambda;
-  params["gamma"] = p.gamma;
-  params["min_child_weight"] = p.min_child_weight;
-  params["subsample"] = p.subsample;
-  params["colsample"] = p.colsample;
-  return params;
-}
+constexpr auto kGbdtFields = [](auto& p, auto&& field) {
+  field("n_estimators", p.n_estimators);
+  field("learning_rate", p.learning_rate);
+  field("max_depth", p.max_depth);
+  field("lambda", p.lambda);
+  field("gamma", p.gamma);
+  field("min_child_weight", p.min_child_weight);
+  field("subsample", p.subsample);
+  field("colsample", p.colsample);
+};
 
 }  // namespace
 
-Json Gbdt::to_json() const {
+Json Gbdt::to_json(bin::Writer* sections) const {
   Json j = Json::object();
   j["type"] = name();
   j["base_score"] = base_score_;
-  j["params"] = gbdt_params_json(params_);
-  Json trees = Json::array();
-  if (trees_.empty()) {
-    for (const auto& tree : flat_.to_trees()) trees.push_back(tree.to_json());
-  } else {
-    for (const auto& tree : trees_) trees.push_back(tree.to_json());
-  }
-  j["trees"] = std::move(trees);
+  j["params"] = serial::write_params(params_, kGbdtFields);
+  serial::put_forest(j, flat_, sections);
   return j;
 }
 
-Json Gbdt::to_binary(bin::Writer& w) const {
-  ANB_CHECK(!flat_.empty(), "Gbdt::to_binary: model not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  j["base_score"] = base_score_;
-  j["params"] = gbdt_params_json(params_);
-  j["nodes"] = static_cast<int>(w.add_array(bin::Tag::kFlatNode, flat_.nodes()));
-  j["roots"] = static_cast<int>(w.add_array(bin::Tag::kI32, flat_.roots()));
-  return j;
-}
-
-std::unique_ptr<Gbdt> Gbdt::from_binary(const Json& meta,
-                                        const bin::Reader& r) {
-  ANB_CHECK(meta.at("type").as_string() == "xgb",
-            "Gbdt::from_binary: wrong type tag");
-  const Json& p = meta.at("params");
-  GbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_depth = p.at("max_depth").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.gamma = p.at("gamma").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<Gbdt>(params);
-  model->base_score_ = meta.at("base_score").as_number();
-  model->flat_ = FlatForest(
-      r.array<FlatNode>(static_cast<std::uint32_t>(meta.at("nodes").as_int()),
-                        bin::Tag::kFlatNode),
-      r.array<std::int32_t>(
-          static_cast<std::uint32_t>(meta.at("roots").as_int()),
-          bin::Tag::kI32));
-  ANB_CHECK(!model->flat_.empty(), "Gbdt::from_binary: empty forest");
-  return model;
-}
-
-std::unique_ptr<Gbdt> Gbdt::from_json(const Json& j) {
+std::unique_ptr<Gbdt> Gbdt::from_json(const Json& j,
+                                      const bin::Reader* sections) {
   ANB_CHECK(j.at("type").as_string() == "xgb",
             "Gbdt::from_json: wrong type tag");
-  const Json& p = j.at("params");
-  GbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_depth = p.at("max_depth").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.gamma = p.at("gamma").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<Gbdt>(params);
+  auto model = std::make_unique<Gbdt>(
+      serial::read_params<GbdtParams>(j.at("params"), kGbdtFields));
   model->base_score_ = j.at("base_score").as_number();
-  for (const auto& jt : j.at("trees").as_array())
-    model->trees_.push_back(RegressionTree::from_json(jt));
-  model->rebuild_flat();
+  model->flat_ = serial::get_forest(j, sections);
   return model;
 }
 

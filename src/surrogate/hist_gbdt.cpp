@@ -6,12 +6,12 @@
 #include <queue>
 
 #include "anb/surrogate/train_context.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/parallel.hpp"
 #include "anb/util/stats.hpp"
+#include "serialize.hpp"
 
 namespace anb {
 
@@ -87,7 +87,6 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
             "HistGbdt::fit: bin matrix built with a different max_bins");
   ANB_SPAN("anb.fit.histgbdt");
   obs::counter("anb.fit.histgbdt.count").add(1);
-  trees_.clear();
   const std::size_t n = train.size();
   const std::size_t d = train.num_features();
 
@@ -174,6 +173,8 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
     }
   };
 
+  std::vector<RegressionTree> trees;
+  trees.reserve(static_cast<std::size_t>(params_.n_estimators));
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Inline, as in Gbdt: too little work to start threads for.
     for (std::size_t i = 0; i < n; ++i) g[i] = pred[i] - train.target(i);
@@ -284,17 +285,15 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
       for (std::size_t i = begin; i < end; ++i)
         pred[i] += params_.learning_rate * tree.predict(train.row(i));
     });
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   }
-  rebuild_flat();
+  // Histogram training snaps every split to a bin edge, so each feature
+  // carries at most max_bins distinct thresholds and the leaf count is
+  // capped at max_leaves (default 8): fitted models qualify for the masked
+  // SIMD descent engine by construction (DESIGN.md "SIMD descent" — the
+  // engine tables are derived lazily from flat_).
+  flat_ = FlatForest(trees);
 }
-
-// Histogram training snaps every split to a bin edge, so each feature
-// carries at most max_bins distinct thresholds and the leaf count is
-// capped at max_leaves (default 8): fitted models qualify for the masked
-// SIMD descent engine by construction (DESIGN.md "SIMD descent" — the
-// engine tables are derived lazily from flat_).
-void HistGbdt::rebuild_flat() { flat_ = FlatForest(trees_); }
 
 double HistGbdt::predict(std::span<const double> x) const {
   // A one-row batch, as in Gbdt::predict.
@@ -313,94 +312,37 @@ void HistGbdt::predict_batch(std::span<const double> rows,
 
 namespace {
 
-Json hist_gbdt_params_json(const HistGbdtParams& p) {
-  Json params = Json::object();
-  params["n_estimators"] = p.n_estimators;
-  params["learning_rate"] = p.learning_rate;
-  params["max_leaves"] = p.max_leaves;
-  params["max_bins"] = p.max_bins;
-  params["lambda"] = p.lambda;
-  params["min_child_weight"] = p.min_child_weight;
-  params["min_split_gain"] = p.min_split_gain;
-  params["subsample"] = p.subsample;
-  params["colsample"] = p.colsample;
-  return params;
-}
+constexpr auto kHistGbdtFields = [](auto& p, auto&& field) {
+  field("n_estimators", p.n_estimators);
+  field("learning_rate", p.learning_rate);
+  field("max_leaves", p.max_leaves);
+  field("max_bins", p.max_bins);
+  field("lambda", p.lambda);
+  field("min_child_weight", p.min_child_weight);
+  field("min_split_gain", p.min_split_gain);
+  field("subsample", p.subsample);
+  field("colsample", p.colsample);
+};
 
 }  // namespace
 
-Json HistGbdt::to_json() const {
+Json HistGbdt::to_json(bin::Writer* sections) const {
   Json j = Json::object();
   j["type"] = name();
   j["base_score"] = base_score_;
-  j["params"] = hist_gbdt_params_json(params_);
-  Json trees = Json::array();
-  if (trees_.empty()) {
-    for (const auto& tree : flat_.to_trees()) trees.push_back(tree.to_json());
-  } else {
-    for (const auto& tree : trees_) trees.push_back(tree.to_json());
-  }
-  j["trees"] = std::move(trees);
+  j["params"] = serial::write_params(params_, kHistGbdtFields);
+  serial::put_forest(j, flat_, sections);
   return j;
 }
 
-Json HistGbdt::to_binary(bin::Writer& w) const {
-  ANB_CHECK(!flat_.empty(), "HistGbdt::to_binary: model not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  j["base_score"] = base_score_;
-  j["params"] = hist_gbdt_params_json(params_);
-  j["nodes"] = static_cast<int>(w.add_array(bin::Tag::kFlatNode, flat_.nodes()));
-  j["roots"] = static_cast<int>(w.add_array(bin::Tag::kI32, flat_.roots()));
-  return j;
-}
-
-std::unique_ptr<HistGbdt> HistGbdt::from_binary(const Json& meta,
-                                                const bin::Reader& r) {
-  ANB_CHECK(meta.at("type").as_string() == "lgb",
-            "HistGbdt::from_binary: wrong type tag");
-  const Json& p = meta.at("params");
-  HistGbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_leaves = p.at("max_leaves").as_int();
-  params.max_bins = p.at("max_bins").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.min_split_gain = p.at("min_split_gain").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<HistGbdt>(params);
-  model->base_score_ = meta.at("base_score").as_number();
-  model->flat_ = FlatForest(
-      r.array<FlatNode>(static_cast<std::uint32_t>(meta.at("nodes").as_int()),
-                        bin::Tag::kFlatNode),
-      r.array<std::int32_t>(
-          static_cast<std::uint32_t>(meta.at("roots").as_int()),
-          bin::Tag::kI32));
-  ANB_CHECK(!model->flat_.empty(), "HistGbdt::from_binary: empty forest");
-  return model;
-}
-
-std::unique_ptr<HistGbdt> HistGbdt::from_json(const Json& j) {
+std::unique_ptr<HistGbdt> HistGbdt::from_json(const Json& j,
+                                              const bin::Reader* sections) {
   ANB_CHECK(j.at("type").as_string() == "lgb",
             "HistGbdt::from_json: wrong type tag");
-  const Json& p = j.at("params");
-  HistGbdtParams params;
-  params.n_estimators = p.at("n_estimators").as_int();
-  params.learning_rate = p.at("learning_rate").as_number();
-  params.max_leaves = p.at("max_leaves").as_int();
-  params.max_bins = p.at("max_bins").as_int();
-  params.lambda = p.at("lambda").as_number();
-  params.min_child_weight = p.at("min_child_weight").as_number();
-  params.min_split_gain = p.at("min_split_gain").as_number();
-  params.subsample = p.at("subsample").as_number();
-  params.colsample = p.at("colsample").as_number();
-  auto model = std::make_unique<HistGbdt>(params);
+  auto model = std::make_unique<HistGbdt>(
+      serial::read_params<HistGbdtParams>(j.at("params"), kHistGbdtFields));
   model->base_score_ = j.at("base_score").as_number();
-  for (const auto& jt : j.at("trees").as_array())
-    model->trees_.push_back(RegressionTree::from_json(jt));
-  model->rebuild_flat();
+  model->flat_ = serial::get_forest(j, sections);
   return model;
 }
 

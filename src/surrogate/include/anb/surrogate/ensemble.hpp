@@ -41,11 +41,9 @@ class EnsembleSurrogate final : public Surrogate {
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "ensemble"; }
-  Json to_json() const override;
-  Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<EnsembleSurrogate> from_json(const Json& j);
-  static std::unique_ptr<EnsembleSurrogate> from_binary(const Json& meta,
-                                                        const bin::Reader& r);
+  Json to_json(bin::Writer* sections = nullptr) const override;
+  static std::unique_ptr<EnsembleSurrogate> from_json(
+      const Json& j, const bin::Reader* sections = nullptr);
 
   /// Ensemble mean and standard deviation.
   std::pair<double, double> predict_dist(std::span<const double> x) const;

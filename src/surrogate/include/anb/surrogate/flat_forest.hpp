@@ -128,9 +128,12 @@ class FlatForest {
   /// result is bit-identical to walking the original tree.
   double predict_tree(std::size_t t, std::span<const double> x) const;
 
-  /// Reconstruct the per-tree RegressionTree form (the text-export path
-  /// for binary-loaded models). FlatNode <-> TreeNode is a bijection
-  /// given each tree's base index: leaf iff both children self-loop.
+  /// Reconstruct the per-tree RegressionTree form (the text-export path;
+  /// fitted models keep no other copy of their trees). FlatNode <->
+  /// TreeNode is a bijection given each tree's base index: leaf iff both
+  /// children self-loop. Internal nodes come back with value 0 and leaves
+  /// with threshold 0 and children -1, exactly as the tree builders write
+  /// them, so re-exported text is byte-identical.
   std::vector<RegressionTree> to_trees() const;
 
   /// Raw arrays in artifact layout (the binary-artifact save path).

@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "anb/surrogate/flat_forest.hpp"
 #include "anb/surrogate/surrogate.hpp"
@@ -33,10 +32,10 @@ struct GbdtParams {
 /// for all device datasets).
 ///
 /// Boosting is inherently sequential, so trees build one at a time with one
-/// TreeBuilder per fit; the element-wise gradient loop runs in parallel row
-/// chunks (a pure partition — results are bit-identical at any thread
-/// count), predictions update by the leaf index the builder reports, and
-/// the context overload reuses a shared ColumnIndex.
+/// TreeBuilder per fit; the element-wise gradient loop runs inline (a few
+/// microseconds per round, less than starting threads would cost),
+/// predictions update by the leaf index the builder reports, and the
+/// context overload reuses a shared ColumnIndex.
 class Gbdt final : public Surrogate {
  public:
   explicit Gbdt(GbdtParams params = {});
@@ -47,11 +46,9 @@ class Gbdt final : public Surrogate {
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "xgb"; }
-  Json to_json() const override;
-  Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<Gbdt> from_json(const Json& j);
-  static std::unique_ptr<Gbdt> from_binary(const Json& meta,
-                                           const bin::Reader& r);
+  Json to_json(bin::Writer* sections = nullptr) const override;
+  static std::unique_ptr<Gbdt> from_json(
+      const Json& j, const bin::Reader* sections = nullptr);
 
   const GbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
@@ -61,14 +58,10 @@ class Gbdt final : public Surrogate {
 
  private:
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);
-  void rebuild_flat();
 
   GbdtParams params_;
   double base_score_ = 0.0;
-  /// Per-tree form; empty for binary-loaded models (flat_ is then the only
-  /// representation and to_json() reconstructs trees on demand).
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;  ///< rebuilt from trees_ after fit()/from_json()
+  FlatForest flat_;  ///< the only tree store; text export unflattens it
 };
 
 }  // namespace anb

@@ -38,8 +38,9 @@ struct HistGbdtParams {
 /// Training is parallel and exactly deterministic: histogram construction
 /// and split scanning parallelize across *features* (each histogram cell
 /// receives its contributions in serial row order, so results are
-/// bit-identical at any thread count), and the gradient / prediction
-/// update loops parallelize element-wise over rows.
+/// bit-identical at any thread count), and the prediction update loop
+/// parallelizes element-wise over rows. The gradient loop runs inline:
+/// it is too little work to start threads for.
 class HistGbdt final : public Surrogate {
  public:
   explicit HistGbdt(HistGbdtParams params = {});
@@ -54,11 +55,9 @@ class HistGbdt final : public Surrogate {
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "lgb"; }
-  Json to_json() const override;
-  Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<HistGbdt> from_json(const Json& j);
-  static std::unique_ptr<HistGbdt> from_binary(const Json& meta,
-                                               const bin::Reader& r);
+  Json to_json(bin::Writer* sections = nullptr) const override;
+  static std::unique_ptr<HistGbdt> from_json(
+      const Json& j, const bin::Reader* sections = nullptr);
 
   const HistGbdtParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
@@ -67,14 +66,9 @@ class HistGbdt final : public Surrogate {
   const FlatForest& forest() const { return flat_; }
 
  private:
-  void rebuild_flat();
-
   HistGbdtParams params_;
   double base_score_ = 0.0;
-  /// Per-tree form; empty for binary-loaded models (flat_ is then the only
-  /// representation and to_json() reconstructs trees on demand).
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;  ///< rebuilt from trees_ after fit()/from_json()
+  FlatForest flat_;  ///< the only tree store; text export unflattens it
 };
 
 }  // namespace anb

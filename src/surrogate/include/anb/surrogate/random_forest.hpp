@@ -47,24 +47,18 @@ class RandomForest final : public Surrogate {
   /// function.
   std::pair<double, double> predict_mean_std(std::span<const double> x) const;
   std::string name() const override { return "rf"; }
-  Json to_json() const override;
-  Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<RandomForest> from_json(const Json& j);
-  static std::unique_ptr<RandomForest> from_binary(const Json& meta,
-                                                   const bin::Reader& r);
+  Json to_json(bin::Writer* sections = nullptr) const override;
+  static std::unique_ptr<RandomForest> from_json(
+      const Json& j, const bin::Reader* sections = nullptr);
 
   const RandomForestParams& params() const { return params_; }
   std::size_t num_trees() const { return flat_.num_trees(); }
 
  private:
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);
-  void rebuild_flat();
 
   RandomForestParams params_;
-  /// Per-tree form; empty for binary-loaded models (flat_ is then the only
-  /// representation and to_json() reconstructs trees on demand).
-  std::vector<RegressionTree> trees_;
-  FlatForest flat_;  ///< rebuilt from trees_ after fit()/from_json()
+  FlatForest flat_;  ///< the only tree store; text export unflattens it
 };
 
 }  // namespace anb

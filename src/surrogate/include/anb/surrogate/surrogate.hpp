@@ -52,15 +52,16 @@ class Surrogate {
   /// Short identifier ("xgb", "lgb", "rf", "esvr", "nusvr").
   virtual std::string name() const = 0;
 
-  /// Serialize the fitted model (including hyperparameters).
-  virtual Json to_json() const = 0;
-
-  /// Serialize into a binary artifact: large arrays (forest nodes, support
-  /// vectors) are appended to `w` as raw sections in their in-memory
-  /// layout; the returned Json is the small meta record (type tag, params,
-  /// section indices) that surrogate_from_binary() consumes. Predictions of
-  /// the reloaded model are bit-identical to this model's.
-  virtual Json to_binary(bin::Writer& w) const = 0;
+  /// Serialize the fitted model, hyperparameters included, in one of the
+  /// two artifact formats. With `sections == nullptr` the result is the
+  /// self-contained text record. Otherwise the large arrays (forest nodes,
+  /// support vectors) are appended to `sections` as raw .anbb sections in
+  /// their in-memory layout, and the result is the small meta record
+  /// (type tag, params, section indices). Either record loads back through
+  /// surrogate_from_json() into a model whose predictions are bit-identical
+  /// to this one's, and re-saving it reproduces the same bytes. Throws if
+  /// the model is not fitted.
+  virtual Json to_json(bin::Writer* sections = nullptr) const = 0;
 
   /// Predict a batch of rows: `rows` is a row-major matrix of
   /// out.size() rows by `num_features` columns; prediction for row i is
@@ -88,16 +89,13 @@ class Surrogate {
   FitMetrics evaluate(const Dataset& data) const;
 };
 
-/// Reconstruct a fitted surrogate from to_json() output. Dispatches on the
-/// "type" tag. Throws anb::Error for unknown types or malformed payloads.
-std::unique_ptr<Surrogate> surrogate_from_json(const Json& j);
-
-/// Reconstruct a fitted surrogate from a to_binary() meta record plus the
-/// artifact reader holding its array sections. Array data may be zero-copy
-/// views into the reader's buffer (mmap), which the surrogate keeps alive.
-/// Dispatches on the "type" tag; throws anb::Error on any malformed or
+/// Reconstruct a fitted surrogate from to_json() output: a text record
+/// when `sections == nullptr`, else a .anbb meta record plus the reader
+/// holding its array sections (the arrays may then be zero-copy views into
+/// the reader's buffer, which the surrogate keeps alive). Dispatches on the
+/// "type" tag; throws anb::Error for unknown types and for any malformed or
 /// corrupted payload.
-std::unique_ptr<Surrogate> surrogate_from_binary(const Json& meta,
-                                                 const bin::Reader& r);
+std::unique_ptr<Surrogate> surrogate_from_json(
+    const Json& j, const bin::Reader* sections = nullptr);
 
 }  // namespace anb

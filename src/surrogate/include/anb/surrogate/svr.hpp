@@ -54,11 +54,9 @@ class Svr final : public Surrogate {
   std::string name() const override {
     return params_.kind == SvrKind::kEpsilon ? "esvr" : "nusvr";
   }
-  Json to_json() const override;
-  Json to_binary(bin::Writer& w) const override;
-  static std::unique_ptr<Svr> from_json(const Json& j);
-  static std::unique_ptr<Svr> from_binary(const Json& meta,
-                                          const bin::Reader& r);
+  Json to_json(bin::Writer* sections = nullptr) const override;
+  static std::unique_ptr<Svr> from_json(const Json& j,
+                                        const bin::Reader* sections = nullptr);
 
   const SvrParams& params() const { return params_; }
   std::size_t num_support_vectors() const { return sv_coef_.size(); }
@@ -79,7 +77,7 @@ class Svr final : public Surrogate {
 
   // Fitted state (standardization + sparse support-vector expansion).
   // ArrayRef so binary-loaded models can view artifact sections in place
-  // (zero-copy mmap); fit()/from_json() store owned vectors.
+  // (zero-copy mmap); fit() and text loads store owned vectors.
   io::ArrayRef<double> feat_mean_, feat_scale_;
   double target_mean_ = 0.0, target_scale_ = 1.0;
   io::ArrayRef<double> sv_coef_;

@@ -5,11 +5,11 @@
 #include <optional>
 
 #include "anb/surrogate/train_context.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/parallel.hpp"
+#include "serialize.hpp"
 
 namespace anb {
 
@@ -38,7 +38,6 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
                             Rng& rng) {
   ANB_SPAN("anb.fit.rf");
   obs::counter("anb.fit.rf.count").add(1);
-  trees_.clear();
   const std::size_t n = train.size();
   const std::size_t d = train.num_features();
 
@@ -77,24 +76,22 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
       weight[tree_rng.uniform_index(n)] += 1.0;
     slots[t] = build_tree(train, columns, g, h, weight, tp, tree_rng);
   });
-  trees_.reserve(n_trees);
+  std::vector<RegressionTree> trees;
+  trees.reserve(n_trees);
   for (auto& slot : slots) {
     ANB_ASSERT(slot.has_value(), "RandomForest::fit_impl: missing tree");
-    trees_.push_back(std::move(*slot));
+    trees.push_back(std::move(*slot));
   }
-  rebuild_flat();
+  // Deep trees (default max_depth 14) usually exceed the masked engine's
+  // 8-leaf cap, so batched prediction auto-dispatches to the interleaved
+  // walk for fitted forests; the masked engine lights up only for
+  // unusually shallow fits (DESIGN.md "SIMD descent").
+  flat_ = FlatForest(trees);
 }
 
-// Deep trees (default max_depth 14) usually exceed the masked engine's
-// 8-leaf cap, so batched prediction auto-dispatches to the interleaved
-// walk for fitted forests; the masked engine lights up only for
-// unusually shallow fits (DESIGN.md "SIMD descent").
-void RandomForest::rebuild_flat() { flat_ = FlatForest(trees_); }
-
 double RandomForest::predict(std::span<const double> x) const {
-  // Walks flat_ (one code path for fitted and binary-loaded models);
-  // same per-tree comparisons and sum-then-divide order as before, so
-  // results are unchanged bit for bit.
+  // Walks flat_ with the same per-tree comparisons and sum-then-divide
+  // order as walking each RegressionTree, so results match bit for bit.
   ANB_CHECK(!flat_.empty(), "RandomForest::predict: model not fitted");
   double acc = 0.0;
   for (std::size_t t = 0; t < flat_.num_trees(); ++t)
@@ -131,78 +128,32 @@ std::pair<double, double> RandomForest::predict_mean_std(
 
 namespace {
 
-Json random_forest_params_json(const RandomForestParams& p) {
-  Json params = Json::object();
-  params["n_trees"] = p.n_trees;
-  params["max_depth"] = p.max_depth;
-  params["min_samples_leaf"] = p.min_samples_leaf;
-  params["max_features_frac"] = p.max_features_frac;
-  params["bootstrap_frac"] = p.bootstrap_frac;
-  return params;
-}
+constexpr auto kRandomForestFields = [](auto& p, auto&& field) {
+  field("n_trees", p.n_trees);
+  field("max_depth", p.max_depth);
+  field("min_samples_leaf", p.min_samples_leaf);
+  field("max_features_frac", p.max_features_frac);
+  field("bootstrap_frac", p.bootstrap_frac);
+};
 
 }  // namespace
 
-Json RandomForest::to_json() const {
+Json RandomForest::to_json(bin::Writer* sections) const {
   Json j = Json::object();
   j["type"] = name();
-  j["params"] = random_forest_params_json(params_);
-  Json trees = Json::array();
-  if (trees_.empty()) {
-    for (const auto& tree : flat_.to_trees()) trees.push_back(tree.to_json());
-  } else {
-    for (const auto& tree : trees_) trees.push_back(tree.to_json());
-  }
-  j["trees"] = std::move(trees);
+  j["params"] = serial::write_params(params_, kRandomForestFields);
+  serial::put_forest(j, flat_, sections);
   return j;
 }
 
-Json RandomForest::to_binary(bin::Writer& w) const {
-  ANB_CHECK(!flat_.empty(), "RandomForest::to_binary: model not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  j["params"] = random_forest_params_json(params_);
-  j["nodes"] = static_cast<int>(w.add_array(bin::Tag::kFlatNode, flat_.nodes()));
-  j["roots"] = static_cast<int>(w.add_array(bin::Tag::kI32, flat_.roots()));
-  return j;
-}
-
-std::unique_ptr<RandomForest> RandomForest::from_binary(const Json& meta,
-                                                        const bin::Reader& r) {
-  ANB_CHECK(meta.at("type").as_string() == "rf",
-            "RandomForest::from_binary: wrong type tag");
-  const Json& p = meta.at("params");
-  RandomForestParams params;
-  params.n_trees = p.at("n_trees").as_int();
-  params.max_depth = p.at("max_depth").as_int();
-  params.min_samples_leaf = p.at("min_samples_leaf").as_number();
-  params.max_features_frac = p.at("max_features_frac").as_number();
-  params.bootstrap_frac = p.at("bootstrap_frac").as_number();
-  auto model = std::make_unique<RandomForest>(params);
-  model->flat_ = FlatForest(
-      r.array<FlatNode>(static_cast<std::uint32_t>(meta.at("nodes").as_int()),
-                        bin::Tag::kFlatNode),
-      r.array<std::int32_t>(
-          static_cast<std::uint32_t>(meta.at("roots").as_int()),
-          bin::Tag::kI32));
-  ANB_CHECK(!model->flat_.empty(), "RandomForest::from_binary: empty forest");
-  return model;
-}
-
-std::unique_ptr<RandomForest> RandomForest::from_json(const Json& j) {
+std::unique_ptr<RandomForest> RandomForest::from_json(
+    const Json& j, const bin::Reader* sections) {
   ANB_CHECK(j.at("type").as_string() == "rf",
             "RandomForest::from_json: wrong type tag");
-  const Json& p = j.at("params");
-  RandomForestParams params;
-  params.n_trees = p.at("n_trees").as_int();
-  params.max_depth = p.at("max_depth").as_int();
-  params.min_samples_leaf = p.at("min_samples_leaf").as_number();
-  params.max_features_frac = p.at("max_features_frac").as_number();
-  params.bootstrap_frac = p.at("bootstrap_frac").as_number();
-  auto model = std::make_unique<RandomForest>(params);
-  for (const auto& jt : j.at("trees").as_array())
-    model->trees_.push_back(RegressionTree::from_json(jt));
-  model->rebuild_flat();
+  auto model = std::make_unique<RandomForest>(
+      serial::read_params<RandomForestParams>(j.at("params"),
+                                              kRandomForestFields));
+  model->flat_ = serial::get_forest(j, sections);
   return model;
 }
 

@@ -65,25 +65,15 @@ FitMetrics Surrogate::evaluate(const Dataset& data) const {
   return m;
 }
 
-std::unique_ptr<Surrogate> surrogate_from_json(const Json& j) {
+std::unique_ptr<Surrogate> surrogate_from_json(const Json& j,
+                                               const bin::Reader* sections) {
   const std::string& type = j.at("type").as_string();
-  if (type == "xgb") return Gbdt::from_json(j);
-  if (type == "lgb") return HistGbdt::from_json(j);
-  if (type == "rf") return RandomForest::from_json(j);
-  if (type == "esvr" || type == "nusvr") return Svr::from_json(j);
-  if (type == "ensemble") return EnsembleSurrogate::from_json(j);
+  if (type == "xgb") return Gbdt::from_json(j, sections);
+  if (type == "lgb") return HistGbdt::from_json(j, sections);
+  if (type == "rf") return RandomForest::from_json(j, sections);
+  if (type == "esvr" || type == "nusvr") return Svr::from_json(j, sections);
+  if (type == "ensemble") return EnsembleSurrogate::from_json(j, sections);
   throw Error("surrogate_from_json: unknown surrogate type '" + type + "'");
-}
-
-std::unique_ptr<Surrogate> surrogate_from_binary(const Json& meta,
-                                                 const bin::Reader& r) {
-  const std::string& type = meta.at("type").as_string();
-  if (type == "xgb") return Gbdt::from_binary(meta, r);
-  if (type == "lgb") return HistGbdt::from_binary(meta, r);
-  if (type == "rf") return RandomForest::from_binary(meta, r);
-  if (type == "esvr" || type == "nusvr") return Svr::from_binary(meta, r);
-  if (type == "ensemble") return EnsembleSurrogate::from_binary(meta, r);
-  throw Error("surrogate_from_binary: unknown surrogate type '" + type + "'");
 }
 
 }  // namespace anb

@@ -4,11 +4,11 @@
 #include <cmath>
 
 #include "anb/surrogate/smo.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/obs/registry.hpp"
 #include "anb/obs/span.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/stats.hpp"
+#include "serialize.hpp"
 
 namespace anb {
 
@@ -232,129 +232,76 @@ void Svr::predict_batch(std::span<const double> rows,
 
 namespace {
 
-Json svr_params_json(const SvrParams& p) {
-  Json params = Json::object();
-  params["c"] = p.c;
-  params["epsilon"] = p.epsilon;
-  params["nu"] = p.nu;
-  params["gamma"] = p.gamma;
-  params["tolerance"] = p.tolerance;
-  return params;
-}
-
-SvrParams svr_params_from_json(const std::string& type, const Json& p) {
-  SvrParams params;
-  params.kind = type == "esvr" ? SvrKind::kEpsilon : SvrKind::kNu;
-  params.c = p.at("c").as_number();
-  params.epsilon = p.at("epsilon").as_number();
-  params.nu = p.at("nu").as_number();
-  params.gamma = p.at("gamma").as_number();
-  params.tolerance = p.at("tolerance").as_number();
-  return params;
-}
+constexpr auto kSvrFields = [](auto& p, auto&& field) {
+  field("c", p.c);
+  field("epsilon", p.epsilon);
+  field("nu", p.nu);
+  field("gamma", p.gamma);
+  field("tolerance", p.tolerance);
+};
 
 }  // namespace
 
-Json Svr::to_json() const {
+Json Svr::to_json(bin::Writer* sections) const {
+  ANB_CHECK(!sv_coef_.empty(), "Svr::to_json: model not fitted");
   Json j = Json::object();
   j["type"] = name();
-  j["params"] = svr_params_json(params_);
+  j["params"] = serial::write_params(params_, kSvrFields);
   j["effective_epsilon"] = effective_epsilon_;
-  j["feat_mean"] = Json::array_of(feat_mean_.to_vector());
-  j["feat_scale"] = Json::array_of(feat_scale_.to_vector());
   j["target_mean"] = target_mean_;
   j["target_scale"] = target_scale_;
   j["bias"] = bias_;
-  j["sv_coef"] = Json::array_of(sv_coef_.to_vector());
-  // Nested per-vector rows (the text format) sliced back out of the flat
-  // row-major matrix.
+  serial::put_f64(j, "feat_mean", feat_mean_.span(), sections);
+  serial::put_f64(j, "feat_scale", feat_scale_.span(), sections);
+  serial::put_f64(j, "sv_coef", sv_coef_.span(), sections);
+  if (sections != nullptr) {
+    serial::put_f64(j, "sv_flat", sv_flat_.span(), sections);
+    return j;
+  }
+  // The text format nests one row per support vector.
   const std::size_t d = feat_mean_.size();
   Json svs = Json::array();
-  for (std::size_t s = 0; s < sv_coef_.size(); ++s) {
+  for (std::size_t s = 0; s < sv_coef_.size(); ++s)
     svs.push_back(Json::array_of(std::vector<double>(
-        sv_flat_.begin() + static_cast<std::ptrdiff_t>(s * d),
-        sv_flat_.begin() + static_cast<std::ptrdiff_t>((s + 1) * d))));
-  }
+        sv_flat_.data() + s * d, sv_flat_.data() + (s + 1) * d)));
   j["support_vectors"] = std::move(svs);
   return j;
 }
 
-std::unique_ptr<Svr> Svr::from_json(const Json& j) {
+std::unique_ptr<Svr> Svr::from_json(const Json& j,
+                                    const bin::Reader* sections) {
   const std::string& type = j.at("type").as_string();
   ANB_CHECK(type == "esvr" || type == "nusvr",
             "Svr::from_json: wrong type tag");
-  auto model = std::make_unique<Svr>(svr_params_from_json(type, j.at("params")));
+  SvrParams params;
+  params.kind = type == "esvr" ? SvrKind::kEpsilon : SvrKind::kNu;
+  auto model = std::make_unique<Svr>(
+      serial::read_params(j.at("params"), kSvrFields, params));
   model->effective_epsilon_ = j.at("effective_epsilon").as_number();
-  std::vector<double> feat_mean = j.at("feat_mean").as_double_vector();
-  std::vector<double> feat_scale = j.at("feat_scale").as_double_vector();
   model->target_mean_ = j.at("target_mean").as_number();
   model->target_scale_ = j.at("target_scale").as_number();
   model->bias_ = j.at("bias").as_number();
-  std::vector<double> sv_coef = j.at("sv_coef").as_double_vector();
-  ANB_CHECK(feat_mean.size() == feat_scale.size(),
+  model->feat_mean_ = serial::get_f64(j, "feat_mean", sections);
+  model->feat_scale_ = serial::get_f64(j, "feat_scale", sections);
+  model->sv_coef_ = serial::get_f64(j, "sv_coef", sections);
+  const std::size_t d = model->feat_mean_.size();
+  ANB_CHECK(model->feat_scale_.size() == d,
             "Svr::from_json: feature mean/scale size mismatch");
-  std::vector<double> sv_flat;
-  sv_flat.reserve(sv_coef.size() * feat_mean.size());
-  for (const auto& jsv : j.at("support_vectors").as_array()) {
-    const std::vector<double> sv = jsv.as_double_vector();
-    ANB_CHECK(sv.size() == feat_mean.size(),
-              "Svr::from_json: support vector dimension mismatch");
-    sv_flat.insert(sv_flat.end(), sv.begin(), sv.end());
+  if (sections != nullptr) {
+    model->sv_flat_ = serial::get_f64(j, "sv_flat", sections);
+  } else {
+    std::vector<double> sv_flat;
+    for (const auto& jsv : j.at("support_vectors").as_array()) {
+      const std::vector<double> sv = jsv.as_double_vector();
+      ANB_CHECK(sv.size() == d,
+                "Svr::from_json: support vector dimension mismatch");
+      sv_flat.insert(sv_flat.end(), sv.begin(), sv.end());
+    }
+    model->sv_flat_ = io::ArrayRef<double>(std::move(sv_flat));
   }
-  ANB_CHECK(sv_flat.size() == sv_coef.size() * feat_mean.size(),
+  ANB_CHECK(!model->sv_coef_.empty(), "Svr::from_json: no support vectors");
+  ANB_CHECK(model->sv_flat_.size() == model->sv_coef_.size() * d,
             "Svr::from_json: coef/support-vector count mismatch");
-  ANB_CHECK(!sv_coef.empty(), "Svr::from_json: no support vectors");
-  model->feat_mean_ = io::ArrayRef<double>(std::move(feat_mean));
-  model->feat_scale_ = io::ArrayRef<double>(std::move(feat_scale));
-  model->sv_coef_ = io::ArrayRef<double>(std::move(sv_coef));
-  model->sv_flat_ = io::ArrayRef<double>(std::move(sv_flat));
-  return model;
-}
-
-Json Svr::to_binary(bin::Writer& w) const {
-  ANB_CHECK(!sv_coef_.empty(), "Svr::to_binary: model not fitted");
-  Json j = Json::object();
-  j["type"] = name();
-  j["params"] = svr_params_json(params_);
-  j["effective_epsilon"] = effective_epsilon_;
-  j["target_mean"] = target_mean_;
-  j["target_scale"] = target_scale_;
-  j["bias"] = bias_;
-  j["feat_mean"] =
-      static_cast<int>(w.add_array(bin::Tag::kF64, feat_mean_.span()));
-  j["feat_scale"] =
-      static_cast<int>(w.add_array(bin::Tag::kF64, feat_scale_.span()));
-  j["sv_coef"] =
-      static_cast<int>(w.add_array(bin::Tag::kF64, sv_coef_.span()));
-  j["sv_flat"] =
-      static_cast<int>(w.add_array(bin::Tag::kF64, sv_flat_.span()));
-  return j;
-}
-
-std::unique_ptr<Svr> Svr::from_binary(const Json& meta, const bin::Reader& r) {
-  const std::string& type = meta.at("type").as_string();
-  ANB_CHECK(type == "esvr" || type == "nusvr",
-            "Svr::from_binary: wrong type tag");
-  auto model =
-      std::make_unique<Svr>(svr_params_from_json(type, meta.at("params")));
-  model->effective_epsilon_ = meta.at("effective_epsilon").as_number();
-  model->target_mean_ = meta.at("target_mean").as_number();
-  model->target_scale_ = meta.at("target_scale").as_number();
-  model->bias_ = meta.at("bias").as_number();
-  auto f64 = [&](const char* key) {
-    return r.array<double>(
-        static_cast<std::uint32_t>(meta.at(key).as_int()), bin::Tag::kF64);
-  };
-  model->feat_mean_ = f64("feat_mean");
-  model->feat_scale_ = f64("feat_scale");
-  model->sv_coef_ = f64("sv_coef");
-  model->sv_flat_ = f64("sv_flat");
-  ANB_CHECK(model->feat_mean_.size() == model->feat_scale_.size(),
-            "Svr::from_binary: feature mean/scale size mismatch");
-  ANB_CHECK(!model->sv_coef_.empty(), "Svr::from_binary: no support vectors");
-  ANB_CHECK(model->sv_flat_.size() ==
-                model->sv_coef_.size() * model->feat_mean_.size(),
-            "Svr::from_binary: coef/support-vector count mismatch");
   return model;
 }
 

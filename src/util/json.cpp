@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace anb {
 
@@ -35,6 +36,10 @@ int Json::as_int() const {
   const double d = as_number();
   const double r = std::round(d);
   ANB_CHECK(std::abs(d - r) < 1e-9, "Json: number is not integral");
+  // Casting a double outside int's range is undefined behaviour.
+  ANB_CHECK(r >= std::numeric_limits<int>::min() &&
+                r <= std::numeric_limits<int>::max(),
+            "Json: integer out of int range");
   return static_cast<int>(r);
 }
 

@@ -186,6 +186,27 @@ TEST_F(BinaryArtifactTest, RefitSaveIsByteIdentical) {
   EXPECT_EQ(std::memcmp(first->data(), second->data(), first->size()), 0);
 }
 
+std::string file_bytes(const std::string& path) {
+  const auto buf = io::Buffer::read_file(path);
+  return std::string(buf->data(), buf->size());
+}
+
+TEST_F(BinaryArtifactTest, CrossFormatConversionsAreLossless) {
+  // text -> load -> .anbb -> load -> text gives the original text bytes.
+  const std::string anbb = scratch("binary_artifact_cross.anbb");
+  AccelNASBench::load(text_path_).save_binary(anbb);
+  const std::string text = scratch("binary_artifact_cross.json");
+  AccelNASBench::load_binary(anbb).save(text);
+  EXPECT_EQ(file_bytes(text), file_bytes(text_path_));
+
+  // .anbb -> load -> text -> load -> .anbb gives the original binary bytes.
+  const std::string text2 = scratch("binary_artifact_cross2.json");
+  AccelNASBench::load_binary(anbb_path_).save(text2);
+  const std::string anbb2 = scratch("binary_artifact_cross2.anbb");
+  AccelNASBench::load(text2).save_binary(anbb2);
+  EXPECT_EQ(file_bytes(anbb2), file_bytes(anbb_path_));
+}
+
 TEST_F(BinaryArtifactTest, MappedBenchmarkSurvivesUnlink) {
   const AccelNASBench mapped =
       AccelNASBench::load_binary(anbb_path_, io::MapMode::kMap);
@@ -274,6 +295,98 @@ TEST_F(BinaryArtifactTest, FaultSitesCoverTheBinaryPaths) {
   }
   // The fault was in the (simulated) read, not the file: clean loads work.
   EXPECT_TRUE(AccelNASBench::load_binary(anbb_path_).has_accuracy());
+}
+
+// ---------------------------------------------------------------------------
+// Format goldens. A hand-written text artifact (no fitting, so no libm or
+// training bits are involved) with one model of every family: it must
+// re-save to the same text byte for byte, its .anbb bytes are pinned by
+// FNV-1a, and the .anbb converts back to the same text. A change to either
+// format, or to how a family renders into it, fails here.
+
+const char* const kGoldenText =
+    R"({"accuracy":{"members":[)"
+    R"({"base_score":70,"params":{"colsample":1,"gamma":0,"lambda":1,)"
+    R"("learning_rate":0.5,"max_depth":1,"min_child_weight":1,)"
+    R"("n_estimators":1,"subsample":1},"trees":[[)"
+    R"({"f":2,"l":1,"r":2,"t":0.5,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":-1.5},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":2}]],"type":"xgb"},)"
+    R"({"params":{"bootstrap_frac":0.5,"max_depth":2,)"
+    R"("max_features_frac":0.5,"min_samples_leaf":1,"n_trees":1},)"
+    R"("trees":[[{"f":-1,"l":-1,"r":-1,"t":0,"v":71.25}]],"type":"rf"})"
+    R"(],"type":"ensemble"},)"
+    R"("format":"accel-nasbench-v1","perf":{)"
+    R"("a100/Thr":{"base_score":0.5,"params":{"colsample":1,"gamma":0,)"
+    R"("lambda":1,"learning_rate":0.25,"max_depth":2,"min_child_weight":1,)"
+    R"("n_estimators":2,"subsample":1},"trees":[[)"
+    R"({"f":3,"l":1,"r":2,"t":0.5,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":-0.125},)"
+    R"({"f":0,"l":3,"r":4,"t":0.75,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":0.25},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":0.375}],)"
+    R"([{"f":-1,"l":-1,"r":-1,"t":0,"v":0.0625}]],"type":"xgb"},)"
+    R"("vck190/Lat":{"bias":-0.25,"effective_epsilon":0.3125,)"
+    R"("feat_mean":[0,0,0],"feat_scale":[1,1,1],"params":{"c":2,)"
+    R"("epsilon":0.05,"gamma":-1,"nu":0.4,"tolerance":0.001},)"
+    R"("support_vectors":[[0.5,0.5,-1]],"sv_coef":[1.5],"target_mean":4,)"
+    R"("target_scale":0.5,"type":"nusvr"},)"
+    R"("vck190/Thr":{"bias":0.125,"effective_epsilon":0.05,)"
+    R"("feat_mean":[0.5,0.25,1],"feat_scale":[0.5,1,2],"params":{"c":10,)"
+    R"("epsilon":0.05,"gamma":0.25,"nu":0.5,"tolerance":0.001},)"
+    R"("support_vectors":[[1,-1,0.5],[-0.5,0.25,0]],)"
+    R"("sv_coef":[0.75,-0.375],"target_mean":100,"target_scale":8,)"
+    R"("type":"esvr"},)"
+    R"("zcu102/Lat":{"params":{"bootstrap_frac":1,"max_depth":3,)"
+    R"("max_features_frac":-1,"min_samples_leaf":2,"n_trees":2},"trees":[[)"
+    R"({"f":4,"l":1,"r":2,"t":0.5,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":12.5},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":20}],[)"
+    R"({"f":0,"l":1,"r":2,"t":0.25,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":10},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":17.75}]],"type":"rf"},)"
+    R"("zcu102/Thr":{"base_score":-1.5,"params":{"colsample":0.75,)"
+    R"("lambda":1,"learning_rate":0.125,"max_bins":16,"max_leaves":3,)"
+    R"("min_child_weight":1,"min_split_gain":1e-12,"n_estimators":1,)"
+    R"("subsample":1},"trees":[[)"
+    R"({"f":1,"l":1,"r":2,"t":0.5,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":2.5},)"
+    R"({"f":2,"l":3,"r":4,"t":1.5,"v":0},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":-0.5},)"
+    R"({"f":-1,"l":-1,"r":-1,"t":0,"v":1}]],"type":"lgb"}},)"
+    R"("space":"mnasnet"})";
+
+/// FNV-1a 64 of the .anbb file save_binary() writes for kGoldenText.
+constexpr std::uint64_t kGoldenAnbbFnv = 0xc6243e48faf40c49ull;
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(FormatGoldenTest, HandWrittenTextResavesByteIdentical) {
+  const std::string in = scratch("format_golden.json");
+  write_text_file(in, kGoldenText);
+  const std::string out = scratch("format_golden_resaved.json");
+  AccelNASBench::load(in).save(out);
+  EXPECT_EQ(read_text_file(out), kGoldenText);
+}
+
+TEST(FormatGoldenTest, BinaryBytesArePinnedAndConvertBack) {
+  const std::string in = scratch("format_golden.json");
+  write_text_file(in, kGoldenText);
+  const std::string anbb = scratch("format_golden.anbb");
+  AccelNASBench::load(in).save_binary(anbb);
+  EXPECT_EQ(fnv1a(file_bytes(anbb)), kGoldenAnbbFnv)
+      << std::hex << fnv1a(file_bytes(anbb));
+  for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
+    EXPECT_EQ(AccelNASBench::load_binary(anbb, mode).to_json().dump(),
+              kGoldenText);
+  }
 }
 
 }  // namespace

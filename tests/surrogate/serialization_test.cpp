@@ -198,6 +198,30 @@ TEST_F(SerializationTest, MissingFieldsRejected) {
   EXPECT_THROW(surrogate_from_json(bad_node), Error);
 }
 
+TEST_F(SerializationTest, EmptyForestRejected) {
+  // Both formats share one loader, so a forest with no trees is refused in
+  // text just as in the binary artifact: it would load as an unfitted
+  // model that throws on its first query.
+  std::vector<std::unique_ptr<Surrogate>> models;
+  GbdtParams gp;
+  gp.n_estimators = 3;
+  models.push_back(std::make_unique<Gbdt>(gp));
+  HistGbdtParams hp;
+  hp.n_estimators = 3;
+  models.push_back(std::make_unique<HistGbdt>(hp));
+  RandomForestParams fp;
+  fp.n_trees = 3;
+  models.push_back(std::make_unique<RandomForest>(fp));
+  const Dataset train = make_dataset(50, 10);
+  for (const auto& model : models) {
+    Rng rng(11);
+    model->fit(train, rng);
+    Json j = model->to_json();
+    j["trees"] = Json::array();
+    EXPECT_THROW(surrogate_from_json(j), Error) << model->name();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corruption fuzz corpus over saved AccelNASBench payloads: truncations,
 // structural bit-flips, and field-drops. Every corrupted file must fail to
@@ -342,6 +366,17 @@ TEST_F(BenchmarkCorruptionFuzz, FieldDropsAlwaysThrow) {
     expect_load_throws(corrupted.dump(), "field drop #" + std::to_string(k));
   }
   EXPECT_EQ(cases_, total);
+}
+
+TEST_F(BenchmarkCorruptionFuzz, OutOfRangeIntegerFieldThrows) {
+  // An integral count far outside int range must be refused by the JSON
+  // accessor, not cast (undefined behaviour) and then range-checked.
+  std::string text = saved_benchmark_text();
+  const std::string field = "\"n_estimators\":3";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, field.size(), "\"n_estimators\":1e12");
+  expect_load_throws(text, "n_estimators 1e12");
 }
 
 TEST_F(BenchmarkCorruptionFuzz, CorpusMeetsMinimumSize) {
@@ -594,6 +629,33 @@ std::vector<std::pair<std::string, std::string>> binary_corruption_corpus() {
                         repatch_checksum(std::move(bad)));
   }
 
+  // --- Meta field drops, re-wrapped into a valid container: every array
+  // section is copied through unchanged and the damaged meta appended
+  // last, so header, table and checksum all pass and the surrogate
+  // loaders themselves must notice the missing key. Same droppable-key
+  // rules as the text corpus (the binary meta has no "space" key).
+  const std::size_t meta_index = table.size() - 1;
+  const Json meta = Json::parse(good.substr(
+      static_cast<std::size_t>(table[meta_index].offset),
+      static_cast<std::size_t>(table[meta_index].size)));
+  for (int k = 0;; ++k) {
+    Json damaged = meta;
+    int target = k;
+    if (!drop_nth_key(damaged, target, true, false)) break;
+    bin::Writer w;
+    for (std::size_t i = 0; i < meta_index; ++i) {
+      w.add_section(static_cast<bin::Tag>(table[i].tag),
+                    {good.data() + table[i].offset,
+                     static_cast<std::size_t>(table[i].size)},
+                    table[i].align);
+    }
+    const std::string text = damaged.dump();
+    w.add_section(bin::Tag::kMeta, {text.data(), text.size()}, 1);
+    const std::vector<char> image = w.finish();
+    corpus.emplace_back("meta field drop #" + std::to_string(k),
+                        std::string(image.begin(), image.end()));
+  }
+
   return corpus;
 }
 
@@ -623,8 +685,14 @@ TEST_F(BinaryCorruptionFuzz, EveryCorruptionThrowsAnbError) {
 }
 
 TEST_F(BinaryCorruptionFuzz, CorpusMeetsMinimumSize) {
-  // The robustness contract promises >= 200 deterministic binary cases.
-  EXPECT_GE(binary_corruption_corpus().size(), 200u);
+  // The robustness contract promises >= 200 deterministic binary cases,
+  // meta key drops among them.
+  const auto corpus = binary_corruption_corpus();
+  EXPECT_GE(corpus.size(), 200u);
+  std::size_t drops = 0;
+  for (const auto& entry : corpus)
+    drops += entry.first.rfind("meta field drop", 0) == 0 ? 1 : 0;
+  EXPECT_GE(drops, 30u);
 }
 
 TEST_F(BinaryCorruptionFuzz, UncorruptedArtifactStillLoads) {

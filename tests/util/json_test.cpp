@@ -55,6 +55,16 @@ TEST(JsonTest, TypeMismatchThrows) {
   EXPECT_THROW(Json(1.5).as_int(), Error);  // non-integral
 }
 
+TEST(JsonTest, AsIntRejectsValuesOutsideIntRange) {
+  // Integral but unrepresentable as int: casting would be undefined
+  // behaviour, so the accessor must refuse instead.
+  for (const char* text : {"1e12", "-3e9", "4294967296", "2147483648",
+                           "-2147483649"})
+    EXPECT_THROW(Json::parse(text).as_int(), Error) << text;
+  EXPECT_EQ(Json::parse("2147483647").as_int(), 2147483647);
+  EXPECT_EQ(Json::parse("-2147483648").as_int(), -2147483647 - 1);
+}
+
 TEST(JsonTest, NestedRoundTrip) {
   Json j = Json::object();
   j["name"] = "accel-nasbench";
