@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "anb/obs/span.hpp"
-#include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
-#include "anb/util/json.hpp"
 #include "anb/util/parallel.hpp"
 
 namespace anb {
@@ -55,13 +53,13 @@ BinnedMatrix::BinnedMatrix(const Dataset& data, int max_bins)
   ANB_SPAN("anb.fit.bin_build");
 
   std::vector<std::vector<double>> edges_per_feature(num_features_);
-  std::vector<std::uint8_t> codes(num_features_ * num_rows_);
+  codes_.resize(num_features_ * num_rows_);
   // Each feature quantizes independently, so the loop is a pure partition
   // of the columns: codes and edges are identical at any thread count.
   parallel_for(num_features_, [&](std::size_t f) {
     edges_per_feature[f] = make_edges(data, f, max_bins_);
     const std::vector<double>& edges = edges_per_feature[f];
-    std::uint8_t* column = codes.data() + f * num_rows_;
+    std::uint8_t* column = codes_.data() + f * num_rows_;
     for (std::size_t i = 0; i < num_rows_; ++i) {
       column[i] = static_cast<std::uint8_t>(
           std::upper_bound(edges.begin(), edges.end(), data.feature(i, f)) -
@@ -69,32 +67,21 @@ BinnedMatrix::BinnedMatrix(const Dataset& data, int max_bins)
     }
   });
 
-  // Flatten the per-feature edge lists into one array + prefix offsets —
-  // the layout the binary artifact stores verbatim.
-  std::vector<std::uint64_t> offsets(num_features_ + 1, 0);
-  std::size_t total = 0;
+  // Flatten the per-feature edge lists into one array + prefix offsets.
+  edge_offsets_.assign(num_features_ + 1, 0);
   for (std::size_t f = 0; f < num_features_; ++f) {
-    offsets[f] = total;
-    total += edges_per_feature[f].size();
+    edge_offsets_[f + 1] = edge_offsets_[f] + edges_per_feature[f].size();
+    edges_flat_.insert(edges_flat_.end(), edges_per_feature[f].begin(),
+                       edges_per_feature[f].end());
   }
-  offsets[num_features_] = total;
-  std::vector<double> flat;
-  flat.reserve(total);
-  for (const auto& e : edges_per_feature)
-    flat.insert(flat.end(), e.begin(), e.end());
-
-  edges_flat_ = io::ArrayRef<double>(std::move(flat));
-  edge_offsets_ = io::ArrayRef<std::uint64_t>(std::move(offsets));
-  codes_ = io::ArrayRef<std::uint8_t>(std::move(codes));
   for (std::size_t f = 0; f < num_features_; ++f)
     max_hist_bins_ = std::max(max_hist_bins_, num_bins(f));
 }
 
 std::span<const double> BinnedMatrix::edges(std::size_t f) const {
   ANB_CHECK(f < num_features_, "BinnedMatrix::edges: feature out of range");
-  const auto lo = static_cast<std::size_t>(edge_offsets_[f]);
-  const auto hi = static_cast<std::size_t>(edge_offsets_[f + 1]);
-  return edges_flat_.span().subspan(lo, hi - lo);
+  return std::span<const double>(edges_flat_)
+      .subspan(edge_offsets_[f], edge_offsets_[f + 1] - edge_offsets_[f]);
 }
 
 double BinnedMatrix::edge(std::size_t f, int b) const {
@@ -107,93 +94,6 @@ double BinnedMatrix::edge(std::size_t f, int b) const {
 std::span<const std::uint8_t> BinnedMatrix::codes(std::size_t f) const {
   ANB_CHECK(f < num_features_, "BinnedMatrix::codes: feature out of range");
   return {codes_.data() + f * num_rows_, num_rows_};
-}
-
-void BinnedMatrix::save_binary(const std::string& path) const {
-  bin::Writer w;
-  Json meta = Json::object();
-  meta["kind"] = std::string("binned_matrix");
-  meta["num_rows"] = static_cast<double>(num_rows_);
-  meta["num_features"] = static_cast<double>(num_features_);
-  meta["max_bins"] = max_bins_;
-  meta["edges"] = static_cast<int>(w.add_array(bin::Tag::kF64,
-                                               edges_flat_.span()));
-  meta["edge_offsets"] =
-      static_cast<int>(w.add_array(bin::Tag::kU64, edge_offsets_.span()));
-  meta["codes"] = static_cast<int>(w.add_array(bin::Tag::kU8, codes_.span()));
-  const std::string text = meta.dump();
-  w.add_section(bin::Tag::kMeta, {text.data(), text.size()}, 1);
-  const std::vector<char> file = w.finish();
-  io::write_file(path, file);
-}
-
-BinnedMatrix BinnedMatrix::load_binary(const std::string& path,
-                                       io::MapMode mode) {
-  const auto buffer = mode == io::MapMode::kMap ? io::Buffer::map_file(path)
-                                                : io::Buffer::read_file(path);
-  const bin::Reader r(buffer);
-  ANB_CHECK(r.num_sections() >= 1,
-            "BinnedMatrix::load_binary: no sections in '" + path + "'");
-  // The meta section is written last.
-  const auto meta_index = static_cast<std::uint32_t>(r.num_sections() - 1);
-  const std::span<const char> meta_raw = r.section(meta_index, bin::Tag::kMeta);
-  const Json meta = Json::parse(std::string(meta_raw.data(), meta_raw.size()));
-  ANB_CHECK(meta.at("kind").as_string() == "binned_matrix",
-            "BinnedMatrix::load_binary: '" + path +
-                "' is not a binned-matrix artifact");
-
-  BinnedMatrix m;
-  m.num_rows_ = static_cast<std::size_t>(meta.at("num_rows").as_number());
-  m.num_features_ =
-      static_cast<std::size_t>(meta.at("num_features").as_number());
-  m.max_bins_ = meta.at("max_bins").as_int();
-  m.edges_flat_ = r.array<double>(
-      static_cast<std::uint32_t>(meta.at("edges").as_int()), bin::Tag::kF64);
-  m.edge_offsets_ = r.array<std::uint64_t>(
-      static_cast<std::uint32_t>(meta.at("edge_offsets").as_int()),
-      bin::Tag::kU64);
-  m.codes_ = r.array<std::uint8_t>(
-      static_cast<std::uint32_t>(meta.at("codes").as_int()), bin::Tag::kU8);
-  m.validate();
-  for (std::size_t f = 0; f < m.num_features_; ++f)
-    m.max_hist_bins_ = std::max(m.max_hist_bins_, m.num_bins(f));
-  return m;
-}
-
-void BinnedMatrix::validate() const {
-  // Structural audit of untrusted artifact data: after this, edges()/
-  // code() can index without per-access checks beyond the public-API ones.
-  ANB_CHECK(max_bins_ >= 2 && max_bins_ <= 256,
-            "BinnedMatrix: max_bins must be in [2, 256]");
-  ANB_CHECK(num_rows_ >= 1 && num_features_ >= 1,
-            "BinnedMatrix: empty matrix");
-  ANB_CHECK(edge_offsets_.size() == num_features_ + 1,
-            "BinnedMatrix: edge offset table size mismatch");
-  ANB_CHECK(edge_offsets_[0] == 0 &&
-                edge_offsets_[num_features_] == edges_flat_.size(),
-            "BinnedMatrix: edge offsets do not cover the edge array");
-  ANB_CHECK(codes_.size() == num_features_ * num_rows_,
-            "BinnedMatrix: code matrix size mismatch");
-  for (std::size_t f = 0; f < num_features_; ++f) {
-    ANB_CHECK(edge_offsets_[f] <= edge_offsets_[f + 1],
-              "BinnedMatrix: edge offsets not monotone");
-    const auto count = edge_offsets_[f + 1] - edge_offsets_[f];
-    ANB_CHECK(count < static_cast<std::uint64_t>(max_bins_),
-              "BinnedMatrix: feature has more edges than max_bins allows");
-    // Edges must ascend strictly (upper_bound semantics) and every code
-    // must land inside the feature's bin count.
-    for (std::uint64_t k = edge_offsets_[f] + 1; k < edge_offsets_[f + 1];
-         ++k) {
-      ANB_CHECK(edges_flat_[static_cast<std::size_t>(k - 1)] <
-                    edges_flat_[static_cast<std::size_t>(k)],
-                "BinnedMatrix: bin edges not strictly increasing");
-    }
-    const std::uint8_t* column = codes_.data() + f * num_rows_;
-    for (std::size_t i = 0; i < num_rows_; ++i) {
-      ANB_CHECK(column[i] <= count,
-                "BinnedMatrix: bin code exceeds the feature's bin count");
-    }
-  }
 }
 
 }  // namespace anb

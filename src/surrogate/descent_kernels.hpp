@@ -2,7 +2,7 @@
 
 // Internal header (not installed): the templated SIMD descent kernels for
 // FlatForest, instantiated once per ISA translation unit. flat_forest.cpp
-// instantiates ScalarIsa (and NeonIsa on ARM); flat_forest_avx2.cpp —
+// instantiates ScalarIsa (and NeonIsa on ARM); avx2_kernels.cpp —
 // the only TU compiled with -mavx2 — instantiates Avx2Isa. The Isa types
 // are disjoint across TUs (Avx2Isa is not even defined without -mavx2),
 // so no linker merging can ever route baseline callers into AVX2 code.
@@ -50,7 +50,7 @@ using MaskedFn = void (*)(const MaskedView& m, std::size_t num_trees,
                           double scale, double* out, std::size_t n);
 
 /// The AVX2 instantiation of the masked kernel, or nullptr when the
-/// toolchain/architecture cannot build it. Defined in flat_forest_avx2.cpp;
+/// toolchain/architecture cannot build it. Defined in avx2_kernels.cpp;
 /// FlatForest::accumulate dispatches to it at run time.
 MaskedFn avx2_masked_kernel();
 

@@ -3,11 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "anb/surrogate/dataset.hpp"
-#include "anb/util/io.hpp"
 
 namespace anb {
 
@@ -60,32 +58,17 @@ class BinnedMatrix {
     return codes_[f * num_rows_ + i];
   }
 
-  /// Write as a standalone .anbb artifact (edges, offsets, and codes in
-  /// their in-memory layout), so repeated tuning runs on the same dataset
-  /// skip re-quantization. Throws anb::Error on IO failure.
-  void save_binary(const std::string& path) const;
-
-  /// Reload a save_binary() artifact. With MapMode::kMap the edge and code
-  /// arrays are zero-copy views into a file mapping. Validates structure
-  /// (offsets monotone, every code within its feature's bin count) and
-  /// throws anb::Error on any corruption; the reloaded matrix is
-  /// indistinguishable from the constructed one.
-  static BinnedMatrix load_binary(const std::string& path, io::MapMode mode);
 
  private:
-  BinnedMatrix() = default;  // load_binary scratch
-  void validate() const;
-
   std::size_t num_rows_ = 0;
   std::size_t num_features_ = 0;
   int max_bins_ = 0;
   int max_hist_bins_ = 1;
   // Per-feature edge lists stored flat: feature f's edges occupy
-  // edges_flat_[edge_offsets_[f] .. edge_offsets_[f+1]). ArrayRef so the
-  // binary load path can view artifact sections in place.
-  io::ArrayRef<double> edges_flat_;
-  io::ArrayRef<std::uint64_t> edge_offsets_;  ///< d + 1 prefix offsets
-  io::ArrayRef<std::uint8_t> codes_;          ///< column-major, d * n codes
+  // edges_flat_[edge_offsets_[f] .. edge_offsets_[f+1]).
+  std::vector<double> edges_flat_;
+  std::vector<std::size_t> edge_offsets_;  ///< d + 1 prefix offsets
+  std::vector<std::uint8_t> codes_;        ///< column-major, d * n codes
 };
 
 }  // namespace anb

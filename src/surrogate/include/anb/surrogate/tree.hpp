@@ -11,6 +11,10 @@
 
 namespace anb {
 
+namespace detail {
+struct UnitNode;
+}  // namespace detail
+
 /// One node of a binary regression tree. Internal nodes route
 /// x[feature] < threshold to `left`, else `right`; leaves hold `value`.
 struct TreeNode {
@@ -122,6 +126,15 @@ class ColumnIndex {
 /// fitted tree is bit-identical to a full scan (tests/surrogate/
 /// tree_golden_test.cpp pins this).
 ///
+/// When every live row has h = 1 and w = 1 (every Gbdt fit; checked once
+/// per build()) and the dispatch target is AVX2, the two-valued columns go
+/// through a split kernel instead (src/surrogate/split_kernels.hpp): the
+/// h, w and row sums are one integer count, and the g sums are one dense
+/// ordered fold in which a row outside a column adds +0.0, which is
+/// exactly skipping it. The kernel scores the candidates with score()'s
+/// operations in its order, so it is bit-identical to the scatter, which
+/// stays the path for every other fit and target.
+///
 /// A builder keeps its scratch buffers between build() calls, so one
 /// builder serves every tree of a boosting fit. Not thread-safe: use one
 /// builder per thread.
@@ -178,8 +191,14 @@ class TreeBuilder {
   /// Sums and scores a column with several values below its top run.
   void scan_column(std::size_t f, std::size_t num_active,
                    const TreeParams& params);
+  /// Node a's two-valued candidates through the split kernel, for a fit
+  /// whose live rows are all unit rows.
+  void scan_unit_rows(std::size_t a, const std::uint64_t* sampled,
+                      const TreeParams& params);
   void score(std::size_t a, std::size_t f, const Sums& left, double lo,
              double hi, const TreeParams& params);
+  /// Keeps the candidate if it beats node a's best split.
+  void offer(std::size_t a, std::size_t f, double gain, double lo, double hi);
   bool allowed(std::size_t a, std::size_t f) const {
     return allowed_.empty() || allowed_[a * plans_.size() + f] != 0;
   }
@@ -197,6 +216,13 @@ class TreeBuilder {
   std::vector<std::size_t> next_begin_;
   std::vector<std::uint32_t> right_rows_;
   std::vector<Sums> column_sums_;         // one node's two-valued sums
+  // The split kernel for this build(), or nullptr for the scatter; its
+  // per-node inputs and outputs.
+  void (*unit_split_)(const detail::UnitNode&, double*, std::uint64_t*) =
+      nullptr;
+  std::vector<double> node_g_;
+  std::vector<double> unit_gain_;
+  std::vector<std::uint64_t> unit_valid_;
   std::vector<ColumnView> views_;  // per feature
   std::vector<std::uint32_t> view_rows_;  // compacted views live here
   std::vector<double> view_values_;

@@ -5,6 +5,8 @@
 
 #include "anb/util/error.hpp"
 #include "anb/util/parallel.hpp"
+#include "anb/util/simd.hpp"
+#include "split_kernels.hpp"
 
 namespace anb {
 
@@ -148,6 +150,13 @@ double leaf_gain(double g, double h, double lambda) {
   return g * g / (h + lambda);
 }
 
+/// The count-exact split kernel for the dispatch target, or nullptr where
+/// only the scatter runs (scalar target, or no AVX2 build of the kernel).
+detail::UnitSplitFn unit_split_kernel() {
+  if (simd::active_target() != simd::Target::kAvx2) return nullptr;
+  return detail::avx2_unit_split_kernel();
+}
+
 }  // namespace
 
 TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
@@ -163,6 +172,8 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
   for (std::size_t t = 0; t < two_valued.size(); ++t)
     all_bits_[t / 64] |= std::uint64_t{1} << (t % 64);
   column_sums_.resize(64 * columns.mask_words());
+  unit_gain_.resize(64 * columns.mask_words());
+  unit_valid_.resize(columns.mask_words());
 
   std::size_t view_end = 0;
   for (std::size_t f = 0; f < plans_.size(); ++f) {
@@ -199,12 +210,19 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
   row_sums_.resize(n);
   position_.resize(n);
   node_rows_.clear();
+  bool unit_rows = true;
   for (std::size_t i = 0; i < n; ++i) {
     const double w = row_weight[i];
     row_sums_[i] = {w * g[i], w * h[i], w, 1.0};
     position_[i] = w == 0.0 ? -1 : 0;
-    if (w != 0.0) node_rows_.push_back(static_cast<std::uint32_t>(i));
+    if (w != 0.0) {
+      node_rows_.push_back(static_cast<std::uint32_t>(i));
+      unit_rows = unit_rows && w == 1.0 && h[i] == 1.0;
+    }
   }
+  // Every live row of a Gbdt fit has h = 1 and w = 1, so its two-valued
+  // sums are one ordered g fold and a count (split_kernels.hpp).
+  unit_split_ = unit_rows ? unit_split_kernel() : nullptr;
   node_begin_.assign({0, node_rows_.size()});
   std::size_t live = node_rows_.size();
   std::fill(row_leaf.begin(), row_leaf.end(), -1);
@@ -388,6 +406,10 @@ void TreeBuilder::scan_two_valued(std::size_t num_active,
   for (std::size_t a = 0; a < num_active; ++a) {
     const std::uint64_t* const sampled =
         allowed_.empty() ? all_bits_.data() : sampled_bits_.data() + a * words;
+    if (unit_split_ != nullptr) {
+      scan_unit_rows(a, sampled, params);
+      continue;
+    }
     for (std::size_t w = 0; w < words; ++w) {
       for (std::uint64_t bits = sampled[w]; bits != 0; bits &= bits - 1)
         sums[64 * w + static_cast<std::size_t>(std::countr_zero(bits))] = {};
@@ -419,6 +441,48 @@ void TreeBuilder::scan_two_valued(std::size_t num_active,
           score(a, two_valued[t], left, plan.low, plan.top, params);
         }
       }
+    }
+  }
+}
+
+void TreeBuilder::scan_unit_rows(std::size_t a, const std::uint64_t* sampled,
+                                 const TreeParams& params) {
+  const std::size_t begin = node_begin_[a];
+  const std::size_t size = node_begin_[a + 1] - begin;
+  node_g_.resize(size);
+  double total_g = 0.0;
+  for (std::size_t s = 0; s < size; ++s) {
+    const double g = row_sums_[node_rows_[begin + s]].g;
+    node_g_[s] = g;
+    total_g += g;
+  }
+  // The scatter's totals: h, w and rows each add 1.0 per row.
+  const auto count = static_cast<double>(size);
+  totals_[a] = {total_g, count, count, count};
+  parent_gain_[a] = leaf_gain(total_g, count, params.lambda);
+
+  detail::UnitNode node;
+  node.rows = node_rows_.data() + begin;
+  node.g = node_g_.data();
+  node.size = size;
+  node.masks = columns_.below_top_masks().data();
+  node.words = columns_.mask_words();
+  node.sampled = sampled;
+  node.total_g = total_g;
+  node.parent_gain = parent_gain_[a];
+  node.lambda = params.lambda;
+  node.min_child_weight = params.min_child_weight;
+  node.min_samples_leaf = params.min_samples_leaf;
+  unit_split_(node, unit_gain_.data(), unit_valid_.data());
+
+  const auto two_valued = columns_.two_valued_columns();
+  for (std::size_t w = 0; w < node.words; ++w) {
+    for (std::uint64_t bits = unit_valid_[w] & sampled[w]; bits != 0;
+         bits &= bits - 1) {
+      const std::size_t t =
+          64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      const ColumnPlan& plan = plans_[two_valued[t]];
+      offer(a, two_valued[t], unit_gain_[t], plan.low, plan.top);
     }
   }
 }
@@ -457,16 +521,22 @@ void TreeBuilder::score(std::size_t a, std::size_t f, const Sums& left,
   const double rw = tot.w - left.w;
   if (left.h >= params.min_child_weight && rh >= params.min_child_weight &&
       left.w >= params.min_samples_leaf && rw >= params.min_samples_leaf) {
-    const double gain = leaf_gain(left.g, left.h, params.lambda) +
-                        leaf_gain(rg, rh, params.lambda) - parent_gain_[a];
-    // The lowest (feature, position) wins a tie, as in one scan of every
-    // column in feature order with a strict `>`: columns are not scored in
-    // feature order, but a column's own candidates are in position order.
-    Split& best = best_[a];
-    const int feature = static_cast<int>(f);
-    if (gain > best.gain || (gain == best.gain && feature < best.feature))
-      best = {gain, feature, 0.5 * (lo + hi)};
+    offer(a, f,
+          leaf_gain(left.g, left.h, params.lambda) +
+              leaf_gain(rg, rh, params.lambda) - parent_gain_[a],
+          lo, hi);
   }
+}
+
+void TreeBuilder::offer(std::size_t a, std::size_t f, double gain, double lo,
+                        double hi) {
+  // The lowest (feature, position) wins a tie, as in one scan of every
+  // column in feature order with a strict `>`: columns are not scored in
+  // feature order, but a column's own candidates are in position order.
+  Split& best = best_[a];
+  const int feature = static_cast<int>(f);
+  if (gain > best.gain || (gain == best.gain && feature < best.feature))
+    best = {gain, feature, 0.5 * (lo + hi)};
 }
 
 RegressionTree build_tree(const Dataset& data, const ColumnIndex& columns,

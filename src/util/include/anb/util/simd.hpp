@@ -12,15 +12,22 @@
 //    time, so a binary built on an AVX2 box still runs on an older CPU.
 //  - ScalarIsa / Avx2Isa / NeonIsa: *compile-time* policy structs with an
 //    identical static interface (32 x u8 lanes), consumed by kernel
-//    templates. The vector ISAs are only defined when the translation unit
-//    is compiled with the matching -m flags, which makes it impossible to
-//    instantiate an AVX2 kernel in a TU that could leak AVX2 instructions
-//    into baseline code paths.
+//    templates. ScalarIsa and Avx2Isa add a 4 x f64 tier for the split
+//    kernel of the tree builder. The vector ISAs are only defined when the
+//    translation unit is compiled with the matching -m flags, which makes
+//    it impossible to instantiate an AVX2 kernel in a TU that could leak
+//    AVX2 instructions into baseline code paths.
 //
-// Exactness: every op here is bitwise or an integer compare, so it is
-// bit-exact against its scalar meaning; kernels built on these ops can
-// promise bit-identical results to a scalar loop.
+// Exactness: the byte ops and the f64 bitwise, compare and lane-select
+// ops are bitwise or integer operations, so they are bit-exact against
+// their scalar meaning. The f64 add/sub/mul/div are single IEEE-754
+// round-to-nearest operations per lane, so they match the scalar C++
+// operators bit for bit only when neither side fuses a mul and an add:
+// the AVX2 TU is compiled with -mno-fma -ffp-contract=off, and kernels
+// must keep the scalar operation order. Kernels built on these ops can
+// then promise bit-identical results to a scalar loop.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -126,6 +133,25 @@ class AlignedBuf {
 //   b_cmplt_s8            signed per-byte a < b -> 0xFF/0x00. Callers
 //                         compare unsigned codes by pre-XORing both
 //                         sides with 0x80 (order-preserving bias).
+//   b_bits                lane i = 0xFF if bit i of a 32-bit word is set,
+//                         else 0x00
+//   b_sub                 per-byte wrapping a - b (subtracting a b_bits
+//                         mask counts the set bits lane by lane)
+//
+// ScalarIsa and Avx2Isa add a 4 x f64 tier for the tree builder's split
+// kernel (fold gradients into per-column sums, score the candidates):
+//
+//   VF64                  vector of 4 x f64
+//   d_zero/d_splat        +0.0 in every lane, broadcast
+//   d_load/d_store        unaligned load/store (32 bytes)
+//   d_add/d_sub/d_mul/d_div  IEEE-754 lane-wise arithmetic
+//   d_and                 bitwise AND
+//   d_cmpge/d_cmpgt       ordered a >= b / a > b -> all-ones or +0.0
+//                         lanes (false for NaN, as the C++ operators)
+//   d_movemask            the lanes' sign bits as bits 0..3
+//   VBits/d_bits          a 64-bit word broadcast for d_keep
+//   d_keep(x, bits, k)    lane j = x_j if bit 4k+j of the word is set,
+//                         else +0.0 (k in [0, 16))
 // ---------------------------------------------------------------------------
 
 /// Reference implementation: plain loops over a 32-lane struct. Always
@@ -171,6 +197,79 @@ struct ScalarIsa {
                    : 0x00;
     return r;
   }
+  static VU8 b_bits(std::uint32_t bits) {
+    VU8 r;
+    for (int i = 0; i < 32; ++i) r.v[i] = (bits >> i) & 1U ? 0xFF : 0x00;
+    return r;
+  }
+  static VU8 b_sub(VU8 a, VU8 b) {
+    VU8 r;
+    for (int i = 0; i < 32; ++i)
+      r.v[i] = static_cast<std::uint8_t>(a.v[i] - b.v[i]);
+    return r;
+  }
+
+  struct VF64 {
+    double v[4];
+  };
+  struct VBits {
+    std::uint64_t word;
+  };
+
+  static VF64 d_splat(double x) { return {{x, x, x, x}}; }
+  static VF64 d_zero() { return d_splat(0.0); }
+  static VF64 d_load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
+  static void d_store(double* p, VF64 x) {
+    for (int j = 0; j < 4; ++j) p[j] = x.v[j];
+  }
+  static VF64 d_add(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] += b.v[j];
+    return a;
+  }
+  static VF64 d_sub(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] -= b.v[j];
+    return a;
+  }
+  static VF64 d_mul(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] *= b.v[j];
+    return a;
+  }
+  static VF64 d_div(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] /= b.v[j];
+    return a;
+  }
+  static VF64 d_and(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j)
+      a.v[j] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v[j]) &
+                                     std::bit_cast<std::uint64_t>(b.v[j]));
+    return a;
+  }
+  static VF64 d_cmpge(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] = lane_mask(a.v[j] >= b.v[j]);
+    return a;
+  }
+  static VF64 d_cmpgt(VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j) a.v[j] = lane_mask(a.v[j] > b.v[j]);
+    return a;
+  }
+  static unsigned d_movemask(VF64 x) {
+    unsigned r = 0;
+    for (int j = 0; j < 4; ++j)
+      r |= static_cast<unsigned>(std::bit_cast<std::uint64_t>(x.v[j]) >> 63)
+           << j;
+    return r;
+  }
+  static VBits d_bits(std::uint64_t word) { return {word}; }
+  static VF64 d_keep(VF64 x, VBits bits, int k) {
+    for (int j = 0; j < 4; ++j)
+      if (((bits.word >> (4 * k + j)) & 1U) == 0) x.v[j] = 0.0;
+    return x;
+  }
+
+ private:
+  static double lane_mask(bool on) {
+    return std::bit_cast<double>(on ? ~std::uint64_t{0} : std::uint64_t{0});
+  }
 };
 
 #if defined(__AVX2__)
@@ -193,6 +292,60 @@ struct Avx2Isa {
   static VU8 b_and(VU8 a, VU8 b) { return _mm256_and_si256(a, b); }
   static VU8 b_or(VU8 a, VU8 b) { return _mm256_or_si256(a, b); }
   static VU8 b_cmplt_s8(VU8 a, VU8 b) { return _mm256_cmpgt_epi8(b, a); }
+  static VU8 b_bits(std::uint32_t bits) {
+    // Byte i takes byte i/8 of the word, then keeps bit i%8 of it.
+    const __m256i spread = _mm256_shuffle_epi8(
+        _mm256_set1_epi32(static_cast<int>(bits)),
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2,
+                         2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3));
+    const __m256i select =
+        _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+    return _mm256_cmpeq_epi8(_mm256_and_si256(spread, select), select);
+  }
+  static VU8 b_sub(VU8 a, VU8 b) { return _mm256_sub_epi8(a, b); }
+
+  using VF64 = __m256d;
+  using VBits = __m256i;
+
+  static VF64 d_zero() { return _mm256_setzero_pd(); }
+  static VF64 d_splat(double x) { return _mm256_set1_pd(x); }
+  static VF64 d_load(const double* p) { return _mm256_loadu_pd(p); }
+  static void d_store(double* p, VF64 x) { _mm256_storeu_pd(p, x); }
+  static VF64 d_add(VF64 a, VF64 b) { return _mm256_add_pd(a, b); }
+  static VF64 d_sub(VF64 a, VF64 b) { return _mm256_sub_pd(a, b); }
+  static VF64 d_mul(VF64 a, VF64 b) { return _mm256_mul_pd(a, b); }
+  static VF64 d_div(VF64 a, VF64 b) { return _mm256_div_pd(a, b); }
+  static VF64 d_and(VF64 a, VF64 b) { return _mm256_and_pd(a, b); }
+  static VF64 d_cmpge(VF64 a, VF64 b) {
+    return _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  static VF64 d_cmpgt(VF64 a, VF64 b) {
+    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+  }
+  static unsigned d_movemask(VF64 x) {
+    return static_cast<unsigned>(_mm256_movemask_pd(x));
+  }
+  static VBits d_bits(std::uint64_t word) {
+    return _mm256_set1_epi64x(static_cast<long long>(word));
+  }
+  static VF64 d_keep(VF64 x, VBits bits, int k) {
+    const __m256i select = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kLaneBits.bit + 4 * k));
+    const __m256i on =
+        _mm256_cmpeq_epi64(_mm256_and_si256(bits, select), select);
+    return _mm256_and_pd(_mm256_castsi256_pd(on), x);
+  }
+
+ private:
+  /// bit[i] = 1 << i: lane j of group k selects bit 4k+j.
+  struct alignas(32) LaneBits {
+    std::uint64_t bit[64];
+  };
+  static constexpr LaneBits kLaneBits = [] {
+    LaneBits t{};
+    for (int i = 0; i < 64; ++i) t.bit[i] = std::uint64_t{1} << i;
+    return t;
+  }();
 };
 #endif  // __AVX2__
 

@@ -7,6 +7,9 @@
 // gradient sum, a different candidate order, a different tie-break or
 // rng consumption) fails here. If a deliberate model change lands,
 // regenerate by pasting the "actual" values from the failure output.
+// Every list is checked under each dispatch target this CPU runs: the
+// scalar target sums two-valued columns with the builder's scatter, and
+// AVX2 runs unit-row fits through the split kernel (split_kernels.hpp).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/tree.hpp"
 #include "anb/util/rng.hpp"
+#include "anb/util/simd.hpp"
 
 namespace anb {
 namespace {
@@ -298,6 +302,21 @@ std::string hex_list(const std::vector<std::uint64_t>& values) {
   return s;
 }
 
+/// Checks `fingerprints()` against `expected` under every dispatch target
+/// the tree builder distinguishes and this CPU can run.
+template <class Fingerprints>
+void expect_under_every_target(const std::vector<std::uint64_t>& expected,
+                               Fingerprints fingerprints) {
+  for (const simd::Target target :
+       {simd::Target::kScalar, simd::Target::kAvx2}) {
+    if (!simd::cpu_supports(target)) continue;
+    simd::ScopedTarget scoped(target);
+    const auto actual = fingerprints();
+    EXPECT_EQ(actual, expected) << "target " << simd::target_name(target)
+                                << ", actual:\n" << hex_list(actual);
+  }
+}
+
 TEST(TreeGoldenTest, SingleTreesMatchRecordedFingerprints) {
   const std::vector<std::uint64_t> expected{
       0x30ae21956df812eeULL, 0x3acf8e0188b06a4dULL, 0x46397af6d04af31aULL,
@@ -305,8 +324,7 @@ TEST(TreeGoldenTest, SingleTreesMatchRecordedFingerprints) {
       0x53a4608f74bfc4b6ULL, 0x222bdf788602ca09ULL, 0x3f80ddb5feef1ddaULL,
       0xdf7340ed7a95cb96ULL,
   };
-  const auto actual = tree_fingerprints();
-  EXPECT_EQ(actual, expected) << "actual:\n" << hex_list(actual);
+  expect_under_every_target(expected, tree_fingerprints);
 }
 
 TEST(TreeGoldenTest, FittedModelsMatchRecordedFingerprints) {
@@ -314,8 +332,7 @@ TEST(TreeGoldenTest, FittedModelsMatchRecordedFingerprints) {
       0x142710a41712de97ULL, 0x211b41230ccfde26ULL, 0x37bfea139c1df218ULL,
       0x346fa64313927a67ULL, 0x3e905155f664c7d4ULL, 0x4eeac907da49eac3ULL,
   };
-  const auto actual = model_fingerprints();
-  EXPECT_EQ(actual, expected) << "actual:\n" << hex_list(actual);
+  expect_under_every_target(expected, model_fingerprints);
 }
 
 TEST(TreeGoldenTest, WideAndMixedTreesMatchRecordedFingerprints) {
@@ -326,8 +343,7 @@ TEST(TreeGoldenTest, WideAndMixedTreesMatchRecordedFingerprints) {
       0x32e1e499dec5b702ULL, 0x32a2dd7142845647ULL, 0xad7f02217cb15656ULL,
       0x931831fd26071733ULL,
   };
-  const auto actual = wide_fingerprints();
-  EXPECT_EQ(actual, expected) << "actual:\n" << hex_list(actual);
+  expect_under_every_target(expected, wide_fingerprints);
 }
 
 }  // namespace
