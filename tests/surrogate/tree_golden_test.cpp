@@ -1,15 +1,17 @@
 // Golden fingerprints of the exact-greedy tree builder. Each case fits a
-// tree (or a whole Gbdt / RandomForest) on a seeded dataset and hashes
-// every node bit for bit, plus the caller's rng position afterwards. The
-// first two lists were recorded from the original full-column scan and the
-// third from the column-major scan that preceded the node-major pass, so
-// any change to the split search that is not bit-identical (a re-associated
-// gradient sum, a different candidate order, a different tie-break or
-// rng consumption) fails here. If a deliberate model change lands,
-// regenerate by pasting the "actual" values from the failure output.
-// Every list is checked under each dispatch target this CPU runs: the
-// scalar target sums two-valued columns with the builder's scatter, and
-// AVX2 runs unit-row fits through the split kernel (split_kernels.hpp).
+// tree (or a whole Gbdt, RandomForest or HistGbdt) on a seeded dataset and
+// hashes every node bit for bit, plus the caller's rng position afterwards.
+// The first two lists were recorded from the original full-column scan and
+// the third from the column-major scan that preceded the node-major pass
+// (the two HistGbdt fits were recorded later, before the tree builders
+// wrote FlatNode arrays directly), so any change to the split search that
+// is not bit-identical (a re-associated gradient sum, a different candidate
+// order, a different tie-break or rng consumption) fails here. If a
+// deliberate model change lands, regenerate by pasting the "actual" values
+// from the failure output. Every list is checked under each dispatch target
+// this CPU runs: the scalar target sums two-valued columns with the
+// builder's scatter, and AVX2 runs unit-row fits through the split kernel
+// (split_kernels.hpp).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "anb/surrogate/gbdt.hpp"
+#include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/tree.hpp"
 #include "anb/util/rng.hpp"
@@ -243,6 +246,17 @@ std::vector<std::uint64_t> model_fingerprints() {
     rf.max_depth = 12;
     out.push_back(model_fingerprint(RandomForest(rf), *data, 33));
   }
+  // Histogram boosting, bagged and feature-sampled on the one-hot rows and
+  // plain on the mixed ones.
+  HistGbdtParams hist_sampled;
+  hist_sampled.n_estimators = 50;
+  hist_sampled.subsample = 0.7;
+  hist_sampled.colsample = 0.6;
+  out.push_back(model_fingerprint(HistGbdt(hist_sampled), onehot, 34));
+  HistGbdtParams hist_plain;
+  hist_plain.n_estimators = 40;
+  hist_plain.max_leaves = 12;
+  out.push_back(model_fingerprint(HistGbdt(hist_plain), mixed, 35));
   return out;
 }
 
@@ -331,6 +345,7 @@ TEST(TreeGoldenTest, FittedModelsMatchRecordedFingerprints) {
   const std::vector<std::uint64_t> expected{
       0x142710a41712de97ULL, 0x211b41230ccfde26ULL, 0x37bfea139c1df218ULL,
       0x346fa64313927a67ULL, 0x3e905155f664c7d4ULL, 0x4eeac907da49eac3ULL,
+      0xa902a32545a27131ULL, 0xfb43cb35d9c291f9ULL,
   };
   expect_under_every_target(expected, model_fingerprints);
 }
