@@ -21,16 +21,6 @@ namespace {
 /// every row of the block.
 constexpr std::size_t kRowBlock = 64;
 
-/// Advance one row one level. Leaves self-loop, so the step is uniform
-/// whether or not the row has reached its leaf — and "index unchanged" is
-/// exactly the leaf test (internal nodes never point at themselves; the
-/// constructor validates this).
-inline std::int32_t step(const FlatNode* nodes, std::int32_t at,
-                         const double* x) {
-  const FlatNode node = nodes[at];
-  return x[node.feature] < node.split ? node.left : node.right;
-}
-
 /// Process-wide forced descent path (0 == kAuto). Relaxed is enough: the
 /// override is test/bench scaffolding flipped while the engine is quiet.
 std::atomic<int> g_forced_path{0};
@@ -154,42 +144,29 @@ void quantize_transposed(const FlatForest::SimdTables& tb, const double* rows,
 
 }  // namespace
 
-FlatForest::FlatForest(std::span<const RegressionTree> trees) {
+FlatForest::FlatForest(std::span<const std::vector<FlatNode>> trees) {
   std::vector<FlatNode> nodes;
   std::vector<std::int32_t> roots;
   std::size_t total = 0;
-  for (const auto& tree : trees) total += tree.nodes().size();
+  for (const auto& tree : trees) total += tree.size();
+  ANB_CHECK(total <= static_cast<std::size_t>(
+                         std::numeric_limits<std::int32_t>::max()),
+            "FlatForest: node count exceeds int32 indexing");
   nodes.reserve(total);
   roots.reserve(trees.size());
-
   for (const auto& tree : trees) {
-    const auto& src = tree.nodes();
-    ANB_CHECK(!src.empty(), "FlatForest: tree with no nodes");
+    ANB_CHECK(!tree.empty(), "FlatForest: tree with no nodes");
     const auto base = static_cast<std::int32_t>(nodes.size());
+    const auto count = static_cast<std::int32_t>(tree.size());
     roots.push_back(base);
-    const auto count = static_cast<std::int32_t>(src.size());
-    for (std::int32_t i = 0; i < count; ++i) {
-      const TreeNode& n = src[static_cast<std::size_t>(i)];
-      FlatNode fn;
-      if (n.feature >= 0) {
-        ANB_CHECK(n.left >= 0 && n.left < count && n.right >= 0 &&
-                      n.right < count,
-                  "FlatForest: dangling child index");
-        ANB_CHECK(n.left != i && n.right != i,
-                  "FlatForest: internal node is its own child");
-        fn.split = n.threshold;
-        fn.feature = n.feature;
-        fn.left = base + n.left;
-        fn.right = base + n.right;
-      } else {
-        // Leaf: value in the split slot, children self-loop. A row that
-        // has reached its leaf becomes a fixed point of step().
-        fn.split = n.value;
-        fn.feature = 0;
-        fn.left = base + i;
-        fn.right = base + i;
-      }
-      nodes.push_back(fn);
+    // Range-check before rebasing, so no index can overflow int32.
+    for (FlatNode n : tree) {
+      ANB_CHECK(n.left >= 0 && n.left < count && n.right >= 0 &&
+                    n.right < count,
+                "FlatForest: dangling child index");
+      n.left += base;
+      n.right += base;
+      nodes.push_back(n);
     }
   }
   nodes_ = io::ArrayRef<FlatNode>(std::move(nodes));
@@ -433,40 +410,7 @@ double FlatForest::predict_tree(std::size_t t, std::span<const double> x) const 
                                "range");
   ANB_CHECK(max_feature_ < static_cast<std::int32_t>(x.size()),
             "FlatForest::predict_tree: feature index out of range");
-  const FlatNode* const nodes = nodes_.data();
-  std::int32_t at = roots_[t];
-  for (std::int32_t next = step(nodes, at, x.data()); next != at;
-       next = step(nodes, at, x.data())) {
-    at = next;
-  }
-  return nodes[at].split;
-}
-
-std::vector<RegressionTree> FlatForest::to_trees() const {
-  std::vector<RegressionTree> out;
-  out.reserve(roots_.size());
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::int32_t lo = roots_[t];
-    const std::int32_t hi = t + 1 < roots_.size()
-                                ? roots_[t + 1]
-                                : static_cast<std::int32_t>(nodes_.size());
-    std::vector<TreeNode> nodes(static_cast<std::size_t>(hi - lo));
-    for (std::int32_t i = lo; i < hi; ++i) {
-      const FlatNode& fn = nodes_[static_cast<std::size_t>(i)];
-      TreeNode& n = nodes[static_cast<std::size_t>(i - lo)];
-      if (fn.left == i && fn.right == i) {
-        n.feature = -1;
-        n.value = fn.split;
-      } else {
-        n.feature = fn.feature;
-        n.threshold = fn.split;
-        n.left = fn.left - lo;
-        n.right = fn.right - lo;
-      }
-    }
-    out.emplace_back(std::move(nodes));
-  }
-  return out;
+  return walk_tree(nodes_.data(), roots_[t], x.data());
 }
 
 namespace {
@@ -582,13 +526,8 @@ void interleaved_accumulate(const FlatNode* nodes,
         out[begin + i + 3] += scale * nodes[a3].split;
       }
       for (; i < nb; ++i) {
-        const double* const x = block + i * num_features;
-        std::int32_t at = root;
-        for (std::int32_t next = step(nodes, at, x); next != at;
-             next = step(nodes, at, x)) {
-          at = next;
-        }
-        out[begin + i] += scale * nodes[at].split;
+        out[begin + i] +=
+            scale * walk_tree(nodes, root, block + i * num_features);
       }
     }
   }

@@ -67,7 +67,7 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
   std::vector<double> pred(n, base_score_);
   std::vector<double> g(n), h(n, 1.0), weight(n, 1.0);
   std::vector<int> leaf(n);
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
   trees.reserve(static_cast<std::size_t>(params_.n_estimators));
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Squared loss: g = prediction residual, constant hessian. A few
@@ -78,18 +78,17 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
       for (std::size_t i = 0; i < n; ++i)
         weight[i] = rng.bernoulli(params_.subsample) ? 1.0 : 0.0;
     }
-    RegressionTree tree = builder.build(g, h, weight, tp, rng, leaf);
+    const std::vector<FlatNode>& nodes =
+        trees.emplace_back(builder.build(g, h, weight, tp, rng, leaf));
     // The builder already knows the leaf of every row it fitted; only rows
     // left out by subsampling walk the tree. Either way it is the leaf
-    // predict() reaches, so predictions match the walk bit for bit.
-    const auto& nodes = tree.nodes();
+    // walk_tree reaches, so predictions match the walk bit for bit.
     for (std::size_t i = 0; i < n; ++i) {
       const double value =
-          leaf[i] >= 0 ? nodes[static_cast<std::size_t>(leaf[i])].value
-                       : tree.predict(train.row(i));
+          leaf[i] >= 0 ? nodes[static_cast<std::size_t>(leaf[i])].split
+                       : walk_tree(nodes.data(), 0, train.row(i).data());
       pred[i] += params_.learning_rate * value;
     }
-    trees.push_back(std::move(tree));
   }
   // Depth-capped boosting (default max_depth 3) keeps every tree at <= 8
   // leaves, so fitted models qualify for the masked SIMD descent engine

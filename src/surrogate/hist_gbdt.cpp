@@ -46,9 +46,6 @@ struct Leaf {
 /// histogram cell receives its contributions in leaf-row order regardless.
 constexpr std::size_t kMinParallelHistWork = 1u << 16;
 
-/// Rows per chunk for the element-wise prediction-update loop.
-constexpr std::size_t kRowChunk = 2048;
-
 }  // namespace
 
 HistGbdt::HistGbdt(HistGbdtParams params) : params_(std::move(params)) {
@@ -173,7 +170,8 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
     }
   };
 
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
+  std::vector<int> row_leaf(n);
   trees.reserve(static_cast<std::size_t>(params_.n_estimators));
   for (int t = 0; t < params_.n_estimators; ++t) {
     // Inline, as in Gbdt: too little work to start threads for.
@@ -196,7 +194,7 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
       for (std::size_t f : rng.sample_indices(d, k)) feat_ok[f] = 1;
     }
 
-    std::vector<TreeNode> nodes(1);
+    std::vector<FlatNode>& nodes = trees.emplace_back(1);
     std::vector<Leaf> leaves;  // indexed by heap payload
     auto make_leaf = [&](int node_id, std::vector<std::uint32_t> rows) {
       Leaf leaf;
@@ -240,18 +238,11 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
       ANB_ASSERT(!left_rows.empty() && !right_rows.empty(),
                  "HistGbdt: degenerate split");
 
-      // emplace_back below may reallocate `nodes`: finish every write
-      // through the parent reference first and keep the child indices in
-      // locals (heap-use-after-free otherwise; caught by ASan).
+      // Written before emplace_back, which may reallocate `nodes`.
       const int left_child = static_cast<int>(nodes.size());
-      {
-        TreeNode& parent = nodes[static_cast<std::size_t>(leaf.node_id)];
-        parent.feature = split.feature;
-        parent.threshold =
-            binned.edge(static_cast<std::size_t>(split.feature), split.bin);
-        parent.left = left_child;
-        parent.right = left_child + 1;
-      }
+      nodes[static_cast<std::size_t>(leaf.node_id)] = {
+          binned.edge(static_cast<std::size_t>(split.feature), split.bin),
+          split.feature, left_child, left_child + 1};
       nodes.emplace_back();
       nodes.emplace_back();
 
@@ -274,18 +265,24 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
       ++leaf_count;
     }
 
-    // Finalize leaf values and update predictions.
+    // Finalize the leaves (a split reuses its parent's slot in `leaves`,
+    // so every entry is one) and update predictions by leaf, as in Gbdt:
+    // a fitted row sits in the leaf whose rows hold it, because a code
+    // `<= bin` is exactly `x < edge(bin)`; only rows bagging left out walk
+    // the tree.
+    std::fill(row_leaf.begin(), row_leaf.end(), -1);
     for (const Leaf& leaf : leaves) {
-      TreeNode& node = nodes[static_cast<std::size_t>(leaf.node_id)];
-      if (node.feature >= 0) continue;  // became an internal node
-      node.value = leaf.w > 0.0 ? -leaf.g / (leaf.h + params_.lambda) : 0.0;
+      nodes[static_cast<std::size_t>(leaf.node_id)] = {
+          leaf.w > 0.0 ? -leaf.g / (leaf.h + params_.lambda) : 0.0, 0,
+          leaf.node_id, leaf.node_id};
+      for (const std::uint32_t row : leaf.rows) row_leaf[row] = leaf.node_id;
     }
-    RegressionTree tree(std::move(nodes));
-    parallel_for_chunks(n, kRowChunk, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        pred[i] += params_.learning_rate * tree.predict(train.row(i));
-    });
-    trees.push_back(std::move(tree));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value =
+          row_leaf[i] >= 0 ? nodes[static_cast<std::size_t>(row_leaf[i])].split
+                           : walk_tree(nodes.data(), 0, train.row(i).data());
+      pred[i] += params_.learning_rate * value;
+    }
   }
   // Histogram training snaps every split to a bin edge, so each feature
   // carries at most max_bins distinct thresholds and the leaf count is

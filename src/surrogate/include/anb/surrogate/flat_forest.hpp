@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "anb/surrogate/tree.hpp"
 #include "anb/util/io.hpp"
 #include "anb/util/mutex.hpp"
 #include "anb/util/thread_annotations.hpp"
@@ -42,12 +41,14 @@ class ScopedDescentPath {
   ScopedDescentPath& operator=(const ScopedDescentPath&) = delete;
 };
 
-/// One node of a flattened forest. Internal nodes route
-/// x[feature] < split to `left`, else `right`. Leaves reuse the `split`
-/// slot for the leaf value and point `left`/`right` at *themselves*
-/// (self-loop), so advancing a row one level is branch-free and uniform
-/// whether or not the row has already reached its leaf. 24 bytes instead
-/// of RegressionTree's 32; child indices address the forest-global array.
+/// One node of a regression tree, from the tree builders to both artifact
+/// formats. Internal nodes route x[feature] < split to `left`, else
+/// `right`. Leaves reuse the `split` slot for the leaf value, set
+/// `feature` to 0 and point `left`/`right` at *themselves* (self-loop), so
+/// advancing a row one level is branch-free and uniform whether or not the
+/// row has already reached its leaf. A builder's tree indexes its own
+/// nodes from root 0; inside a FlatForest, child indices address the
+/// forest-global array.
 struct FlatNode {
   double split = 0.0;  ///< threshold (internal) or leaf value (leaf)
   std::int32_t feature = 0;
@@ -64,12 +65,32 @@ static_assert(sizeof(FlatNode) == 24, "FlatNode layout is serialized");
 static_assert(std::is_trivially_copyable_v<FlatNode>);
 static_assert(alignof(FlatNode) == 8);
 
-/// A fitted tree ensemble flattened into one contiguous node array for
-/// batched prediction. Scalar prediction walks each RegressionTree's own
-/// heap vector per row — one pointer chase per tree per row, a bounds
-/// check per node visit, and a serial data-dependent load chain that
-/// leaves the core idle between levels. Flattening removes the first two;
-/// the interleaved descent in accumulate() removes the third: two
+/// Advance one row one level. Leaves self-loop, so the step is uniform
+/// whether or not the row has reached its leaf — and "index unchanged" is
+/// exactly the leaf test (internal nodes never point at themselves;
+/// FlatForest validates this).
+inline std::int32_t step(const FlatNode* nodes, std::int32_t at,
+                         const double* x) {
+  const FlatNode node = nodes[at];
+  return x[node.feature] < node.split ? node.left : node.right;
+}
+
+/// The scalar walk: the leaf value row `x` reaches from `root`. Every
+/// descent engine reproduces its `x[feature] < split` comparisons.
+inline double walk_tree(const FlatNode* nodes, std::int32_t root,
+                        const double* x) {
+  std::int32_t at = root;
+  for (std::int32_t next = step(nodes, at, x); next != at;
+       next = step(nodes, at, x)) {
+    at = next;
+  }
+  return nodes[at].split;
+}
+
+/// A fitted tree ensemble: every tree's nodes back to back in one
+/// contiguous array, for batched prediction. Walking one tree per row is
+/// a serial data-dependent load chain that leaves the core idle between
+/// levels; the interleaved descent in accumulate() breaks it: two
 /// consecutive trees each walk four rows in lockstep, so eight mutually
 /// independent node loads overlap in flight instead of serializing.
 /// Self-looping leaves make each step uniform and turn "all states
@@ -80,7 +101,7 @@ static_assert(alignof(FlatNode) == 8);
 /// (bench/query_throughput.cpp).
 ///
 /// Exactness contract: each row reaches its leaf through exactly the same
-/// `x[feature] < split` comparisons as the scalar walk (self-loop passes
+/// `x[feature] < split` comparisons as walk_tree (self-loop passes
 /// compare but discard the result), and `out += scale * leaf` accumulates
 /// in the same tree order — so results are bit-identical
 /// (tests/surrogate/predict_batch_test.cpp enforces this for every
@@ -100,9 +121,11 @@ class FlatForest {
   FlatForest& operator=(const FlatForest& other);
   ~FlatForest();
 
-  /// Flatten fitted trees. Validates child indices; throws anb::Error on
-  /// malformed trees.
-  explicit FlatForest(std::span<const RegressionTree> trees);
+  /// Concatenate trees whose child indices are tree-local (root 0) — the
+  /// fit and text-load path. Checks every child index against its own
+  /// tree's node count before rebasing it, then validates as below;
+  /// throws anb::Error on malformed trees.
+  explicit FlatForest(std::span<const std::vector<FlatNode>> trees);
 
   /// Adopt pre-flattened arrays — the binary-artifact load path, where
   /// both may be zero-copy views into an mmap. Performs full structural
@@ -123,20 +146,10 @@ class FlatForest {
   void accumulate(std::span<const double> rows, std::size_t num_features,
                   double scale, std::span<double> out) const;
 
-  /// Scalar prediction of tree `t` for one row. Performs exactly the same
-  /// `x[feature] < split` comparisons as RegressionTree::predict, so the
-  /// result is bit-identical to walking the original tree.
+  /// Scalar prediction of tree `t` for one row: walk_tree from its root.
   double predict_tree(std::size_t t, std::span<const double> x) const;
 
-  /// Reconstruct the per-tree RegressionTree form (the text-export path;
-  /// fitted models keep no other copy of their trees). FlatNode <->
-  /// TreeNode is a bijection given each tree's base index: leaf iff both
-  /// children self-loop. Internal nodes come back with value 0 and leaves
-  /// with threshold 0 and children -1, exactly as the tree builders write
-  /// them, so re-exported text is byte-identical.
-  std::vector<RegressionTree> to_trees() const;
-
-  /// Raw arrays in artifact layout (the binary-artifact save path).
+  /// Raw arrays in artifact layout (both artifact save paths).
   std::span<const FlatNode> nodes() const { return nodes_.span(); }
   std::span<const std::int32_t> roots() const { return roots_.span(); }
 

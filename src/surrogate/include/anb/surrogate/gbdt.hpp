@@ -61,7 +61,7 @@ class Gbdt final : public Surrogate {
 
   GbdtParams params_;
   double base_score_ = 0.0;
-  FlatForest flat_;  ///< the only tree store; text export unflattens it
+  FlatForest flat_;  ///< the only tree store, written by both formats
 };
 
 }  // namespace anb

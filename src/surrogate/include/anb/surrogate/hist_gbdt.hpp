@@ -38,9 +38,9 @@ struct HistGbdtParams {
 /// Training is parallel and exactly deterministic: histogram construction
 /// and split scanning parallelize across *features* (each histogram cell
 /// receives its contributions in serial row order, so results are
-/// bit-identical at any thread count), and the prediction update loop
-/// parallelizes element-wise over rows. The gradient loop runs inline:
-/// it is too little work to start threads for.
+/// bit-identical at any thread count). The gradient and prediction
+/// updates run inline: each fitted row takes its leaf's value, so they are
+/// too little work to start threads for.
 class HistGbdt final : public Surrogate {
  public:
   explicit HistGbdt(HistGbdtParams params = {});
@@ -68,7 +68,7 @@ class HistGbdt final : public Surrogate {
  private:
   HistGbdtParams params_;
   double base_score_ = 0.0;
-  FlatForest flat_;  ///< the only tree store; text export unflattens it
+  FlatForest flat_;  ///< the only tree store, written by both formats
 };
 
 }  // namespace anb

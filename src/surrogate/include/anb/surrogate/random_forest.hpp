@@ -58,7 +58,7 @@ class RandomForest final : public Surrogate {
   void fit_impl(const Dataset& train, const ColumnIndex& columns, Rng& rng);
 
   RandomForestParams params_;
-  FlatForest flat_;  ///< the only tree store; text export unflattens it
+  FlatForest flat_;  ///< the only tree store, written by both formats
 };
 
 }  // namespace anb

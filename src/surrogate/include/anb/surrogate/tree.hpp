@@ -7,50 +7,13 @@
 #include <vector>
 
 #include "anb/surrogate/dataset.hpp"
-#include "anb/util/json.hpp"
+#include "anb/surrogate/flat_forest.hpp"
 
 namespace anb {
 
 namespace detail {
 struct UnitNode;
 }  // namespace detail
-
-/// One node of a binary regression tree. Internal nodes route
-/// x[feature] < threshold to `left`, else `right`; leaves hold `value`.
-struct TreeNode {
-  int feature = -1;  ///< -1 marks a leaf
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;
-};
-
-/// A fitted regression tree (prediction + serialization only; fitting is
-/// done by TreeBuilder so random forests and gradient boosting can share
-/// one exact-greedy split engine).
-class RegressionTree {
- public:
-  RegressionTree() = default;
-  explicit RegressionTree(std::vector<TreeNode> nodes);
-
-  double predict(std::span<const double> x) const;
-
-  /// Batched prediction over a row-major matrix (out.size() rows of
-  /// `num_features` columns). Performs the same comparisons as predict()
-  /// with the per-node bounds check hoisted to one check per call, so the
-  /// output is bit-identical to per-row predict().
-  void predict_batch(std::span<const double> rows, std::size_t num_features,
-                     std::span<double> out) const;
-
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
-  int num_leaves() const;
-
-  Json to_json() const;
-  static RegressionTree from_json(const Json& j);
-
- private:
-  std::vector<TreeNode> nodes_;
-};
 
 /// Split-search hyperparameters shared by every tree-based surrogate.
 ///
@@ -110,7 +73,10 @@ class ColumnIndex {
 
 /// Level-wise exact-greedy tree construction from per-row gradients g and
 /// hessians h. `row_weight[i]` scales row i's contribution (0 excludes the
-/// row; bootstrap multiplicities use weights > 1).
+/// row; bootstrap multiplicities use weights > 1). A tree comes out as its
+/// FlatNode array, root 0 and child indices tree-local, with leaves in
+/// FlatNode's self-looping form: the form FlatForest concatenates and
+/// both artifact formats store, so no other node type exists.
 ///
 /// Each level reads only the rows that can move a split: rows with nonzero
 /// weight in a node that is still growing, and only below a column's top
@@ -145,10 +111,11 @@ class TreeBuilder {
   /// Fits one tree. A non-empty `row_leaf` (one slot per row) receives the
   /// node index of the leaf each row with nonzero weight ends in, and -1
   /// for rows with zero weight.
-  RegressionTree build(std::span<const double> g, std::span<const double> h,
-                       std::span<const double> row_weight,
-                       const TreeParams& params, Rng& rng,
-                       std::span<int> row_leaf = {});
+  std::vector<FlatNode> build(std::span<const double> g,
+                              std::span<const double> h,
+                              std::span<const double> row_weight,
+                              const TreeParams& params, Rng& rng,
+                              std::span<int> row_leaf = {});
 
  private:
   /// Weighted gradient sums of a set of rows, and how many rows it holds.
@@ -237,9 +204,11 @@ class TreeBuilder {
 };
 
 /// One tree with a fresh TreeBuilder.
-RegressionTree build_tree(const Dataset& data, const ColumnIndex& columns,
-                          std::span<const double> g, std::span<const double> h,
-                          std::span<const double> row_weight,
-                          const TreeParams& params, Rng& rng);
+std::vector<FlatNode> build_tree(const Dataset& data,
+                                 const ColumnIndex& columns,
+                                 std::span<const double> g,
+                                 std::span<const double> h,
+                                 std::span<const double> row_weight,
+                                 const TreeParams& params, Rng& rng);
 
 }  // namespace anb

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "anb/surrogate/train_context.hpp"
 #include "anb/obs/registry.hpp"
@@ -67,21 +66,15 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
   // data-dependent, so a shared stream could not be parallelized).
   const std::uint64_t forest_seed = rng();
   const auto n_trees = static_cast<std::size_t>(params_.n_trees);
-  std::vector<std::optional<RegressionTree>> slots(n_trees);
+  std::vector<std::vector<FlatNode>> trees(n_trees);
   parallel_for(n_trees, [&](std::size_t t) {
     Rng tree_rng(hash_combine(forest_seed, static_cast<std::uint64_t>(t)));
     // Bootstrap with replacement expressed as per-row multiplicities.
     std::vector<double> weight(n, 0.0);
     for (std::size_t s = 0; s < n_bootstrap; ++s)
       weight[tree_rng.uniform_index(n)] += 1.0;
-    slots[t] = build_tree(train, columns, g, h, weight, tp, tree_rng);
+    trees[t] = build_tree(train, columns, g, h, weight, tp, tree_rng);
   });
-  std::vector<RegressionTree> trees;
-  trees.reserve(n_trees);
-  for (auto& slot : slots) {
-    ANB_ASSERT(slot.has_value(), "RandomForest::fit_impl: missing tree");
-    trees.push_back(std::move(*slot));
-  }
   // Deep trees (default max_depth 14) usually exceed the masked engine's
   // 8-leaf cap, so batched prediction auto-dispatches to the interleaved
   // walk for fitted forests; the masked engine lights up only for
@@ -90,8 +83,8 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
 }
 
 double RandomForest::predict(std::span<const double> x) const {
-  // Walks flat_ with the same per-tree comparisons and sum-then-divide
-  // order as walking each RegressionTree, so results match bit for bit.
+  // Sums the trees' walks in tree order, then divides, as predict_batch
+  // does, so the two match bit for bit.
   ANB_CHECK(!flat_.empty(), "RandomForest::predict: model not fitted");
   double acc = 0.0;
   for (std::size_t t = 0; t < flat_.num_trees(); ++t)

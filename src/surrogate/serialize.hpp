@@ -8,6 +8,7 @@
 // (DESIGN.md "One serializer per family, meta last"). Sections are
 // appended in call order, which is part of the .anbb bytes.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "anb/surrogate/flat_forest.hpp"
-#include "anb/surrogate/tree.hpp"
 #include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/json.hpp"
@@ -26,9 +26,11 @@ inline std::uint32_t section_index(const Json& j, const char* key) {
   return static_cast<std::uint32_t>(j.at(key).as_int());
 }
 
-/// A forest is "trees" (one RegressionTree::to_json per tree) in text and
-/// the "nodes" then "roots" section indices in .anbb. Both directions
-/// refuse an empty forest.
+/// A forest is "trees" in text and the "nodes" then "roots" section
+/// indices in .anbb. A text tree is an array of {"f","t","l","r","v"}
+/// nodes with tree-local children: a leaf is f = -1 (any negative f reads
+/// as one) with its value in v, an internal node f >= 0 with its split in
+/// t. Both directions refuse an empty forest.
 inline void put_forest(Json& j, const FlatForest& forest,
                        bin::Writer* sections) {
   ANB_CHECK(!forest.empty(), j.at("type").as_string() + ": model not fitted");
@@ -39,8 +41,27 @@ inline void put_forest(Json& j, const FlatForest& forest,
         static_cast<int>(sections->add_array(bin::Tag::kI32, forest.roots()));
     return;
   }
+  const auto nodes = forest.nodes();
+  const auto roots = forest.roots();
   Json trees = Json::array();
-  for (const auto& tree : forest.to_trees()) trees.push_back(tree.to_json());
+  for (std::size_t t = 0; t < roots.size(); ++t) {
+    const std::int32_t base = roots[t];
+    const auto end = static_cast<std::int32_t>(
+        t + 1 < roots.size() ? roots[t + 1] : nodes.size());
+    Json tree = Json::array();
+    for (std::int32_t i = base; i < end; ++i) {
+      const FlatNode& n = nodes[static_cast<std::size_t>(i)];
+      const bool leaf = n.left == i && n.right == i;
+      Json jn = Json::object();
+      jn["f"] = leaf ? -1 : n.feature;
+      jn["t"] = leaf ? 0.0 : n.split;
+      jn["l"] = leaf ? -1 : n.left - base;
+      jn["r"] = leaf ? -1 : n.right - base;
+      jn["v"] = leaf ? n.split : 0.0;
+      tree.push_back(std::move(jn));
+    }
+    trees.push_back(std::move(tree));
+  }
   j["trees"] = std::move(trees);
 }
 
@@ -53,9 +74,22 @@ inline FlatForest get_forest(const Json& j, const bin::Reader* sections) {
         sections->array<std::int32_t>(section_index(j, "roots"),
                                       bin::Tag::kI32));
   } else {
-    std::vector<RegressionTree> trees;
-    for (const auto& jt : j.at("trees").as_array())
-      trees.push_back(RegressionTree::from_json(jt));
+    std::vector<std::vector<FlatNode>> trees;
+    for (const auto& jt : j.at("trees").as_array()) {
+      std::vector<FlatNode>& tree = trees.emplace_back();
+      for (const auto& jn : jt.as_array()) {
+        const auto i = static_cast<std::int32_t>(tree.size());
+        const int f = jn.at("f").as_int();
+        const double t = jn.at("t").as_number();
+        const int l = jn.at("l").as_int();
+        const int r = jn.at("r").as_int();
+        const double v = jn.at("v").as_number();
+        // An internal node looping on itself would read as a leaf.
+        ANB_CHECK(f < 0 || l != i || r != i,
+                  "FlatForest: internal node is its own child");
+        tree.push_back(f < 0 ? FlatNode{v, 0, i, i} : FlatNode{t, f, l, r});
+      }
+    }
     forest = FlatForest(trees);
   }
   ANB_CHECK(!forest.empty(), j.at("type").as_string() + ": empty forest");

@@ -10,85 +10,6 @@
 
 namespace anb {
 
-RegressionTree::RegressionTree(std::vector<TreeNode> nodes)
-    : nodes_(std::move(nodes)) {
-  ANB_CHECK(!nodes_.empty(), "RegressionTree: empty node list");
-}
-
-double RegressionTree::predict(std::span<const double> x) const {
-  ANB_CHECK(!nodes_.empty(), "RegressionTree::predict: tree not fitted");
-  int i = 0;
-  while (nodes_[static_cast<std::size_t>(i)].feature >= 0) {
-    const auto& n = nodes_[static_cast<std::size_t>(i)];
-    ANB_CHECK(static_cast<std::size_t>(n.feature) < x.size(),
-              "RegressionTree::predict: feature index out of range");
-    i = x[static_cast<std::size_t>(n.feature)] < n.threshold ? n.left : n.right;
-  }
-  return nodes_[static_cast<std::size_t>(i)].value;
-}
-
-void RegressionTree::predict_batch(std::span<const double> rows,
-                                   std::size_t num_features,
-                                   std::span<double> out) const {
-  ANB_CHECK(!nodes_.empty(), "RegressionTree::predict_batch: tree not fitted");
-  ANB_CHECK(num_features > 0 && rows.size() == out.size() * num_features,
-            "RegressionTree::predict_batch: row matrix / output size "
-            "mismatch");
-  for (const auto& n : nodes_) {
-    ANB_CHECK(n.feature < static_cast<int>(num_features),
-              "RegressionTree::predict_batch: feature index out of range");
-  }
-  const TreeNode* const nodes = nodes_.data();
-  const double* x = rows.data();
-  for (std::size_t i = 0; i < out.size(); ++i, x += num_features) {
-    int at = 0;
-    while (nodes[at].feature >= 0) {
-      const TreeNode& n = nodes[at];
-      at = x[n.feature] < n.threshold ? n.left : n.right;
-    }
-    out[i] = nodes[at].value;
-  }
-}
-
-int RegressionTree::num_leaves() const {
-  int leaves = 0;
-  for (const auto& n : nodes_)
-    if (n.feature < 0) ++leaves;
-  return leaves;
-}
-
-Json RegressionTree::to_json() const {
-  Json arr = Json::array();
-  for (const auto& n : nodes_) {
-    Json jn = Json::object();
-    jn["f"] = n.feature;
-    jn["t"] = n.threshold;
-    jn["l"] = n.left;
-    jn["r"] = n.right;
-    jn["v"] = n.value;
-    arr.push_back(std::move(jn));
-  }
-  return arr;
-}
-
-RegressionTree RegressionTree::from_json(const Json& j) {
-  std::vector<TreeNode> nodes;
-  for (const auto& jn : j.as_array()) {
-    TreeNode n;
-    n.feature = jn.at("f").as_int();
-    n.threshold = jn.at("t").as_number();
-    n.left = jn.at("l").as_int();
-    n.right = jn.at("r").as_int();
-    n.value = jn.at("v").as_number();
-    const int count = static_cast<int>(j.size());
-    ANB_CHECK(n.feature < 0 || (n.left >= 0 && n.left < count && n.right >= 0 &&
-                                n.right < count),
-              "RegressionTree::from_json: dangling child index");
-    nodes.push_back(n);
-  }
-  return RegressionTree(std::move(nodes));
-}
-
 ColumnIndex::ColumnIndex(const Dataset& data)
     : num_features_(data.num_features()), num_rows_(data.size()) {
   ANB_CHECK(num_rows_ > 0, "ColumnIndex: empty dataset");
@@ -189,11 +110,11 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
   }
 }
 
-RegressionTree TreeBuilder::build(std::span<const double> g,
-                                  std::span<const double> h,
-                                  std::span<const double> row_weight,
-                                  const TreeParams& params, Rng& rng,
-                                  std::span<int> row_leaf) {
+std::vector<FlatNode> TreeBuilder::build(std::span<const double> g,
+                                         std::span<const double> h,
+                                         std::span<const double> row_weight,
+                                         const TreeParams& params, Rng& rng,
+                                         std::span<int> row_leaf) {
   const std::size_t n = data_.size();
   const std::size_t d = plans_.size();
   const std::size_t words = columns_.mask_words();
@@ -237,11 +158,16 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
   const bool subsample_features =
       params.features_per_node > 0 &&
       static_cast<std::size_t>(params.features_per_node) < d;
-  std::vector<TreeNode> nodes(1);
+  std::vector<FlatNode> nodes(1);
   std::vector<int> active{0};  // node ids at the current level
   std::vector<int> next_active;
   // child_base[a] = index of node a's left child in next_active, or -1.
   std::vector<int> child_base;
+  // A leaf: value in the split slot, children self-looping.
+  const auto make_leaf = [&](int id, const Sums& total) {
+    nodes[static_cast<std::size_t>(id)] = {
+        total.w > 0.0 ? -total.g / (total.h + params.lambda) : 0.0, 0, id, id};
+  };
 
   for (int depth = 0; depth < params.max_depth && !active.empty(); ++depth) {
     const std::size_t na = active.size();
@@ -287,28 +213,17 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
       // leaves, so a max_depth=1 tree is a single stump.
       const bool do_split = best_[a].feature >= 0 && best_[a].gain > params.gamma;
       if (do_split) {
-        // emplace_back below may reallocate `nodes`: finish every write
-        // through the node reference first and keep the child indices in
-        // locals (heap-use-after-free otherwise; caught by ASan).
+        // Written before emplace_back, which may reallocate `nodes`.
         const int left_child = static_cast<int>(nodes.size());
-        {
-          TreeNode& node = nodes[node_idx];
-          node.feature = best_[a].feature;
-          node.threshold = best_[a].threshold;
-          node.left = left_child;
-          node.right = left_child + 1;
-        }
+        nodes[node_idx] = {best_[a].threshold, best_[a].feature, left_child,
+                           left_child + 1};
         nodes.emplace_back();
         nodes.emplace_back();
         child_base[a] = static_cast<int>(next_active.size());
         next_active.push_back(left_child);
         next_active.push_back(left_child + 1);
       } else {
-        TreeNode& node = nodes[node_idx];
-        node.feature = -1;
-        node.value = totals_[a].w > 0.0
-                         ? -totals_[a].g / (totals_[a].h + params.lambda)
-                         : 0.0;
+        make_leaf(active[a], totals_[a]);
       }
     }
 
@@ -331,13 +246,13 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
         begin = end;
         continue;
       }
-      const TreeNode& node = nodes[static_cast<std::size_t>(active[a])];
+      const FlatNode& node = nodes[static_cast<std::size_t>(active[a])];
       const auto f = static_cast<std::size_t>(node.feature);
       const int left = child_base[a];
       right_rows_.clear();
       for (std::size_t s = begin; s < end; ++s) {
         const std::uint32_t row = node_rows_[s];
-        if (x[row * d + f] < node.threshold) {
+        if (x[row * d + f] < node.split) {
           position_[row] = left;
           node_rows_[kept++] = row;  // kept <= s: in place
         } else {
@@ -362,12 +277,9 @@ RegressionTree TreeBuilder::build(std::span<const double> g,
       total.add(row_sums_[row]);
       if (!row_leaf.empty()) row_leaf[row] = active[a];
     }
-    TreeNode& node = nodes[static_cast<std::size_t>(active[a])];
-    node.feature = -1;
-    node.value = total.w > 0.0 ? -total.g / (total.h + params.lambda) : 0.0;
+    make_leaf(active[a], total);
   }
-
-  return RegressionTree(std::move(nodes));
+  return nodes;
 }
 
 void TreeBuilder::compact_views(std::size_t live) {
@@ -539,10 +451,12 @@ void TreeBuilder::offer(std::size_t a, std::size_t f, double gain, double lo,
     best = {gain, feature, 0.5 * (lo + hi)};
 }
 
-RegressionTree build_tree(const Dataset& data, const ColumnIndex& columns,
-                          std::span<const double> g, std::span<const double> h,
-                          std::span<const double> row_weight,
-                          const TreeParams& params, Rng& rng) {
+std::vector<FlatNode> build_tree(const Dataset& data,
+                                 const ColumnIndex& columns,
+                                 std::span<const double> g,
+                                 std::span<const double> h,
+                                 std::span<const double> row_weight,
+                                 const TreeParams& params, Rng& rng) {
   return TreeBuilder(data, columns).build(g, h, row_weight, params, rng);
 }
 

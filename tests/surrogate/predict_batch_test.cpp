@@ -22,7 +22,6 @@
 #include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/svr.hpp"
-#include "anb/surrogate/tree.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/rng.hpp"
 #include "tree_reference.hpp"
@@ -136,30 +135,6 @@ TEST(PredictBatchTest, EnsembleBitIdentical) {
       [member_params] { return std::make_unique<Gbdt>(member_params); },
       /*size=*/3);
   run_differential(model, 16);
-}
-
-TEST(PredictBatchTest, RegressionTreeBitIdentical) {
-  const Dataset train = make_dataset(300, 17);
-  const ColumnIndex columns(train);
-  // Variance-reduction special case: g = -y, h = 1 (see TreeParams docs).
-  std::vector<double> g(train.size()), h(train.size(), 1.0),
-      weight(train.size(), 1.0);
-  for (std::size_t i = 0; i < train.size(); ++i) g[i] = -train.target(i);
-  TreeParams p;
-  p.max_depth = 6;
-  p.lambda = 0.0;
-  Rng tree_rng(170);
-  const RegressionTree tree =
-      build_tree(train, columns, g, h, weight, p, tree_rng);
-  const std::size_t n = 257;
-  const std::vector<double> rows = make_rows(n, 18);
-  std::vector<double> batch(n);
-  tree.predict_batch(rows, kNumFeatures, batch);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scalar = tree.predict(
-        std::span<const double>(rows).subspan(i * kNumFeatures, kNumFeatures));
-    EXPECT_EQ(scalar, batch[i]) << "row " << i;
-  }
 }
 
 TEST(PredictBatchTest, DefaultFallbackMatchesScalar) {

@@ -135,9 +135,10 @@ TEST_F(SerializationTest, EnsembleRoundTrips) {
   round_trip_and_compare(model);
 }
 
-/// A fitted Gbdt payload with one tree node replaced by the given object.
-/// Lets the malformed-payload tests corrupt exactly one field at a time.
-Json gbdt_payload_with_node(const Json& node) {
+/// A fitted Gbdt payload with the first node of its first (or last) tree
+/// replaced by the given object. Lets the malformed-payload tests corrupt
+/// exactly one field at a time.
+Json gbdt_payload_with_node(const Json& node, bool last_tree = false) {
   GbdtParams p;
   p.n_estimators = 3;
   Gbdt model(p);
@@ -145,7 +146,8 @@ Json gbdt_payload_with_node(const Json& node) {
   Rng rng(7);
   model.fit(train, rng);
   Json j = model.to_json();
-  j["trees"].as_array()[0].as_array()[0] = node;
+  auto& trees = j["trees"].as_array();
+  (last_tree ? trees.back() : trees.front()).as_array()[0] = node;
   return j;
 }
 
@@ -169,6 +171,13 @@ TEST_F(SerializationTest, DanglingChildIndexRejected) {
       surrogate_from_json(gbdt_payload_with_node(
           tree_node(/*f=*/0, /*t=*/0.5, /*l=*/1, /*r=*/-3, /*v=*/0.0))),
       Error);
+  // In the last tree, whose nodes sit at a base offset > 0: rebasing this
+  // index unchecked would overflow int32.
+  EXPECT_THROW(surrogate_from_json(gbdt_payload_with_node(
+                   tree_node(/*f=*/0, /*t=*/0.5, /*l=*/2147483647, /*r=*/1,
+                             /*v=*/0.0),
+                   /*last_tree=*/true)),
+               Error);
 }
 
 TEST_F(SerializationTest, SelfChildRejectedByFlattening) {

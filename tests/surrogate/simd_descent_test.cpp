@@ -24,7 +24,6 @@
 #include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/flat_forest.hpp"
-#include "anb/surrogate/tree.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/parallel.hpp"
 #include "anb/util/rng.hpp"
@@ -53,40 +52,35 @@ std::vector<simd::Target> test_targets() {
 const std::size_t kBatchSizes[] = {0,  1,  2,  7,   8,   9,   31,  32,
                                    33, 63, 64, 65, 127, 255, 256, 257};
 
+/// A leaf at tree-local index `i`: value in the split slot, self-looping.
+FlatNode leaf_node(int i, double value) { return {value, 0, i, i}; }
+
 /// Chain tree with `leaves` leaves: internal node k (k = 0..leaves-2)
 /// splits feature 0 at threshold `threshold_base` + k+1 with a leaf on the
 /// left and the chain continuing right — maximally unbalanced, depth =
 /// leaves-1.
-RegressionTree make_chain_tree(int leaves, double leaf_base,
-                               double threshold_base = 0.0) {
+std::vector<FlatNode> make_chain_tree(int leaves, double leaf_base,
+                                      double threshold_base = 0.0) {
   const int internal = leaves - 1;
-  std::vector<TreeNode> nodes(static_cast<std::size_t>(2 * internal + 1));
+  std::vector<FlatNode> nodes(static_cast<std::size_t>(2 * internal + 1));
   for (int k = 0; k < internal; ++k) {
-    TreeNode& n = nodes[static_cast<std::size_t>(2 * k)];
-    n.feature = 0;
-    n.threshold = threshold_base + static_cast<double>(k + 1);
-    n.left = 2 * k + 1;
-    n.right = 2 * k + 2;
+    nodes[static_cast<std::size_t>(2 * k)] = {
+        threshold_base + static_cast<double>(k + 1), 0, 2 * k + 1, 2 * k + 2};
     nodes[static_cast<std::size_t>(2 * k + 1)] =
-        TreeNode{-1, 0.0, -1, -1, leaf_base + k};
+        leaf_node(2 * k + 1, leaf_base + k);
   }
   nodes[static_cast<std::size_t>(2 * internal)] =
-      TreeNode{-1, 0.0, -1, -1, leaf_base + internal};
-  return RegressionTree(std::move(nodes));
+      leaf_node(2 * internal, leaf_base + internal);
+  return nodes;
 }
 
 /// Depth-2 tree over two features: root splits f0 at 2.0, children split
 /// f1 at 1.5 / 3.0, four distinct leaf values.
-RegressionTree make_split_tree(double bump) {
-  std::vector<TreeNode> nodes(7);
-  nodes[0] = TreeNode{0, 2.0, 1, 2, 0.0};
-  nodes[1] = TreeNode{1, 1.5, 3, 4, 0.0};
-  nodes[2] = TreeNode{1, 3.0, 5, 6, 0.0};
-  nodes[3] = TreeNode{-1, 0.0, -1, -1, 1.0 + bump};
-  nodes[4] = TreeNode{-1, 0.0, -1, -1, 2.0 + bump};
-  nodes[5] = TreeNode{-1, 0.0, -1, -1, 3.0 + bump};
-  nodes[6] = TreeNode{-1, 0.0, -1, -1, 4.0 + bump};
-  return RegressionTree(std::move(nodes));
+std::vector<FlatNode> make_split_tree(double bump) {
+  return {FlatNode{2.0, 0, 1, 2}, FlatNode{1.5, 1, 3, 4},
+          FlatNode{3.0, 1, 5, 6}, leaf_node(3, 1.0 + bump),
+          leaf_node(4, 2.0 + bump), leaf_node(5, 3.0 + bump),
+          leaf_node(6, 4.0 + bump)};
 }
 
 /// Scalar reference: per row, sum scale * predict_tree over trees in tree
@@ -133,7 +127,7 @@ const std::vector<DescentPath> kUnmaskedPaths = {DescentPath::kAuto,
                                                  DescentPath::kInterleaved};
 
 TEST(SimdDescentTest, SpecialValuesRouteIdentically) {
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
   trees.push_back(make_split_tree(0.0));
   trees.push_back(make_split_tree(0.125));
   trees.push_back(make_chain_tree(8, -2.0));
@@ -163,9 +157,9 @@ TEST(SimdDescentTest, BatchShapesAndOddForests) {
   // remainder), a single-leaf tree (no internal nodes: the masked
   // accumulator stays all-ones and must still pick leaf 0), and
   // unbalanced chains.
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
   trees.push_back(make_split_tree(0.5));
-  trees.push_back(RegressionTree({TreeNode{-1, 0.0, -1, -1, 0.75}}));
+  trees.push_back({leaf_node(0, 0.75)});
   trees.push_back(make_chain_tree(5, 1.0));
   const FlatForest forest(trees);
   ASSERT_TRUE(forest.masked_available());
@@ -195,7 +189,7 @@ void expect_masked_rejected(const FlatForest& forest,
 /// 1, 2, ..., `count` — `count` distinct thresholds, every tree within
 /// the leaf budget.
 FlatForest make_threshold_forest(int count) {
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
   for (int base = 0; base < count; base += 7) {
     const int internal = std::min(7, count - base);
     trees.push_back(make_chain_tree(internal + 1, 0.01 * base, base));
@@ -204,7 +198,7 @@ FlatForest make_threshold_forest(int count) {
 }
 
 TEST(SimdDescentTest, NineLeavesDisableMasked) {
-  std::vector<RegressionTree> trees;
+  std::vector<std::vector<FlatNode>> trees;
   trees.push_back(make_chain_tree(9, 0.0));
   std::vector<double> rows(16);
   for (std::size_t i = 0; i < rows.size(); ++i)
@@ -394,7 +388,7 @@ TEST(SimdDescentTest, AutoTakesMaskedDownToOneRow) {
   // cannot represent (a 9-leaf tree, like a deep RandomForest), and
   // scalar dispatch, stay on the interleaved walk, which counts no SIMD
   // rows.
-  std::vector<RegressionTree> deep;
+  std::vector<std::vector<FlatNode>> deep;
   deep.push_back(make_chain_tree(9, 0.0));
   const FlatForest nine_leaves(deep);
   ASSERT_FALSE(nine_leaves.masked_available());

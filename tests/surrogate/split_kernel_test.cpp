@@ -66,17 +66,20 @@ Dataset onehot_dataset(int n, int layers, int choices, std::uint64_t seed) {
 }
 
 /// Hash of every node bit and of the rng position after the build.
-std::uint64_t fingerprint(const RegressionTree& tree, Rng& rng) {
+/// A leaf, the self-looping node, hashes as (-1, 0, -1, -1, value).
+std::uint64_t fingerprint(const std::vector<FlatNode>& tree, Rng& rng) {
   auto index = [](int i) {
     return static_cast<std::uint64_t>(static_cast<std::int64_t>(i));
   };
   Fnv fnv;
-  for (const TreeNode& node : tree.nodes()) {
-    fnv.add(index(node.feature));
-    fnv.add(node.threshold);
-    fnv.add(index(node.left));
-    fnv.add(index(node.right));
-    fnv.add(node.value);
+  for (int i = 0; i < static_cast<int>(tree.size()); ++i) {
+    const FlatNode& node = tree[static_cast<std::size_t>(i)];
+    const bool leaf = node.left == i && node.right == i;
+    fnv.add(index(leaf ? -1 : node.feature));
+    fnv.add(leaf ? 0.0 : node.split);
+    fnv.add(index(leaf ? -1 : node.left));
+    fnv.add(index(leaf ? -1 : node.right));
+    fnv.add(leaf ? node.split : 0.0);
   }
   fnv.add(rng());
   return fnv.h;
@@ -92,7 +95,8 @@ std::uint64_t tree_fingerprint(const Dataset& data, std::span<const double> g,
   const std::vector<double> h(data.size(), 1.0);
   std::vector<int> row_leaf(data.size());
   Rng rng(seed);
-  const RegressionTree tree = builder.build(g, h, w, params, rng, row_leaf);
+  const std::vector<FlatNode> tree =
+      builder.build(g, h, w, params, rng, row_leaf);
   if (leaf != nullptr) *leaf = row_leaf;
   return fingerprint(tree, rng);
 }
@@ -229,9 +233,10 @@ TEST(SplitKernelTest, ChildLimitsExactlyAtACount) {
       const ColumnIndex columns(data);
       Rng fit_rng(5);
       const std::vector<double> h(data.size(), 1.0);
-      const RegressionTree tree =
+      const std::vector<FlatNode> tree =
           build_tree(data, columns, g, h, w, params, fit_rng);
-      const int feature = tree.nodes()[0].feature;
+      const bool root_is_leaf = tree[0].left == 0;
+      const int feature = root_is_leaf ? -1 : tree[0].feature;
       EXPECT_EQ(feature == 0 || feature == 1, c.splits_the_step)
           << "min_child_weight=" << c.min_child_weight
           << " min_samples_leaf=" << c.min_samples_leaf

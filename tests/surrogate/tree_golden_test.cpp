@@ -160,14 +160,19 @@ std::uint64_t tree_fingerprint(const Dataset& data, TreeParams params,
     for (std::size_t s = 0; s < n; ++s) w[rng.uniform_index(n)] += 1.0;
   }
   const ColumnIndex columns(data);
-  const RegressionTree tree = build_tree(data, columns, g, h, w, params, rng);
+  const std::vector<FlatNode> tree =
+      build_tree(data, columns, g, h, w, params, rng);
+  // Hashed as (feature, threshold, left, right, value) with a leaf, the
+  // self-looping node, as (-1, 0, -1, -1, value): the recorded form.
   Fnv fnv;
-  for (const TreeNode& node : tree.nodes()) {
-    fnv.add(node.feature);
-    fnv.add(node.threshold);
-    fnv.add(node.left);
-    fnv.add(node.right);
-    fnv.add(node.value);
+  for (int i = 0; i < static_cast<int>(tree.size()); ++i) {
+    const FlatNode& node = tree[static_cast<std::size_t>(i)];
+    const bool leaf = node.left == i && node.right == i;
+    fnv.add(leaf ? -1 : node.feature);
+    fnv.add(leaf ? 0.0 : node.split);
+    fnv.add(leaf ? -1 : node.left);
+    fnv.add(leaf ? -1 : node.right);
+    fnv.add(leaf ? node.split : 0.0);
   }
   fnv.add(rng());  // pins how much randomness the build consumed
   return fnv.h;

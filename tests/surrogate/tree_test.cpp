@@ -9,8 +9,26 @@
 namespace anb {
 namespace {
 
+using Tree = std::vector<FlatNode>;
+
+/// The leaf value `x` reaches.
+double predict(const Tree& tree, const std::vector<double>& x) {
+  return walk_tree(tree.data(), 0, x.data());
+}
+
+bool is_leaf(const Tree& tree, std::size_t i) {
+  return tree[i].left == static_cast<int>(i) &&
+         tree[i].right == static_cast<int>(i);
+}
+
+int num_leaves(const Tree& tree) {
+  int leaves = 0;
+  for (std::size_t i = 0; i < tree.size(); ++i) leaves += is_leaf(tree, i);
+  return leaves;
+}
+
 /// Fit a plain variance-reduction tree (g = -y, h = 1).
-RegressionTree fit_variance_tree(const Dataset& data, TreeParams params,
+Tree fit_variance_tree(const Dataset& data, TreeParams params,
                                  std::uint64_t seed = 1) {
   const std::size_t n = data.size();
   std::vector<double> g(n), h(n, 1.0), w(n, 1.0);
@@ -43,30 +61,31 @@ TEST(TreeTest, StumpSplitsOnInformativeFeature) {
   ds.add(std::vector<double>{1.0, 0.0}, 1.0);
   TreeParams params;
   params.max_depth = 1;
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  EXPECT_EQ(tree.nodes()[0].feature, 0);
-  EXPECT_EQ(tree.num_leaves(), 2);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{0.0, 0.5}), -1.0);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{1.0, 0.5}), 1.0);
+  const Tree tree = fit_variance_tree(ds, params);
+  EXPECT_FALSE(is_leaf(tree, 0));
+  EXPECT_EQ(tree[0].feature, 0);
+  EXPECT_EQ(num_leaves(tree), 2);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{0.0, 0.5}), -1.0);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{1.0, 0.5}), 1.0);
 }
 
 TEST(TreeTest, DepthTwoSolvesAnd) {
   TreeParams params;
   params.max_depth = 2;
-  const RegressionTree tree = fit_variance_tree(and_dataset(), params);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{0, 1}), 0.0);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{1, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{1, 1}), 1.0);
+  const Tree tree = fit_variance_tree(and_dataset(), params);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{0, 1}), 0.0);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{1, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{1, 1}), 1.0);
 }
 
 TEST(TreeTest, DepthOneCannotSolveAnd) {
   TreeParams params;
   params.max_depth = 1;
-  const RegressionTree tree = fit_variance_tree(and_dataset(), params);
+  const Tree tree = fit_variance_tree(and_dataset(), params);
   // One split can only separate a mean-0 side from a mean-0.5 side.
-  EXPECT_NEAR(tree.predict(std::vector<double>{1, 1}), 0.5, 1e-9);
-  EXPECT_NEAR(tree.predict(std::vector<double>{0, 0}), 0.0, 1e-9);
+  EXPECT_NEAR(predict(tree, std::vector<double>{1, 1}), 0.5, 1e-9);
+  EXPECT_NEAR(predict(tree, std::vector<double>{0, 0}), 0.0, 1e-9);
 }
 
 TEST(TreeTest, ConstantTargetGivesSingleLeaf) {
@@ -75,9 +94,9 @@ TEST(TreeTest, ConstantTargetGivesSingleLeaf) {
     ds.add(std::vector<double>{static_cast<double>(i), 1.0}, 5.0);
   TreeParams params;
   params.max_depth = 4;
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  EXPECT_EQ(tree.num_leaves(), 1);
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{3.0, 1.0}), 5.0);
+  const Tree tree = fit_variance_tree(ds, params);
+  EXPECT_EQ(num_leaves(tree), 1);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{3.0, 1.0}), 5.0);
 }
 
 TEST(TreeTest, MinSamplesLeafRespected) {
@@ -88,8 +107,8 @@ TEST(TreeTest, MinSamplesLeafRespected) {
   TreeParams params;
   params.max_depth = 3;
   params.min_samples_leaf = 2.0;
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  EXPECT_EQ(tree.num_leaves(), 1);
+  const Tree tree = fit_variance_tree(ds, params);
+  EXPECT_EQ(num_leaves(tree), 1);
 }
 
 TEST(TreeTest, RowWeightsExcludeRows) {
@@ -105,9 +124,9 @@ TEST(TreeTest, RowWeightsExcludeRows) {
   params.lambda = 0.0;
   const ColumnIndex columns(ds);
   Rng rng(1);
-  const RegressionTree tree = build_tree(ds, columns, g, h, w, params, rng);
+  const Tree tree = build_tree(ds, columns, g, h, w, params, rng);
   // The excluded outlier must not influence any leaf.
-  EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(predict(tree, std::vector<double>{1.0}), 0.0);
 }
 
 TEST(TreeTest, LambdaShrinksLeafValues) {
@@ -122,10 +141,10 @@ TEST(TreeTest, LambdaShrinksLeafValues) {
   params.lambda = 1.0;  // leaf = sum(y) / (count + lambda)
   const ColumnIndex columns(ds);
   Rng rng(1);
-  const RegressionTree tree = build_tree(ds, columns, g, h, w, params, rng);
+  const Tree tree = build_tree(ds, columns, g, h, w, params, rng);
   // Leaf value = sum(y) / (count + lambda): 0/2 and 4/2.
-  EXPECT_NEAR(tree.predict(std::vector<double>{0.0}), 0.0, 1e-9);
-  EXPECT_NEAR(tree.predict(std::vector<double>{1.0}), 2.0, 1e-9);
+  EXPECT_NEAR(predict(tree, std::vector<double>{0.0}), 0.0, 1e-9);
+  EXPECT_NEAR(predict(tree, std::vector<double>{1.0}), 2.0, 1e-9);
 }
 
 TEST(TreeTest, GammaBlocksWeakSplits) {
@@ -135,35 +154,16 @@ TEST(TreeTest, GammaBlocksWeakSplits) {
   TreeParams params;
   params.max_depth = 2;
   params.gamma = 1.0;
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  EXPECT_EQ(tree.num_leaves(), 1);
+  const Tree tree = fit_variance_tree(ds, params);
+  EXPECT_EQ(num_leaves(tree), 1);
 }
 
 TEST(TreeTest, PredictValidatesDimensions) {
   TreeParams params;
   params.max_depth = 2;
-  const RegressionTree tree = fit_variance_tree(and_dataset(), params);
-  EXPECT_THROW(tree.predict(std::vector<double>{1.0}), Error);
-}
-
-TEST(TreeTest, JsonRoundTripPreservesPredictions) {
-  TreeParams params;
-  params.max_depth = 3;
-  Dataset ds(3);
-  Rng rng(5);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform()};
-    const double y = 2.0 * x[0] - x[1] * x[2];
-    ds.add(x, y);
-  }
-  const RegressionTree tree = fit_variance_tree(ds, params);
-  const RegressionTree back = RegressionTree::from_json(tree.to_json());
-  Rng probe(6);
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> x{probe.uniform(), probe.uniform(),
-                                probe.uniform()};
-    EXPECT_DOUBLE_EQ(back.predict(x), tree.predict(x));
-  }
+  const FlatForest forest(std::vector<Tree>{
+      fit_variance_tree(and_dataset(), params)});
+  EXPECT_THROW((void)forest.predict_tree(0, std::vector<double>{1.0}), Error);
 }
 
 TEST(TreeTest, ColumnIndexSortsColumns) {
@@ -251,16 +251,17 @@ TEST(TreeTest, BuilderReportsTheLeafPredictReaches) {
   std::vector<int> leaf(n);
   // Two builds through one builder: scratch reuse must not leak state.
   for (int round = 0; round < 2; ++round) {
-    const RegressionTree tree = builder.build(g, h, w, params, rng, leaf);
+    const Tree tree = builder.build(g, h, w, params, rng, leaf);
     for (std::size_t i = 0; i < n; ++i) {
       if (w[i] == 0.0) {
         EXPECT_EQ(leaf[i], -1) << "row " << i;
         continue;
       }
       ASSERT_GE(leaf[i], 0) << "row " << i;
-      const TreeNode& node = tree.nodes()[static_cast<std::size_t>(leaf[i])];
-      EXPECT_LT(node.feature, 0) << "row " << i;
-      EXPECT_EQ(node.value, tree.predict(ds.row(i))) << "row " << i;
+      const auto at = static_cast<std::size_t>(leaf[i]);
+      EXPECT_TRUE(is_leaf(tree, at)) << "row " << i;
+      EXPECT_EQ(tree[at].split, walk_tree(tree.data(), 0, ds.row(i).data()))
+          << "row " << i;
     }
   }
   std::vector<int> wrong_size(n - 1);
@@ -278,8 +279,8 @@ TEST(TreeTest, MaxDepthBoundsLeafCount) {
   for (int depth : {1, 2, 3, 4}) {
     TreeParams params;
     params.max_depth = depth;
-    const RegressionTree tree = fit_variance_tree(ds, params);
-    EXPECT_LE(tree.num_leaves(), 1 << depth) << "depth=" << depth;
+    const Tree tree = fit_variance_tree(ds, params);
+    EXPECT_LE(num_leaves(tree), 1 << depth) << "depth=" << depth;
   }
 }
 
