@@ -29,7 +29,7 @@ int num_leaves(const Tree& tree) {
 
 /// Fit a plain variance-reduction tree (g = -y, h = 1).
 Tree fit_variance_tree(const Dataset& data, TreeParams params,
-                                 std::uint64_t seed = 1) {
+                       std::uint64_t seed = 1) {
   const std::size_t n = data.size();
   std::vector<double> g(n), h(n, 1.0), w(n, 1.0);
   for (std::size_t i = 0; i < n; ++i) g[i] = -data.target(i);
