@@ -128,15 +128,23 @@ RowResult bench_model(const std::string& name, const Surrogate& model,
 // ---------------------------------------------------------------------------
 // Per-engine descent throughput (DESIGN.md "SIMD descent"). Each flat-
 // forest family runs serial predict_batch under every forced descent
-// engine; engines a fitted forest cannot support (shape outside the
-// masked eligibility rules) are reported as unavailable rather than
-// timed. Speedups are relative to the interleaved walk at the same
-// batch size — the pre-SIMD baseline — which keeps them comparable
-// across hosts even though absolute rows/sec are not. Besides the full
-// query matrix, every engine is timed on a 40-row batch (an NSGA-II
-// population) and a 1-row batch (a scalar query), keyed `<engine>@40`
-// and `<engine>@1`: there a batch is all tail block.
+// engine and under kAuto's own dispatch; engines a fitted forest cannot
+// support (shape outside the masked eligibility rules) are reported as
+// unavailable rather than timed. Speedups are relative to the
+// interleaved walk at the same batch size — the pre-SIMD baseline —
+// which keeps them comparable across hosts even though absolute rows/sec
+// are not. Besides the full query matrix, every engine is timed on a
+// 40-row batch (an NSGA-II population), a 2-row batch (kMaskedMinRows,
+// the smallest batch auto sends to the masked engine) and a 1-row batch
+// (a scalar query), keyed `<engine>@40`, `<engine>@2` and `<engine>@1`:
+// there a batch is all tail block. The `auto@<m>` rows pin the cutoff.
+// A small-batch timing walks up to kSmallBatchSlices consecutive batches
+// of distinct rows, as a search asks about a new architecture each time.
+// Re-asking one row would let the branch predictor learn its every turn
+// and loop exit, which real queries never allow.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kSmallBatchSlices = 256;
 
 struct PathResult {
   std::string model;
@@ -157,15 +165,22 @@ std::vector<PathResult> bench_paths(const std::string& name,
     ScopedDescentPath sp(DescentPath::kInterleaved);
     model.predict_batch(rows, num_features, ref);
   }
-  const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kMasked};
-  const std::size_t kBatchRows[] = {n, 40, 1};
+  const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kMasked,
+                                DescentPath::kAuto};
+  const std::size_t kBatchRows[] = {n, 40, kMaskedMinRows, 1};
   std::vector<PathResult> results;
   for (std::size_t b = 0; b < std::size(kBatchRows); ++b) {
     const std::size_t m = kBatchRows[b];
     if (b > 0 && m >= n) continue;
     const std::string suffix = b == 0 ? "" : "@" + std::to_string(m);
-    const auto batch = rows.first(m * num_features);
-    const std::span<double> batch_out(out.data(), m);
+    const std::size_t slices =
+        b == 0 ? 1 : std::min(n / m, kSmallBatchSlices);
+    const auto run_batches = [&] {
+      for (std::size_t k = 0; k < slices; ++k)
+        model.predict_batch(
+            rows.subspan(k * m * num_features, m * num_features),
+            num_features, std::span<double>(out).subspan(k * m, m));
+    };
     const std::size_t interleaved = results.size();
     for (const DescentPath path : kPaths) {
       PathResult r;
@@ -173,17 +188,16 @@ std::vector<PathResult> bench_paths(const std::string& name,
       r.path = descent_path_name(path) + suffix;
       ScopedDescentPath sp(path);
       try {
-        model.predict_batch(batch, num_features, batch_out);  // probe
+        run_batches();  // probe
       } catch (const Error&) {
         results.push_back(r);
         continue;
       }
       r.available = true;
-      const double secs = time_per_call(
-          [&] { model.predict_batch(batch, num_features, batch_out); });
-      r.rps = static_cast<double>(m) / secs;
-      r.bit_identical =
-          std::memcmp(ref.data(), out.data(), m * sizeof(double)) == 0;
+      const double secs = time_per_call(run_batches);
+      r.rps = static_cast<double>(slices * m) / secs;
+      r.bit_identical = std::memcmp(ref.data(), out.data(),
+                                    slices * m * sizeof(double)) == 0;
       r.speedup = results.size() == interleaved
                       ? 1.0
                       : r.rps / results[interleaved].rps;

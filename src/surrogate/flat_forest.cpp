@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 
 #include "anb/obs/registry.hpp"
@@ -415,10 +417,81 @@ double FlatForest::predict_tree(std::size_t t, std::span<const double> x) const 
 
 namespace {
 
-/// The PR 2 engine, unchanged: two trees x four rows of scalar walks in
-/// lockstep. Still the dispatch floor — it is what runs when SIMD is off
-/// (ANB_SIMD=off), when the CPU offers no vector target, and for forests
-/// the masked engine cannot represent.
+/// step() that loads the chosen child by its offset instead of selecting
+/// between two loaded children. In the eight-lane walk GCC compiles
+/// step()'s select to conditional jumps, which mispredict on every random
+/// turn; this form has no branch, and fewer instructions than a bit-mask
+/// select. Same compare, same child: x < split reads `left`, anything
+/// else (NaN included) reads `right`, stored just after it.
+inline std::int32_t step_branchless(const FlatNode* nodes, std::int32_t at,
+                                    const double* x) {
+  static_assert(offsetof(FlatNode, right) ==
+                offsetof(FlatNode, left) + sizeof(std::int32_t));
+  const FlatNode& node = nodes[at];
+  const std::size_t go_right = !(x[node.feature] < node.split);
+  std::int32_t next = 0;
+  std::memcpy(&next,
+              reinterpret_cast<const unsigned char*>(&node) +
+                  offsetof(FlatNode, left) + go_right * sizeof(std::int32_t),
+              sizeof next);
+  return next;
+}
+
+/// One row's sum over every tree: out += scale * tree_t(x), tree by tree
+/// in order. Eight consecutive trees walk in lockstep, so eight
+/// independent pointer-chase chains overlap in flight for a row that has
+/// no partners to share a 4-row group with; the group runs to its deepest
+/// descent (self-looping leaves make the settled lanes idle in place).
+/// Trees past the last full group of eight walk one at a time. The lanes
+/// stay in named scalars, as in the 2x4 body, so they live in registers.
+double accumulate_row(const FlatNode* nodes,
+                      std::span<const std::int32_t> roots, const double* x,
+                      double scale, double acc) {
+  std::size_t t = 0;
+  for (; t + 8 <= roots.size(); t += 8) {
+    std::int32_t a0 = roots[t], a1 = roots[t + 1], a2 = roots[t + 2],
+                 a3 = roots[t + 3], a4 = roots[t + 4], a5 = roots[t + 5],
+                 a6 = roots[t + 6], a7 = roots[t + 7];
+    while (true) {
+      const std::int32_t b0 = step_branchless(nodes, a0, x);
+      const std::int32_t b1 = step_branchless(nodes, a1, x);
+      const std::int32_t b2 = step_branchless(nodes, a2, x);
+      const std::int32_t b3 = step_branchless(nodes, a3, x);
+      const std::int32_t b4 = step_branchless(nodes, a4, x);
+      const std::int32_t b5 = step_branchless(nodes, a5, x);
+      const std::int32_t b6 = step_branchless(nodes, a6, x);
+      const std::int32_t b7 = step_branchless(nodes, a7, x);
+      const bool settled = (b0 == a0) & (b1 == a1) & (b2 == a2) &
+                           (b3 == a3) & (b4 == a4) & (b5 == a5) &
+                           (b6 == a6) & (b7 == a7);
+      a0 = b0;
+      a1 = b1;
+      a2 = b2;
+      a3 = b3;
+      a4 = b4;
+      a5 = b5;
+      a6 = b6;
+      a7 = b7;
+      if (settled) break;
+    }
+    acc += scale * nodes[a0].split;
+    acc += scale * nodes[a1].split;
+    acc += scale * nodes[a2].split;
+    acc += scale * nodes[a3].split;
+    acc += scale * nodes[a4].split;
+    acc += scale * nodes[a5].split;
+    acc += scale * nodes[a6].split;
+    acc += scale * nodes[a7].split;
+  }
+  for (; t < roots.size(); ++t) acc += scale * walk_tree(nodes, roots[t], x);
+  return acc;
+}
+
+/// The scalar engine: two trees x four rows of scalar walks in lockstep,
+/// and accumulate_row for the rows that do not fill a 4-row group. It is
+/// the dispatch floor — it runs when SIMD is off (ANB_SIMD=off), when the
+/// CPU offers no vector target, for forests the masked engine cannot
+/// represent, and for batches below kMaskedMinRows.
 void interleaved_accumulate(const FlatNode* nodes,
                             std::span<const std::int32_t> roots,
                             std::span<const double> rows,
@@ -429,6 +502,7 @@ void interleaved_accumulate(const FlatNode* nodes,
 
   for (std::size_t begin = 0; begin < n; begin += kRowBlock) {
     const std::size_t nb = std::min(n - begin, kRowBlock);
+    const std::size_t grouped = nb & ~std::size_t{3};
     const double* const block = data + begin * num_features;
     // Two consecutive trees walk four rows in lockstep: eight mutually
     // independent pointer-chase chains overlap in flight (the scalar
@@ -442,8 +516,7 @@ void interleaved_accumulate(const FlatNode* nodes,
     for (; t + 2 <= roots.size(); t += 2) {
       const std::int32_t root0 = roots[t];
       const std::int32_t root1 = roots[t + 1];
-      std::size_t i = 0;
-      for (; i + 4 <= nb; i += 4) {
+      for (std::size_t i = 0; i < grouped; i += 4) {
         const double* const x0 = block + i * num_features;
         const double* const x1 = x0 + num_features;
         const double* const x2 = x1 + num_features;
@@ -483,25 +556,10 @@ void interleaved_accumulate(const FlatNode* nodes,
         out[begin + i + 3] += scale * nodes[a3].split;
         out[begin + i + 3] += scale * nodes[c3].split;
       }
-      for (; i < nb; ++i) {
-        const double* const x = block + i * num_features;
-        std::int32_t a = root0, c = root1;
-        while (true) {
-          const std::int32_t b = step(nodes, a, x);
-          const std::int32_t d = step(nodes, c, x);
-          const bool settled = (b == a) & (d == c);
-          a = b;
-          c = d;
-          if (settled) break;
-        }
-        out[begin + i] += scale * nodes[a].split;
-        out[begin + i] += scale * nodes[c].split;
-      }
     }
     for (; t < roots.size(); ++t) {
       const std::int32_t root = roots[t];
-      std::size_t i = 0;
-      for (; i + 4 <= nb; i += 4) {
+      for (std::size_t i = 0; i < grouped; i += 4) {
         const double* const x0 = block + i * num_features;
         const double* const x1 = x0 + num_features;
         const double* const x2 = x1 + num_features;
@@ -525,11 +583,12 @@ void interleaved_accumulate(const FlatNode* nodes,
         out[begin + i + 2] += scale * nodes[a2].split;
         out[begin + i + 3] += scale * nodes[a3].split;
       }
-      for (; i < nb; ++i) {
-        out[begin + i] +=
-            scale * walk_tree(nodes, root, block + i * num_features);
-      }
     }
+    // Rows are independent, so the 1-3 rows past the last 4-row group can
+    // run after the whole block; each still adds its trees in tree order.
+    for (std::size_t i = grouped; i < nb; ++i)
+      out[begin + i] = accumulate_row(nodes, roots, block + i * num_features,
+                                      scale, out[begin + i]);
   }
 }
 
@@ -549,15 +608,17 @@ void FlatForest::accumulate(std::span<const double> rows,
   if (n == 0) return;
 
   // Dispatch: forced path (test/bench hook) wins; otherwise the masked
-  // leaf-set engine runs whenever masks apply on a vector target — it is
-  // measured faster than the interleaved walk down to a single row (its
-  // padded tail block runs as whole vectors; DESIGN.md "SIMD descent") —
-  // and the interleaved walk is the floor everywhere else.
+  // leaf-set engine runs on a vector target for batches of at least
+  // kMaskedMinRows rows whenever masks apply (its padded tail block runs
+  // as whole vectors; DESIGN.md "SIMD descent"), and the interleaved walk
+  // is the floor everywhere else. The row count is tested first, so
+  // single-row queries never build the masked tables.
   const DescentPath forced = descent_path_override();
   const simd::Target target = simd::active_target();
   DescentPath path = forced;
   if (path == DescentPath::kAuto)
-    path = target != simd::Target::kScalar && simd_tables().masked_ok
+    path = n >= kMaskedMinRows && target != simd::Target::kScalar &&
+                   simd_tables().masked_ok
                ? DescentPath::kMasked
                : DescentPath::kInterleaved;
 

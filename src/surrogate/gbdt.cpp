@@ -98,8 +98,9 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
 }
 
 double Gbdt::predict(std::span<const double> x) const {
-  // A one-row batch: scalar queries take the same descent engine as
-  // batched ones, bit-identical to the per-tree walk by its contract.
+  // A one-row batch: kAuto dispatch sends it to the interleaved engine's
+  // eight-tree lockstep walk, bit-identical to the per-tree walk by its
+  // contract.
   double out = 0.0;
   predict_batch(x, x.size(), std::span<double>(&out, 1));
   return out;

@@ -19,11 +19,18 @@ namespace anb {
 /// in throughput and hardware/forest requirements.
 enum class DescentPath : int {
   kAuto = 0,         ///< pick per active simd::Target (the default)
-  kInterleaved = 1,  ///< scalar walk: 2 trees x 4 rows in lockstep
+  kInterleaved = 1,  ///< scalar walk: 2 trees x 4 rows, 8 trees x 1 row
   kMasked = 2,       ///< leaf-set masks over uint8 codes (<= 8 leaves/tree)
 };
 
 const char* descent_path_name(DescentPath p);
+
+/// Smallest batch kAuto sends to the masked engine. A single row fills
+/// one lane of a 32-lane vector per node, and the interleaved engine's
+/// eight-tree lockstep walk beats it; at two rows the masked engine
+/// already wins (bench/query_throughput's auto@1 and auto@2 rows pin
+/// both sides; DESIGN.md "SIMD descent").
+inline constexpr std::size_t kMaskedMinRows = 2;
 
 /// Process-wide forced path (test/bench hook; kAuto clears). A forced
 /// kMasked still honors the active simd::Target, so forcing target
@@ -92,12 +99,17 @@ inline double walk_tree(const FlatNode* nodes, std::int32_t root,
 /// a serial data-dependent load chain that leaves the core idle between
 /// levels; the interleaved descent in accumulate() breaks it: two
 /// consecutive trees each walk four rows in lockstep, so eight mutually
-/// independent node loads overlap in flight instead of serializing.
-/// Self-looping leaves make each step uniform and turn "all states
-/// stopped moving" into the combined leaf test, so unbalanced trees cost
-/// only the deepest descent of the group. Tree-major iteration over
-/// 64-row blocks keeps each tree's nodes cache-hot while the block is
-/// processed. This is where the serving-throughput win comes from
+/// independent node loads overlap in flight instead of serializing. A
+/// row that does not fill a four-row group (a single-row query, or the
+/// last 1-3 rows of a block) walks eight consecutive trees in lockstep
+/// instead, for the same eight chains in flight. Self-looping leaves
+/// make each step uniform and turn "all states stopped moving" into the
+/// combined leaf test, so unbalanced trees cost only the deepest descent
+/// of the group. Tree-major iteration over 64-row blocks keeps each
+/// tree's nodes cache-hot while the block is processed. Batches of two
+/// or more rows on a masked-eligible forest and a vector target take the
+/// masked leaf-set engine instead (DESIGN.md "SIMD descent"). This is
+/// where the serving-throughput win comes from
 /// (bench/query_throughput.cpp).
 ///
 /// Exactness contract: each row reaches its leaf through exactly the same

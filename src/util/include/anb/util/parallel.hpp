@@ -13,10 +13,17 @@ namespace anb {
 inline constexpr const char* kParallelForWorkerFaultSite =
     "util.parallel_for.worker";
 
+/// An ANB_NUM_THREADS value: decimal digits only, in [1, 65535].
+/// Anything else — null, empty, a sign, blanks, trailing junk such as
+/// `4x`, an exponent, 0 or an out-of-range count — returns 0, which
+/// default_num_threads() reads as "unset".
+unsigned parse_num_threads(const char* text);
+
 /// Number of worker threads `parallel_for` uses when a call site passes
 /// `num_threads = 0`. Resolution order: the value installed with
 /// set_default_num_threads() if non-zero, else the ANB_NUM_THREADS
-/// environment variable (read once at startup), else hardware concurrency.
+/// environment variable (read once, with parse_num_threads), else hardware
+/// concurrency.
 /// Always returns >= 1.
 ///
 /// This is the one knob the training engine exposes: every deterministic

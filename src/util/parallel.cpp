@@ -36,21 +36,30 @@ struct ErrorSlot {
   }
 };
 
+/// Largest thread count ANB_NUM_THREADS accepts.
+constexpr unsigned kMaxNumThreads = 0xFFFF;
+
 /// ANB_NUM_THREADS, parsed once; 0 when unset/invalid.
 unsigned env_num_threads() {
-  static const unsigned value = [] {
-    const char* env = std::getenv("ANB_NUM_THREADS");
-    if (env == nullptr) return 0u;
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed <= 0 || parsed > 0xFFFF) return 0u;
-    return static_cast<unsigned>(parsed);
-  }();
+  static const unsigned value = parse_num_threads(
+      std::getenv("ANB_NUM_THREADS"));
   return value;
 }
 
 std::atomic<unsigned> g_default_num_threads{0};
 
 }  // namespace
+
+unsigned parse_num_threads(const char* text) {
+  if (text == nullptr || *text == '\0') return 0;
+  unsigned value = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return 0;
+    value = value * 10 + static_cast<unsigned>(*c - '0');
+    if (value > kMaxNumThreads) return 0;
+  }
+  return value;
+}
 
 unsigned default_num_threads() {
   const unsigned installed =

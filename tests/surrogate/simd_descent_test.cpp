@@ -45,8 +45,9 @@ std::vector<simd::Target> test_targets() {
   return targets;
 }
 
-/// Batch sizes crossing every kernel regime: empty, below and around the
-/// interleaved walk's 4-row groups (1/2/7/8/9), both sides of the masked
+/// Batch sizes crossing every kernel regime: empty, both sides of
+/// kAuto's masked cutoff (1/2), below and around the interleaved walk's
+/// 4-row groups (1/2/7/8/9), both sides of the masked
 /// engine's one- and two-vector blocks (31/32/33, 63/64/65, 127), and the
 /// 255/256/257 straddle of four 64-row blocks plus a padded tail block.
 const std::size_t kBatchSizes[] = {0,  1,  2,  7,   8,   9,   31,  32,
@@ -81,6 +82,45 @@ std::vector<FlatNode> make_split_tree(double bump) {
           FlatNode{3.0, 1, 5, 6}, leaf_node(3, 1.0 + bump),
           leaf_node(4, 2.0 + bump), leaf_node(5, 3.0 + bump),
           leaf_node(6, 4.0 + bump)};
+}
+
+/// Complete depth-3 tree over features 0..2: the root splits f0 at 2.0,
+/// the next level f1 at 1.5 / 3.0, the last f2 at 1.0 / 2.0 / 3.0 / 4.0;
+/// eight distinct leaf values, scale * (0.1 * (k+1) + bump).
+std::vector<FlatNode> make_depth3_tree(double scale, double bump) {
+  std::vector<FlatNode> nodes = {
+      FlatNode{2.0, 0, 1, 2},   FlatNode{1.5, 1, 3, 4},
+      FlatNode{3.0, 1, 5, 6},   FlatNode{1.0, 2, 7, 8},
+      FlatNode{2.0, 2, 9, 10},  FlatNode{3.0, 2, 11, 12},
+      FlatNode{4.0, 2, 13, 14}};
+  for (int k = 0; k < 8; ++k)
+    nodes.push_back(leaf_node(7 + k, scale * (0.1 * (k + 1) + bump)));
+  return nodes;
+}
+
+/// `num_trees` trees over features 0..2 whose 8-tree groups mix depths:
+/// in group g a depth-5 chain sits in lane g % 8 and a single leaf in
+/// lane (g + 3) % 8, the rest are depth-3 trees. Lanes of one lockstep
+/// group settle at different depths, and across enough groups the
+/// deepest tree visits every lane. Leaf magnitudes cycle over about
+/// seven orders of magnitude, so summing trees out of order changes the
+/// rounding.
+/// Every tree has <= 8 leaves (masked-eligible).
+FlatForest make_lockstep_forest(int num_trees) {
+  const double kMagnitudes[] = {1.0, 3.0e4, 7.0e-3};
+  std::vector<std::vector<FlatNode>> trees;
+  for (int k = 0; k < num_trees; ++k) {
+    const int group = k / 8;
+    const int lane = k % 8;
+    const double mag = kMagnitudes[k % 3];
+    if (lane == group % 8)
+      trees.push_back(make_chain_tree(6, mag * (0.3 + 0.017 * k)));
+    else if (lane == (group + 3) % 8)
+      trees.push_back({leaf_node(0, mag * (0.75 + 0.013 * k))});
+    else
+      trees.push_back(make_depth3_tree(mag, 0.013 * k));
+  }
+  return FlatForest(trees);
 }
 
 /// Scalar reference: per row, sum scale * predict_tree over trees in tree
@@ -170,6 +210,51 @@ TEST(SimdDescentTest, BatchShapesAndOddForests) {
     for (auto& v : rows) v = rng.uniform() * 5.0;
     expect_paths_agree(forest, rows, 2, kAllPaths,
                        ("batch n=" + std::to_string(n)).c_str());
+  }
+}
+
+TEST(SimdDescentTest, EightTreeLockstepGroupsAndRemainders) {
+  // 8 trees: one full lockstep group; 9, 17 and 65: full groups plus a
+  // one-tree remainder that walks alone (65: the chain visits all eight
+  // lanes). Every batch size runs, so the 1-3 rows past a 4-row group
+  // take the eight-tree walk too.
+  for (const int num_trees : {8, 9, 17, 65}) {
+    const FlatForest forest = make_lockstep_forest(num_trees);
+    ASSERT_TRUE(forest.masked_available()) << num_trees;
+    Rng rng(7 + static_cast<std::uint64_t>(num_trees));
+    for (const std::size_t n : kBatchSizes) {
+      std::vector<double> rows(n * 3);
+      for (auto& v : rows) v = rng.uniform() * 6.0;
+      expect_paths_agree(forest, rows, 3, kAllPaths,
+                         ("trees=" + std::to_string(num_trees) +
+                          " n=" + std::to_string(n))
+                             .c_str());
+    }
+  }
+}
+
+TEST(SimdDescentTest, EightTreeLockstepSpecialValues) {
+  // NaN (always routes right), +/-inf, values sitting exactly on a
+  // threshold and one ulp off it, on batches that never fill (n = 1, 2,
+  // 3) or overflow by one (n = 5) a 4-row group.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> special = {
+      2.0,  1.5,  1.0,                                       // on thresholds
+      nan,  3.0,  4.0,                                       // NaN on f0
+      inf,  -inf, nan,                                       //
+      -inf, nan,  2.0,                                       //
+      std::nextafter(2.0, 0.0), std::nextafter(3.0, 9.0), inf,  // one ulp
+  };
+  for (const int num_trees : {8, 9, 17, 65}) {
+    const FlatForest forest = make_lockstep_forest(num_trees);
+    for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+      const std::span<const double> rows(special.data(), n * 3);
+      expect_paths_agree(forest, rows, 3, kAllPaths,
+                         ("special trees=" + std::to_string(num_trees) +
+                          " n=" + std::to_string(n))
+                             .c_str());
+    }
   }
 }
 
@@ -381,13 +466,15 @@ std::uint64_t simd_rows_of(Body body) {
   return 0;
 }
 
-TEST(SimdDescentTest, AutoTakesMaskedDownToOneRow) {
-  // No batch-size cutoff: on a vector target, auto sends a masked-
-  // eligible forest through the masked engine at any batch size, a
-  // scalar Gbdt::predict (a one-row batch) included. A forest the masks
-  // cannot represent (a 9-leaf tree, like a deep RandomForest), and
-  // scalar dispatch, stay on the interleaved walk, which counts no SIMD
-  // rows.
+TEST(SimdDescentTest, AutoSendsSingleRowsToInterleavedWalk) {
+  // The batch-size cutoff: on a vector target, auto sends a masked-
+  // eligible forest's batches of kMaskedMinRows rows or more through the
+  // masked engine, and a single row — a scalar Gbdt::predict included —
+  // through the interleaved walk's eight-tree lockstep, which counts no
+  // SIMD rows. A forest the masks cannot represent (a 9-leaf tree, like
+  // a deep RandomForest), and scalar dispatch, stay on the interleaved
+  // walk at every batch size.
+  ASSERT_EQ(kMaskedMinRows, 2u);
   std::vector<std::vector<FlatNode>> deep;
   deep.push_back(make_chain_tree(9, 0.0));
   const FlatForest nine_leaves(deep);
@@ -401,13 +488,26 @@ TEST(SimdDescentTest, AutoTakesMaskedDownToOneRow) {
   gbdt.fit(make_family_dataset(200, 61), rng);
   ASSERT_TRUE(gbdt.forest().masked_available());
   const std::vector<double> x = make_family_rows(1, 0xD0);
+  const std::vector<double> rows2 = make_family_rows(kMaskedMinRows, 0xD2);
   const std::vector<double> rows40 = make_family_rows(40, 0xD1);
+  std::vector<double> out1(1);
+  std::vector<double> out2(kMaskedMinRows);
   std::vector<double> out40(40);
 
   for (const simd::Target target : test_targets()) {
     simd::ScopedTarget st(target);
     const std::uint64_t vector_rows = target == simd::Target::kScalar ? 0 : 1;
-    EXPECT_EQ(simd_rows_of([&] { (void)gbdt.predict(x); }), vector_rows)
+    EXPECT_EQ(simd_rows_of([&] { (void)gbdt.predict(x); }), 0u)
+        << simd::target_name(target);
+    EXPECT_EQ(simd_rows_of([&] {
+                gbdt.predict_batch(x, kNumFeatures, out1);
+              }),
+              0u)
+        << simd::target_name(target);
+    EXPECT_EQ(simd_rows_of([&] {
+                gbdt.predict_batch(rows2, kNumFeatures, out2);
+              }),
+              kMaskedMinRows * vector_rows)
         << simd::target_name(target);
     EXPECT_EQ(simd_rows_of([&] {
                 gbdt.predict_batch(rows40, kNumFeatures, out40);

@@ -12,6 +12,19 @@
 namespace anb {
 namespace {
 
+TEST(ParseNumThreadsTest, AcceptsDigitsOnlyInRange) {
+  EXPECT_EQ(parse_num_threads("1"), 1u);
+  EXPECT_EQ(parse_num_threads("4"), 4u);
+  EXPECT_EQ(parse_num_threads("65535"), 65535u);
+}
+
+TEST(ParseNumThreadsTest, RejectsEverythingElse) {
+  for (const char* bad : {"4x", " 8", "8 cores", "-2", "+4", "1e3", "", "0",
+                          "65536", "99999999999999999999"})
+    EXPECT_EQ(parse_num_threads(bad), 0u) << "'" << bad << "'";
+  EXPECT_EQ(parse_num_threads(nullptr), 0u);
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 10000;
   std::vector<std::atomic<int>> hits(n);
