@@ -1,6 +1,9 @@
 // Serving throughput: QPS and latency percentiles of the anbd server as
 // a function of connection count, with the coalescing micro-batch
 // scheduler on vs off (DESIGN.md "Serving & micro-batch coalescing").
+// "off" is the same server at batch_max = 1: rows never share a flush,
+// so every query runs as its own one-row prediction on a scheduler
+// worker.
 //
 // Each configuration stands up an in-process Server and N blocking
 // clients that hammer scalar accuracy queries; wall-clock QPS plus
@@ -95,7 +98,7 @@ ConfigResult run_config(const AccelNASBench& bench,
                         std::size_t connections, bool coalescing,
                         std::size_t requests_per_conn) {
   serve::ServeOptions options;
-  options.coalescing = coalescing;
+  if (!coalescing) options.scheduler.batch_max = 1;
   serve::Server server(bench, options);
   server.start();
 

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,11 +18,14 @@
 #include "anb/util/thread_annotations.hpp"
 
 // anbd's serving core: a Server open()s-once benchmark process that
-// answers protocol frames over a unix-domain socket. Each accepted
-// connection gets a reader thread (frame parsing, request handling,
-// scheduler submission) and a writer thread draining a bounded response
-// outbox — so a client that stops reading, or a fault-injected slow
-// write, can never hold up a scheduler worker or another connection.
+// answers protocol frames over a unix-domain socket. One I/O thread runs
+// poll(2) over the listener, every client socket and a wake descriptor; it
+// parses frames, submits queries to the scheduler and writes each
+// connection's bounded outbox. Scheduler workers never touch a socket:
+// they post finished responses to a completion queue and wake the loop.
+// So a running server owns one I/O thread plus its scheduler workers,
+// however many clients connect, and a client that stops reading can
+// never hold up a flush or another connection.
 // See DESIGN.md "Serving & micro-batch coalescing".
 
 namespace anb::serve {
@@ -32,12 +37,13 @@ namespace anb::serve {
 /// announces), request ids chosen by the client — so armed runs fire
 /// identically at any server thread count or interleaving: the
 /// ServeReport invariance contract of tests/serve/serve_fault_test.cpp.
-/// Clients with at most one request in flight get exact slow-write
-/// accounting too (response frames are keyed by the same request_id).
+/// Each request draws each decision once.
 ///
-/// read.stall: the reader sleeps (fault-magnitude-scaled) before handling
-/// a request — a slow client occupying only its own connection threads.
-/// write.slow: the writer sleeps before a send.
+/// read.stall: the connection handles no request until a timer of
+/// 0.2–2.2 ms (scaled by the fault's draw) fires: a slow client that
+/// delays only itself. write.slow: drawn as a response is queued; the
+/// connection sends nothing until such a timer fires. Both are timers in
+/// the I/O loop's poll set, never sleeps.
 /// drop: the server closes the connection instead of answering — the
 /// client sees EOF mid-conversation and must reconnect (bumping its
 /// incarnation so retried requests draw fresh fault decisions).
@@ -51,11 +57,9 @@ inline constexpr std::uint64_t kAnonymousClient = ~std::uint64_t{0};
 struct ServeOptions {
   /// Unix socket path; empty picks a fresh net::unique_socket_path.
   std::string socket_path;
-  /// Coalesce concurrent scalar queries into batched predictions. When
-  /// off, every request is answered synchronously on its connection's
-  /// reader thread via the scalar query path (the bench's comparison
-  /// baseline).
-  bool coalescing = true;
+  /// Queries always go through the coalescing scheduler;
+  /// `scheduler.batch_max = 1` is the uncoalesced baseline (rows never
+  /// share a flush).
   SchedulerOptions scheduler;
   /// Per-connection bound on queued-but-unsent responses. A client that
   /// stops reading past this is forcibly disconnected (never blocks the
@@ -66,7 +70,8 @@ struct ServeOptions {
 /// Per-client accounting, keyed by the kHello client id. Counts request
 /// *outcomes* (a response was produced), which is what the determinism
 /// contract can promise — whether a response also reached a client that
-/// vanished mid-flight is the client's business. Conservation law:
+/// vanished mid-flight is the client's business, but its outcome is
+/// still counted. Conservation law:
 /// received == ok + error + retry_later + dropped.
 struct ClientReport {
   std::uint64_t received = 0;
@@ -105,21 +110,27 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the socket, start the scheduler and the accept loop. The
-  /// socket path is available (and connectable) once start() returns.
+  /// Bind the socket, start the scheduler and the I/O thread. The socket
+  /// path is available (and connectable) once start() returns.
   void start();
 
   /// Graceful stop: refuse new connections, drain the scheduler (every
   /// admitted request still gets its response), flush outboxes, join all
-  /// threads, unlink the socket. Idempotent.
+  /// threads, unlink the socket. Idempotent. Rethrows, once, an error
+  /// that ended the I/O thread early.
   void stop();
 
-  bool running() const;
   const std::string& socket_path() const;
 
-  /// Block until a client sends kShutdown or another thread calls
-  /// stop(); performs the stop before returning (daemon main loop).
+  /// Block until a client sends kShutdown, stop_async() is called or
+  /// another thread calls stop(); performs the stop before returning
+  /// (daemon main loop).
   void wait();
+
+  /// Ask a started server to stop, as a kShutdown frame does: wait() then
+  /// drains and returns. Async-signal-safe (anbd calls it from its
+  /// SIGTERM/SIGINT handler).
+  void stop_async() noexcept;
 
   /// Merged accounting snapshot. Deterministic once quiescent.
   ServeReport report() const;
@@ -130,20 +141,16 @@ class Server {
 
  private:
   struct Connection;
+  struct Completion;  ///< a finished response, posted to the I/O thread
+  struct Loop;        ///< the I/O thread's poll set and scratch buffers
 
-  /// Outcome of handling one decoded frame.
-  enum class HandleResult {
-    kKeep,   ///< keep reading from this connection
-    kClose,  ///< graceful close (drain outbox first)
-    kDrop,   ///< drop fault: abort without a reply
-  };
-
-  void accept_loop();
-  void handle_connection(std::shared_ptr<Connection> conn);
-  HandleResult handle_request(const std::shared_ptr<Connection>& conn,
-                              const Decoded& frame);
-  /// Fold a finished connection's counters into closed_clients_.
-  void absorb_connection(const Connection& conn) ANB_REQUIRES(mu_);
+  void io_loop();
+  /// One round of the I/O loop; false once a stop has drained it all.
+  bool turn(Loop& loop) ANB_REQUIRES(mu_);
+  void serve_input(std::uint64_t id, Connection& conn) ANB_REQUIRES(mu_);
+  void answer(std::uint64_t id, Connection& conn, Request req)
+      ANB_REQUIRES(mu_);
+  void post(Completion done);
 
   const AccelNASBench& bench_;
   const ServeOptions options_;
@@ -153,15 +160,28 @@ class Server {
   CondVar shutdown_cv_;
   bool running_ ANB_GUARDED_BY(mu_) = false;
   bool stop_requested_ ANB_GUARDED_BY(mu_) = false;
+  /// stop() has drained the scheduler: the loop flushes and exits.
+  bool draining_ ANB_GUARDED_BY(mu_) = false;
   std::uint64_t connections_accepted_ ANB_GUARDED_BY(mu_) = 0;
-  std::vector<std::shared_ptr<Connection>> connections_ ANB_GUARDED_BY(mu_);
-  /// Counters of reaped connections, merged by client id so report()
+  /// Open connections, plus closed ones still owed completions, by the
+  /// serial id their scheduler callbacks carry. Only the I/O thread
+  /// changes them; report() reads them.
+  std::map<std::uint64_t, std::unique_ptr<Connection>> connections_
+      ANB_GUARDED_BY(mu_);
+  std::uint64_t next_connection_id_ ANB_GUARDED_BY(mu_) = 0;
+  /// Counters of finished connections, merged by client id so report()
   /// stays exact across connection churn.
   std::map<std::uint64_t, ClientReport> closed_clients_ ANB_GUARDED_BY(mu_);
+  std::exception_ptr io_error_ ANB_GUARDED_BY(mu_);
+
+  Mutex done_mu_;
+  std::vector<Completion> done_ ANB_GUARDED_BY(done_mu_);
+  std::atomic<bool> stop_signalled_{false};
+  net::WakeFd wake_;
 
   std::unique_ptr<net::Listener> listener_;
   std::string socket_path_;
-  std::thread accept_thread_;
+  std::thread io_thread_;
 };
 
 }  // namespace anb::serve

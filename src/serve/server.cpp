@@ -1,9 +1,11 @@
 #include "anb/serve/server.hpp"
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <deque>
-#include <thread>
+#include <exception>
+#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "anb/obs/registry.hpp"
@@ -38,145 +40,153 @@ obs::Counter& retry_counter() {
   return c;
 }
 
-/// Fault-decision key for one request on one connection: pure in the
-/// client's self-declared identity and the request id, so an armed
-/// Bernoulli site fires on the same requests no matter how connections
-/// interleave or how many server threads run (the ServeReport invariance
-/// contract). Requests sent before kHello key under kAnonymousClient.
-std::uint64_t fault_key(std::uint64_t client_id, std::uint32_t incarnation,
-                        std::uint64_t request_id) {
-  return hash_combine(hash_combine(client_id, incarnation), request_id);
-}
-
 /// request_id sits at a fixed offset in every encoded frame (after the
-/// u32 length, u32 magic, u16 version, u16 type). The writer re-reads it
-/// from queued response frames to key the slow-write fault per response.
+/// u32 length, u32 magic, u16 version, u16 type). The slow-write fault
+/// re-reads it from queued response frames to key its decision.
 std::uint64_t frame_request_id(const std::vector<char>& frame) {
   std::uint64_t id = 0;
   if (frame.size() >= 20) __builtin_memcpy(&id, frame.data() + 12, sizeof(id));
   return id;
 }
 
+/// Arm `timer` (made on first use) for a fired read-stall or slow-write
+/// fault: 0.2–2.2 ms, scaled by the fault's draw.
+void arm_fault_delay(std::unique_ptr<net::Timer>& timer,
+                     const fault::FireInfo& f) {
+  if (!timer) timer = std::make_unique<net::Timer>();
+  timer->arm((200 + static_cast<std::int64_t>(f.uniform() * 2000.0)) * 1000);
+}
+
+/// True while `timer` runs: what it guards must wait.
+bool waits(const std::unique_ptr<net::Timer>& timer) {
+  return timer && !timer->expired();
+}
+
+void merge(ClientReport& into, const ClientReport& from) {
+  into.received += from.received;
+  into.ok += from.ok;
+  into.error += from.error;
+  into.retry_later += from.retry_later;
+  into.dropped += from.dropped;
+  into.stall_faults += from.stall_faults;
+  into.slow_faults += from.slow_faults;
+}
+
+constexpr std::size_t kNoSlot = ~std::size_t{0};
+/// Slot of the wake descriptor in every poll set.
+constexpr std::size_t kWakeSlot = 0;
+/// How long the listener rests after accept ran out of descriptors,
+/// unless a connection closes first.
+constexpr std::int64_t kAcceptRestNs = 50'000'000;
+
 }  // namespace
 
-/// One accepted client connection. Owned jointly (shared_ptr) by the
-/// server's connection list, the reader/writer threads, and any pending
-/// scheduler callbacks — whoever finishes last frees it.
-///
-/// Threading: `socket` is used concurrently by the reader (recv) and
-/// writer (send); stream sockets permit that, and teardown only ever uses
-/// shutdown() from other threads, never close(), so no thread can observe
-/// a recycled descriptor. Identity fields are written by the reader
-/// (kHello) and read by the writer for fault keys, hence atomics. The
-/// outcome counters are relaxed atomics folded into ServeReport sums.
+/// One accepted client connection. Owned by the I/O thread (through
+/// connections_), which alone reads and writes it; it outlives its socket
+/// while scheduler completions are still owed to it, so every outcome is
+/// counted on its row.
 struct Server::Connection {
-  net::Socket socket;
-  std::thread reader;
-  std::thread writer;
+  net::Socket socket;  ///< invalid once closed
+  std::uint64_t client_id = kAnonymousClient;
+  std::uint32_t incarnation = 0;
+  ClientReport counts;
 
-  std::atomic<std::uint64_t> client_id{kAnonymousClient};
-  std::atomic<std::uint32_t> incarnation{0};
+  std::vector<char> in;         ///< received bytes not yet handled
+  bool eof = false;             ///< read nothing more (EOF, bad frame, stop)
+  std::optional<Request> held;  ///< a request waiting out its read stall
+  std::unique_ptr<net::Timer> stall;  ///< read stall: handle nothing yet
 
-  std::atomic<std::uint64_t> received{0};
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> error{0};
-  std::atomic<std::uint64_t> retry_later{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint64_t> stall_faults{0};
-  std::atomic<std::uint64_t> slow_faults{0};
+  std::deque<std::vector<char>> outbox;  ///< responses not yet fully sent
+  std::size_t outbox_capacity = 0;
+  std::size_t sent = 0;              ///< bytes of outbox.front() sent
+  std::unique_ptr<net::Timer> slow;  ///< slow write: send nothing yet
 
-  std::atomic<bool> reader_done{false};
-  std::atomic<bool> writer_done{false};
+  std::size_t pending = 0;     ///< admitted queries not yet completed
+  std::size_t slot = kNoSlot;  ///< index in the last poll set
 
-  Mutex out_mu;
-  CondVar out_cv;
-  std::deque<std::vector<char>> outbox ANB_GUARDED_BY(out_mu);
-  bool closing ANB_GUARDED_BY(out_mu) = false;  ///< drain outbox, then exit
-  bool aborted ANB_GUARDED_BY(out_mu) = false;  ///< exit now, discard outbox
-  std::size_t outbox_capacity = 1024;
-
-  /// Queue a response frame for the writer. Returns false — discarding
-  /// the frame — once the connection is closing/aborted or the bounded
-  /// outbox is full (the latter also aborts the connection: a client that
-  /// stopped reading must never pin server memory). Never blocks, so
-  /// scheduler callbacks stay non-blocking.
-  bool enqueue(std::vector<char> frame) {
-    bool overflow = false;
-    {
-      MutexLock lock(out_mu);
-      if (closing || aborted) return false;
-      if (outbox.size() >= outbox_capacity) {
-        aborted = true;
-        overflow = true;
-      } else {
-        outbox.push_back(std::move(frame));
-      }
-    }
-    out_cv.notify_one();
-    if (overflow) socket.shutdown_both();  // wake the reader too
-    return !overflow;
+  /// Fault-decision key for one request: pure in the client's
+  /// self-declared identity and the request id, so an armed Bernoulli
+  /// site fires on the same requests no matter how connections interleave
+  /// or how many server threads run (the ServeReport invariance
+  /// contract). Requests sent before kHello key under kAnonymousClient.
+  std::uint64_t fault_key(std::uint64_t request_id) const {
+    return hash_combine(hash_combine(client_id, incarnation), request_id);
   }
 
-  /// Ask the writer to finish. With `abort` the outbox is discarded and
-  /// both socket directions are shut; without, the writer drains queued
-  /// responses first (graceful close — the fuzz contract requires the
-  /// typed error reply to reach the client before EOF).
-  void begin_close(bool abort) {
-    {
-      MutexLock lock(out_mu);
-      closing = true;
-      if (abort) aborted = true;
+  void count(bool ok) {
+    if (ok) {
+      counts.ok += 1;
+      ok_counter().add(1);
+    } else {
+      counts.error += 1;
+      error_counter().add(1);
     }
-    out_cv.notify_all();
-    if (abort) socket.shutdown_both();
   }
 
-  void writer_loop() {
-    for (;;) {
-      std::deque<std::vector<char>> pending;
-      {
-        MutexLock lock(out_mu);
-        out_cv.wait(out_mu, [this]() ANB_REQUIRES(out_mu) {
-          return !outbox.empty() || closing || aborted;
-        });
-        if (aborted) break;
-        if (outbox.empty() && closing) break;
-        pending.swap(outbox);
-      }
-      bool alive = true;
-      for (std::vector<char>& frame : pending) {
-        if (fault::any_armed()) {
-          const std::uint64_t key =
-              fault_key(client_id.load(std::memory_order_relaxed),
-                        incarnation.load(std::memory_order_relaxed),
-                        frame_request_id(frame));
-          if (auto f = fault::should_fire(kServeWriteSlowSite, key)) {
-            slow_faults.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                200 + static_cast<long>(f->uniform() * 2000.0)));
-          }
-        }
-        if (!socket.send_all(frame)) {
-          alive = false;
-          break;
-        }
-      }
-      if (!alive) {
-        {
-          MutexLock lock(out_mu);
-          aborted = true;
-        }
-        socket.shutdown_both();  // reader sees EOF and exits
-        break;
+  /// Close now and discard everything unsent (drop fault, overflow, dead
+  /// peer). Completions still owed are counted when they arrive.
+  void abort() {
+    socket.close();
+    eof = true;
+    in.clear();
+    held.reset();
+    outbox.clear();
+    sent = 0;
+  }
+
+  /// Queue a response frame. A closed connection discards it; a client
+  /// that let `outbox_capacity` responses pile up is disconnected, so it
+  /// can never pin server memory. A slow-write fault, drawn once per
+  /// response, holds back this connection's sends until its deadline.
+  void reply(std::vector<char> frame) {
+    if (!socket.valid()) return;
+    if (outbox.size() >= outbox_capacity) {
+      abort();
+      return;
+    }
+    if (fault::any_armed()) {
+      if (auto f = fault::should_fire(kServeWriteSlowSite,
+                                      fault_key(frame_request_id(frame)))) {
+        counts.slow_faults += 1;
+        arm_fault_delay(slow, *f);
       }
     }
-    // Writer owns the final half-close: everything queued before `closing`
-    // has been sent (or the connection aborted), so signalling EOF now is
-    // safe and lets well-behaved clients distinguish "server finished"
-    // from "server died".
-    socket.shutdown_both();
-    writer_done.store(true, std::memory_order_release);
+    outbox.push_back(std::move(frame));
   }
+
+  /// Send what the socket takes of the outbox.
+  void flush() {
+    while (socket.valid() && !outbox.empty() && !waits(slow)) {
+      const std::vector<char>& frame = outbox.front();
+      const std::optional<std::size_t> n =
+          socket.try_send(std::span<const char>(frame).subspan(sent));
+      if (!n) {
+        abort();  // the peer is gone
+        return;
+      }
+      sent += *n;
+      if (sent < frame.size()) return;  // full: wait for POLLOUT
+      outbox.pop_front();
+      sent = 0;
+    }
+  }
+};
+
+struct Server::Completion {
+  std::uint64_t conn = 0;  ///< connections_ key
+  bool ok = false;
+  std::vector<char> frame;
+};
+
+struct Server::Loop {
+  net::PollSet polls;  ///< the set last waited on
+  net::PollSet next;   ///< the set being built for the next wait
+  std::vector<char> chunk = std::vector<char>(64 * 1024);
+  std::vector<Completion> done;
+  std::size_t listener_slot = kNoSlot;
+  /// Runs while the listener rests after accept ran out of descriptors;
+  /// made up front, since then no descriptor is left to make it.
+  net::Timer accept_rest;
 };
 
 Server::Server(const AccelNASBench& bench, ServeOptions options)
@@ -188,20 +198,19 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   MutexLock lock(mu_);
-  ANB_CHECK(!running_, "Server::start called twice");
-  ANB_CHECK(accept_thread_.joinable() == false, "Server already started");
+  ANB_CHECK(!running_ && !io_thread_.joinable(), "Server::start called twice");
   socket_path_ = options_.socket_path.empty()
                      ? net::unique_socket_path("anbd")
                      : options_.socket_path;
   listener_ = std::make_unique<net::Listener>(socket_path_);
-  if (options_.coalescing) scheduler_.start();
+  scheduler_.start();
   running_ = true;
   stop_requested_ = false;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  draining_ = false;
+  io_thread_ = std::thread([this] { io_loop(); });
 }
 
 void Server::stop() {
-  std::vector<std::shared_ptr<Connection>> conns;
   {
     MutexLock lock(mu_);
     if (!running_) return;
@@ -209,39 +218,23 @@ void Server::stop() {
     stop_requested_ = true;
   }
   shutdown_cv_.notify_all();
-  if (listener_) listener_->interrupt();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Drain order matters: the scheduler finishes first so every admitted
-  // request's response lands in an outbox, then writers flush those
-  // outboxes, then readers are unblocked. Half-closing only the read side
-  // keeps queued responses deliverable.
-  if (options_.coalescing) scheduler_.stop();
+  wake_.notify();  // the loop stops accepting
+  // Every admitted request still gets its response: the scheduler runs
+  // what it holds, and the loop delivers those completions meanwhile.
+  scheduler_.stop();
   {
     MutexLock lock(mu_);
-    conns.swap(connections_);
+    draining_ = true;
   }
-  for (auto& conn : conns) {
-    conn->begin_close(/*abort=*/false);
-    conn->socket.shutdown_read();
-  }
-  for (auto& conn : conns) {
-    if (conn->writer.joinable()) conn->writer.join();
-    if (conn->reader.joinable()) conn->reader.join();
-    conn->socket.close();
-  }
-  {
-    // Fold final counters into the same closed-connection aggregate the
-    // reaper uses, so report() is one code path.
-    MutexLock lock(mu_);
-    for (auto& conn : conns) absorb_connection(*conn);
-  }
+  wake_.notify();
+  io_thread_.join();
   listener_.reset();  // unlinks the socket path
-}
-
-bool Server::running() const {
-  MutexLock lock(mu_);
-  return running_;
+  std::exception_ptr error;
+  {
+    MutexLock lock(mu_);
+    error = std::exchange(io_error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 const std::string& Server::socket_path() const { return socket_path_; }
@@ -256,16 +249,9 @@ void Server::wait() {
   stop();
 }
 
-void Server::absorb_connection(const Connection& conn) {
-  ClientReport& row =
-      closed_clients_[conn.client_id.load(std::memory_order_relaxed)];
-  row.received += conn.received.load(std::memory_order_relaxed);
-  row.ok += conn.ok.load(std::memory_order_relaxed);
-  row.error += conn.error.load(std::memory_order_relaxed);
-  row.retry_later += conn.retry_later.load(std::memory_order_relaxed);
-  row.dropped += conn.dropped.load(std::memory_order_relaxed);
-  row.stall_faults += conn.stall_faults.load(std::memory_order_relaxed);
-  row.slow_faults += conn.slow_faults.load(std::memory_order_relaxed);
+void Server::stop_async() noexcept {
+  stop_signalled_.store(true);
+  wake_.notify();
 }
 
 ServeReport Server::report() const {
@@ -274,16 +260,8 @@ ServeReport Server::report() const {
     MutexLock lock(mu_);
     r.connections_accepted = connections_accepted_;
     r.clients = closed_clients_;
-    for (const auto& conn : connections_) {
-      ClientReport& row =
-          r.clients[conn->client_id.load(std::memory_order_relaxed)];
-      row.received += conn->received.load(std::memory_order_relaxed);
-      row.ok += conn->ok.load(std::memory_order_relaxed);
-      row.error += conn->error.load(std::memory_order_relaxed);
-      row.retry_later += conn->retry_later.load(std::memory_order_relaxed);
-      row.dropped += conn->dropped.load(std::memory_order_relaxed);
-      row.stall_faults += conn->stall_faults.load(std::memory_order_relaxed);
-      row.slow_faults += conn->slow_faults.load(std::memory_order_relaxed);
+    for (const auto& [id, conn] : connections_) {
+      merge(r.clients[conn->client_id], conn->counts);
     }
   }
   for (const auto& [id, row] : r.clients) {
@@ -300,114 +278,230 @@ ServeReport Server::report() const {
   return r;
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (stop_requested_) return;
-      // Reap finished connections so a long-lived daemon does not
-      // accumulate descriptors and thread objects; their counters move
-      // into the closed-connection aggregate first, keeping report()
-      // exact.
-      for (std::size_t i = 0; i < connections_.size();) {
-        auto& conn = connections_[i];
-        if (conn->reader_done.load(std::memory_order_acquire) &&
-            conn->writer_done.load(std::memory_order_acquire)) {
-          conn->reader.join();
-          conn->writer.join();
-          conn->socket.close();
-          absorb_connection(*conn);
-          connections_.erase(connections_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
+void Server::post(Completion done) {
+  bool was_empty;
+  {
+    MutexLock lock(done_mu_);
+    was_empty = done_.empty();
+    done_.push_back(std::move(done));
+  }
+  // One wake per batch: the loop takes the whole queue when it runs.
+  if (was_empty) wake_.notify();
+}
+
+void Server::io_loop() {
+  try {
+    Loop loop;
+    loop.polls.add(wake_);  // kWakeSlot
+    for (;;) {
+      {
+        MutexLock lock(mu_);
+        if (!turn(loop)) return;
       }
+      loop.polls.wait();
     }
-    net::Socket sock = listener_->accept(/*timeout_ms=*/50);
-    if (!sock.valid()) continue;
-    auto conn = std::make_shared<Connection>();
-    conn->socket = std::move(sock);
-    conn->outbox_capacity = options_.outbox_capacity;
-    {
-      MutexLock lock(mu_);
-      if (stop_requested_) return;  // Connection closes the socket
-      connections_.push_back(conn);
-      connections_accepted_ += 1;
-    }
-    connections_counter().add(1);
-    conn->writer = std::thread([conn] { conn->writer_loop(); });
-    conn->reader = std::thread([this, conn] { handle_connection(conn); });
+  } catch (...) {
+    // The loop cannot go on: wake wait(), and let stop() report why.
+    MutexLock lock(mu_);
+    io_error_ = std::current_exception();
+    stop_requested_ = true;
+    shutdown_cv_.notify_all();
   }
 }
 
-Server::HandleResult Server::handle_request(
-    const std::shared_ptr<Connection>& conn, const Decoded& frame) {
-  conn->received.fetch_add(1, std::memory_order_relaxed);
-  requests_counter().add(1);
-
-  Request req;
-  try {
-    req = parse_request(frame);
-  } catch (const ProtocolError& e) {
-    conn->error.fetch_add(1, std::memory_order_relaxed);
-    error_counter().add(1);
-    conn->enqueue(encode_error(frame.request_id, e.code(), e.what()));
-    return HandleResult::kKeep;  // payload errors are per-request
+bool Server::turn(Loop& loop) {
+  // Read draining_ before taking the completions: once it is set, the
+  // scheduler has posted its last one.
+  const bool draining = draining_;
+  if (loop.polls.readable(kWakeSlot)) wake_.drain();
+  if (stop_signalled_.exchange(false)) {
+    stop_requested_ = true;
+    shutdown_cv_.notify_all();
   }
-
-  // A kHello adopts its identity *before* the fault checks, so a dropped
-  // hello is keyed by the (client_id, incarnation) it announced — a
-  // reconnect with a bumped incarnation then draws a fresh decision.
-  // (Keyed under the stale identity, every client's first hello would
-  // share one key and a firing drop policy could sever hellos forever.)
-  if (req.type == MsgType::kHello) {
-    conn->client_id.store(req.client_id, std::memory_order_relaxed);
-    conn->incarnation.store(req.incarnation, std::memory_order_relaxed);
+  {
+    MutexLock lock(done_mu_);
+    loop.done.swap(done_);
   }
+  for (Completion& c : loop.done) {
+    Connection& conn = *connections_.at(c.conn);
+    conn.pending -= 1;
+    conn.count(c.ok);
+    conn.reply(std::move(c.frame));
+  }
+  loop.done.clear();
 
-  if (fault::any_armed()) {
-    const std::uint64_t key =
-        fault_key(conn->client_id.load(std::memory_order_relaxed),
-                  conn->incarnation.load(std::memory_order_relaxed),
-                  frame.request_id);
-    if (auto f = fault::should_fire(kServeReadStallSite, key)) {
-      conn->stall_faults.fetch_add(1, std::memory_order_relaxed);
-      // A stalled client: its reader thread sleeps, its own responses
-      // wait, and nothing else does — the isolation the fault tests pin.
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          200 + static_cast<long>(f->uniform() * 2000.0)));
+  while (loop.listener_slot != kNoSlot &&
+         loop.polls.readable(loop.listener_slot)) {
+    bool out_of_descriptors = false;
+    net::Socket socket = listener_->accept(out_of_descriptors);
+    if (out_of_descriptors) {
+      // The connection stays queued and the listener readable; polling it
+      // again at once would spin.
+      loop.accept_rest.arm(kAcceptRestNs);
     }
-    if (fault::should_fire(kServeDropSite, key)) {
-      conn->dropped.fetch_add(1, std::memory_order_relaxed);
-      return HandleResult::kDrop;
+    if (!socket.valid()) break;
+    auto conn = std::make_unique<Connection>();
+    conn->socket = std::move(socket);
+    conn->outbox_capacity = options_.outbox_capacity;
+    connections_.emplace(next_connection_id_++, std::move(conn));
+    connections_accepted_ += 1;
+    connections_counter().add(1);
+  }
+  // The next poll set: the wake descriptor, the listener while accepting
+  // (or its rest timer), and each connection that can take input, has
+  // output the socket refused, or waits out a fault's timer.
+  loop.next.clear();
+  loop.next.add(wake_);
+  loop.listener_slot = kNoSlot;
+  if (!stop_requested_) {
+    if (!loop.accept_rest.expired()) {
+      loop.next.add(loop.accept_rest);
+    } else {
+      loop.listener_slot = loop.next.add(*listener_);
     }
+  }
+  // Read every connection before handling any request, so a turn's
+  // queries reach the scheduler back to back: a worker woken by the first
+  // one finds the rest queued too, instead of flushing a batch of one
+  // while the loop is still reading (measured on bench/serve_throughput
+  // at 32 connections: half the one-row batches).
+  for (auto& [id, c] : connections_) {
+    Connection& conn = *c;
+    if (!conn.socket.valid()) continue;
+    if (draining) conn.eof = true;
+    if (!conn.eof && conn.slot != kNoSlot && loop.polls.readable(conn.slot)) {
+      const std::optional<std::size_t> n = conn.socket.try_recv(loop.chunk);
+      if (!n) {
+        conn.eof = true;  // the buffered frames are still answered
+      } else {
+        conn.in.insert(conn.in.end(), loop.chunk.data(),
+                       loop.chunk.data() + *n);
+      }
+    }
+  }
+  for (auto& [id, c] : connections_) serve_input(id, *c);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& conn = *it->second;
+    if (conn.socket.valid()) {
+      conn.flush();
+      // Graceful close: every request answered and every answer sent.
+      if (conn.eof && !conn.held && conn.pending == 0 &&
+          conn.outbox.empty()) {
+        conn.socket.close();
+      }
+    }
+    conn.slot = kNoSlot;
+    if (!conn.socket.valid()) {
+      if (conn.pending == 0) {
+        merge(closed_clients_[conn.client_id], conn.counts);
+        it = connections_.erase(it);
+        // A descriptor is free again: cut the listener's rest short.
+        if (loop.accept_rest.armed()) loop.accept_rest.arm(1);
+        continue;
+      }
+    } else {
+      if (conn.held) loop.next.add(*conn.stall);
+      const bool slowed = conn.slow && conn.slow->armed();
+      if (slowed && !conn.outbox.empty()) loop.next.add(*conn.slow);
+      const bool read = !conn.eof && !conn.held;
+      const bool write = !conn.outbox.empty() && !slowed;
+      if (read || write) conn.slot = loop.next.add(conn.socket, read, write);
+    }
+    ++it;
+  }
+  if (draining && connections_.empty()) return false;
+  std::swap(loop.polls, loop.next);
+  return true;
+}
+
+void Server::serve_input(std::uint64_t id, Connection& conn) {
+  std::size_t at = 0;  // bytes of conn.in handled so far
+  while (conn.socket.valid() && !waits(conn.stall)) {
+    if (conn.held) {
+      Request req = std::move(*conn.held);
+      conn.held.reset();
+      answer(id, conn, std::move(req));
+      continue;
+    }
+    const Decoded frame =
+        decode_frame(std::span<const char>(conn.in).subspan(at));
+    if (frame.status == DecodeStatus::kNeedMore) break;
+    conn.counts.received += 1;
+    requests_counter().add(1);
+    if (frame.status == DecodeStatus::kBad) {
+      // The stream framing is broken; a typed reply tells the client
+      // why, then the connection closes once that reply is sent.
+      conn.count(false);
+      conn.reply(encode_error(frame.request_id, frame.code, frame.message));
+      conn.eof = true;
+      conn.in.clear();
+      return;
+    }
+    at += frame.consumed;
+
+    Request req;
+    try {
+      req = parse_request(frame);
+    } catch (const ProtocolError& e) {
+      conn.count(false);
+      conn.reply(encode_error(frame.request_id, e.code(), e.what()));
+      continue;  // payload errors are per-request
+    }
+    // A kHello adopts its identity *before* the fault checks, so a
+    // dropped hello is keyed by the (client_id, incarnation) it announced
+    // — a reconnect with a bumped incarnation then draws a fresh
+    // decision. (Keyed under the stale identity, every client's first
+    // hello would share one key and a firing drop policy could sever
+    // hellos forever.)
+    if (req.type == MsgType::kHello) {
+      conn.client_id = req.client_id;
+      conn.incarnation = req.incarnation;
+    }
+    if (fault::any_armed()) {
+      if (auto f = fault::should_fire(kServeReadStallSite,
+                                      conn.fault_key(req.request_id))) {
+        // A stalled client: this connection handles nothing until the
+        // deadline, and nothing else waits for it.
+        conn.counts.stall_faults += 1;
+        arm_fault_delay(conn.stall, *f);
+        conn.held = std::move(req);
+        break;
+      }
+    }
+    answer(id, conn, std::move(req));
+  }
+  if (!conn.socket.valid()) return;  // aborted: its input is gone
+  conn.in.erase(conn.in.begin(),
+                conn.in.begin() + static_cast<std::ptrdiff_t>(at));
+  // After EOF no byte will ever complete a partial frame.
+  if (conn.eof && !conn.held) conn.in.clear();
+}
+
+void Server::answer(std::uint64_t id, Connection& conn, Request req) {
+  if (fault::any_armed() &&
+      fault::should_fire(kServeDropSite, conn.fault_key(req.request_id))) {
+    conn.counts.dropped += 1;
+    conn.abort();
+    return;
   }
 
   switch (req.type) {
     case MsgType::kHello:
-      conn->ok.fetch_add(1, std::memory_order_relaxed);
-      ok_counter().add(1);
-      conn->enqueue(encode_empty_reply(MsgType::kHelloOk, req.request_id));
-      return HandleResult::kKeep;
+      conn.count(true);
+      conn.reply(encode_empty_reply(MsgType::kHelloOk, req.request_id));
+      return;
     case MsgType::kPing:
-      conn->ok.fetch_add(1, std::memory_order_relaxed);
-      ok_counter().add(1);
-      conn->enqueue(encode_empty_reply(MsgType::kPong, req.request_id));
-      return HandleResult::kKeep;
-    case MsgType::kShutdown: {
-      conn->ok.fetch_add(1, std::memory_order_relaxed);
-      ok_counter().add(1);
-      conn->enqueue(encode_empty_reply(MsgType::kBye, req.request_id));
-      {
-        MutexLock lock(mu_);
-        stop_requested_ = true;
-      }
-      // The accept loop and wait() observe the flag; actually stopping
-      // must happen off this thread (stop() joins readers — us).
+      conn.count(true);
+      conn.reply(encode_empty_reply(MsgType::kPong, req.request_id));
+      return;
+    case MsgType::kShutdown:
+      conn.count(true);
+      conn.reply(encode_empty_reply(MsgType::kBye, req.request_id));
+      // wait() observes the flag and stops the server from its own
+      // thread; the loop keeps serving until then.
+      stop_requested_ = true;
       shutdown_cv_.notify_all();
-      return HandleResult::kKeep;
-    }
+      return;
     default:
       break;  // query types below
   }
@@ -422,14 +516,13 @@ Server::HandleResult Server::handle_request(
   // server's benchmark was built over. Answered before any queueing so
   // the typed error is deterministic and immediate.
   if (req.space != bench_.space()) {
-    conn->error.fetch_add(1, std::memory_order_relaxed);
-    error_counter().add(1);
-    conn->enqueue(encode_error(
-        req.request_id, ErrorCode::kUnknownSpace,
-        std::string("this server serves space '") +
-            space_name(bench_.space()) + "', request targeted '" +
-            space_name(req.space) + "'"));
-    return HandleResult::kKeep;
+    conn.count(false);
+    conn.reply(encode_error(req.request_id, ErrorCode::kUnknownSpace,
+                            std::string("this server serves space '") +
+                                space_name(bench_.space()) +
+                                "', request targeted '" +
+                                space_name(req.space) + "'"));
+    return;
   }
 
   // Surrogate presence is a per-request property, answered before any
@@ -437,120 +530,43 @@ Server::HandleResult Server::handle_request(
   const bool available =
       accuracy ? bench_.has_accuracy() : bench_.has_perf(req.key);
   if (!available) {
-    conn->error.fetch_add(1, std::memory_order_relaxed);
-    error_counter().add(1);
-    conn->enqueue(encode_error(
-        req.request_id, ErrorCode::kNoSurrogate,
-        "no surrogate installed for " + bucket.name()));
-    return HandleResult::kKeep;
+    conn.count(false);
+    conn.reply(encode_error(req.request_id, ErrorCode::kNoSurrogate,
+                            "no surrogate installed for " + bucket.name()));
+    return;
   }
 
-  if (!options_.coalescing) {
-    // Baseline path: answer synchronously on the reader thread via the
-    // scalar/batch query API. Identical values by the determinism
-    // contract; the bench compares its throughput against coalescing.
-    try {
-      const SearchSpace& sp = anb::space(req.space);
-      std::vector<double> values;
-      values.reserve(req.archs.size());
-      for (std::uint64_t index : req.archs) {
-        const Arch arch = sp.from_index(index);
-        values.push_back(accuracy ? bench_.query_accuracy(arch)
-                                  : bench_.query_perf(arch, req.key));
-      }
-      conn->ok.fetch_add(1, std::memory_order_relaxed);
-      ok_counter().add(1);
-      conn->enqueue(scalar ? encode_value(req.request_id, values[0])
-                           : encode_values(req.request_id, values));
-    } catch (const Error& e) {
-      conn->error.fetch_add(1, std::memory_order_relaxed);
-      error_counter().add(1);
-      conn->enqueue(
-          encode_error(req.request_id, ErrorCode::kInternal, e.what()));
-    }
-    return HandleResult::kKeep;
-  }
-
+  // The callback runs on a scheduler worker: it encodes the response
+  // there and hands it to the loop, never touching the connection.
   const std::uint64_t request_id = req.request_id;
   const Admit admitted = scheduler_.submit(
       bucket, std::move(req.archs),
-      [conn, request_id, scalar](std::vector<double> values,
-                                 std::string error) {
+      [this, id, request_id, scalar](std::vector<double> values,
+                                     std::string error) {
         if (!error.empty()) {
-          conn->error.fetch_add(1, std::memory_order_relaxed);
-          error_counter().add(1);
-          conn->enqueue(
-              encode_error(request_id, ErrorCode::kInternal, error));
-          return;
+          post({id, false,
+                encode_error(request_id, ErrorCode::kInternal, error)});
+        } else {
+          post({id, true,
+                scalar ? encode_value(request_id, values[0])
+                       : encode_values(request_id, values)});
         }
-        conn->ok.fetch_add(1, std::memory_order_relaxed);
-        ok_counter().add(1);
-        conn->enqueue(scalar ? encode_value(request_id, values[0])
-                             : encode_values(request_id, values));
       });
   switch (admitted) {
     case Admit::kOk:
+      conn.pending += 1;
       break;
     case Admit::kQueueFull:
-      conn->retry_later.fetch_add(1, std::memory_order_relaxed);
+      conn.counts.retry_later += 1;
       retry_counter().add(1);
-      conn->enqueue(encode_empty_reply(MsgType::kRetryLater, request_id));
+      conn.reply(encode_empty_reply(MsgType::kRetryLater, request_id));
       break;
     case Admit::kStopped:
-      conn->error.fetch_add(1, std::memory_order_relaxed);
-      error_counter().add(1);
-      conn->enqueue(encode_error(request_id, ErrorCode::kShuttingDown,
-                                 "server is draining"));
+      conn.count(false);
+      conn.reply(encode_error(request_id, ErrorCode::kShuttingDown,
+                              "server is draining"));
       break;
   }
-  return HandleResult::kKeep;
-}
-
-void Server::handle_connection(std::shared_ptr<Connection> conn) {
-  std::vector<char> buf;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    // Drain every complete frame currently buffered before reading more.
-    for (;;) {
-      const Decoded frame = decode_frame(buf);
-      if (frame.status == DecodeStatus::kNeedMore) break;
-      if (frame.status == DecodeStatus::kBad) {
-        // The stream framing is broken; a typed reply tells the client
-        // why, then the connection closes (the writer drains it out).
-        conn->received.fetch_add(1, std::memory_order_relaxed);
-        requests_counter().add(1);
-        conn->error.fetch_add(1, std::memory_order_relaxed);
-        error_counter().add(1);
-        conn->enqueue(encode_error(frame.request_id, frame.code,
-                                   frame.message));
-        conn->begin_close(/*abort=*/false);
-        open = false;
-        break;
-      }
-      const HandleResult result = handle_request(conn, frame);
-      buf.erase(buf.begin(),
-                buf.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
-      if (result == HandleResult::kDrop) {
-        conn->begin_close(/*abort=*/true);
-        open = false;
-        break;
-      }
-      if (result == HandleResult::kClose) {
-        conn->begin_close(/*abort=*/false);
-        open = false;
-        break;
-      }
-    }
-    if (!open) break;
-    const std::size_t n = conn->socket.recv_some(chunk);
-    if (n == 0) {  // EOF (client finished or teardown shut the read side)
-      conn->begin_close(/*abort=*/false);
-      break;
-    }
-    buf.insert(buf.end(), chunk, chunk + n);
-  }
-  conn->reader_done.store(true, std::memory_order_release);
 }
 
 }  // namespace anb::serve

@@ -2,8 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 // Local-socket wrapper for the serving layer. Like file IO (anb/util/io.hpp),
 // raw socket system calls live in exactly one TU — src/util/net.cpp, the
@@ -16,6 +18,8 @@
 // daemon (one warm process amortizing mmap'd artifacts across searchers on
 // the same host), and unix sockets keep the test matrix hermetic — no port
 // allocation, no firewall interaction, cleanup is an unlink.
+
+struct pollfd;  // <poll.h>, included only by src/util/net.cpp
 
 namespace anb::net {
 
@@ -47,18 +51,20 @@ class Socket {
   /// available.
   std::size_t recv_some(std::span<char> buf);
 
-  /// Receive exactly `buf.size()` bytes; returns false if the stream
-  /// ended first (a short read leaves the partial prefix in `buf`).
-  bool recv_exact(std::span<char> buf);
+  /// Nonblocking send and receive for the server's I/O loop: the count
+  /// moved now (0 when the call would block), or nullopt once the peer is
+  /// gone or, for try_recv, has finished sending.
+  std::optional<std::size_t> try_send(std::span<const char> bytes);
+  std::optional<std::size_t> try_recv(std::span<char> buf);
 
   /// Wake any thread blocked in recv/send on this socket and make every
   /// later operation fail/EOF. Safe to call from another thread while a
-  /// recv is in flight — this is how the server interrupts reader threads
-  /// on stop. Idempotent; no-op on an invalid socket.
+  /// recv is in flight (tests use it as a read deadline). Idempotent;
+  /// no-op on an invalid socket.
   void shutdown_both();
 
-  /// Half-close: wake/EOF the receive side only, leaving queued outbound
-  /// data deliverable (graceful server stop drains responses first).
+  /// Half-close: EOF the receive side only, leaving outbound data
+  /// deliverable.
   void shutdown_read();
 
   /// Half-close the send side: the peer sees EOF after consuming what was
@@ -72,6 +78,7 @@ class Socket {
  private:
   explicit Socket(int fd) : fd_(fd) {}
   friend class Listener;
+  friend class PollSet;
 
   int fd_ = -1;
 };
@@ -86,20 +93,84 @@ class Listener {
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
-  const std::string& path() const { return path_; }
-
-  /// Wait up to `timeout_ms` for a pending connection, then accept it.
-  /// Returns an invalid Socket on timeout or after interrupt(). The
-  /// timeout exists so an accept loop can poll its stop flag; it is not a
-  /// determinism-relevant quantity.
-  Socket accept(int timeout_ms);
-
-  /// Unblock pending/future accept() calls (they return invalid sockets).
-  void interrupt();
+  /// Accept a queued connection without blocking, as a nonblocking
+  /// socket; invalid when none is queued. Out of descriptors
+  /// (EMFILE/ENFILE), it also sets `out_of_descriptors`: the connection
+  /// stays queued, so the caller should rest before polling again.
+  Socket accept(bool& out_of_descriptors);
 
  private:
+  friend class PollSet;
+
   std::string path_;
   int fd_ = -1;
+};
+
+/// An eventfd that wakes a PollSet::wait() from another thread or from a
+/// signal handler: notify() is async-signal-safe, and the wakes posted
+/// before a drain() count as one.
+class WakeFd {
+ public:
+  WakeFd();
+  ~WakeFd();
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  void notify() noexcept;
+  void drain();
+
+ private:
+  friend class PollSet;
+
+  int fd_ = -1;
+};
+
+/// A one-shot monotonic timer (timerfd) for deadlines in a poll loop,
+/// which then needs no clock: add it to a PollSet to wake when it fires.
+class Timer {
+ public:
+  Timer();
+  ~Timer();
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Fire `ns` from now (at least 1 ns), replacing any earlier expiry.
+  void arm(std::int64_t ns);
+  /// Armed and not yet seen to fire by expired().
+  bool armed() const { return armed_; }
+  /// False while armed and not yet fired; never blocks.
+  bool expired();
+
+ private:
+  friend class PollSet;
+
+  int fd_ = -1;
+  bool armed_ = false;
+};
+
+/// A poll(2) set, rebuilt by its owner every round: add() returns a slot;
+/// wait() blocks until a slot is ready (a signal ends it early);
+/// readable() then says whether a read or accept on the slot will not
+/// block (data, EOF, a queued connection, a fired timer or an error).
+class PollSet {
+ public:
+  PollSet();
+  ~PollSet();
+  PollSet(PollSet&&) noexcept;
+  PollSet& operator=(PollSet&&) noexcept;
+
+  void clear();
+  std::size_t add(const Socket& socket, bool read, bool write);
+  std::size_t add(const Listener& listener);
+  std::size_t add(const WakeFd& wake);
+  std::size_t add(const Timer& timer);
+  void wait();
+  bool readable(std::size_t slot) const;
+
+ private:
+  std::size_t add_fd(int fd, short events);
+
+  std::vector<pollfd> fds_;
 };
 
 /// A fresh, process-unique socket path under the system temp directory

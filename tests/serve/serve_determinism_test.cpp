@@ -1,10 +1,11 @@
 // The headline contract of the serving layer: the same request multiset
 // produces bit-identical response values regardless of client count,
 // arrival interleaving, micro-batch cut points, scheduler thread count,
-// or whether coalescing is enabled at all. Each scenario replays a seeded
-// request multiset from N concurrent in-process clients against every
-// server configuration and EXPECT_EQs the doubles (exact bit comparison)
-// against a serial cache-less oracle computed without any server.
+// or whether coalescing is enabled at all (batch_max = 1). Each scenario
+// replays a seeded request multiset from N concurrent in-process clients
+// against every server configuration and EXPECT_EQs the doubles (exact
+// bit comparison) against a serial cache-less oracle computed without
+// any server.
 
 #include "anb/serve/server.hpp"
 
@@ -146,10 +147,8 @@ class ServeDeterminismTest : public ::testing::Test {
 
   /// Run every client's script concurrently against one configuration and
   /// assert bit-identical results; returns the server report.
-  ServeReport run_config(bool coalescing, unsigned worker_threads,
-                         std::uint32_t batch_max) {
+  ServeReport run_config(unsigned worker_threads, std::uint32_t batch_max) {
     ServeOptions options;
-    options.coalescing = coalescing;
     options.scheduler.worker_threads = worker_threads;
     options.scheduler.batch_max = batch_max;
     Server server(bench_, options);
@@ -165,8 +164,7 @@ class ServeDeterminismTest : public ::testing::Test {
     for (auto& t : threads) t.join();
 
     const std::string label =
-        "coalescing=" + std::to_string(coalescing) +
-        " workers=" + std::to_string(worker_threads) +
+        "workers=" + std::to_string(worker_threads) +
         " batch_max=" + std::to_string(batch_max);
     for (std::uint64_t c = 0; c < kClients; ++c) {
       EXPECT_EQ(got[c].size(), expected_[c].size()) << label;
@@ -193,16 +191,16 @@ TEST_F(ServeDeterminismTest, BitIdenticalAcrossThreadCountsAndCoalescing) {
   // Coalescing on, at 1 / 2 / hardware scheduler threads, and with a tiny
   // batch_max (many cut points) vs the default (few): every combination
   // must agree with the serial oracle bit-for-bit, hence with each other.
-  run_config(/*coalescing=*/true, /*worker_threads=*/1, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/2, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/0, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/2, /*batch_max=*/3);
-  // Coalescing off: synchronous scalar path, same values.
-  run_config(/*coalescing=*/false, /*worker_threads=*/1, /*batch_max=*/64);
+  run_config(/*worker_threads=*/1, /*batch_max=*/64);
+  run_config(/*worker_threads=*/2, /*batch_max=*/64);
+  run_config(/*worker_threads=*/0, /*batch_max=*/64);
+  run_config(/*worker_threads=*/2, /*batch_max=*/3);
+  // Coalescing off: every row flushed on its own, same values.
+  run_config(/*worker_threads=*/1, /*batch_max=*/1);
 }
 
 TEST_F(ServeDeterminismTest, ReportIsExactAndConserved) {
-  const ServeReport report = run_config(true, 2, 8);
+  const ServeReport report = run_config(2, 8);
 
   // Every client announced itself, so no anonymous row.
   EXPECT_EQ(report.clients.count(kAnonymousClient), 0u);
@@ -238,11 +236,11 @@ class FbnetServeDeterminismTest : public ServeDeterminismTest {
 };
 
 TEST_F(FbnetServeDeterminismTest, BitIdenticalAcrossThreadCountsAndCoalescing) {
-  run_config(/*coalescing=*/true, /*worker_threads=*/1, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/2, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/0, /*batch_max=*/64);
-  run_config(/*coalescing=*/true, /*worker_threads=*/2, /*batch_max=*/3);
-  run_config(/*coalescing=*/false, /*worker_threads=*/1, /*batch_max=*/64);
+  run_config(/*worker_threads=*/1, /*batch_max=*/64);
+  run_config(/*worker_threads=*/2, /*batch_max=*/64);
+  run_config(/*worker_threads=*/0, /*batch_max=*/64);
+  run_config(/*worker_threads=*/2, /*batch_max=*/3);
+  run_config(/*worker_threads=*/1, /*batch_max=*/1);
 }
 
 TEST_F(ServeDeterminismTest, BackpressureIsDeterministicUnderPause) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "anb/serve/client.hpp"
+#include "anb/serve/protocol.hpp"
 #include "anb/util/fault.hpp"
 #include "serve_test_util.hpp"
 
@@ -197,6 +199,31 @@ TEST_F(ServeFaultTest, StalledClientDoesNotBlockOtherBuckets) {
   const ServeReport report = server.report();
   EXPECT_EQ(report.clients.at(100).ok, pool_.size() + 1);
   EXPECT_GT(report.clients.at(100).stall_faults, 0u);
+}
+
+TEST_F(ServeFaultTest, AnswersProducedAfterClientLeftAreCounted) {
+  // A client sends 8 queries and leaves without reading while flushing is
+  // paused, so every answer is produced after its connection closed. The
+  // answers cannot be delivered, but their outcomes must land on the
+  // client's row: received == ok + error + retry_later + dropped.
+  Server server(bench_, {});
+  server.start();
+  server.scheduler_for_test().pause();
+  {
+    Client client(server.socket_path());
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE(
+          client.socket().send_all(encode_query_accuracy(i, pool_[i])));
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  server.scheduler_for_test().resume();
+  server.stop();
+
+  const ServeReport report = server.report();
+  const ClientReport& row = report.clients.at(kAnonymousClient);
+  EXPECT_EQ(row.received, 8u);
+  EXPECT_EQ(row.ok, 8u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // anbd — the Accel-NASBench daemon.
 //
-//   anbd --bench FILE [--socket PATH] [--no-coalescing]
-//        [--batch-max N] [--queue N] [--workers N]
+//   anbd --bench FILE [--socket PATH] [--batch-max N] [--queue N]
+//        [--workers N]
 //
 // Opens the benchmark artifact once (.anbb artifacts are memory-mapped,
 // so the surrogate tables are shared, page-cache-resident state) and
@@ -11,15 +11,19 @@
 // the forests.
 //
 // The daemon prints the socket path on stdout (so wrappers can discover
-// a --socket-less default) and blocks until a client sends the kShutdown
-// frame (`anbench query-remote --socket PATH --shutdown`).
+// a --socket-less default) and serves until SIGTERM, SIGINT or a client's
+// kShutdown frame (`anbench query-remote --socket PATH --shutdown`). It
+// then answers every admitted request, prints a summary on stderr,
+// removes its socket file and exits 0.
 //
 // Scheduler flags: a free worker flushes pending rows at once, up to
 // --batch-max per batch (default 64), so rows batch up only while every
-// worker (--workers, default one per core) is busy. --queue bounds the
-// rows pending before requests get kRetryLater.
+// worker (--workers, default one per core) is busy; --batch-max 1 serves
+// every row on its own. --queue bounds the rows pending before requests
+// get kRetryLater.
 // Numbers are parsed strictly; a bad value is a usage error (exit 2).
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,11 +41,15 @@ namespace {
 constexpr unsigned long kMaxWorkers = 1024;
 constexpr unsigned long kU32Max = std::numeric_limits<std::uint32_t>::max();
 
+anb::serve::Server* g_server = nullptr;
+
+void on_stop_signal(int) { g_server->stop_async(); }
+
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
-               "usage: anbd --bench FILE [--socket PATH] [--no-coalescing]\n"
-               "            [--batch-max N] [--queue N] [--workers N]\n"
+               "usage: anbd --bench FILE [--socket PATH] [--batch-max N]\n"
+               "            [--queue N] [--workers N]\n"
                "  --batch-max N  most rows per batched query (>= 1, "
                "default 64)\n"
                "  --queue N      rows pending before kRetryLater (>= 1, "
@@ -67,8 +75,6 @@ int main(int argc, char** argv) {
       bench_path = value();
     } else if (arg == "--socket") {
       options.socket_path = value();
-    } else if (arg == "--no-coalescing") {
-      options.coalescing = false;
     } else if (arg == "--batch-max") {
       options.scheduler.batch_max = static_cast<std::uint32_t>(
           anb::cli::parse_count(arg, value(), 1, kU32Max, usage));
@@ -88,9 +94,14 @@ int main(int argc, char** argv) {
     const anb::AccelNASBench bench = anb::AccelNASBench::open(bench_path);
     anb::serve::Server server(bench, options);
     server.start();
+    g_server = &server;
+    std::signal(SIGTERM, on_stop_signal);
+    std::signal(SIGINT, on_stop_signal);
     std::printf("%s\n", server.socket_path().c_str());
     std::fflush(stdout);  // wrappers wait for the path line
     server.wait();
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
 
     const anb::serve::ServeReport report = server.report();
     std::fprintf(stderr,

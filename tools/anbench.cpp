@@ -25,17 +25,13 @@
 //   anbench random --count N [--seed S]
 //       Sample random architectures (useful to pipe into query).
 //
-//   anbench serve  --bench FILE [--socket PATH] [--no-coalescing]
-//       Run the benchmark server in-process (thin wrapper over the anbd
-//       daemon's core; see tools/anbd.cpp for the full option set).
-//
 //   anbench query-remote --socket PATH (--arch SPEC [--device D]
 //                        [--metric M] | --shutdown)
-//       Query a running server instead of opening an artifact, or ask it
-//       to stop.
+//       Query a running anbd server (tools/anbd.cpp) instead of opening an
+//       artifact, or ask it to stop.
 //
 // Every subcommand that touches architectures takes --space
-// {mnasnet,fbnet} (default mnasnet); query/search/serve validate it
+// {mnasnet,fbnet} (default mnasnet); query and search validate it
 // against the artifact's space.
 //
 // Devices: tpuv2 tpuv3 a100 rtx3090 zcu102 vck190 npu-mobile cpu-server;
@@ -53,7 +49,6 @@
 #include "anb/anb/pipeline.hpp"
 #include "anb/fbnet/fbnet_space.hpp"
 #include "anb/serve/client.hpp"
-#include "anb/serve/server.hpp"
 #include "anb/util/table.hpp"
 #include "parse_count.hpp"
 
@@ -64,8 +59,8 @@ using namespace anb;
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
-               "usage: anbench <build|convert|info|query|search|serve|"
-               "query-remote|random> [options]\n"
+               "usage: anbench <build|convert|info|query|search|query-remote|"
+               "random> [options]\n"
                "run with a command and no options for per-command help; see "
                "the header of tools/anbench.cpp for details.\n");
   std::exit(2);
@@ -242,22 +237,6 @@ int cmd_search(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  const AccelNASBench bench = AccelNASBench::open(args.require("bench"));
-  if (args.has("space") && space_arg(args).id() != bench.space()) {
-    usage("--space does not match the artifact's space");
-  }
-  serve::ServeOptions options;
-  options.socket_path = args.get("socket", "");
-  options.coalescing = !args.has("no-coalescing");
-  serve::Server server(bench, options);
-  server.start();
-  std::printf("%s\n", server.socket_path().c_str());
-  std::fflush(stdout);
-  server.wait();
-  return 0;
-}
-
 int cmd_query_remote(const Args& args) {
   serve::Client client(args.require("socket"));
   if (args.has("shutdown")) {
@@ -301,7 +280,6 @@ int main(int argc, char** argv) {
     if (command == "info") return cmd_info(args);
     if (command == "query") return cmd_query(args);
     if (command == "search") return cmd_search(args);
-    if (command == "serve") return cmd_serve(args);
     if (command == "query-remote") return cmd_query_remote(args);
     if (command == "random") return cmd_random(args);
     usage(("unknown command " + command).c_str());
