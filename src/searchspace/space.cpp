@@ -20,8 +20,8 @@ int option_index(const std::vector<T>& options, T value, const char* what) {
 }
 
 /// Registry state: spaces have static storage duration, so bare pointers
-/// are safe. Guarded for concurrent first-use registration (servers
-/// resolve spaces from reader threads).
+/// are safe. Guarded for concurrent first-use registration (a server
+/// resolves spaces from its I/O thread and its scheduler workers).
 struct Registry {
   Mutex mu;
   std::map<SpaceId, const SearchSpace*> spaces ANB_GUARDED_BY(mu);
