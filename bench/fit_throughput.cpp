@@ -4,14 +4,17 @@
 // Fits each tree-surrogate family (xgb / lgb / rf) on 1k/5k/20k-row
 // datasets over the real 63-dim architecture encoding, once pinned to a
 // single thread and once with all hardware threads, and reports the
-// speedup. Doubles as a differential harness: the binary exits non-zero
-// unless the serialized model fitted at every thread count is
-// byte-identical to the single-threaded one — the determinism contract the
-// engine is built on.
+// speedup. One more row, `xgb_trial`, fits the shape benchmark
+// construction fits most: a full-size SMAC trial of the xgb family (the
+// 1600-row tuning subsample, depth 6, subsample 0.8, colsample 0.75).
+// Doubles as a differential harness: the binary exits non-zero unless the
+// serialized model fitted at every thread count is byte-identical to the
+// single-threaded one — the determinism contract the engine is built on.
 //
 // Usage: fit_throughput [n_rows] [--trace]
 //                                  (one size; default 1k/5k/20k sweep,
-//                                   ANB_FAST=1 -> 1000 only)
+//                                   ANB_FAST=1 -> 1000 only; the
+//                                   xgb_trial row runs every time)
 // Output: results/fit_throughput.csv + fit_throughput_metrics.csv
 //         (+ fit_throughput_trace.json with --trace / ANB_TRACE)
 
@@ -27,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "anb/anb/tuning.hpp"
 #include "anb/searchspace/space.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/hist_gbdt.hpp"
@@ -111,7 +115,7 @@ RowResult bench_family(const std::string& name, const MakeModel& make_model,
 }
 
 void print_row(const RowResult& r) {
-  std::printf("%-4s rows=%-6zu serial=%8.3fs  parallel=%8.3fs (%u threads, "
+  std::printf("%-9s rows=%-6zu serial=%8.3fs  parallel=%8.3fs (%u threads, "
               "%5.2fx)  identical=%s\n",
               r.name.c_str(), r.rows, r.serial_secs, r.parallel_secs,
               r.threads, r.serial_secs / r.parallel_secs,
@@ -168,6 +172,20 @@ int run(int argc, char** argv) {
         "rf", [&] { return RandomForest(rf_params); }, train, 13));
     print_row(results.back());
   }
+
+  GbdtParams trial_params;
+  trial_params.n_estimators = 1000;  // mid-range of the tuned 300..2000
+  trial_params.max_depth = 6;
+  trial_params.subsample = 0.8;
+  trial_params.colsample = 0.75;
+  const int trial_rows = TuneOptions{}.tuning_subsample;
+  const Dataset trial = make_dataset(
+      trial_rows,
+      hash_combine(kWorldSeed, static_cast<std::uint64_t>(trial_rows)), w,
+      num_features);
+  results.push_back(bench_family(
+      "xgb_trial", [&] { return Gbdt(trial_params); }, trial, 14));
+  print_row(results.back());
 
   const std::string path = results_path("fit_throughput.csv");
   std::string csv =

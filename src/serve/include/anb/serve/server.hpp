@@ -51,6 +51,13 @@ inline constexpr const char* kServeReadStallSite = "serve.conn.read.stall";
 inline constexpr const char* kServeWriteSlowSite = "serve.conn.write.slow";
 inline constexpr const char* kServeDropSite = "serve.conn.drop";
 
+/// How long a stop waits, once the scheduler has posted its last answer,
+/// for a client to take the output its socket refuses. A connection still
+/// holding unsent responses then is closed, and each of them counts as
+/// dropped: a client that never reads cannot hold a stop (or anbd's
+/// SIGTERM drain) open.
+inline constexpr std::int64_t kDrainGraceNs = 1'000'000'000;
+
 /// client_id reported for connections that never sent kHello.
 inline constexpr std::uint64_t kAnonymousClient = ~std::uint64_t{0};
 
@@ -78,7 +85,9 @@ struct ClientReport {
   std::uint64_t ok = 0;
   std::uint64_t error = 0;
   std::uint64_t retry_later = 0;
-  std::uint64_t dropped = 0;       ///< requests eaten by a drop fault
+  /// Requests eaten by a drop fault, or answered but not delivered
+  /// within a stop's drain grace (kDrainGraceNs).
+  std::uint64_t dropped = 0;
   std::uint64_t stall_faults = 0;
   std::uint64_t slow_faults = 0;
 
@@ -115,9 +124,9 @@ class Server {
   void start();
 
   /// Graceful stop: refuse new connections, drain the scheduler (every
-  /// admitted request still gets its response), flush outboxes, join all
-  /// threads, unlink the socket. Idempotent. Rethrows, once, an error
-  /// that ended the I/O thread early.
+  /// admitted request still gets its response), flush outboxes for up to
+  /// kDrainGraceNs, join all threads, unlink the socket. Idempotent.
+  /// Rethrows, once, an error that ended the I/O thread early.
   void stop();
 
   const std::string& socket_path() const;

@@ -27,18 +27,23 @@ obs::Counter& requests_counter() {
   static obs::Counter& c = obs::counter("anb.serve.requests");
   return c;
 }
-obs::Counter& ok_counter() {
-  static obs::Counter& c = obs::counter("anb.serve.responses.ok");
-  return c;
+/// How a request was answered: the ClientReport column it counts in.
+enum class Outcome : std::uint8_t { kOk, kError, kRetryLater };
+
+obs::Counter& outcome_counter(Outcome outcome) {
+  static obs::Counter& ok = obs::counter("anb.serve.responses.ok");
+  static obs::Counter& error = obs::counter("anb.serve.responses.error");
+  static obs::Counter& retry = obs::counter("anb.serve.retry_later");
+  return outcome == Outcome::kOk      ? ok
+         : outcome == Outcome::kError ? error
+                                      : retry;
 }
-obs::Counter& error_counter() {
-  static obs::Counter& c = obs::counter("anb.serve.responses.error");
-  return c;
-}
-obs::Counter& retry_counter() {
-  static obs::Counter& c = obs::counter("anb.serve.retry_later");
-  return c;
-}
+
+/// A queued response frame and the outcome it was counted as.
+struct QueuedReply {
+  Outcome outcome;
+  std::vector<char> frame;
+};
 
 /// request_id sits at a fixed offset in every encoded frame (after the
 /// u32 length, u32 magic, u16 version, u16 type). The slow-write fault
@@ -96,7 +101,7 @@ struct Server::Connection {
   std::optional<Request> held;  ///< a request waiting out its read stall
   std::unique_ptr<net::Timer> stall;  ///< read stall: handle nothing yet
 
-  std::deque<std::vector<char>> outbox;  ///< responses not yet fully sent
+  std::deque<QueuedReply> outbox;  ///< responses not yet fully sent
   std::size_t outbox_capacity = 0;
   std::size_t sent = 0;              ///< bytes of outbox.front() sent
   std::unique_ptr<net::Timer> slow;  ///< slow write: send nothing yet
@@ -113,16 +118,6 @@ struct Server::Connection {
     return hash_combine(hash_combine(client_id, incarnation), request_id);
   }
 
-  void count(bool ok) {
-    if (ok) {
-      counts.ok += 1;
-      ok_counter().add(1);
-    } else {
-      counts.error += 1;
-      error_counter().add(1);
-    }
-  }
-
   /// Close now and discard everything unsent (drop fault, overflow, dead
   /// peer). Completions still owed are counted when they arrive.
   void abort() {
@@ -134,11 +129,14 @@ struct Server::Connection {
     sent = 0;
   }
 
-  /// Queue a response frame. A closed connection discards it; a client
-  /// that let `outbox_capacity` responses pile up is disconnected, so it
-  /// can never pin server memory. A slow-write fault, drawn once per
-  /// response, holds back this connection's sends until its deadline.
-  void reply(std::vector<char> frame) {
+  /// Count a request's outcome and queue its response frame. A closed
+  /// connection discards the frame; a client that let `outbox_capacity`
+  /// responses pile up is disconnected, so it can never pin server
+  /// memory. A slow-write fault, drawn once per response, holds back this
+  /// connection's sends until its deadline.
+  void reply(Outcome outcome, std::vector<char> frame) {
+    column(outcome) += 1;
+    outcome_counter(outcome).add(1);
     if (!socket.valid()) return;
     if (outbox.size() >= outbox_capacity) {
       abort();
@@ -151,13 +149,23 @@ struct Server::Connection {
         arm_fault_delay(slow, *f);
       }
     }
-    outbox.push_back(std::move(frame));
+    outbox.push_back({outcome, std::move(frame)});
+  }
+
+  /// A stop's drain grace ran out with output still unsent: close, and
+  /// count each response the client never received as dropped.
+  void give_up() {
+    for (const QueuedReply& r : outbox) {
+      column(r.outcome) -= 1;
+      counts.dropped += 1;
+    }
+    abort();
   }
 
   /// Send what the socket takes of the outbox.
   void flush() {
     while (socket.valid() && !outbox.empty() && !waits(slow)) {
-      const std::vector<char>& frame = outbox.front();
+      const std::vector<char>& frame = outbox.front().frame;
       const std::optional<std::size_t> n =
           socket.try_send(std::span<const char>(frame).subspan(sent));
       if (!n) {
@@ -169,6 +177,13 @@ struct Server::Connection {
       outbox.pop_front();
       sent = 0;
     }
+  }
+
+ private:
+  std::uint64_t& column(Outcome outcome) {
+    return outcome == Outcome::kOk      ? counts.ok
+           : outcome == Outcome::kError ? counts.error
+                                        : counts.retry_later;
   }
 };
 
@@ -187,6 +202,10 @@ struct Server::Loop {
   /// Runs while the listener rests after accept ran out of descriptors;
   /// made up front, since then no descriptor is left to make it.
   net::Timer accept_rest;
+  /// Armed by the first draining turn; once it fires, a connection whose
+  /// socket still refuses its output is given up. Made up front too.
+  net::Timer drain_grace;
+  bool drain_started = false;
 };
 
 Server::Server(const AccelNASBench& bench, ServeOptions options)
@@ -325,10 +344,14 @@ bool Server::turn(Loop& loop) {
   for (Completion& c : loop.done) {
     Connection& conn = *connections_.at(c.conn);
     conn.pending -= 1;
-    conn.count(c.ok);
-    conn.reply(std::move(c.frame));
+    conn.reply(c.ok ? Outcome::kOk : Outcome::kError, std::move(c.frame));
   }
   loop.done.clear();
+  if (draining && !loop.drain_started) {
+    loop.drain_started = true;
+    loop.drain_grace.arm(kDrainGraceNs);
+  }
+  const bool grace_over = loop.drain_started && loop.drain_grace.expired();
 
   while (loop.listener_slot != kNoSlot &&
          loop.polls.readable(loop.listener_slot)) {
@@ -348,10 +371,12 @@ bool Server::turn(Loop& loop) {
     connections_counter().add(1);
   }
   // The next poll set: the wake descriptor, the listener while accepting
-  // (or its rest timer), and each connection that can take input, has
-  // output the socket refused, or waits out a fault's timer.
+  // (or its rest timer), the drain grace while it runs, and each
+  // connection that can take input, has output the socket refused, or
+  // waits out a fault's timer.
   loop.next.clear();
   loop.next.add(wake_);
+  if (loop.drain_grace.armed()) loop.next.add(loop.drain_grace);
   loop.listener_slot = kNoSlot;
   if (!stop_requested_) {
     if (!loop.accept_rest.expired()) {
@@ -384,6 +409,7 @@ bool Server::turn(Loop& loop) {
     Connection& conn = *it->second;
     if (conn.socket.valid()) {
       conn.flush();
+      if (grace_over && !conn.outbox.empty()) conn.give_up();
       // Graceful close: every request answered and every answer sent.
       if (conn.eof && !conn.held && conn.pending == 0 &&
           conn.outbox.empty()) {
@@ -431,8 +457,8 @@ void Server::serve_input(std::uint64_t id, Connection& conn) {
     if (frame.status == DecodeStatus::kBad) {
       // The stream framing is broken; a typed reply tells the client
       // why, then the connection closes once that reply is sent.
-      conn.count(false);
-      conn.reply(encode_error(frame.request_id, frame.code, frame.message));
+      conn.reply(Outcome::kError,
+                 encode_error(frame.request_id, frame.code, frame.message));
       conn.eof = true;
       conn.in.clear();
       return;
@@ -443,8 +469,8 @@ void Server::serve_input(std::uint64_t id, Connection& conn) {
     try {
       req = parse_request(frame);
     } catch (const ProtocolError& e) {
-      conn.count(false);
-      conn.reply(encode_error(frame.request_id, e.code(), e.what()));
+      conn.reply(Outcome::kError,
+                 encode_error(frame.request_id, e.code(), e.what()));
       continue;  // payload errors are per-request
     }
     // A kHello adopts its identity *before* the fault checks, so a
@@ -487,16 +513,16 @@ void Server::answer(std::uint64_t id, Connection& conn, Request req) {
 
   switch (req.type) {
     case MsgType::kHello:
-      conn.count(true);
-      conn.reply(encode_empty_reply(MsgType::kHelloOk, req.request_id));
+      conn.reply(Outcome::kOk,
+                 encode_empty_reply(MsgType::kHelloOk, req.request_id));
       return;
     case MsgType::kPing:
-      conn.count(true);
-      conn.reply(encode_empty_reply(MsgType::kPong, req.request_id));
+      conn.reply(Outcome::kOk,
+                 encode_empty_reply(MsgType::kPong, req.request_id));
       return;
     case MsgType::kShutdown:
-      conn.count(true);
-      conn.reply(encode_empty_reply(MsgType::kBye, req.request_id));
+      conn.reply(Outcome::kOk,
+                 encode_empty_reply(MsgType::kBye, req.request_id));
       // wait() observes the flag and stops the server from its own
       // thread; the loop keeps serving until then.
       stop_requested_ = true;
@@ -516,8 +542,8 @@ void Server::answer(std::uint64_t id, Connection& conn, Request req) {
   // server's benchmark was built over. Answered before any queueing so
   // the typed error is deterministic and immediate.
   if (req.space != bench_.space()) {
-    conn.count(false);
-    conn.reply(encode_error(req.request_id, ErrorCode::kUnknownSpace,
+    conn.reply(Outcome::kError,
+               encode_error(req.request_id, ErrorCode::kUnknownSpace,
                             std::string("this server serves space '") +
                                 space_name(bench_.space()) +
                                 "', request targeted '" +
@@ -530,8 +556,8 @@ void Server::answer(std::uint64_t id, Connection& conn, Request req) {
   const bool available =
       accuracy ? bench_.has_accuracy() : bench_.has_perf(req.key);
   if (!available) {
-    conn.count(false);
-    conn.reply(encode_error(req.request_id, ErrorCode::kNoSurrogate,
+    conn.reply(Outcome::kError,
+               encode_error(req.request_id, ErrorCode::kNoSurrogate,
                             "no surrogate installed for " + bucket.name()));
     return;
   }
@@ -557,14 +583,13 @@ void Server::answer(std::uint64_t id, Connection& conn, Request req) {
       conn.pending += 1;
       break;
     case Admit::kQueueFull:
-      conn.counts.retry_later += 1;
-      retry_counter().add(1);
-      conn.reply(encode_empty_reply(MsgType::kRetryLater, request_id));
+      conn.reply(Outcome::kRetryLater,
+                 encode_empty_reply(MsgType::kRetryLater, request_id));
       break;
     case Admit::kStopped:
-      conn.count(false);
-      conn.reply(encode_error(request_id, ErrorCode::kShuttingDown,
-                              "server is draining"));
+      conn.reply(Outcome::kError, encode_error(request_id,
+                                               ErrorCode::kShuttingDown,
+                                               "server is draining"));
       break;
   }
 }

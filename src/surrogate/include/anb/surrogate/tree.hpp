@@ -13,6 +13,7 @@ namespace anb {
 
 namespace detail {
 struct UnitNode;
+struct UnitBest;
 }  // namespace detail
 
 /// Split-search hyperparameters shared by every tree-based surrogate.
@@ -98,8 +99,19 @@ class ColumnIndex {
 /// h, w and row sums are one integer count, and the g sums are one dense
 /// ordered fold in which a row outside a column adds +0.0, which is
 /// exactly skipping it. The kernel scores the candidates with score()'s
-/// operations in its order, so it is bit-identical to the scatter, which
-/// stays the path for every other fit and target.
+/// operations in its order and returns the one offer() would keep, so it
+/// is bit-identical to the scatter, which stays the path for every other
+/// fit and target.
+///
+/// Rows move to their children without branches: each row is written to
+/// both children's ends and the two cursors advance by the comparison, so
+/// the left rows stay ascending, then the right ones. A split on a
+/// two-valued column reads the row's bit in its below-top mask, not its
+/// value, whenever `x < threshold` holds exactly for the low value (the
+/// midpoint can round onto it) and every row below the top run holds it.
+/// The per-row node slots and per-node column tables that the sorted scan
+/// reads are kept only when some column is multi-valued: no encoding of
+/// either search space has one.
 ///
 /// A builder keeps its scratch buffers between build() calls, so one
 /// builder serves every tree of a boosting fit. Not thread-safe: use one
@@ -147,27 +159,43 @@ class TreeBuilder {
     double low = 0.0;            ///< smallest value
     double top = 0.0;            ///< largest value
     int bit = -1;                ///< bit in the row masks if two-valued
+    /// Every row below the top run compares equal to `low` (false only
+    /// when NaN broke the column's sort).
+    bool low_below_top = false;
     std::size_t below_top = 0;   ///< rows below the top run
     std::size_t view_begin = 0;  ///< offset of its compacted view
   };
 
   void compact_views(std::size_t live);
+  /// Moves the rows node_rows_[begin, end) of a node split as `node`: the
+  /// left ones to node_rows_[kept, ...), advancing `kept`, and the right
+  /// ones to right_rows_, whose count it returns; `position`, if not null,
+  /// receives their child slots `left` and `left + 1`.
+  std::size_t route(std::size_t begin, std::size_t end, const FlatNode& node,
+                    int left, std::size_t& kept, int* position);
   /// Node by node: totals, the two-valued columns' sums and their
   /// candidates.
   void scan_two_valued(std::size_t num_active, const TreeParams& params);
   /// Sums and scores a column with several values below its top run.
   void scan_column(std::size_t f, std::size_t num_active,
                    const TreeParams& params);
-  /// Node a's two-valued candidates through the split kernel, for a fit
-  /// whose live rows are all unit rows.
+  /// Node a's best two-valued candidate through the split kernel, for a
+  /// fit whose live rows are all unit rows.
   void scan_unit_rows(std::size_t a, const std::uint64_t* sampled,
                       const TreeParams& params);
   void score(std::size_t a, std::size_t f, const Sums& left, double lo,
              double hi, const TreeParams& params);
   /// Keeps the candidate if it beats node a's best split.
   void offer(std::size_t a, std::size_t f, double gain, double lo, double hi);
+  /// True when a split of a node on `plan`'s column at `threshold` can
+  /// read the row masks: `x < threshold` holds exactly for the rows below
+  /// the top run.
+  static bool routes_by_mask(const ColumnPlan& plan, double threshold) {
+    return plan.bit >= 0 && plan.low_below_top && plan.low < threshold &&
+           !(plan.top < threshold);
+  }
   bool allowed(std::size_t a, std::size_t f) const {
-    return allowed_.empty() || allowed_[a * plans_.size() + f] != 0;
+    return !sample_features_ || allowed_[a * plans_.size() + f] != 0;
   }
 
   const Dataset& data_;
@@ -177,19 +205,23 @@ class TreeBuilder {
   std::vector<std::uint64_t> all_bits_;    // every two-valued column
   // Scratch, reused across build() calls.
   std::vector<Sums> row_sums_;     // per row: w*g, w*h, w
-  std::vector<int> position_;      // per row: slot of its active node, -1 once done
+  // Per row: slot of its active node, -1 once done; kept only when a
+  // multi-valued column is scanned.
+  std::vector<int> position_;
   std::vector<std::uint32_t> node_rows_;  // live rows grouped by node
   std::vector<std::size_t> node_begin_;   // node a: node_rows_[begin[a], begin[a+1])
   std::vector<std::size_t> next_begin_;
-  std::vector<std::uint32_t> right_rows_;
+  std::vector<std::uint32_t> right_rows_;  // one node's right rows
+  std::vector<FlatNode> nodes_;  // the tree being built
+  // Node ids at this level and the next, and per active node the slot of
+  // its left child in next_active_, or -1.
+  std::vector<int> active_, next_active_;
+  std::vector<int> child_base_;
   std::vector<Sums> column_sums_;         // one node's two-valued sums
-  // The split kernel for this build(), or nullptr for the scatter; its
-  // per-node inputs and outputs.
-  void (*unit_split_)(const detail::UnitNode&, double*, std::uint64_t*) =
-      nullptr;
+  // The split kernel for this build(), or nullptr for the scatter, and
+  // its per-node input.
+  detail::UnitBest (*unit_split_)(const detail::UnitNode&) = nullptr;
   std::vector<double> node_g_;
-  std::vector<double> unit_gain_;
-  std::vector<std::uint64_t> unit_valid_;
   std::vector<ColumnView> views_;  // per feature
   std::vector<std::uint32_t> view_rows_;  // compacted views live here
   std::vector<double> view_values_;
@@ -198,6 +230,9 @@ class TreeBuilder {
   std::vector<double> parent_gain_;  // per node: leaf_gain of its totals
   std::vector<double> last_value_;
   std::vector<Split> best_;
+  bool sample_features_ = false;  // this build() samples columns per node
+  // Per node and column: sampled; per column: sampled by some node. Only
+  // the sorted scan reads them.
   std::vector<char> allowed_, feature_used_;
   std::vector<std::uint64_t> sampled_bits_;  // per node: sampled two-valued
   std::vector<std::size_t> picks_;

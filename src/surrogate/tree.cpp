@@ -93,8 +93,6 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
   for (std::size_t t = 0; t < two_valued.size(); ++t)
     all_bits_[t / 64] |= std::uint64_t{1} << (t % 64);
   column_sums_.resize(64 * columns.mask_words());
-  unit_gain_.resize(64 * columns.mask_words());
-  unit_valid_.resize(columns.mask_words());
 
   std::size_t view_end = 0;
   for (std::size_t f = 0; f < plans_.size(); ++f) {
@@ -103,6 +101,9 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
     plan.below_top = columns.top_run_begin(f);
     plan.low = values.front();
     plan.top = values[plan.below_top];
+    plan.low_below_top =
+        std::all_of(values.begin(), values.begin() + plan.below_top,
+                    [&](double v) { return v == plan.low; });
     if (plan.bit >= 0 || plan.below_top == 0) continue;
     multi_valued_.push_back(f);
     plan.view_begin = view_end;
@@ -128,14 +129,17 @@ std::vector<FlatNode> TreeBuilder::build(std::span<const double> g,
   // The products every sum is built from, formed once per row. The live
   // rows, grouped by node and ascending within a node (the order in which a
   // stable-sorted column lists a node's tied rows), start as one group.
+  // Only the sorted scan of a multi-valued column reads a row's node slot.
+  const bool track_positions = !multi_valued_.empty();
   row_sums_.resize(n);
-  position_.resize(n);
+  if (track_positions) position_.resize(n);
+  right_rows_.resize(n);
   node_rows_.clear();
   bool unit_rows = true;
   for (std::size_t i = 0; i < n; ++i) {
     const double w = row_weight[i];
     row_sums_[i] = {w * g[i], w * h[i], w, 1.0};
-    position_[i] = w == 0.0 ? -1 : 0;
+    if (track_positions) position_[i] = w == 0.0 ? -1 : 0;
     if (w != 0.0) {
       node_rows_.push_back(static_cast<std::uint32_t>(i));
       unit_rows = unit_rows && w == 1.0 && h[i] == 1.0;
@@ -155,39 +159,38 @@ std::vector<FlatNode> TreeBuilder::build(std::span<const double> g,
   }
   view_capacity_ = n;
 
-  const bool subsample_features =
-      params.features_per_node > 0 &&
-      static_cast<std::size_t>(params.features_per_node) < d;
-  std::vector<FlatNode> nodes(1);
-  std::vector<int> active{0};  // node ids at the current level
-  std::vector<int> next_active;
-  // child_base[a] = index of node a's left child in next_active, or -1.
-  std::vector<int> child_base;
+  sample_features_ = params.features_per_node > 0 &&
+                     static_cast<std::size_t>(params.features_per_node) < d;
+  nodes_.assign(1, FlatNode{});
+  active_.assign(1, 0);
   // A leaf: value in the split slot, children self-looping.
   const auto make_leaf = [&](int id, const Sums& total) {
-    nodes[static_cast<std::size_t>(id)] = {
+    nodes_[static_cast<std::size_t>(id)] = {
         total.w > 0.0 ? -total.g / (total.h + params.lambda) : 0.0, 0, id, id};
   };
 
-  for (int depth = 0; depth < params.max_depth && !active.empty(); ++depth) {
-    const std::size_t na = active.size();
+  for (int depth = 0; depth < params.max_depth && !active_.empty(); ++depth) {
+    const std::size_t na = active_.size();
 
     // Once a quarter of the rows in the views are finished, dropping them
     // costs less than skipping them at every later level.
     if (live * 4 <= view_capacity_ * 3) compact_views(live);
 
     // Optional per-node feature subsampling (random-forest style).
-    allowed_.clear();
-    if (subsample_features) {
-      allowed_.assign(na * d, 0);
-      feature_used_.assign(d, 0);
+    if (sample_features_) {
+      if (track_positions) {
+        allowed_.assign(na * d, 0);
+        feature_used_.assign(d, 0);
+      }
       sampled_bits_.assign(na * words, 0);
       for (std::size_t a = 0; a < na; ++a) {
         rng.sample_indices(d, static_cast<std::size_t>(params.features_per_node),
                            picks_);
         for (const std::size_t f : picks_) {
-          allowed_[a * d + f] = 1;
-          feature_used_[f] = 1;
+          if (track_positions) {
+            allowed_[a * d + f] = 1;
+            feature_used_[f] = 1;
+          }
           const int bit = plans_[f].bit;
           if (bit >= 0)
             sampled_bits_[a * words + static_cast<std::size_t>(bit) / 64] |=
@@ -199,87 +202,136 @@ std::vector<FlatNode> TreeBuilder::build(std::span<const double> g,
     best_.assign(na, Split{});
     scan_two_valued(na, params);
     for (const std::size_t f : multi_valued_) {
-      if (subsample_features && !feature_used_[f]) continue;
+      if (sample_features_ && !feature_used_[f]) continue;
       scan_column(f, na, params);
     }
 
     // Materialize splits / leaves and the next level.
-    next_active.clear();
-    child_base.assign(na, -1);
+    next_active_.clear();
+    child_base_.assign(na, -1);
     for (std::size_t a = 0; a < na; ++a) {
-      const auto node_idx = static_cast<std::size_t>(active[a]);
+      const auto node_idx = static_cast<std::size_t>(active_[a]);
       // Depth is bounded by the loop itself: splitting at level
       // max_depth-1 creates children that the post-loop pass turns into
       // leaves, so a max_depth=1 tree is a single stump.
       const bool do_split = best_[a].feature >= 0 && best_[a].gain > params.gamma;
       if (do_split) {
-        // Written before emplace_back, which may reallocate `nodes`.
-        const int left_child = static_cast<int>(nodes.size());
-        nodes[node_idx] = {best_[a].threshold, best_[a].feature, left_child,
+        // Written before emplace_back, which may reallocate `nodes_`.
+        const int left_child = static_cast<int>(nodes_.size());
+        nodes_[node_idx] = {best_[a].threshold, best_[a].feature, left_child,
                            left_child + 1};
-        nodes.emplace_back();
-        nodes.emplace_back();
-        child_base[a] = static_cast<int>(next_active.size());
-        next_active.push_back(left_child);
-        next_active.push_back(left_child + 1);
+        nodes_.emplace_back();
+        nodes_.emplace_back();
+        child_base_[a] = static_cast<int>(next_active_.size());
+        next_active_.push_back(left_child);
+        next_active_.push_back(left_child + 1);
       } else {
-        make_leaf(active[a], totals_[a]);
+        make_leaf(active_[a], totals_[a]);
       }
     }
 
     // Route rows to children (or retire them in finished leaves), node by
     // node in place: each child's rows stay ascending, and the children
     // keep their parents' order.
-    const double* const x = data_.features_flat().data();
     std::size_t kept = 0;
     std::size_t begin = 0;
     next_begin_.assign(1, 0);
     for (std::size_t a = 0; a < na; ++a) {
       const std::size_t end = node_begin_[a + 1];
-      if (child_base[a] < 0) {
+      if (child_base_[a] < 0) {
         for (std::size_t s = begin; s < end; ++s) {
           const std::uint32_t row = node_rows_[s];
-          position_[row] = -1;
-          if (!row_leaf.empty()) row_leaf[row] = active[a];
+          if (track_positions) position_[row] = -1;
+          if (!row_leaf.empty()) row_leaf[row] = active_[a];
         }
         live -= end - begin;
         begin = end;
         continue;
       }
-      const FlatNode& node = nodes[static_cast<std::size_t>(active[a])];
-      const auto f = static_cast<std::size_t>(node.feature);
-      const int left = child_base[a];
-      right_rows_.clear();
-      for (std::size_t s = begin; s < end; ++s) {
-        const std::uint32_t row = node_rows_[s];
-        if (x[row * d + f] < node.split) {
-          position_[row] = left;
-          node_rows_[kept++] = row;  // kept <= s: in place
-        } else {
-          position_[row] = left + 1;
-          right_rows_.push_back(row);
-        }
-      }
+      const FlatNode& node = nodes_[static_cast<std::size_t>(active_[a])];
+      const std::size_t right =
+          route(begin, end, node, child_base_[a], kept,
+                track_positions ? position_.data() : nullptr);
       next_begin_.push_back(kept);
-      for (const std::uint32_t row : right_rows_) node_rows_[kept++] = row;
+      std::copy_n(right_rows_.data(), right, node_rows_.data() + kept);
+      kept += right;
       next_begin_.push_back(kept);
       begin = end;
     }
     node_begin_.swap(next_begin_);
-    active.swap(next_active);
+    active_.swap(next_active_);
   }
 
   // Any nodes still active at max depth become leaves.
-  for (std::size_t a = 0; a < active.size(); ++a) {
+  for (std::size_t a = 0; a < active_.size(); ++a) {
     Sums total;
     for (std::size_t s = node_begin_[a]; s < node_begin_[a + 1]; ++s) {
       const std::uint32_t row = node_rows_[s];
       total.add(row_sums_[row]);
-      if (!row_leaf.empty()) row_leaf[row] = active[a];
+      if (!row_leaf.empty()) row_leaf[row] = active_[a];
     }
-    make_leaf(active[a], total);
+    make_leaf(active_[a], total);
   }
-  return nodes;
+  // The one allocation of a tree: its result, sized to fit.
+  return {nodes_.begin(), nodes_.end()};
+}
+
+namespace {
+
+/// Splits rows[begin, end) by `goes_left`, branch-free: every row is
+/// written to both sides and each side's cursor advances by the test. The
+/// left rows go to rows[kept, ...) (never past the row being read) and
+/// the right rows to `right`, both in their original order. Returns the
+/// number of right rows. A non-null `position` receives each row's child
+/// slot, `left` or `left + 1`.
+template <class GoesLeft>
+std::size_t partition(std::uint32_t* rows, std::size_t begin,
+                      std::size_t end, std::size_t& kept,
+                      std::uint32_t* right, int* position, int left,
+                      GoesLeft goes_left) {
+  std::size_t l = kept;
+  std::size_t r = 0;
+  for (std::size_t s = begin; s < end; ++s) {
+    const std::uint32_t row = rows[s];
+    const bool to_left = goes_left(row);
+    rows[l] = row;
+    right[r] = row;
+    l += to_left;
+    r += !to_left;
+    if (position != nullptr) position[row] = left + !to_left;
+  }
+  kept = l;
+  return r;
+}
+
+}  // namespace
+
+std::size_t TreeBuilder::route(std::size_t begin, std::size_t end,
+                               const FlatNode& node, int left,
+                               std::size_t& kept, int* position) {
+  const auto f = static_cast<std::size_t>(node.feature);
+  const ColumnPlan& plan = plans_[f];
+  std::uint32_t* const rows = node_rows_.data();
+  std::uint32_t* const right = right_rows_.data();
+  if (routes_by_mask(plan, node.split)) {
+    const std::size_t words = columns_.mask_words();
+    const auto bit = static_cast<std::size_t>(plan.bit);
+    const std::uint64_t* const masks =
+        columns_.below_top_masks().data() + bit / 64;
+    const std::size_t shift = bit % 64;
+    return partition(rows, begin, end, kept, right, position, left,
+                     [&](std::uint32_t row) {
+                       return ((masks[std::size_t{row} * words] >> shift) &
+                               1U) != 0;
+                     });
+  }
+  const std::size_t d = plans_.size();
+  const double* const x = data_.features_flat().data() + f;
+  const double threshold = node.split;
+  return partition(rows, begin, end, kept, right, position, left,
+                   [&](std::uint32_t row) {
+                     return x[std::size_t{row} * d] < threshold;
+                   });
 }
 
 void TreeBuilder::compact_views(std::size_t live) {
@@ -317,7 +369,7 @@ void TreeBuilder::scan_two_valued(std::size_t num_active,
   Sums* const sums = column_sums_.data();
   for (std::size_t a = 0; a < num_active; ++a) {
     const std::uint64_t* const sampled =
-        allowed_.empty() ? all_bits_.data() : sampled_bits_.data() + a * words;
+        sample_features_ ? sampled_bits_.data() + a * words : all_bits_.data();
     if (unit_split_ != nullptr) {
       scan_unit_rows(a, sampled, params);
       continue;
@@ -385,17 +437,10 @@ void TreeBuilder::scan_unit_rows(std::size_t a, const std::uint64_t* sampled,
   node.lambda = params.lambda;
   node.min_child_weight = params.min_child_weight;
   node.min_samples_leaf = params.min_samples_leaf;
-  unit_split_(node, unit_gain_.data(), unit_valid_.data());
-
-  const auto two_valued = columns_.two_valued_columns();
-  for (std::size_t w = 0; w < node.words; ++w) {
-    for (std::uint64_t bits = unit_valid_[w] & sampled[w]; bits != 0;
-         bits &= bits - 1) {
-      const std::size_t t =
-          64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-      const ColumnPlan& plan = plans_[two_valued[t]];
-      offer(a, two_valued[t], unit_gain_[t], plan.low, plan.top);
-    }
+  const detail::UnitBest best = unit_split_(node);
+  if (best.column != detail::UnitBest::kNoColumn) {
+    const std::size_t f = columns_.two_valued_columns()[best.column];
+    offer(a, f, best.gain, plans_[f].low, plans_[f].top);
   }
 }
 

@@ -152,6 +152,8 @@ class AlignedBuf {
 //   VBits/d_bits          a 64-bit word broadcast for d_keep
 //   d_keep(x, bits, k)    lane j = x_j if bit 4k+j of the word is set,
 //                         else +0.0 (k in [0, 16))
+//   d_from_u8(p)          lane j = p[j] as a double (4 bytes read)
+//   d_select(m, a, b)     lane j = m_j ? a_j : b_j, for m from a compare
 // ---------------------------------------------------------------------------
 
 /// Reference implementation: plain loops over a 32-lane struct. Always
@@ -265,6 +267,15 @@ struct ScalarIsa {
       if (((bits.word >> (4 * k + j)) & 1U) == 0) x.v[j] = 0.0;
     return x;
   }
+  static VF64 d_select(VF64 m, VF64 a, VF64 b) {
+    for (int j = 0; j < 4; ++j)
+      if ((std::bit_cast<std::uint64_t>(m.v[j]) >> 63) == 0) a.v[j] = b.v[j];
+    return a;
+  }
+  static VF64 d_from_u8(const std::uint8_t* p) {
+    return {{static_cast<double>(p[0]), static_cast<double>(p[1]),
+             static_cast<double>(p[2]), static_cast<double>(p[3])}};
+  }
 
  private:
   static double lane_mask(bool on) {
@@ -334,6 +345,14 @@ struct Avx2Isa {
     const __m256i on =
         _mm256_cmpeq_epi64(_mm256_and_si256(bits, select), select);
     return _mm256_and_pd(_mm256_castsi256_pd(on), x);
+  }
+  static VF64 d_select(VF64 m, VF64 a, VF64 b) {
+    return _mm256_blendv_pd(b, a, m);
+  }
+  static VF64 d_from_u8(const std::uint8_t* p) {
+    std::int32_t four;
+    std::memcpy(&four, p, sizeof four);
+    return _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(four)));
   }
 
  private:

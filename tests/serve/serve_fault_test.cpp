@@ -20,6 +20,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -224,6 +227,48 @@ TEST_F(ServeFaultTest, AnswersProducedAfterClientLeftAreCounted) {
   const ClientReport& row = report.clients.at(kAnonymousClient);
   EXPECT_EQ(row.received, 8u);
   EXPECT_EQ(row.ok, 8u);
+}
+
+TEST_F(ServeFaultTest, StopGivesUpOnAClientThatNeverReads) {
+  // A client pipelines 800 pings and never reads: more pongs than the
+  // socket buffers, fewer than outbox_capacity, so the server holds the
+  // rest. stop() must still return within the drain grace, and the pongs
+  // it could not deliver count as dropped.
+  constexpr std::uint64_t kPings = 800;
+  Server server(bench_, {});
+  server.start();
+  Client client(server.socket_path());
+  std::vector<char> pings;
+  for (std::uint64_t i = 0; i < kPings; ++i) {
+    const std::vector<char> ping = encode_ping(i);
+    pings.insert(pings.end(), ping.begin(), ping.end());
+  }
+  ASSERT_TRUE(client.socket().send_all(pings));
+  // Every ping read and answered before the stop begins.
+  for (int i = 0; i < 2000 && server.report().responses_ok < kPings; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(server.report().requests_received, kPings);
+
+  const std::chrono::nanoseconds grace(kDrainGraceNs);
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { server.stop(); });
+  // The unread pongs hold the drain for the grace, then no longer.
+  EXPECT_EQ(stopped.wait_for(grace / 2), std::future_status::timeout);
+  if (stopped.wait_for(grace + std::chrono::seconds(2)) !=
+      std::future_status::ready) {
+    // Leaving the scope would wait on the hung stop() forever.
+    std::fprintf(stderr, "FAILED: stop() still draining after the grace\n");
+    std::_Exit(1);
+  }
+  stopped.get();
+
+  const ServeReport report = server.report();
+  const ClientReport& row = report.clients.at(kAnonymousClient);
+  EXPECT_EQ(row.received, kPings);
+  EXPECT_EQ(row.received, row.ok + row.error + row.retry_later + row.dropped);
+  EXPECT_GT(row.dropped, 0u);
+  EXPECT_GT(row.ok, 0u);
+  EXPECT_EQ(report.dropped, row.dropped);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // builder sums two-valued columns with its sparse per-row scatter; under
 // AVX2 a unit-row fit (every live row h = 1, w = 1) goes through the
 // kernel. Every fitted tree must be bit-identical either way, so each
-// case fingerprints the same fit under both targets. The Isa ops the
-// kernel is built from are checked op by op against ScalarIsa.
+// case fingerprints the same fit under both targets. The kernel alone is
+// checked against the scatter's offer sequence on hand-built nodes, and
+// the Isa ops it is built from op by op against ScalarIsa.
 //
 // Separate test binary: these tests force the process-global dispatch
 // target.
@@ -254,8 +255,10 @@ TEST(SplitKernelTest, SignedZeroAndInfiniteGradients) {
   params.min_child_weight = 0.0;
   // Each set puts its specials on low rows, so they are the first addend
   // of many column sums, and on scattered rows further on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<std::vector<double>> specials = {
-      {-0.0}, {-0.0, -0.0, 0.5}, {kInf}, {-kInf}, {kInf, -kInf}};
+      {-0.0}, {-0.0, -0.0, 0.5}, {kInf}, {-kInf}, {kInf, -kInf},
+      {nan},  {-0.0, nan},       {nan, kInf}};
   for (const auto& values : specials) {
     std::vector<double> g = base;
     for (std::size_t k = 0; k < values.size(); ++k) {
@@ -280,85 +283,315 @@ TEST(SplitKernelTest, SignedZeroAndInfiniteGradients) {
       [&] { return tree_fingerprint(data, zeros, w, params, 7); }, "all -0.0");
 }
 
-TEST(SplitKernelTest, KernelMatchesTheScatterOnOneNode) {
-  // The kernel alone on a hand-built node: 3 mask words, an ascending
-  // subset of 900 rows, sampled columns in every word.
-  const detail::UnitSplitFn kernel = detail::avx2_unit_split_kernel();
-  if (!simd::cpu_supports(simd::Target::kAvx2) || kernel == nullptr)
-    GTEST_SKIP() << "no AVX2 split kernel on this host";
-  constexpr std::size_t kWords = 3;
-  constexpr std::size_t kRows = 900;
-  Rng rng(10);
-  std::vector<std::uint64_t> masks(kRows * kWords);
-  for (auto& m : masks) m = rng() & rng();  // about a quarter of bits set
-  std::vector<std::uint32_t> rows;
-  std::vector<double> g;
-  for (std::uint32_t r = 0; r < kRows;
-       r += 1 + static_cast<std::uint32_t>(r % 3 == 0)) {
-    rows.push_back(r);
-    g.push_back(rng.normal() * (r % 7 == 0 ? 1e6 : 1.0));
+/// A hand-built node for the kernel alone: `words` mask words per row and
+/// an ascending subset of the table's rows.
+struct KernelCase {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> masks;  // per row of the whole table
+  std::vector<std::uint32_t> rows;   // the node's rows
+  std::vector<double> g;             // per node row
+  std::vector<std::uint64_t> sampled;
+  double lambda = 1.0;
+  double min_child_weight = 1.0;
+  double min_samples_leaf = 1.0;
+
+  bool holds(std::size_t s, std::size_t t) const {
+    return ((masks[rows[s] * words + t / 64] >> (t % 64)) & 1U) != 0;
   }
-  g[0] = -0.0;
+  void set(std::size_t s, std::size_t t, bool on) {
+    std::uint64_t& word = masks[rows[s] * words + t / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+    word = on ? word | bit : word & ~bit;
+  }
+  /// The node's g sum in row order, as the builder forms it.
+  double total_g() const {
+    double total = 0.0;
+    for (const double v : g) total += v;
+    return total;
+  }
+  detail::UnitNode node(double total, double parent_gain,
+                        const std::uint64_t* sampled_words) const {
+    detail::UnitNode n;
+    n.rows = rows.data();
+    n.g = g.data();
+    n.size = rows.size();
+    n.masks = masks.data();
+    n.words = words;
+    n.sampled = sampled_words;
+    n.total_g = total;
+    n.parent_gain = parent_gain;
+    n.lambda = lambda;
+    n.min_child_weight = min_child_weight;
+    n.min_samples_leaf = min_samples_leaf;
+    return n;
+  }
+};
+
+KernelCase random_case(std::size_t words, std::uint32_t num_rows,
+                       std::uint64_t seed) {
+  KernelCase c;
+  c.words = words;
+  Rng rng(seed);
+  c.masks.resize(std::size_t{num_rows} * words);
+  for (auto& m : c.masks) m = rng() & rng();  // about a quarter of bits set
+  for (std::uint32_t r = 0; r < num_rows;
+       r += 1 + static_cast<std::uint32_t>(r % 3 == 0)) {
+    c.rows.push_back(r);
+    c.g.push_back(rng.normal() * (r % 7 == 0 ? 1e6 : 1.0));
+  }
+  c.sampled.assign(words, ~std::uint64_t{0});
+  return c;
+}
+
+/// Column t's candidate as the scatter forms it: summed row by row in
+/// ascending order and scored with score()'s expression; `legal` is
+/// whether score() offers it.
+struct Candidate {
+  bool legal = false;
+  double gain = 0.0;
+};
+
+Candidate scatter_candidate(const KernelCase& c, std::size_t t, double total_g,
+                            double parent_gain) {
+  double lg = 0.0;
+  double count = 0.0;
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    if (c.holds(s, t)) {
+      lg += c.g[s];
+      count += 1.0;
+    }
+  }
+  const double n = static_cast<double>(c.rows.size());
+  const double rg = total_g - lg;
+  const double rh = n - count;
+  Candidate out;
+  out.legal = count > 0.0 && count < n && count >= c.min_child_weight &&
+              rh >= c.min_child_weight && count >= c.min_samples_leaf &&
+              rh >= c.min_samples_leaf;
+  out.gain = lg * lg / (count + c.lambda) + rg * rg / (rh + c.lambda) -
+             parent_gain;
+  return out;
+}
+
+/// The scatter's offer sequence: every sampled legal candidate offered in
+/// ascending column order under offer()'s rule to an empty best.
+detail::UnitBest scatter_best(const KernelCase& c,
+                              const std::uint64_t* sampled, double total_g,
+                              double parent_gain) {
+  double best_gain = -kInf;
+  int best_column = -1;
+  for (std::size_t t = 0; t < 64 * c.words; ++t) {
+    if (((sampled[t / 64] >> (t % 64)) & 1U) == 0) continue;
+    const Candidate cand = scatter_candidate(c, t, total_g, parent_gain);
+    if (!cand.legal) continue;
+    const int column = static_cast<int>(t);
+    if (cand.gain > best_gain ||
+        (cand.gain == best_gain && column < best_column)) {
+      best_gain = cand.gain;
+      best_column = column;
+    }
+  }
+  detail::UnitBest best;
+  if (best_column >= 0) {
+    best.gain = best_gain;
+    best.column = static_cast<std::size_t>(best_column);
+  }
+  return best;
+}
+
+/// The kernel's best against the scatter's, for the case's sampled
+/// columns and for each sampled column alone (which checks every
+/// column's gain and legality bit for bit). Returns the kernel's best.
+detail::UnitBest expect_kernel_matches(detail::UnitSplitFn kernel,
+                                       const KernelCase& c, double total_g,
+                                       double parent_gain, const char* label) {
+  auto same = [&](const detail::UnitBest& want, const detail::UnitBest& got,
+                  std::size_t only) {
+    EXPECT_EQ(want.column, got.column) << label << " only=" << only;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want.gain),
+              std::bit_cast<std::uint64_t>(got.gain))
+        << label << " only=" << only;
+  };
+  const detail::UnitBest got =
+      kernel(c.node(total_g, parent_gain, c.sampled.data()));
+  same(scatter_best(c, c.sampled.data(), total_g, parent_gain), got,
+       detail::UnitBest::kNoColumn);
+  for (std::size_t t = 0; t < 64 * c.words; ++t) {
+    if (((c.sampled[t / 64] >> (t % 64)) & 1U) == 0) continue;
+    std::vector<std::uint64_t> one(c.words, 0);
+    one[t / 64] = std::uint64_t{1} << (t % 64);
+    same(scatter_best(c, one.data(), total_g, parent_gain),
+         kernel(c.node(total_g, parent_gain, one.data())), t);
+  }
+  return got;
+}
+
+detail::UnitSplitFn kernel_or_null() {
+  if (!simd::cpu_supports(simd::Target::kAvx2)) return nullptr;
+  return detail::avx2_unit_split_kernel();
+}
+
+TEST(SplitKernelTest, KernelMatchesTheScatterOnOneNode) {
+  // 3 mask words, an ascending subset of 900 rows, sampled columns in
+  // every word.
+  const detail::UnitSplitFn kernel = kernel_or_null();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  KernelCase c = random_case(3, 900, 10);
+  c.g[0] = -0.0;
   // Column 0 holds every row of the node, so its byte lane counts past
   // 255. Columns 2 and 3 hold one row fewer than min_child_weight (60)
   // and exactly as many.
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    std::uint64_t& word = masks[std::size_t{rows[s]} * kWords];
-    word = (word & ~std::uint64_t{0xC}) | 1U;
-    if (s < 59) word |= 0x4;
-    if (s < 60) word |= 0x8;
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    c.set(s, 0, true);
+    c.set(s, 2, s < 59);
+    c.set(s, 3, s < 60);
   }
-  const std::uint64_t sampled[kWords] = {~std::uint64_t{0}, rng(),
-                                         0x00000000FFFF0001ULL};
-  double total_g = 0.0;
-  for (const double v : g) total_g += v;
-  detail::UnitNode node;
-  node.rows = rows.data();
-  node.g = g.data();
-  node.size = rows.size();
-  node.masks = masks.data();
-  node.words = kWords;
-  node.sampled = sampled;
-  node.total_g = total_g;
-  node.lambda = 1.0;
-  node.parent_gain =
-      total_g * total_g / (static_cast<double>(rows.size()) + node.lambda);
-  node.min_child_weight = 60.0;
-  node.min_samples_leaf = 2.0;
-  std::vector<double> gain(64 * kWords);
-  std::vector<std::uint64_t> valid(kWords);
-  kernel(node, gain.data(), valid.data());
-  EXPECT_EQ(valid[0] & 0xD, 0x8U);  // of columns 0, 2 and 3 only 3 is legal
+  Rng rng(11);
+  c.sampled = {~std::uint64_t{0}, rng(), 0x00000000FFFF0001ULL};
+  c.min_child_weight = 60.0;
+  c.min_samples_leaf = 2.0;
+  const double total_g = c.total_g();
+  const double parent_gain =
+      total_g * total_g / (static_cast<double>(c.rows.size()) + c.lambda);
+  EXPECT_FALSE(scatter_candidate(c, 0, total_g, parent_gain).legal);
+  EXPECT_FALSE(scatter_candidate(c, 2, total_g, parent_gain).legal);
+  EXPECT_TRUE(scatter_candidate(c, 3, total_g, parent_gain).legal);
+  const detail::UnitBest best =
+      expect_kernel_matches(kernel, c, total_g, parent_gain, "random");
+  EXPECT_NE(best.column, detail::UnitBest::kNoColumn);
+}
 
-  const double n = static_cast<double>(rows.size());
-  int offered = 0;
-  for (std::size_t t = 0; t < 64 * kWords; ++t) {
-    if (((sampled[t / 64] >> (t % 64)) & 1U) == 0) continue;
-    double lg = 0.0;
-    double count = 0.0;
-    for (std::size_t s = 0; s < rows.size(); ++s) {
-      if ((masks[rows[s] * kWords + t / 64] >> (t % 64)) & 1U) {
-        lg += g[s];
-        count += 1.0;
-      }
-    }
-    const double rg = total_g - lg;
-    const double rh = n - count;
-    const bool legal = count > 0.0 && count < n &&
-                       count >= node.min_child_weight &&
-                       rh >= node.min_child_weight &&
-                       count >= node.min_samples_leaf &&
-                       rh >= node.min_samples_leaf;
-    EXPECT_EQ(legal, ((valid[t / 64] >> (t % 64)) & 1U) != 0) << "t=" << t;
-    if (!legal) continue;
-    ++offered;
-    const double want = lg * lg / (count + node.lambda) +
-                        rg * rg / (rh + node.lambda) - node.parent_gain;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
-              std::bit_cast<std::uint64_t>(gain[t]))
-        << "t=" << t;
+TEST(SplitKernelTest, KernelKeepsTheFirstOfTiedGains) {
+  const detail::UnitSplitFn kernel = kernel_or_null();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  // Columns 5, 9, 70 and 130 hold the same rows, the only ones with a
+  // large gradient, so their gains tie at the maximum: the lowest sampled
+  // one must win, in any word.
+  KernelCase c = random_case(3, 600, 12);
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    const bool signal = s % 5 == 0;
+    c.g[s] = signal ? 40.0 : 0.1 * static_cast<double>(s % 3) - 0.1;
+    for (const std::size_t t : {5, 9, 70, 130}) c.set(s, t, signal);
   }
-  EXPECT_GT(offered, 50);
+  const double total_g = c.total_g();
+  const double parent_gain =
+      total_g * total_g / (static_cast<double>(c.rows.size()) + c.lambda);
+  const std::uint64_t all = ~std::uint64_t{0};
+  const std::vector<std::pair<std::vector<std::uint64_t>, std::size_t>>
+      cases = {{{all, all, all}, 5},
+               {{all & ~(std::uint64_t{1} << 5), all, all}, 9},
+               {{0, all, all}, 70},
+               {{0, 0, all}, 130}};
+  for (const auto& [sampled, want] : cases) {
+    c.sampled = sampled;
+    const detail::UnitBest best =
+        expect_kernel_matches(kernel, c, total_g, parent_gain, "ties");
+    EXPECT_EQ(best.column, want);
+  }
+}
+
+TEST(SplitKernelTest, KernelKeepsTheFirstOfSignedZeroGains) {
+  const detail::UnitSplitFn kernel = kernel_or_null();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  // Every g is +0.0, so every legal gain is a signed zero. With lambda
+  // -400 both leaf denominators are negative for a column holding 201 to
+  // 399 of the node's 600 rows, whose gain is then -0.0 - (+0.0) = -0.0;
+  // every other column's is +0.0. The two compare equal, so the first
+  // legal column wins whatever its sign (score() never sees a negative
+  // lambda, but the kernel's tie rule must not depend on that).
+  KernelCase c = random_case(2, 900, 13);
+  ASSERT_EQ(c.rows.size(), 600u);
+  std::fill(c.g.begin(), c.g.end(), 0.0);
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    c.set(s, 3, s < 300);  // -0.0
+    c.set(s, 4, s < 20);   // +0.0
+    c.set(s, 6, s < 350);  // -0.0
+  }
+  c.lambda = -400.0;
+  c.sampled = {0x58, 0};  // columns 3, 4 and 6
+  const detail::UnitBest negative =
+      expect_kernel_matches(kernel, c, 0.0, 0.0, "-0.0 first");
+  EXPECT_EQ(negative.column, 3u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(negative.gain),
+            std::bit_cast<std::uint64_t>(-0.0));
+  c.sampled = {0x50, 0};  // columns 4 and 6
+  const detail::UnitBest positive =
+      expect_kernel_matches(kernel, c, 0.0, 0.0, "+0.0 first");
+  EXPECT_EQ(positive.column, 4u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(positive.gain),
+            std::bit_cast<std::uint64_t>(0.0));
+  c.sampled = {~std::uint64_t{0}, ~std::uint64_t{0}};
+  expect_kernel_matches(kernel, c, 0.0, 0.0, "every column");
+}
+
+TEST(SplitKernelTest, KernelSkipsNanAndTakesInfiniteGains) {
+  const detail::UnitSplitFn kernel = kernel_or_null();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  // The node's total is given, finite, so only the columns holding a
+  // special row see it: +inf or -inf alone makes an inf gain, both or a
+  // NaN make a NaN gain, which never wins.
+  KernelCase c = random_case(1, 300, 14);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double total_g = c.total_g();
+  const double parent_gain =
+      total_g * total_g / (static_cast<double>(c.rows.size()) + c.lambda);
+  c.g[10] = nan;
+  c.g[20] = kInf;
+  c.g[30] = -kInf;
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    for (std::size_t t = 8; t < 16; ++t) c.set(s, t, s % 2 == 0);
+  }
+  // 8: NaN; 9: +inf and -inf; 10: NaN and +inf; 11: -inf; 12: +inf.
+  for (const std::size_t t : {8, 9, 10, 11, 12, 13}) {
+    c.set(10, t, t == 8 || t == 10);
+    c.set(20, t, t == 9 || t == 10 || t == 12);
+    c.set(30, t, t == 9 || t == 11);
+  }
+  EXPECT_TRUE(std::isnan(scatter_candidate(c, 8, total_g, parent_gain).gain));
+  EXPECT_TRUE(std::isnan(scatter_candidate(c, 9, total_g, parent_gain).gain));
+  EXPECT_EQ(scatter_candidate(c, 11, total_g, parent_gain).gain, kInf);
+  c.sampled = {0xFF00};
+  EXPECT_EQ(expect_kernel_matches(kernel, c, total_g, parent_gain, "inf")
+                .column,
+            11u);
+  c.sampled = {0x0700};  // columns 8-10: NaN only
+  EXPECT_EQ(expect_kernel_matches(kernel, c, total_g, parent_gain, "nan")
+                .column,
+            detail::UnitBest::kNoColumn);
+  // A NaN total: every gain is NaN, and the node offers nothing.
+  c.sampled = {~std::uint64_t{0}};
+  EXPECT_EQ(
+      expect_kernel_matches(kernel, c, nan, parent_gain, "nan total").column,
+      detail::UnitBest::kNoColumn);
+}
+
+TEST(SplitKernelTest, KernelSkipsGroupsWithEveryRowOnOneSide) {
+  const detail::UnitSplitFn kernel = kernel_or_null();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  // Columns 4-7 hold every row of the node and 8-11 none, in the first
+  // and in the second half of a word: no candidate of these groups is
+  // legal, so the kernel skips them, and a node sampling only them
+  // offers nothing.
+  KernelCase c = random_case(2, 500, 15);
+  for (std::size_t s = 0; s < c.rows.size(); ++s) {
+    for (std::size_t t = 4; t < 8; ++t) {
+      c.set(s, t, true);
+      c.set(s, t + 4, false);
+      c.set(s, 64 + 32 + t, true);
+      c.set(s, 64 + 32 + t + 4, false);
+    }
+  }
+  const double total_g = c.total_g();
+  const double parent_gain =
+      total_g * total_g / (static_cast<double>(c.rows.size()) + c.lambda);
+  c.sampled = {0xFF0, std::uint64_t{0xFF0} << 32};
+  EXPECT_EQ(
+      expect_kernel_matches(kernel, c, total_g, parent_gain, "one side").column,
+      detail::UnitBest::kNoColumn);
+  c.sampled = {~std::uint64_t{0}, ~std::uint64_t{0}};
+  EXPECT_NE(
+      expect_kernel_matches(kernel, c, total_g, parent_gain, "mixed").column,
+      detail::UnitBest::kNoColumn);
 }
 
 /// Bitwise equality of two probe results, op by op.
@@ -377,6 +610,7 @@ void expect_probes_equal(const detail::IsaProbe& want,
   same(want.conj, got.conj, sizeof want.conj, "d_and");
   same(want.ge, got.ge, sizeof want.ge, "d_cmpge");
   same(want.gt, got.gt, sizeof want.gt, "d_cmpgt");
+  same(want.from_u8, got.from_u8, sizeof want.from_u8, "d_from_u8");
   same(want.keep, got.keep, sizeof want.keep, "d_keep");
   EXPECT_EQ(want.mask_ge, got.mask_ge) << label << " op=d_movemask(cmpge)";
   EXPECT_EQ(want.sign_a, got.sign_a) << label << " op=d_movemask";

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "anb/util/error.hpp"
+#include "anb/util/simd.hpp"
 
 namespace anb {
 namespace {
@@ -266,6 +271,208 @@ TEST(TreeTest, BuilderReportsTheLeafPredictReaches) {
   }
   std::vector<int> wrong_size(n - 1);
   EXPECT_THROW(builder.build(g, h, w, params, rng, wrong_size), Error);
+}
+
+/// An exact-greedy reference builder that shares no code with
+/// TreeBuilder and routes every row by its value: level by level, each
+/// node's rows ascending; every column scanned in feature order over the
+/// node's rows sorted stably by value, a candidate between each two
+/// distinct values, and the first best gain kept. No column sampling.
+Tree value_routed_tree(const Dataset& data, const std::vector<double>& g,
+                       const std::vector<double>& h,
+                       const std::vector<double>& w,
+                       const TreeParams& params) {
+  struct Sums {
+    double g = 0.0, h = 0.0, w = 0.0;
+    void add(double gi, double hi, double wi) {
+      g += wi * gi;
+      h += wi * hi;
+      w += wi;
+    }
+  };
+  const auto leaf_gain = [&](double sg, double sh) {
+    return sg * sg / (sh + params.lambda);
+  };
+  Tree nodes(1);
+  std::vector<int> ids{0};
+  std::vector<std::vector<std::uint32_t>> rows(1);
+  for (std::uint32_t i = 0; i < data.size(); ++i) {
+    if (w[i] != 0.0) rows[0].push_back(i);
+  }
+  const auto sums_of = [&](const std::vector<std::uint32_t>& r) {
+    Sums total;
+    for (const std::uint32_t i : r) total.add(g[i], h[i], w[i]);
+    return total;
+  };
+  const auto make_leaf = [&](int id, const Sums& total) {
+    nodes[static_cast<std::size_t>(id)] = {
+        total.w > 0.0 ? -total.g / (total.h + params.lambda) : 0.0, 0, id,
+        id};
+  };
+  for (int depth = 0; depth < params.max_depth && !ids.empty(); ++depth) {
+    std::vector<int> next_ids;
+    std::vector<std::vector<std::uint32_t>> next_rows;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const Sums total = sums_of(rows[k]);
+      const double parent = leaf_gain(total.g, total.h);
+      double best_gain = -std::numeric_limits<double>::infinity();
+      int best_feature = -1;
+      double best_threshold = 0.0;
+      for (std::size_t f = 0; f < data.num_features(); ++f) {
+        std::vector<std::uint32_t> order = rows[k];
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return data.feature(a, f) < data.feature(b, f);
+                         });
+        Sums left;
+        for (std::size_t s = 0; s < order.size(); ++s) {
+          const double v = data.feature(order[s], f);
+          const double prev = s > 0 ? data.feature(order[s - 1], f) : v;
+          if (s > 0 && v > prev) {
+            const double rh = total.h - left.h;
+            const double rw = total.w - left.w;
+            if (left.h >= params.min_child_weight &&
+                rh >= params.min_child_weight &&
+                left.w >= params.min_samples_leaf &&
+                rw >= params.min_samples_leaf) {
+              const double gain = leaf_gain(left.g, left.h) +
+                                  leaf_gain(total.g - left.g, rh) - parent;
+              if (gain > best_gain) {
+                best_gain = gain;
+                best_feature = static_cast<int>(f);
+                best_threshold = 0.5 * (prev + v);
+              }
+            }
+          }
+          left.add(g[order[s]], h[order[s]], w[order[s]]);
+        }
+      }
+      if (best_feature < 0 || !(best_gain > params.gamma)) {
+        make_leaf(ids[k], total);
+        continue;
+      }
+      const int left_child = static_cast<int>(nodes.size());
+      nodes[static_cast<std::size_t>(ids[k])] = {best_threshold, best_feature,
+                                                 left_child, left_child + 1};
+      nodes.emplace_back();
+      nodes.emplace_back();
+      std::vector<std::uint32_t> lo, hi;
+      for (const std::uint32_t i : rows[k]) {
+        const auto f = static_cast<std::size_t>(best_feature);
+        (data.feature(i, f) < best_threshold ? lo : hi).push_back(i);
+      }
+      next_ids.push_back(left_child);
+      next_ids.push_back(left_child + 1);
+      next_rows.push_back(std::move(lo));
+      next_rows.push_back(std::move(hi));
+    }
+    ids.swap(next_ids);
+    rows.swap(next_rows);
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k)
+    make_leaf(ids[k], sums_of(rows[k]));
+  return nodes;
+}
+
+/// The index of the leaf walk_tree reaches for `x`.
+int walk_leaf(const Tree& tree, const double* x) {
+  std::int32_t at = 0;
+  for (std::int32_t next = step(tree.data(), at, x); next != at;
+       next = step(tree.data(), at, x)) {
+    at = next;
+  }
+  return at;
+}
+
+/// Bit-for-bit node equality.
+void expect_same_tree(const Tree& want, const Tree& got, const char* label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].feature, got[i].feature) << label << " node " << i;
+    EXPECT_EQ(want[i].left, got[i].left) << label << " node " << i;
+    EXPECT_EQ(want[i].right, got[i].right) << label << " node " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i].split),
+              std::bit_cast<std::uint64_t>(got[i].split))
+        << label << " node " << i;
+  }
+}
+
+/// Fits one tree with unit hessians and weights (the rows the AVX2 split
+/// kernel takes) under the scalar scatter and, where the CPU has it, the
+/// AVX2 kernel. Each must equal the value-routed reference, and every row
+/// must be reported in the leaf walk_tree reaches.
+void expect_value_routing(const Dataset& data, const TreeParams& params,
+                          const char* label) {
+  const std::size_t n = data.size();
+  std::vector<double> g(n), h(n, 1.0), w(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) g[i] = 0.25 - data.target(i);
+  const Tree want = value_routed_tree(data, g, h, w, params);
+  ASSERT_GT(want.size(), 1u) << label << ": the reference never splits";
+  const ColumnIndex columns(data);
+  for (const simd::Target target :
+       {simd::Target::kScalar, simd::Target::kAvx2}) {
+    if (!simd::cpu_supports(target)) continue;
+    simd::ScopedTarget scoped(target);
+    TreeBuilder builder(data, columns);
+    Rng rng(1);
+    std::vector<int> leaf(n);
+    const Tree got = builder.build(g, h, w, params, rng, leaf);
+    expect_same_tree(want, got, label);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_GE(leaf[i], 0) << label << " row " << i;
+      EXPECT_EQ(leaf[i], walk_leaf(got, data.row(i).data()))
+          << label << " row " << i << " target "
+          << simd::target_name(target);
+    }
+  }
+}
+
+TEST(TreeTest, SplitOnAColumnWhoseMidpointRoundsOntoItsLowValue) {
+  // Column 0 holds 1.0 and the next double up: their midpoint rounds to
+  // 1.0, so `x < threshold` holds for no row and every row goes right,
+  // although the row masks mark the 1.0 rows as below the top run. The
+  // other columns are 0/1; one variant adds a multi-valued column, which
+  // makes the builder track each row's node.
+  const double low = 1.0;
+  const double top = std::nextafter(1.0, 2.0);
+  ASSERT_EQ(0.5 * (low + top), low);
+  for (const bool multi_valued : {false, true}) {
+    Dataset ds(multi_valued ? 5 : 4);
+    Rng rng(21);
+    for (int i = 0; i < 160; ++i) {
+      std::vector<double> x{rng.bernoulli(0.5) ? top : low};
+      for (int j = 0; j < 3; ++j) x.push_back(rng.bernoulli(0.5) ? 1.0 : 0.0);
+      if (multi_valued) x.push_back(rng.uniform());
+      ds.add(x, (x[0] == top ? 3.0 : 0.0) + x[1] + 0.1 * rng.normal());
+    }
+    TreeParams params;
+    params.max_depth = 4;
+    expect_value_routing(ds, params, multi_valued ? "with a multi-valued column"
+                                                  : "0/1 columns only");
+  }
+}
+
+TEST(TreeTest, SplitOnATwoValuedColumnPastTheFirstMaskWord) {
+  // 70 one-hot-like 0/1 columns: the target follows columns 66 and 68,
+  // whose bits sit in the second mask word.
+  constexpr std::size_t kColumns = 70;
+  Dataset ds(kColumns);
+  Rng rng(22);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> x(kColumns);
+    for (double& v : x) v = rng.bernoulli(0.3) ? 1.0 : 0.0;
+    ds.add(x, 2.0 * x[68] - 1.5 * x[66] + 0.3 * x[2] + 0.05 * rng.normal());
+  }
+  const ColumnIndex columns(ds);
+  ASSERT_EQ(columns.two_valued_columns().size(), kColumns);
+  TreeParams params;
+  params.max_depth = 5;
+  expect_value_routing(ds, params, "bit 68");
+  const std::size_t n = ds.size();
+  std::vector<double> g(n), h(n, 1.0), w(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) g[i] = 0.25 - ds.target(i);
+  const Tree reference = value_routed_tree(ds, g, h, w, params);
+  EXPECT_EQ(reference[0].feature, 68);
 }
 
 TEST(TreeTest, MaxDepthBoundsLeafCount) {
