@@ -74,6 +74,14 @@ void expect_same_trajectory(const SearchTrajectory& scalar,
   }
 }
 
+void expect_same_archs(const std::vector<Arch>& seen,
+                       const std::vector<Arch>& expected) {
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    EXPECT_EQ(sp().to_index(seen[i]), sp().to_index(expected[i]))
+        << "call " << i;
+}
+
 /// Runs one optimizer both ways against the same deterministic scoring
 /// function and requires identical trajectories. The benchmark-backed
 /// variant exercises the full production path (batched surrogate
@@ -103,6 +111,18 @@ void check_optimizer(NasOptimizer& optimizer, int n_evals,
         optimizer.run_batched(batched, n_evals, rng_b);
     expect_same_trajectory(traj_scalar, traj_batched);
   }
+  {
+    // A scalar oracle is called exactly once per evaluation, in trajectory
+    // order: compare_trajectories numbers its training runs by call count.
+    std::vector<Arch> seen;
+    const EvalOracle recording = [&seen](const Arch& a) {
+      seen.push_back(a);
+      return synthetic_objective(a);
+    };
+    Rng rng(seed);
+    const SearchTrajectory traj = optimizer.run(recording, n_evals, rng);
+    expect_same_archs(seen, traj.archs);
+  }
 }
 
 TEST(BatchedDeterminismTest, RandomSearch) {
@@ -119,9 +139,9 @@ TEST(BatchedDeterminismTest, RegularizedEvolution) {
 }
 
 TEST(BatchedDeterminismTest, ReinforceViaBaseClassWrap) {
-  // REINFORCE has no batched override (each sample depends on the policy
-  // updated by the previous score); the base-class batch-of-1 wrap must
-  // still reproduce the scalar trajectory exactly.
+  // REINFORCE scores in batches of one (each sample depends on the policy
+  // updated by the previous score); its batched loop must still reproduce
+  // the scalar trajectory exactly.
   Reinforce rf;
   check_optimizer(rf, 30, 13);
 }
@@ -161,6 +181,15 @@ TEST(BatchedDeterminismTest, Nsga2GenerationalBatching) {
     EXPECT_EQ(res_scalar.obj2[i], res_batched.obj2[i]) << "obj2 " << i;
   }
   EXPECT_EQ(res_scalar.front, res_batched.front);
+
+  std::vector<Arch> seen;
+  const BiObjectiveOracle recording = [&](const Arch& a) {
+    seen.push_back(a);
+    return scalar(a);
+  };
+  Rng rng_c(14);
+  const Nsga2Result res_recorded = nsga2.run(recording, 50, rng_c);
+  expect_same_archs(seen, res_recorded.archs);
 }
 
 TEST(BatchedDeterminismTest, SuccessiveHalvingRoundBatching) {
@@ -201,6 +230,24 @@ TEST(BatchedDeterminismTest, SuccessiveHalvingRoundBatching) {
     EXPECT_EQ(res_scalar.evals[i].accuracy, res_batched.evals[i].accuracy);
     EXPECT_EQ(res_scalar.evals[i].epochs, res_batched.evals[i].epochs);
   }
+
+  std::vector<Arch> seen;
+  std::vector<int> seen_epochs;
+  const BudgetedOracle recording = [&](const Arch& a, int epochs) {
+    seen.push_back(a);
+    seen_epochs.push_back(epochs);
+    return scalar(a, epochs);
+  };
+  Rng rng_c(15);
+  const SuccessiveHalvingResult res_recorded = sh.run(recording, rng_c);
+  std::vector<Arch> eval_archs;
+  std::vector<int> eval_epochs;
+  for (const auto& e : res_recorded.evals) {
+    eval_archs.push_back(e.arch);
+    eval_epochs.push_back(e.epochs);
+  }
+  expect_same_archs(seen, eval_archs);
+  EXPECT_EQ(seen_epochs, eval_epochs);
 }
 
 TEST(BatchedDeterminismTest, BatchFromScalarAdapter) {
