@@ -2,9 +2,9 @@
 //
 // This is the benchmark's raison d'être (§1): NAS-optimizer research without
 // GPU clusters. We implement a toy "greedy local search" optimizer against
-// the NasOptimizer interface and race it against the built-in RS / RE /
-// REINFORCE baselines, all on zero-cost surrogate evaluations, with multiple
-// seeds in seconds.
+// the NasOptimizer interface (override run_batched, its one search loop)
+// and race it against the built-in RS / RE / REINFORCE baselines, all on
+// zero-cost surrogate evaluations, with multiple seeds in seconds.
 
 #include <cstdio>
 
@@ -24,8 +24,12 @@ class GreedyLocalSearch final : public NasOptimizer {
  public:
   std::string name() const override { return "GreedyLS"; }
 
-  SearchTrajectory run(const EvalOracle& oracle, int n_evals,
-                       Rng& rng) override {
+  SearchTrajectory run_batched(const BatchEvalOracle& batch, int n_evals,
+                               Rng& rng) override {
+    // Each step needs the previous score, so architectures go one at a time.
+    const auto oracle = [&batch](const Arch& arch) {
+      return batch({&arch, 1}).at(0);
+    };
     SearchTrajectory traj;
     Arch current = space().sample(rng);
     double current_value = oracle(current);

@@ -19,44 +19,6 @@ RegularizedEvolution::RegularizedEvolution(RegularizedEvolutionParams params,
             "[1, population_size]");
 }
 
-SearchTrajectory RegularizedEvolution::run(const EvalOracle& oracle,
-                                           int n_evals, Rng& rng) {
-  ANB_CHECK(static_cast<bool>(oracle), "RegularizedEvolution: missing oracle");
-  ANB_CHECK(n_evals >= 1, "RegularizedEvolution: n_evals must be >= 1");
-
-  struct Member {
-    Arch arch;
-    double value;
-  };
-  std::deque<Member> population;
-  SearchTrajectory traj;
-
-  // Seed with random architectures (up to the evaluation budget).
-  const int n_seed = std::min(params_.population_size, n_evals);
-  for (int t = 0; t < n_seed; ++t) {
-    const Arch arch = space().sample(rng);
-    const double value = oracle(arch);
-    traj.add(arch, value);
-    population.push_back({arch, value});
-  }
-
-  for (int t = n_seed; t < n_evals; ++t) {
-    // Tournament: best of `sample_size` random members becomes the parent.
-    const Member* parent = nullptr;
-    for (int s = 0; s < params_.sample_size; ++s) {
-      const Member& candidate = population[rng.uniform_index(population.size())];
-      if (parent == nullptr || candidate.value > parent->value)
-        parent = &candidate;
-    }
-    const Arch child = space().mutate(parent->arch, rng);
-    const double value = oracle(child);
-    traj.add(child, value);
-    population.push_back({child, value});
-    population.pop_front();  // aging: retire the oldest member
-  }
-  return traj;
-}
-
 SearchTrajectory RegularizedEvolution::run_batched(
     const BatchEvalOracle& oracle, int n_evals, Rng& rng) {
   ANB_CHECK(static_cast<bool>(oracle), "RegularizedEvolution: missing oracle");
@@ -69,9 +31,8 @@ SearchTrajectory RegularizedEvolution::run_batched(
   std::deque<Member> population;
   SearchTrajectory traj;
 
-  // Seed population in one batched call. Sampling is hoisted ahead of
-  // evaluation; seeds never depend on each other's scores and the oracle
-  // consumes no RNG, so the sequence matches run() exactly.
+  // Seed with random architectures (up to the evaluation budget), scored in
+  // one batched call: seeds never depend on each other's scores.
   const int n_seed = std::min(params_.population_size, n_evals);
   std::vector<Arch> seeds;
   seeds.reserve(static_cast<std::size_t>(n_seed));
@@ -87,6 +48,7 @@ SearchTrajectory RegularizedEvolution::run_batched(
   // The evolution loop needs each child's score before the next tournament,
   // so it proceeds in batches of one.
   for (int t = n_seed; t < n_evals; ++t) {
+    // Tournament: best of `sample_size` random members becomes the parent.
     const Member* parent = nullptr;
     for (int s = 0; s < params_.sample_size; ++s) {
       const Member& candidate = population[rng.uniform_index(population.size())];
@@ -99,7 +61,7 @@ SearchTrajectory RegularizedEvolution::run_batched(
               "RegularizedEvolution: batched oracle returned wrong size");
     traj.add(child, child_value[0]);
     population.push_back({child, child_value[0]});
-    population.pop_front();
+    population.pop_front();  // aging: retire the oldest member
   }
   return traj;
 }

@@ -22,9 +22,6 @@ class RegularizedEvolution final : public NasOptimizer {
                                 const SearchSpace& space = MnasSpace::instance());
 
   std::string name() const override { return "RE"; }
-  using NasOptimizer::run;
-  SearchTrajectory run(const EvalOracle& oracle, int n_evals,
-                       Rng& rng) override;
   /// The seed population is evaluated in one batched call (its samples
   /// never depend on each other's scores); the evolution loop is
   /// inherently sequential and proceeds in batches of one.

@@ -15,8 +15,8 @@ using BiObjectiveOracle =
     std::function<std::pair<double, double>(const Arch&)>;
 
 /// Batched bi-objective oracle: scores a whole generation in one call;
-/// element i corresponds to archs[i]. Same purity contract as
-/// BatchEvalOracle: no RNG consumption, rows independent.
+/// element i corresponds to archs[i]. Like BatchEvalOracle, it may not
+/// draw from the optimizer's Rng.
 using BiObjectiveBatchOracle = std::function<
     std::vector<std::pair<double, double>>(std::span<const Arch>)>;
 
@@ -51,16 +51,16 @@ class Nsga2 {
   /// The space this optimizer searches.
   const SearchSpace& space() const { return *space_; }
 
-  /// Run for exactly `n_evals` oracle calls (population seeding included).
-  Nsga2Result run(const BiObjectiveOracle& oracle, int n_evals, Rng& rng) const;
-
-  /// Generational batching: selection only ever reads the *parent*
+  /// The search loop, evaluating exactly `n_evals` architectures
+  /// (population seeding included). Selection only ever reads the *parent*
   /// population's ranks, so a whole generation of children is generated
-  /// first (consuming the RNG in the same order as run()) and then scored
-  /// in one oracle call. For any fixed seed the result is identical to
-  /// run() with the equivalent scalar oracle.
+  /// first and then scored in one oracle call.
   Nsga2Result run_batched(const BiObjectiveBatchOracle& oracle, int n_evals,
                           Rng& rng) const;
+
+  /// run_batched over a scalar oracle, called once per architecture in
+  /// evaluation order.
+  Nsga2Result run(const BiObjectiveOracle& oracle, int n_evals, Rng& rng) const;
 
   /// Fast non-dominated sort: returns front index (0 = best) per point.
   static std::vector<int> non_dominated_ranks(std::span<const double> obj1,

@@ -18,22 +18,19 @@ namespace anb {
 using EvalOracle = std::function<double(const Arch&)>;
 
 /// Batched evaluation oracle: scores a whole population in one call;
-/// element i of the result corresponds to archs[i]. Implementations must
-/// be pure functions of the architecture (no RNG consumption, element i
-/// independent of the other rows) so that batching can never perturb a
-/// seeded trajectory — AccelNASBench::query_accuracy_batch satisfies this
-/// by construction (batched prediction is bit-identical to scalar).
+/// element i of the result corresponds to archs[i]. No oracle may draw from
+/// the optimizer's Rng: optimizers sample a population before scoring it,
+/// so an oracle that consumed that stream would perturb a seeded trajectory.
 using BatchEvalOracle =
     std::function<std::vector<double>(std::span<const Arch>)>;
 
-/// Adapt a scalar oracle to the batched interface (evaluates row by row).
+/// Adapt a scalar oracle to the batched interface: the scalar oracle is
+/// called once per architecture, in span order.
 BatchEvalOracle batch_from_scalar(EvalOracle oracle);
 
-/// A search objective holding either a scalar or a batched oracle, so
-/// harnesses and benches can pass one value around without committing to a
-/// dispatch path. NasOptimizer::run(const SearchOracle&, ...) routes a
-/// scalar oracle through the virtual run() and a batched oracle through
-/// run_batched() — previously every call site made that choice by hand.
+/// A search objective as one batched oracle, so harnesses and benches can
+/// pass either kind of oracle around as one value; a scalar oracle is
+/// adapted with batch_from_scalar at construction.
 class SearchOracle {
  public:
   /// Implicit by design: any call site with an existing oracle (or lambda)
@@ -41,13 +38,9 @@ class SearchOracle {
   SearchOracle(EvalOracle oracle);             // NOLINT(google-explicit-constructor)
   SearchOracle(BatchEvalOracle oracle);        // NOLINT(google-explicit-constructor)
 
-  bool is_batched() const { return static_cast<bool>(batched_); }
-  /// The underlying oracle; throws anb::Error if it is the other kind.
-  const EvalOracle& scalar() const;
-  const BatchEvalOracle& batched() const;
+  const BatchEvalOracle& batched() const { return batched_; }
 
  private:
-  EvalOracle scalar_;
   BatchEvalOracle batched_;
 };
 
@@ -64,7 +57,9 @@ struct SearchTrajectory {
 };
 
 /// Common interface of the discrete NAS optimizers evaluated in the paper
-/// (§4.1): Random Search, Regularized Evolution, REINFORCE.
+/// (§4.1): Random Search, Regularized Evolution, REINFORCE. An optimizer
+/// overrides run_batched, its one search loop; the scalar and SearchOracle
+/// entry points both route through it.
 ///
 /// Every optimizer searches one space, fixed at construction (defaulting
 /// to MnasNet, the paper's space); sampling, mutation, and genotype
@@ -78,20 +73,16 @@ class NasOptimizer {
   virtual std::string name() const = 0;
   /// The space this optimizer searches.
   const SearchSpace& space() const { return *space_; }
-  /// Run for exactly `n_evals` oracle calls.
-  virtual SearchTrajectory run(const EvalOracle& oracle, int n_evals,
-                               Rng& rng) = 0;
   /// Run against a batched oracle, evaluating exactly `n_evals`
-  /// architectures in total. The base implementation feeds batches of one
-  /// through run(); optimizers with natural population structure override
-  /// it to score whole populations per oracle call. Contract: for any
-  /// fixed seed the trajectory is identical to run() with the equivalent
-  /// scalar oracle (tests/nas/batched_determinism_test.cpp).
+  /// architectures in total. Optimizers with population structure score a
+  /// whole population per oracle call; sequential ones pass batches of one.
   virtual SearchTrajectory run_batched(const BatchEvalOracle& oracle,
-                                       int n_evals, Rng& rng);
-  /// Unified entry point: dispatches to run() or run_batched() according
-  /// to which oracle the SearchOracle holds. Also the instrumented path —
-  /// emits the "anb.nas.run" span and anb.nas.run.{count,evals} counters.
+                                       int n_evals, Rng& rng) = 0;
+  /// Run for exactly `n_evals` scalar oracle calls, made in trajectory
+  /// order: run_batched(batch_from_scalar(oracle), ...).
+  SearchTrajectory run(const EvalOracle& oracle, int n_evals, Rng& rng);
+  /// Unified entry point, and the instrumented path: emits the
+  /// "anb.nas.run" span and anb.nas.run.{count,evals} counters.
   SearchTrajectory run(const SearchOracle& oracle, int n_evals, Rng& rng);
 
  private:

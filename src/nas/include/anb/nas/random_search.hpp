@@ -15,12 +15,8 @@ class RandomSearchNas final : public NasOptimizer {
   using NasOptimizer::NasOptimizer;
 
   std::string name() const override { return "RS"; }
-  using NasOptimizer::run;
-  SearchTrajectory run(const EvalOracle& oracle, int n_evals,
-                       Rng& rng) override;
   /// Samples never depend on evaluations, so the whole run is one batched
-  /// oracle call. Sampling is hoisted ahead of evaluation; the oracle
-  /// consumes no RNG, so the architecture sequence matches run() exactly.
+  /// oracle call.
   SearchTrajectory run_batched(const BatchEvalOracle& oracle, int n_evals,
                                Rng& rng) override;
 };

@@ -25,9 +25,10 @@ class Reinforce final : public NasOptimizer {
                      const SearchSpace& space = MnasSpace::instance());
 
   std::string name() const override { return "REINFORCE"; }
-  using NasOptimizer::run;
-  SearchTrajectory run(const EvalOracle& oracle, int n_evals,
-                       Rng& rng) override;
+  /// Each sample depends on the policy updated by the previous score, so
+  /// the search proceeds in batches of one.
+  SearchTrajectory run_batched(const BatchEvalOracle& oracle, int n_evals,
+                               Rng& rng) override;
 
   /// Decision-probability snapshot after the last run (for inspection);
   /// probs[d][k] is the policy probability of option k at decision d.

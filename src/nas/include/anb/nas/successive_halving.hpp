@@ -19,7 +19,7 @@ using BudgetedOracle = std::function<BudgetedEval(const Arch&, int epochs)>;
 
 /// Batched variant: evaluate one round's whole surviving population at the
 /// same epoch budget in a single call; element i corresponds to archs[i].
-/// Same purity contract as BatchEvalOracle.
+/// Like BatchEvalOracle, it may not draw from the optimizer's Rng.
 using BudgetedBatchOracle = std::function<std::vector<BudgetedEval>(
     std::span<const Arch>, int epochs)>;
 
@@ -60,13 +60,14 @@ class SuccessiveHalving {
   /// The space this optimizer searches.
   const SearchSpace& space() const { return *space_; }
 
-  SuccessiveHalvingResult run(const BudgetedOracle& oracle, Rng& rng) const;
-
-  /// Each round's survivors are known before any of them is scored, so a
-  /// round is one batched oracle call. Identical result to run() for any
-  /// fixed seed.
+  /// The search loop. Each round's survivors are known before any of them
+  /// is scored, so a round is one batched oracle call.
   SuccessiveHalvingResult run_batched(const BudgetedBatchOracle& oracle,
                                       Rng& rng) const;
+
+  /// run_batched over a scalar oracle, called once per architecture in
+  /// evaluation order.
+  SuccessiveHalvingResult run(const BudgetedOracle& oracle, Rng& rng) const;
 
  private:
   SuccessiveHalvingParams params_;

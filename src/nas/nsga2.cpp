@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "anb/util/error.hpp"
 #include "anb/util/pareto.hpp"
@@ -108,8 +109,7 @@ bool crowded_less(const Member& a, const Member& b) {
 }
 
 /// One child via binary tournaments on (rank, crowding), uniform block
-/// crossover and per-decision mutation. Shared by run() and run_batched()
-/// so both consume the RNG in exactly the same order.
+/// crossover and per-decision mutation.
 Arch make_child(const std::vector<Member>& population,
                 const Nsga2Params& params, const SearchSpace& space,
                 Rng& rng) {
@@ -174,50 +174,14 @@ void assign_rank_and_crowding(std::vector<Member>& pop) {
 Nsga2Result Nsga2::run(const BiObjectiveOracle& oracle, int n_evals,
                        Rng& rng) const {
   ANB_CHECK(static_cast<bool>(oracle), "Nsga2: missing oracle");
-  ANB_CHECK(n_evals >= params_.population_size,
-            "Nsga2: n_evals must cover at least one population");
-
-  Nsga2Result result;
-  auto evaluate = [&](const Arch& arch) {
-    const auto [o1, o2] = oracle(arch);
-    result.archs.push_back(arch);
-    result.obj1.push_back(o1);
-    result.obj2.push_back(o2);
-    Member m;
-    m.arch = arch;
-    m.obj1 = o1;
-    m.obj2 = o2;
-    return m;
-  };
-
-  std::vector<Member> population;
-  for (int i = 0; i < params_.population_size; ++i)
-    population.push_back(evaluate(space_->sample(rng)));
-  assign_rank_and_crowding(population);
-
-  int evals = params_.population_size;
-  while (evals < n_evals) {
-    // Offspring generation (one generation = up to population_size children,
-    // truncated by the remaining budget).
-    const int n_children =
-        std::min(params_.population_size, n_evals - evals);
-    std::vector<Member> children;
-    for (int c = 0; c < n_children; ++c)
-      children.push_back(
-          evaluate(make_child(population, params_, *space_, rng)));
-    evals += n_children;
-
-    // Environmental selection over parents + children.
-    population.insert(population.end(),
-                      std::make_move_iterator(children.begin()),
-                      std::make_move_iterator(children.end()));
-    assign_rank_and_crowding(population);
-    std::sort(population.begin(), population.end(), crowded_less);
-    population.resize(static_cast<std::size_t>(params_.population_size));
-  }
-
-  result.front = pareto_front(result.obj1, result.obj2);
-  return result;
+  return run_batched(
+      [&oracle](std::span<const Arch> archs) {
+        std::vector<std::pair<double, double>> out;
+        out.reserve(archs.size());
+        for (const Arch& arch : archs) out.push_back(oracle(arch));
+        return out;
+      },
+      n_evals, rng);
 }
 
 Nsga2Result Nsga2::run_batched(const BiObjectiveBatchOracle& oracle,
@@ -256,9 +220,10 @@ Nsga2Result Nsga2::run_batched(const BiObjectiveBatchOracle& oracle,
 
   int evals = params_.population_size;
   while (evals < n_evals) {
-    // Selection reads only the parent population's (rank, crowding), which
-    // is fixed for the whole generation — so all children can be generated
-    // before any of them is scored, and batching changes nothing.
+    // Offspring generation: one generation is up to population_size
+    // children, truncated by the remaining budget. Selection reads only the
+    // parent population's (rank, crowding), which is fixed for the whole
+    // generation, so all children are generated before any is scored.
     const int n_children = std::min(params_.population_size, n_evals - evals);
     std::vector<Arch> child_archs;
     child_archs.reserve(static_cast<std::size_t>(n_children));
@@ -267,6 +232,7 @@ Nsga2Result Nsga2::run_batched(const BiObjectiveBatchOracle& oracle,
     std::vector<Member> children = evaluate_batch(child_archs);
     evals += n_children;
 
+    // Environmental selection over parents + children.
     population.insert(population.end(),
                       std::make_move_iterator(children.begin()),
                       std::make_move_iterator(children.end()));

@@ -41,9 +41,8 @@ BatchEvalOracle batch_from_scalar(EvalOracle oracle) {
   };
 }
 
-SearchOracle::SearchOracle(EvalOracle oracle) : scalar_(std::move(oracle)) {
-  ANB_CHECK(static_cast<bool>(scalar_), "SearchOracle: missing scalar oracle");
-}
+SearchOracle::SearchOracle(EvalOracle oracle)
+    : batched_(batch_from_scalar(std::move(oracle))) {}
 
 SearchOracle::SearchOracle(BatchEvalOracle oracle)
     : batched_(std::move(oracle)) {
@@ -51,16 +50,13 @@ SearchOracle::SearchOracle(BatchEvalOracle oracle)
             "SearchOracle: missing batched oracle");
 }
 
-const EvalOracle& SearchOracle::scalar() const {
-  ANB_CHECK(static_cast<bool>(scalar_),
-            "SearchOracle: holds a batched oracle, not a scalar one");
-  return scalar_;
-}
-
-const BatchEvalOracle& SearchOracle::batched() const {
-  ANB_CHECK(static_cast<bool>(batched_),
-            "SearchOracle: holds a scalar oracle, not a batched one");
-  return batched_;
+SearchTrajectory NasOptimizer::run(const EvalOracle& oracle, int n_evals,
+                                   Rng& rng) {
+  ANB_CHECK(static_cast<bool>(oracle), "NasOptimizer: missing oracle");
+  // Wrapped by reference, so any state the caller's oracle carries persists.
+  return run_batched(
+      batch_from_scalar([&oracle](const Arch& arch) { return oracle(arch); }),
+      n_evals, rng);
 }
 
 SearchTrajectory NasOptimizer::run(const SearchOracle& oracle, int n_evals,
@@ -69,21 +65,7 @@ SearchTrajectory NasOptimizer::run(const SearchOracle& oracle, int n_evals,
   obs::counter("anb.nas.run.count").add(1);
   obs::counter("anb.nas.run.evals")
       .add(n_evals > 0 ? static_cast<std::uint64_t>(n_evals) : 0);
-  return oracle.is_batched() ? run_batched(oracle.batched(), n_evals, rng)
-                             : run(oracle.scalar(), n_evals, rng);
-}
-
-SearchTrajectory NasOptimizer::run_batched(const BatchEvalOracle& oracle,
-                                           int n_evals, Rng& rng) {
-  ANB_CHECK(static_cast<bool>(oracle), "NasOptimizer: missing oracle");
-  return run(
-      [&oracle](const Arch& arch) {
-        const std::vector<double> values = oracle({&arch, 1});
-        ANB_CHECK(values.size() == 1,
-                  "NasOptimizer: batched oracle returned wrong size");
-        return values[0];
-      },
-      n_evals, rng);
+  return run_batched(oracle.batched(), n_evals, rng);
 }
 
 }  // namespace anb

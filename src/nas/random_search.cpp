@@ -7,18 +7,6 @@
 
 namespace anb {
 
-SearchTrajectory RandomSearchNas::run(const EvalOracle& oracle, int n_evals,
-                                      Rng& rng) {
-  ANB_CHECK(static_cast<bool>(oracle), "RandomSearchNas: missing oracle");
-  ANB_CHECK(n_evals >= 1, "RandomSearchNas: n_evals must be >= 1");
-  SearchTrajectory traj;
-  for (int t = 0; t < n_evals; ++t) {
-    const Arch arch = space().sample(rng);
-    traj.add(arch, oracle(arch));
-  }
-  return traj;
-}
-
 SearchTrajectory RandomSearchNas::run_batched(const BatchEvalOracle& oracle,
                                               int n_evals, Rng& rng) {
   ANB_CHECK(static_cast<bool>(oracle), "RandomSearchNas: missing oracle");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "anb/util/error.hpp"
 
@@ -16,8 +17,8 @@ Reinforce::Reinforce(ReinforceParams params, const SearchSpace& space)
             "Reinforce: entropy_coef must be >= 0");
 }
 
-SearchTrajectory Reinforce::run(const EvalOracle& oracle, int n_evals,
-                                Rng& rng) {
+SearchTrajectory Reinforce::run_batched(const BatchEvalOracle& oracle,
+                                        int n_evals, Rng& rng) {
   ANB_CHECK(static_cast<bool>(oracle), "Reinforce: missing oracle");
   ANB_CHECK(n_evals >= 1, "Reinforce: n_evals must be >= 1");
 
@@ -57,7 +58,10 @@ SearchTrajectory Reinforce::run(const EvalOracle& oracle, int n_evals,
       decisions[d] = static_cast<int>(rng.weighted_index(probs[d]));
     }
     const Arch arch = space().from_decisions(decisions);
-    const double reward = oracle(arch);
+    const std::vector<double> rewards = oracle({&arch, 1});
+    ANB_CHECK(rewards.size() == 1,
+              "Reinforce: batched oracle returned wrong size");
+    const double reward = rewards[0];
     traj.add(arch, reward);
 
     if (!baseline_set) {

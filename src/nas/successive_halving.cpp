@@ -1,6 +1,8 @@
 #include "anb/nas/successive_halving.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "anb/util/error.hpp"
 
@@ -20,43 +22,14 @@ SuccessiveHalving::SuccessiveHalving(SuccessiveHalvingParams params,
 SuccessiveHalvingResult SuccessiveHalving::run(const BudgetedOracle& oracle,
                                                Rng& rng) const {
   ANB_CHECK(static_cast<bool>(oracle), "SuccessiveHalving: missing oracle");
-
-  struct Member {
-    Arch arch;
-    double accuracy = 0.0;
-  };
-  std::vector<Member> population;
-  population.reserve(static_cast<std::size_t>(params_.initial_population));
-  for (int i = 0; i < params_.initial_population; ++i)
-    population.push_back({space_->sample(rng), 0.0});
-
-  SuccessiveHalvingResult result;
-  int epochs = params_.min_epochs;
-  while (true) {
-    ++result.rounds;
-    for (auto& member : population) {
-      const BudgetedEval eval = oracle(member.arch, epochs);
-      member.accuracy = eval.accuracy;
-      result.total_cost_hours += eval.cost_hours;
-      result.evals.push_back({member.arch, eval.accuracy, epochs});
-    }
-    std::sort(population.begin(), population.end(),
-              [](const Member& a, const Member& b) {
-                return a.accuracy > b.accuracy;
-              });
-
-    const bool at_max_budget = epochs >= params_.max_epochs;
-    if (population.size() == 1 || at_max_budget) break;
-
-    const std::size_t keep = std::max<std::size_t>(
-        1, population.size() / static_cast<std::size_t>(params_.eta));
-    population.resize(keep);
-    epochs = std::min(params_.max_epochs, epochs * params_.eta);
-  }
-
-  result.best = population.front().arch;
-  result.best_accuracy = population.front().accuracy;
-  return result;
+  return run_batched(
+      [&oracle](std::span<const Arch> archs, int epochs) {
+        std::vector<BudgetedEval> out;
+        out.reserve(archs.size());
+        for (const Arch& arch : archs) out.push_back(oracle(arch, epochs));
+        return out;
+      },
+      rng);
 }
 
 SuccessiveHalvingResult SuccessiveHalving::run_batched(
