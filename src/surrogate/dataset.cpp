@@ -1,7 +1,9 @@
 #include "anb/surrogate/dataset.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "anb/util/csv.hpp"
 #include "anb/util/error.hpp"
@@ -15,6 +17,11 @@ Dataset::Dataset(std::size_t num_features) : num_features_(num_features) {
 void Dataset::add(std::span<const double> x, double y) {
   ANB_CHECK(x.size() == num_features_,
             "Dataset::add: feature vector has wrong dimension");
+  // NaN has no place in a column's sort order (ColumnIndex).
+  for (std::size_t f = 0; f < x.size(); ++f)
+    ANB_CHECK(!std::isnan(x[f]), "Dataset::add: NaN feature in row " +
+                                     std::to_string(size()) + ", column " +
+                                     std::to_string(f));
   features_.insert(features_.end(), x.begin(), x.end());
   targets_.push_back(y);
 }

@@ -22,7 +22,8 @@ class Dataset {
   std::size_t size() const { return targets_.size(); }
   bool empty() const { return targets_.empty(); }
 
-  /// Append one example. `x.size()` must equal num_features().
+  /// Append one example. `x.size()` must equal num_features(), and no
+  /// feature may be NaN (throws anb::Error naming the row and column).
   void add(std::span<const double> x, double y);
 
   std::span<const double> row(std::size_t i) const;

@@ -159,9 +159,6 @@ class TreeBuilder {
     double low = 0.0;            ///< smallest value
     double top = 0.0;            ///< largest value
     int bit = -1;                ///< bit in the row masks if two-valued
-    /// Every row below the top run compares equal to `low` (false only
-    /// when NaN broke the column's sort).
-    bool low_below_top = false;
     std::size_t below_top = 0;   ///< rows below the top run
     std::size_t view_begin = 0;  ///< offset of its compacted view
   };
@@ -191,7 +188,7 @@ class TreeBuilder {
   /// read the row masks: `x < threshold` holds exactly for the rows below
   /// the top run.
   static bool routes_by_mask(const ColumnPlan& plan, double threshold) {
-    return plan.bit >= 0 && plan.low_below_top && plan.low < threshold &&
+    return plan.bit >= 0 && plan.low < threshold &&
            !(plan.top < threshold);
   }
   bool allowed(std::size_t a, std::size_t f) const {

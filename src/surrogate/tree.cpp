@@ -17,7 +17,8 @@ ColumnIndex::ColumnIndex(const Dataset& data)
   values_.resize(num_features_ * num_rows_);
   top_run_begin_.resize(num_features_);
   // Column slices are disjoint and each stable_sort is deterministic, so the
-  // parallel build is bit-identical to a serial one.
+  // parallel build is bit-identical to a serial one. Dataset refuses NaN
+  // features, so `<` is a strict weak order on every column.
   parallel_for(num_features_, [&](std::size_t f) {
     auto* begin = order_.data() + f * num_rows_;
     for (std::size_t i = 0; i < num_rows_; ++i)
@@ -101,9 +102,6 @@ TreeBuilder::TreeBuilder(const Dataset& data, const ColumnIndex& columns)
     plan.below_top = columns.top_run_begin(f);
     plan.low = values.front();
     plan.top = values[plan.below_top];
-    plan.low_below_top =
-        std::all_of(values.begin(), values.begin() + plan.below_top,
-                    [&](double v) { return v == plan.low; });
     if (plan.bit >= 0 || plan.below_top == 0) continue;
     multi_valued_.push_back(f);
     plan.view_begin = view_end;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "anb/util/error.hpp"
 #include "anb/util/rng.hpp"
@@ -39,6 +42,19 @@ TEST(DatasetTest, BoundsChecked) {
   EXPECT_THROW(ds.feature(0, 9), Error);
   EXPECT_THROW(ds.add(std::vector<double>{1.0}, 0.0), Error);
   EXPECT_THROW(Dataset(0), Error);
+}
+
+TEST(DatasetTest, AddRejectsNanFeature) {
+  Dataset ds = make_iota(2);
+  try {
+    ds.add(std::vector<double>{1.0, std::nan(""), 3.0}, 0.0);
+    FAIL() << "a NaN feature was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("row 2, column 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ds.size(), 2u);
 }
 
 TEST(DatasetTest, SubsetCopiesRows) {
@@ -108,6 +124,7 @@ TEST(DatasetTest, FromCsvRejectsMalformed) {
   EXPECT_THROW(Dataset::from_csv("f0,target\n"), Error);         // no rows
   EXPECT_THROW(Dataset::from_csv("f0,target\n1\n"), Error);      // ragged
   EXPECT_THROW(Dataset::from_csv("f0,target\n1,abc\n"), Error);  // non-numeric
+  EXPECT_THROW(Dataset::from_csv("f0,target\nnan,1\n"), Error);  // NaN feature
 }
 
 }  // namespace
