@@ -188,8 +188,7 @@ class TreeBuilder {
   /// read the row masks: `x < threshold` holds exactly for the rows below
   /// the top run.
   static bool routes_by_mask(const ColumnPlan& plan, double threshold) {
-    return plan.bit >= 0 && plan.low < threshold &&
-           !(plan.top < threshold);
+    return plan.bit >= 0 && plan.low < threshold && !(plan.top < threshold);
   }
   bool allowed(std::size_t a, std::size_t f) const {
     return !sample_features_ || allowed_[a * plans_.size() + f] != 0;
