@@ -40,8 +40,8 @@ inline TrainingSimulator make_simulator() {
 
 /// Collect the paper's datasets once (accuracy + all device metrics).
 inline CollectedData collect_datasets(bool with_perf = true) {
-  TrainingSimulator sim = make_simulator();
-  DataCollector collector(sim, device_catalog());
+  const auto sim = make_space_sim(SpaceId::kMnasNet, kWorldSeed);
+  DataCollector collector(*sim, device_catalog());
   CollectionConfig config;
   config.n_archs = collection_size();
   config.seed = hash_combine(kWorldSeed, 0xC011EC7);

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   bench::print_header("E14: successive halving vs zero-cost search",
                       "DESIGN.md E14 (motivated by paper §3.2)");
 
-  TrainingSimulator sim = bench::make_simulator();
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
 
   // --- (a) successive halving on simulated real training ------------------
   SuccessiveHalvingParams sh_params;
@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     scheme.total_epochs = epochs;
     scheme.resize_finish_epoch =
         std::min(scheme.resize_finish_epoch, epochs);
-    const TrainResult run =
-        sim.train(MnasSpace::to_blocks(arch), scheme, /*run_seed=*/epochs);
+    const TrainResult run = sim->train(arch, scheme, /*run_seed=*/epochs);
     return BudgetedEval{run.top1, run.gpu_hours};
   };
   Rng sh_rng(hash_combine(bench::kWorldSeed, 0x5A));
@@ -57,8 +56,7 @@ int main(int argc, char** argv) {
   int rs_trainings = 0;
   while (rs_cost < sh_result.total_cost_hours) {
     const Arch arch = MnasSpace::instance().sample(rs_rng);
-    const TrainResult run =
-        sim.train(MnasSpace::to_blocks(arch), canonical_p_star(), 0);
+    const TrainResult run = sim->train(arch, canonical_p_star(), 0);
     rs_cost += run.gpu_hours;
     ++rs_trainings;
     if (run.top1 > rs_best_acc) {
@@ -89,9 +87,7 @@ int main(int argc, char** argv) {
 
   // --- final fair comparison: reference-scheme retraining ------------------
   auto final_accuracy = [&](const Arch& arch) {
-    return sim.train(MnasSpace::to_blocks(arch), reference_scheme(),
-                     /*run_seed=*/99)
-        .top1;
+    return sim->train(arch, reference_scheme(), /*run_seed=*/99).top1;
   };
   TextTable table({"method", "search cost (GPU-h)", "winner top-1 (ref)"});
   table.add_row({"successive halving (true training)",

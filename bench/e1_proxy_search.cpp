@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   using namespace anb;
   bench::print_header("E1: training-proxy search", "Section 3.2 / Eq. (1)");
 
-  TrainingSimulator sim = bench::make_simulator();
-  ProxySearch search(sim);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
+  ProxySearch search(*sim);
 
   ProxySearchConfig config;
   config.n_models = 20;  // paper: uniform grid of n = 20 models

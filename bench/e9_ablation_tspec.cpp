@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   using namespace anb;
   bench::print_header("E9: t_spec and optimizer ablation", "DESIGN.md E9");
 
-  TrainingSimulator sim = bench::make_simulator();
-  ProxySearch search(sim);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
+  ProxySearch search(*sim);
 
   // --- 1. achievable tau vs budget --------------------------------------
   std::printf("\n[1/2] Best feasible tau as a function of t_spec\n");

@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
   std::printf("Benchmark constructed: accuracy surrogate test tau = %.3f\n\n",
               pipe.test_metrics.at("ANB-Acc").kendall_tau);
 
-  TrainingSimulator sim = bench::make_simulator();
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
   TrajectoryConfig config;
   config.n_evals = bench::fast_mode() ? 120 : 300;
   config.n_sim_seeds = 5;  // paper: simulated runs averaged over five seeds
   config.seed = 3;
 
   const auto comparisons =
-      compare_trajectories(pipe.bench, sim, pipe.p_star, config);
+      compare_trajectories(pipe.bench, *sim, pipe.p_star, config);
 
   // Print incumbent curves at checkpoints.
   const std::vector<int> checkpoints = [&] {

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   options.world_seed = bench::kWorldSeed;
   options.n_archs = bench::collection_size();
   const PipelineResult pipe = construct_benchmark(options);
-  TrainingSimulator sim = bench::make_simulator();
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
 
   struct Panel {
     const char* label;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     config.seed = hash_combine(5, static_cast<std::uint64_t>(panel.device) * 2 +
                                       static_cast<std::uint64_t>(panel.metric));
     const ParetoOutcome outcome = pareto_search(pipe.bench, config);
-    const auto rows = true_evaluation(outcome, sim, MetricKey{panel.device, panel.metric},
+    const auto rows = true_evaluation(outcome, *sim, MetricKey{panel.device, panel.metric},
                                       panel.tag);
     const char* unit =
         panel.metric == PerfMetric::kThroughput ? "img/s" : "ms";

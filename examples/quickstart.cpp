@@ -26,13 +26,13 @@ int main() {
               result.data.total_gpu_hours);
 
   // 2. Describe an architecture: 7 blocks x {expansion, kernel, layers, SE}.
-  Architecture my_arch = Architecture::from_string(
+  const Arch my_arch = MnasSpace::instance().arch_from_string(
       "e1k3L1s0-e6k3L2s0-e6k5L2s1-e6k3L3s1-e6k5L3s1-e6k5L3s1-e6k3L1s1");
 
   // 3. Zero-cost queries.
-  const Architecture b0 = effnet_b0_like().arch;
+  const Arch b0 = MnasSpace::from_blocks(effnet_b0_like().arch);
   for (const auto& [name, arch] :
-       {std::pair<const char*, Architecture>{"my_arch", my_arch},
+       {std::pair<const char*, Arch>{"my_arch", my_arch},
         {"effnet-b0", b0}}) {
     std::printf("%-10s top-1(pred) = %.4f", name,
                 result.bench.query_accuracy(arch));
@@ -43,11 +43,11 @@ int main() {
   }
 
   // 4. What one of those queries would have cost without the benchmark.
-  TrainingSimulator sim(options.world_seed);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, options.world_seed);
   std::printf("\nwithout the benchmark, evaluating my_arch would cost %.1f "
               "GPU-hours (proxy)\nor %.1f GPU-hours (reference scheme)\n",
-              sim.training_cost_hours(my_arch, result.p_star),
-              sim.training_cost_hours(my_arch, reference_scheme()));
+              sim->training_cost_hours(my_arch, result.p_star),
+              sim->training_cost_hours(my_arch, reference_scheme()));
 
   // 5. Persist and reopen. The .anbb extension selects the zero-copy
   //    binary container: open() mmaps the node arrays in place, so the

@@ -201,25 +201,10 @@ bool AccelNASBench::has_perf(MetricKey key) const {
   return perf_.count(key) > 0;
 }
 
-namespace {
-/// MnasNet convenience overloads funnel through here.
-std::vector<Arch> to_genotypes(std::span<const Architecture> archs) {
-  std::vector<Arch> out;
-  out.reserve(archs.size());
-  for (const Architecture& arch : archs)
-    out.push_back(MnasSpace::from_blocks(arch));
-  return out;
-}
-}  // namespace
-
 double AccelNASBench::query_accuracy(const Arch& arch) const {
   ANB_CHECK(accuracy_ != nullptr,
             "AccelNASBench: accuracy surrogate not installed");
   return cached_query(*accuracy_, nullptr, arch);
-}
-
-double AccelNASBench::query_accuracy(const Architecture& arch) const {
-  return query_accuracy(MnasSpace::from_blocks(arch));
 }
 
 std::vector<double> AccelNASBench::query_accuracy_batch(
@@ -227,12 +212,6 @@ std::vector<double> AccelNASBench::query_accuracy_batch(
   ANB_CHECK(accuracy_ != nullptr,
             "AccelNASBench: accuracy surrogate not installed");
   return cached_query_batch(*accuracy_, nullptr, archs);
-}
-
-std::vector<double> AccelNASBench::query_accuracy_batch(
-    std::span<const Architecture> archs) const {
-  const std::vector<Arch> genotypes = to_genotypes(archs);
-  return query_accuracy_batch(std::span<const Arch>(genotypes));
 }
 
 namespace {
@@ -254,11 +233,6 @@ double AccelNASBench::query_accuracy_noisy(const Arch& arch, Rng& rng) const {
   return ensemble->sample(space_obj().features(arch), rng);
 }
 
-double AccelNASBench::query_accuracy_noisy(const Architecture& arch,
-                                           Rng& rng) const {
-  return query_accuracy_noisy(MnasSpace::from_blocks(arch), rng);
-}
-
 std::pair<double, double> AccelNASBench::query_accuracy_dist(
     const Arch& arch) const {
   const auto* ensemble = as_ensemble(accuracy_.get());
@@ -269,21 +243,11 @@ std::pair<double, double> AccelNASBench::query_accuracy_dist(
   return ensemble->predict_dist(space_obj().features(arch));
 }
 
-std::pair<double, double> AccelNASBench::query_accuracy_dist(
-    const Architecture& arch) const {
-  return query_accuracy_dist(MnasSpace::from_blocks(arch));
-}
-
 double AccelNASBench::query_perf(const Arch& arch, MetricKey key) const {
   const auto it = perf_.find(key);
   ANB_CHECK(it != perf_.end(),
             "AccelNASBench: no surrogate for " + dataset_name(key));
   return cached_query(*it->second, &key, arch);
-}
-
-double AccelNASBench::query_perf(const Architecture& arch,
-                                 MetricKey key) const {
-  return query_perf(MnasSpace::from_blocks(arch), key);
 }
 
 std::vector<double> AccelNASBench::query_perf_batch(
@@ -292,12 +256,6 @@ std::vector<double> AccelNASBench::query_perf_batch(
   ANB_CHECK(it != perf_.end(),
             "AccelNASBench: no surrogate for " + dataset_name(key));
   return cached_query_batch(*it->second, &key, archs);
-}
-
-std::vector<double> AccelNASBench::query_perf_batch(
-    std::span<const Architecture> archs, MetricKey key) const {
-  const std::vector<Arch> genotypes = to_genotypes(archs);
-  return query_perf_batch(std::span<const Arch>(genotypes), key);
 }
 
 double AccelNASBench::cached_query(const Surrogate& surrogate,

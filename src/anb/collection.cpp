@@ -141,12 +141,6 @@ void drop_quarantined(std::vector<T>& v,
 DataCollector::DataCollector(const SpaceSim& sim, std::vector<Device> devices)
     : sim_(&sim), devices_(std::move(devices)) {}
 
-DataCollector::DataCollector(const TrainingSimulator& simulator,
-                             std::vector<Device> devices)
-    : owned_(std::make_unique<MnasSpaceSim>(simulator)),
-      sim_(owned_.get()),
-      devices_(std::move(devices)) {}
-
 CollectedData DataCollector::collect(const CollectionConfig& config) const {
   ANB_CHECK(config.n_archs >= 1, "DataCollector: n_archs must be >= 1");
   config.scheme.validate();

@@ -68,12 +68,6 @@ std::vector<TrajectoryComparison> compare_trajectories(
   return out;
 }
 
-std::vector<TrajectoryComparison> compare_trajectories(
-    const AccelNASBench& bench, const TrainingSimulator& sim,
-    const TrainingScheme& p_star, const TrajectoryConfig& config) {
-  return compare_trajectories(bench, MnasSpaceSim(sim), p_star, config);
-}
-
 ParetoOutcome pareto_search(const AccelNASBench& bench,
                             const ParetoSearchConfig& config) {
   ANB_CHECK(bench.has_accuracy(), "pareto_search: missing accuracy surrogate");
@@ -207,13 +201,6 @@ std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
     }
   }
   return rows;
-}
-
-std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
-                                         const TrainingSimulator& sim,
-                                         MetricKey key, const std::string& tag,
-                                         std::uint64_t seed) {
-  return true_evaluation(outcome, MnasSpaceSim(sim), key, tag, seed);
 }
 
 }  // namespace anb

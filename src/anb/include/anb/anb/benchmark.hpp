@@ -49,9 +49,7 @@ DeviceKind device_from_short_name(const std::string& name);
 /// Hashable and totally ordered, with to_string()/parse() round-tripping
 /// through the paper-style dataset name ("ANB-ZCU-Thr"). This is the one
 /// currency for naming perf targets across the benchmark, collection,
-/// pipeline, and bench helpers. (The loose two-argument
-/// (DeviceKind, PerfMetric) shims served their one-release grace period
-/// and are gone.)
+/// pipeline, and bench helpers.
 struct MetricKey {
   DeviceKind device = DeviceKind::kZcu102;
   PerfMetric metric = PerfMetric::kThroughput;
@@ -90,7 +88,7 @@ inline constexpr const char* kBenchmarkLoadFaultSite =
 /// Genotypes are space-tagged Arch values; every query validates the tag
 /// against space() and the cache keys on (space, to_index) — the stable
 /// architecture address shared with the .anbb artifact and the serve
-/// protocol. Typed Architecture overloads remain as MnasNet conveniences.
+/// protocol.
 class AccelNASBench {
  public:
   AccelNASBench();
@@ -120,7 +118,6 @@ class AccelNASBench {
   /// as in the paper — rankings, not absolute values, are the contract).
   /// Throws anb::Error when arch's space tag differs from space().
   double query_accuracy(const Arch& arch) const;
-  double query_accuracy(const Architecture& arch) const;
 
   /// Whether the accuracy surrogate is an ensemble (supports noisy queries).
   bool has_noisy_accuracy() const;
@@ -130,16 +127,13 @@ class AccelNASBench {
   /// run. Requires an EnsembleSurrogate accuracy model (see
   /// PipelineOptions::ensemble_accuracy); throws otherwise.
   double query_accuracy_noisy(const Arch& arch, Rng& rng) const;
-  double query_accuracy_noisy(const Architecture& arch, Rng& rng) const;
 
   /// Ensemble mean + std of the accuracy prediction (ensemble only).
   std::pair<double, double> query_accuracy_dist(const Arch& arch) const;
-  std::pair<double, double> query_accuracy_dist(const Architecture& arch) const;
 
   /// Predicted throughput (img/s), latency (ms), energy (mJ/image) or
   /// peak memory (MB) on a device.
   double query_perf(const Arch& arch, MetricKey key) const;
-  double query_perf(const Architecture& arch, MetricKey key) const;
 
   /// Batched accuracy query for a whole population: encodes the cache
   /// misses into one feature matrix, predicts them with the surrogate's
@@ -147,14 +141,10 @@ class AccelNASBench {
   /// corresponds to archs[i] and equals query_accuracy(archs[i]) exactly
   /// (batched prediction is bit-identical to scalar prediction).
   std::vector<double> query_accuracy_batch(std::span<const Arch> archs) const;
-  std::vector<double> query_accuracy_batch(
-      std::span<const Architecture> archs) const;
 
   /// Batched performance query; element i equals
   /// query_perf(archs[i], key) exactly.
   std::vector<double> query_perf_batch(std::span<const Arch> archs,
-                                       MetricKey key) const;
-  std::vector<double> query_perf_batch(std::span<const Architecture> archs,
                                        MetricKey key) const;
 
   /// Query-cache control. The cache keys on (space(), to_index(arch)) —

@@ -6,14 +6,11 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "anb/anb/benchmark.hpp"
 #include "anb/anb/space_sim.hpp"
 #include "anb/hwsim/device.hpp"
 #include "anb/surrogate/dataset.hpp"
 #include "anb/trainsim/scheme.hpp"
-#include "anb/trainsim/simulator.hpp"
 
 namespace anb {
 
@@ -73,7 +70,7 @@ struct CollectionReport {
   /// dataset_name() of every device×metric dataset dropped because it
   /// quarantined more than RetryPolicy::max_quarantine_frac of the archs.
   std::vector<std::string> failed_datasets;
-  /// Architectures dropped because some reading in a *kept* dataset
+  /// Genotypes dropped because some reading in a *kept* dataset
   /// exhausted its retry budget, in collection (index) order.
   std::vector<Arch> quarantined;
 
@@ -113,14 +110,9 @@ class DataCollector {
  public:
   DataCollector(const SpaceSim& sim, std::vector<Device> devices);
 
-  /// MnasNet convenience: wraps the simulator in a MnasSpaceSim.
-  DataCollector(const TrainingSimulator& simulator,
-                std::vector<Device> devices);
-
   CollectedData collect(const CollectionConfig& config) const;
 
  private:
-  std::unique_ptr<SpaceSim> owned_;  ///< set by the compat constructor
   const SpaceSim* sim_;
   std::vector<Device> devices_;
 };

@@ -8,7 +8,6 @@
 #include "anb/anb/benchmark.hpp"
 #include "anb/anb/space_sim.hpp"
 #include "anb/nas/optimizer.hpp"
-#include "anb/trainsim/simulator.hpp"
 
 namespace anb {
 
@@ -37,11 +36,6 @@ struct TrajectoryConfig {
 /// must match the benchmark's space.
 std::vector<TrajectoryComparison> compare_trajectories(
     const AccelNASBench& bench, const SpaceSim& sim,
-    const TrainingScheme& p_star, const TrajectoryConfig& config);
-
-/// MnasNet convenience: wraps the simulator in a MnasSpaceSim.
-std::vector<TrajectoryComparison> compare_trajectories(
-    const AccelNASBench& bench, const TrainingSimulator& sim,
     const TrainingScheme& p_star, const TrajectoryConfig& config);
 
 /// ---- Fig. 4: bi-objective REINFORCE search -------------------------------
@@ -87,12 +81,6 @@ struct TrueEvalRow {
 std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
                                          const SpaceSim& sim, MetricKey key,
                                          const std::string& tag,
-                                         std::uint64_t seed = 17);
-
-/// MnasNet convenience: wraps the simulator in a MnasSpaceSim.
-std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
-                                         const TrainingSimulator& sim,
-                                         MetricKey key, const std::string& tag,
                                          std::uint64_t seed = 17);
 
 }  // namespace anb

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "anb/anb/space_sim.hpp"
 #include "anb/hpo/configspace.hpp"
 #include "anb/trainsim/scheme.hpp"
-#include "anb/trainsim/simulator.hpp"
 
 namespace anb {
 
@@ -52,8 +50,6 @@ struct ProxySearchOutcome {
 class ProxySearch {
  public:
   explicit ProxySearch(const SpaceSim& sim);
-  /// MnasNet convenience: wraps the simulator in a MnasSpaceSim.
-  explicit ProxySearch(const TrainingSimulator& simulator);
 
   /// The paper's stratified model grid: a pool of random architectures
   /// bucketed by FLOPs, picking per bucket the model whose parameter count
@@ -86,7 +82,6 @@ class ProxySearch {
   ProxySearchOutcome finalize(std::vector<ProxyTrial> trials,
                               const std::vector<Arch>& models) const;
 
-  std::unique_ptr<SpaceSim> owned_;  ///< set by the compat constructor
   const SpaceSim* sim_;
 };
 

@@ -46,29 +46,6 @@ class SpaceSim {
   virtual ModelIR lower(const Arch& arch, int resolution) const = 0;
 };
 
-/// MnasNet adapter over an existing TrainingSimulator (non-owning; the
-/// simulator must outlive the adapter). Lowering is build_ir().
-class MnasSpaceSim final : public SpaceSim {
- public:
-  explicit MnasSpaceSim(const TrainingSimulator& sim);
-
-  const SearchSpace& space() const override;
-  TrainResult train(const Arch& arch, const TrainingScheme& scheme,
-                    std::uint64_t run_seed = 0) const override;
-  double reference_accuracy(const Arch& arch) const override;
-  double expected_accuracy(const Arch& arch,
-                           const TrainingScheme& scheme) const override;
-  double training_cost_hours(const Arch& arch,
-                             const TrainingScheme& scheme) const override;
-  double int8_accuracy_drop(const Arch& arch) const override;
-  ModelIR lower(const Arch& arch, int resolution) const override;
-
-  const TrainingSimulator& simulator() const { return sim_; }
-
- private:
-  const TrainingSimulator& sim_;
-};
-
 /// Build the simulator stack for a space (owning). Also registers every
 /// in-tree space (register_builtin_spaces), so the returned sim's space is
 /// resolvable through the registry. Throws anb::Error for unknown ids.

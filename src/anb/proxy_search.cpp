@@ -15,9 +15,6 @@ namespace anb {
 
 ProxySearch::ProxySearch(const SpaceSim& sim) : sim_(&sim) {}
 
-ProxySearch::ProxySearch(const TrainingSimulator& simulator)
-    : owned_(std::make_unique<MnasSpaceSim>(simulator)), sim_(owned_.get()) {}
-
 std::vector<Arch> ProxySearch::stratified_models(int n, Rng& rng) const {
   ANB_CHECK(n >= 2, "ProxySearch::stratified_models: n must be >= 2");
   // Draw a pool, dedupe, then stratify by FLOPs into n quantile buckets and

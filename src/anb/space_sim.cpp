@@ -1,78 +1,42 @@
 #include "anb/anb/space_sim.hpp"
 
-#include <utility>
-
 #include "anb/fbnet/fbnet_sim.hpp"
 #include "anb/fbnet/fbnet_space.hpp"
 #include "anb/util/error.hpp"
 
 namespace anb {
 
-MnasSpaceSim::MnasSpaceSim(const TrainingSimulator& sim) : sim_(sim) {}
-
-const SearchSpace& MnasSpaceSim::space() const { return MnasSpace::instance(); }
-
-TrainResult MnasSpaceSim::train(const Arch& arch, const TrainingScheme& scheme,
-                                std::uint64_t run_seed) const {
-  return sim_.train(MnasSpace::to_blocks(arch), scheme, run_seed);
-}
-
-double MnasSpaceSim::reference_accuracy(const Arch& arch) const {
-  return sim_.reference_accuracy(MnasSpace::to_blocks(arch));
-}
-
-double MnasSpaceSim::expected_accuracy(const Arch& arch,
-                                       const TrainingScheme& scheme) const {
-  return sim_.expected_accuracy(MnasSpace::to_blocks(arch), scheme);
-}
-
-double MnasSpaceSim::training_cost_hours(const Arch& arch,
-                                         const TrainingScheme& scheme) const {
-  return sim_.training_cost_hours(MnasSpace::to_blocks(arch), scheme);
-}
-
-double MnasSpaceSim::int8_accuracy_drop(const Arch& arch) const {
-  return sim_.int8_accuracy_drop(MnasSpace::to_blocks(arch));
-}
-
-ModelIR MnasSpaceSim::lower(const Arch& arch, int resolution) const {
-  return build_ir(MnasSpace::to_blocks(arch), resolution);
-}
-
 namespace {
 
-/// Owning MnasNet stack for make_space_sim.
-class OwnedMnasSpaceSim final : public SpaceSim {
+class MnasSpaceSim final : public SpaceSim {
  public:
-  explicit OwnedMnasSpaceSim(std::uint64_t world_seed)
-      : sim_(world_seed), facade_(sim_) {}
+  explicit MnasSpaceSim(std::uint64_t world_seed) : sim_(world_seed) {}
 
-  const SearchSpace& space() const override { return facade_.space(); }
+  const SearchSpace& space() const override { return MnasSpace::instance(); }
   TrainResult train(const Arch& arch, const TrainingScheme& scheme,
                     std::uint64_t run_seed) const override {
-    return facade_.train(arch, scheme, run_seed);
+    return sim_.train(MnasSpace::to_blocks(arch), scheme, run_seed);
   }
   double reference_accuracy(const Arch& arch) const override {
-    return facade_.reference_accuracy(arch);
+    return sim_.reference_accuracy(MnasSpace::to_blocks(arch));
   }
   double expected_accuracy(const Arch& arch,
                            const TrainingScheme& scheme) const override {
-    return facade_.expected_accuracy(arch, scheme);
+    return sim_.expected_accuracy(MnasSpace::to_blocks(arch), scheme);
   }
   double training_cost_hours(const Arch& arch,
                              const TrainingScheme& scheme) const override {
-    return facade_.training_cost_hours(arch, scheme);
+    return sim_.training_cost_hours(MnasSpace::to_blocks(arch), scheme);
   }
   double int8_accuracy_drop(const Arch& arch) const override {
-    return facade_.int8_accuracy_drop(arch);
+    return sim_.int8_accuracy_drop(MnasSpace::to_blocks(arch));
   }
   ModelIR lower(const Arch& arch, int resolution) const override {
-    return facade_.lower(arch, resolution);
+    return build_ir(MnasSpace::to_blocks(arch), resolution);
   }
 
  private:
   TrainingSimulator sim_;
-  MnasSpaceSim facade_;
 };
 
 class FbnetSpaceSim final : public SpaceSim {
@@ -129,7 +93,7 @@ std::unique_ptr<SpaceSim> make_space_sim(SpaceId id,
                 std::to_string(static_cast<int>(id)));
   switch (id) {
     case SpaceId::kMnasNet:
-      return std::make_unique<OwnedMnasSpaceSim>(world_seed);
+      return std::make_unique<MnasSpaceSim>(world_seed);
     case SpaceId::kFbnet:
       return std::make_unique<FbnetSpaceSim>(world_seed);
   }

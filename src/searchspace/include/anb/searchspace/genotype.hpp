@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "anb/searchspace/architecture.hpp"
-
 namespace anb {
 
 /// Stable identifier of a registered search space. Values are part of the
@@ -45,15 +43,6 @@ struct Arch {
   SpaceId space = SpaceId::kMnasNet;
   std::uint8_t n = 0;
   std::array<std::int8_t, kMaxDecisions> d{};
-
-  Arch() = default;
-
-  /// Implicit lift of the typed MnasNet value; throws if `blocks` holds
-  /// option values outside the space.
-  Arch(const Architecture& mnas);  // NOLINT(google-explicit-constructor)
-
-  /// Typed MnasNet view; throws anb::Error when space != kMnasNet.
-  Architecture mnas() const;
 
   bool operator==(const Arch&) const = default;
 

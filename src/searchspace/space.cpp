@@ -63,10 +63,6 @@ SpaceId space_id_from_name(const std::string& name) {
 
 // --- Arch ------------------------------------------------------------------
 
-Arch::Arch(const Architecture& mnas) { *this = MnasSpace::from_blocks(mnas); }
-
-Architecture Arch::mnas() const { return MnasSpace::to_blocks(*this); }
-
 std::uint64_t Arch::hash() const {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 offset basis
   const auto mix = [&h](std::uint8_t byte) {

@@ -26,8 +26,8 @@ class CollectionFaultTest : public ::testing::Test {
 
   CollectedData collect(int n, const RetryPolicy& retry = RetryPolicy{},
                         std::uint64_t seed = 7) const {
-    TrainingSimulator sim(42);
-    DataCollector collector(sim, device_catalog());
+    const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
+    DataCollector collector(*sim, device_catalog());
     CollectionConfig config;
     config.n_archs = n;
     config.seed = seed;

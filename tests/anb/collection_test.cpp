@@ -13,8 +13,8 @@ namespace {
 class CollectionTest : public ::testing::Test {
  protected:
   CollectedData collect(int n, bool perf = true, std::uint64_t seed = 7) {
-    TrainingSimulator sim(42);
-    DataCollector collector(sim, device_catalog());
+    const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
+    DataCollector collector(*sim, device_catalog());
     CollectionConfig config;
     config.n_archs = n;
     config.seed = seed;
@@ -99,8 +99,8 @@ TEST_F(CollectionTest, CostScalesWithCount) {
 }
 
 TEST_F(CollectionTest, InvalidConfigThrows) {
-  TrainingSimulator sim(42);
-  DataCollector collector(sim, device_catalog());
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
+  DataCollector collector(*sim, device_catalog());
   CollectionConfig config;
   config.n_archs = 0;
   config.scheme = canonical_p_star();

@@ -22,12 +22,12 @@ const PipelineResult& small_pipeline() {
 
 TEST(HarnessTest, TrajectoriesCompareTrueAndSimulated) {
   const auto& pipe = small_pipeline();
-  TrainingSimulator sim(42);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
   TrajectoryConfig config;
   config.n_evals = 60;
   config.n_sim_seeds = 2;
   const auto comparisons =
-      compare_trajectories(pipe.bench, sim, pipe.p_star, config);
+      compare_trajectories(pipe.bench, *sim, pipe.p_star, config);
   ASSERT_EQ(comparisons.size(), 3u);
   EXPECT_EQ(comparisons[0].optimizer, "RS");
   EXPECT_EQ(comparisons[1].optimizer, "RE");
@@ -101,14 +101,14 @@ TEST(HarnessTest, ParetoSearchRequiresSurrogates) {
 
 TEST(HarnessTest, TrueEvaluationIncludesBaselines) {
   const auto& pipe = small_pipeline();
-  TrainingSimulator sim(42);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
   ParetoSearchConfig config;
   config.key = {DeviceKind::kVck190, PerfMetric::kThroughput};
   config.n_targets = 2;
   config.n_evals_per_target = 50;
   config.n_picks = 2;
   const ParetoOutcome outcome = pareto_search(pipe.bench, config);
-  const auto rows = true_evaluation(outcome, sim, MetricKey{DeviceKind::kVck190, PerfMetric::kThroughput}, "vck190");
+  const auto rows = true_evaluation(outcome, *sim, MetricKey{DeviceKind::kVck190, PerfMetric::kThroughput}, "vck190");
   // picks + 4 zoo baselines.
   EXPECT_EQ(rows.size(), outcome.picks.size() + 4u);
   int ours = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "anb/anb/pipeline.hpp"
@@ -26,8 +27,8 @@ ProxyDomains small_domains() {
 
 class ProxySearchTest : public ::testing::Test {
  protected:
-  TrainingSimulator sim_{42};
-  ProxySearch search_{sim_};
+  std::unique_ptr<SpaceSim> sim_ = make_space_sim(SpaceId::kMnasNet, 42);
+  ProxySearch search_{*sim_};
 };
 
 TEST_F(ProxySearchTest, StratifiedModelsSpreadOverComplexity) {
@@ -54,7 +55,7 @@ TEST_F(ProxySearchTest, EvaluateSchemeComputesTauAndCost) {
   std::vector<double> ref;
   for (const auto& m : models)
     ref.push_back(
-        sim_.train(MnasSpace::to_blocks(m), reference_scheme(), 0).top1);
+        sim_->train(m, reference_scheme(), 0).top1);
 
   const auto trial = search_.evaluate_scheme(canonical_p_star(), models, ref,
                                              /*t_spec=*/5.0);

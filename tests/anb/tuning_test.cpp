@@ -10,8 +10,8 @@ namespace anb {
 namespace {
 
 CollectedData shared_data() {
-  TrainingSimulator sim(42);
-  DataCollector collector(sim, {});
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
+  DataCollector collector(*sim, {});
   CollectionConfig config;
   config.n_archs = 400;
   config.scheme = canonical_p_star();

@@ -39,13 +39,12 @@ TEST(EndToEndTest, FullBenchmarkConstructionAndUse) {
 
   // The benchmark's accuracy surrogate ranks like the true (simulated)
   // proxified training on fresh architectures.
-  TrainingSimulator sim(options.world_seed);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, options.world_seed);
   std::vector<double> predicted, actual;
   for (int i = 0; i < 120; ++i) {
     const Arch a = MnasSpace::instance().sample(rng);
     predicted.push_back(result.bench.query_accuracy(a));
-    actual.push_back(
-        sim.train(MnasSpace::to_blocks(a), result.p_star, 1).top1);
+    actual.push_back(sim->train(a, result.p_star, 1).top1);
   }
   EXPECT_GT(kendall_tau(predicted, actual), 0.7);
 
@@ -57,7 +56,7 @@ TEST(EndToEndTest, FullBenchmarkConstructionAndUse) {
   search.n_evals_per_target = 60;
   search.n_picks = 2;
   const ParetoOutcome outcome = pareto_search(result.bench, search);
-  const auto rows = true_evaluation(outcome, sim, MetricKey{DeviceKind::kZcu102, PerfMetric::kThroughput}, "zcu102");
+  const auto rows = true_evaluation(outcome, *sim, MetricKey{DeviceKind::kZcu102, PerfMetric::kThroughput}, "zcu102");
   double best_ours_acc = 0.0;
   double best_baseline_acc = 0.0;
   for (const auto& row : rows) {
