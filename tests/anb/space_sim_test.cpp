@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -123,6 +124,22 @@ TEST(SpaceSimTest, FbnetMatchesTheTypedSimulatorBitForBit) {
                      build_fbnet_ir(ops, resolution));
     }
   }
+}
+
+TEST(SpaceSimTest, FbnetInt8DropMatchesRecordedValues) {
+  // FBNet's quantization model, pinned bit for bit: an FNV-1a hash of
+  // int8_accuracy_drop's bits over the sampled architectures.
+  const auto sim = make_space_sim(SpaceId::kFbnet, kWorldSeed);
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const Arch& arch : sample_archs(FbnetSpace::instance())) {
+    const auto bits =
+        std::bit_cast<std::uint64_t>(sim->int8_accuracy_drop(arch));
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(hash, 0x5a4f416d52723af0ULL) << std::hex << hash;
 }
 
 TEST(SpaceSimTest, EachSimRejectsTheOtherSpacesGenotypes) {

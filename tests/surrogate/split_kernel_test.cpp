@@ -15,12 +15,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "anb/anb/pipeline.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/tree.hpp"
+#include "anb/util/io.hpp"
 #include "anb/util/rng.hpp"
 #include "anb/util/simd.hpp"
 #include "split_kernels.hpp"
@@ -33,6 +38,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 bool have_avx2() {
   return simd::cpu_supports(simd::Target::kAvx2) &&
          detail::avx2_unit_split_kernel() != nullptr;
+}
+
+/// Every dispatch target the tree builder distinguishes that this CPU
+/// can run, the scalar one first.
+std::vector<simd::Target> builder_targets() {
+  std::vector<simd::Target> targets;
+  for (const simd::Target target :
+       {simd::Target::kScalar, simd::Target::kAvx2})
+    if (simd::cpu_supports(target)) targets.push_back(target);
+  return targets;
 }
 
 struct Fnv {
@@ -227,9 +242,7 @@ TEST(SplitKernelTest, ChildLimitsExactlyAtACount) {
     expect_targets_agree(
         [&] { return tree_fingerprint(data, g, w, params, 5); },
         "limits");
-    for (const simd::Target target :
-         {simd::Target::kScalar, simd::Target::kAvx2}) {
-      if (!simd::cpu_supports(target)) continue;
+    for (const simd::Target target : builder_targets()) {
       simd::ScopedTarget st(target);
       const ColumnIndex columns(data);
       Rng fit_rng(5);
@@ -281,6 +294,38 @@ TEST(SplitKernelTest, SignedZeroAndInfiniteGradients) {
   const std::vector<double> zeros(data.size(), -0.0);
   expect_targets_agree(
       [&] { return tree_fingerprint(data, zeros, w, params, 7); }, "all -0.0");
+}
+
+TEST(SplitKernelTest, TunedBuildsAreByteIdenticalUnderEveryTarget) {
+  // A SMAC-tuned construction end to end: every trial and every refit is
+  // a unit-row Gbdt fit whose config samples subsample and colsample, so
+  // the vector targets run the split kernel on sampled columns of
+  // subsampled rows. MnasNet's encoding is one mask word, FBNet's three.
+  for (const SpaceId space : {SpaceId::kMnasNet, SpaceId::kFbnet}) {
+    PipelineOptions options;
+    options.world_seed = 7;
+    options.space = space;
+    options.n_archs = 300;
+    options.tune = true;
+    options.tuning.n_trials = 4;
+    const std::string path =
+        ::testing::TempDir() + "/split_kernel_tuned_build.anbb";
+    std::string scalar;
+    for (const simd::Target target : builder_targets()) {
+      simd::ScopedTarget st(target);
+      construct_benchmark(options).bench.save_binary(path);
+      const auto file = io::Buffer::read_file(path);
+      std::string bytes(file->data(), file->size());
+      if (target == simd::Target::kScalar) {
+        scalar = std::move(bytes);
+        continue;
+      }
+      EXPECT_TRUE(bytes == scalar)
+          << space_name(space) << " .anbb differs under "
+          << simd::target_name(target);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 /// A hand-built node for the kernel alone: `words` mask words per row and
