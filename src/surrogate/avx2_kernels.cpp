@@ -1,14 +1,15 @@
-// The one translation unit compiled with -mavx2 (plus -mno-fma
+// The translation unit compiled with -mavx2 (plus -mno-fma
 // -ffp-contract=off so no mul+add ever fuses — bit-identity depends on
 // it). It instantiates two kernels for Avx2Isa and nothing else: the
 // masked descent kernel of FlatForest and the count-exact split kernel of
 // TreeBuilder (plus the op probe the ISA tests compare against
-// ScalarIsa). Avx2Isa is only defined under __AVX2__, and no other Isa is
-// ever named here, so the instantiation sets of this TU and the baseline
-// TUs are disjoint — the linker cannot substitute AVX2 code into baseline
-// paths. Callers reach the kernels only through the accessors below, and
-// only take a pointer after the runtime CPU probe (simd::active_target)
-// says AVX2 is safe to execute.
+// ScalarIsa). avx512_kernels.cpp builds the AVX-512 instantiation of the
+// split kernel; every other TU is baseline. Avx2Isa is only defined under
+// __AVX2__, and no other Isa is ever named here, so the instantiation
+// sets of this TU and the others are disjoint — the linker cannot
+// substitute AVX2 code into baseline paths. Callers reach the kernels
+// only through the accessors below, and only take a pointer after the
+// runtime CPU probe (simd::active_target) says AVX2 is safe to execute.
 //
 // On non-x86 toolchains (or compilers without -mavx2) CMake omits the
 // flag, __AVX2__ stays undefined, and this TU degrades to nullptr stubs —

@@ -2,10 +2,10 @@
 
 // Internal header (not installed): the templated SIMD descent kernels for
 // FlatForest, instantiated once per ISA translation unit. flat_forest.cpp
-// instantiates ScalarIsa (and NeonIsa on ARM); avx2_kernels.cpp —
-// the only TU compiled with -mavx2 — instantiates Avx2Isa. The Isa types
-// are disjoint across TUs (Avx2Isa is not even defined without -mavx2),
-// so no linker merging can ever route baseline callers into AVX2 code.
+// instantiates ScalarIsa (and NeonIsa on ARM); avx2_kernels.cpp, compiled
+// with -mavx2, instantiates Avx2Isa. The Isa types are disjoint across
+// TUs (Avx2Isa is not even defined without -mavx2), so no linker merging
+// can ever route baseline callers into AVX2 code.
 //
 // Exactness contract (same as FlatForest::accumulate): every lane takes
 // exactly the scalar `x[feature] < split` decision (the byte compare on
@@ -53,6 +53,13 @@ using MaskedFn = void (*)(const MaskedView& m, std::size_t num_trees,
 /// toolchain/architecture cannot build it. Defined in avx2_kernels.cpp;
 /// FlatForest::accumulate dispatches to it at run time.
 MaskedFn avx2_masked_kernel();
+
+/// The masked kernel FlatForest::accumulate runs under a dispatch target:
+/// the AVX2 instantiation under kAvx2 and kAvx512 (there is no AVX-512
+/// descent kernel), NEON's on ARM, else ScalarIsa's, which is also what
+/// an unavailable vector instantiation degrades to. Defined in
+/// flat_forest.cpp.
+MaskedFn masked_kernel_for(simd::Target target);
 
 namespace kernels {
 

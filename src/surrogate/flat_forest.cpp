@@ -82,28 +82,29 @@ struct FlatForest::SimdTables {
   detail::MaskedView mview;
 };
 
-namespace {
+namespace detail {
 
-/// Pick the masked kernel for a dispatch target. The AVX2 kernel lives
-/// in its own -mavx2 TU and may be absent (non-x86 toolchain); anything
-/// unavailable degrades to the scalar instantiation, which is always
-/// compiled into this TU.
-detail::MaskedFn masked_kernel_for(simd::Target target) {
+MaskedFn masked_kernel_for(simd::Target target) {
   switch (target) {
+    case simd::Target::kAvx512:  // AVX2-capable; no AVX-512 descent kernel
     case simd::Target::kAvx2:
-      if (const detail::MaskedFn k = detail::avx2_masked_kernel()) return k;
+      if (const MaskedFn k = avx2_masked_kernel()) return k;
       break;
     case simd::Target::kNeon:
 #if defined(__ARM_NEON)
-      return &detail::kernels::run_masked<simd::NeonIsa>;
+      return &kernels::run_masked<simd::NeonIsa>;
 #else
       break;
 #endif
     case simd::Target::kScalar:
       break;
   }
-  return &detail::kernels::run_masked<simd::ScalarIsa>;
+  return &kernels::run_masked<simd::ScalarIsa>;
 }
+
+}  // namespace detail
+
+namespace {
 
 /// Quantize one feature value against the forest's threshold tables:
 /// code(x,f) counts thresholds of feature f that are <= x. Because thr_f
@@ -651,8 +652,8 @@ void FlatForest::accumulate(std::span<const double> rows,
   codes_t.resize(stride * tb.d_q);
   quantize_transposed(tb, rows.data(), n, num_features, stride,
                       codes_t.data());
-  masked_kernel_for(target)(tb.mview, roots_.size(), codes_t.data(), stride,
-                            scale, out.data(), n);
+  detail::masked_kernel_for(target)(tb.mview, roots_.size(), codes_t.data(),
+                                    stride, scale, out.data(), n);
 }
 
 }  // namespace anb

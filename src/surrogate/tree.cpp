@@ -73,10 +73,22 @@ double leaf_gain(double g, double h, double lambda) {
 }
 
 /// The count-exact split kernel for the dispatch target, or nullptr where
-/// only the scatter runs (scalar target, or no AVX2 build of the kernel).
+/// only the scatter runs (scalar or NEON target, or no vector build of
+/// the kernel). The AVX-512 target is AVX2-capable: it takes the AVX2
+/// kernel when the toolchain could not build the AVX-512 one.
 detail::UnitSplitFn unit_split_kernel() {
-  if (simd::active_target() != simd::Target::kAvx2) return nullptr;
-  return detail::avx2_unit_split_kernel();
+  switch (simd::active_target()) {
+    case simd::Target::kAvx512:
+      if (const detail::UnitSplitFn k = detail::avx512_unit_split_kernel())
+        return k;
+      return detail::avx2_unit_split_kernel();
+    case simd::Target::kAvx2:
+      return detail::avx2_unit_split_kernel();
+    case simd::Target::kScalar:
+    case simd::Target::kNeon:
+      break;
+  }
+  return nullptr;
 }
 
 }  // namespace

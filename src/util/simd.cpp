@@ -32,6 +32,8 @@ const char* target_name(Target t) {
       return "avx2";
     case Target::kNeon:
       return "neon";
+    case Target::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -48,6 +50,17 @@ bool cpu_supports(Target t) {
 #else
       return false;
 #endif
+    case Target::kAvx512:
+#if defined(__x86_64__) || defined(__i386__)
+      // Every -mavx512* flag of the kernel TU: F, BW (byte counters), VL,
+      // and DQ, which lets the compiler use byte-wide mask moves.
+      return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0 &&
+             __builtin_cpu_supports("avx512dq") != 0;
+#else
+      return false;
+#endif
     case Target::kNeon:
 #if defined(__ARM_NEON)
       return true;
@@ -59,6 +72,7 @@ bool cpu_supports(Target t) {
 }
 
 Target best_cpu_target() {
+  if (cpu_supports(Target::kAvx512)) return Target::kAvx512;
   if (cpu_supports(Target::kAvx2)) return Target::kAvx2;
   if (cpu_supports(Target::kNeon)) return Target::kNeon;
   return Target::kScalar;

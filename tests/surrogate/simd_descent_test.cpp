@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -28,6 +30,7 @@
 #include "anb/util/parallel.hpp"
 #include "anb/util/rng.hpp"
 #include "anb/util/simd.hpp"
+#include "descent_kernels.hpp"
 #include "tree_reference.hpp"
 
 namespace anb {
@@ -40,6 +43,8 @@ std::vector<simd::Target> test_targets() {
   std::vector<simd::Target> targets{simd::Target::kScalar};
   if (simd::cpu_supports(simd::Target::kAvx2))
     targets.push_back(simd::Target::kAvx2);
+  if (simd::cpu_supports(simd::Target::kAvx512))
+    targets.push_back(simd::Target::kAvx512);
   if (simd::cpu_supports(simd::Target::kNeon))
     targets.push_back(simd::Target::kNeon);
   return targets;
@@ -526,6 +531,60 @@ TEST(SimdDescentTest, AutoSendsSingleRowsToInterleavedWalk) {
               }),
               0u)
         << simd::target_name(target);
+  }
+}
+
+TEST(SimdDescentTest, Avx512TargetRunsTheAvx2Engine) {
+  // There is no AVX-512 descent kernel: the AVX-512 target is AVX2-capable
+  // and must run the AVX2 masked kernel, pick the same engine as AVX2 at
+  // every batch size, and predict the same bits for every family.
+  if (!simd::cpu_supports(simd::Target::kAvx512))
+    GTEST_SKIP() << "no AVX-512 on this host";
+  ASSERT_NE(detail::avx2_masked_kernel(), nullptr);
+  EXPECT_EQ(detail::masked_kernel_for(simd::Target::kAvx512),
+            detail::avx2_masked_kernel());
+  EXPECT_EQ(detail::masked_kernel_for(simd::Target::kAvx2),
+            detail::avx2_masked_kernel());
+
+  HistGbdtParams hp;
+  hp.n_estimators = 20;
+  HistGbdt hist(hp);
+  GbdtParams gp;
+  gp.n_estimators = 20;
+  gp.max_depth = 3;
+  Gbdt gbdt(gp);
+  RandomForestParams rp;
+  rp.n_trees = 8;
+  RandomForest forest(rp);
+  Rng rng(72);
+  hist.fit(make_family_dataset(300, 71), rng);
+  gbdt.fit(make_family_dataset(300, 73), rng);
+  forest.fit(make_family_dataset(300, 74), rng);
+  for (const Surrogate* model :
+       std::initializer_list<const Surrogate*>{&hist, &gbdt, &forest}) {
+    for (const std::size_t n : kBatchSizes) {
+      const std::vector<double> rows = make_family_rows(n, 0xE00 + n);
+      std::vector<double> want(n);
+      std::vector<double> got(n);
+      std::uint64_t want_rows = 0;
+      {
+        simd::ScopedTarget st(simd::Target::kAvx2);
+        want_rows = simd_rows_of(
+            [&] { model->predict_batch(rows, kNumFeatures, want); });
+      }
+      simd::ScopedTarget st(simd::Target::kAvx512);
+      EXPECT_EQ(simd_rows_of(
+                    [&] { model->predict_batch(rows, kNumFeatures, got); }),
+                want_rows)
+          << model->name() << " n=" << n;
+      if (model == &gbdt && n >= kMaskedMinRows) {
+        EXPECT_EQ(want_rows, n) << "n=" << n;
+      }
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                  std::bit_cast<std::uint64_t>(got[i]))
+            << model->name() << " n=" << n << " row=" << i;
+    }
   }
 }
 

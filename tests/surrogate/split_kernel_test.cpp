@@ -1,11 +1,12 @@
 // Differential suite for the count-exact split kernel of the tree builder
 // (src/surrogate/split_kernels.hpp). Under the scalar dispatch target the
 // builder sums two-valued columns with its sparse per-row scatter; under
-// AVX2 a unit-row fit (every live row h = 1, w = 1) goes through the
-// kernel. Every fitted tree must be bit-identical either way, so each
-// case fingerprints the same fit under both targets. The kernel alone is
-// checked against the scatter's offer sequence on hand-built nodes, and
-// the Isa ops it is built from op by op against ScalarIsa.
+// AVX2 and AVX-512 a unit-row fit (every live row h = 1, w = 1) goes
+// through the kernel's 4-lane or 8-lane instantiation. Every fitted tree
+// must be bit-identical under every target, so each case fingerprints the
+// same fit under each one the host runs. Each kernel alone is checked
+// against the scatter's offer sequence on hand-built nodes, and the Isa
+// ops it is built from op by op against their scalar meaning.
 //
 // Separate test binary: these tests force the process-global dispatch
 // target.
@@ -35,17 +36,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool have_avx2() {
-  return simd::cpu_supports(simd::Target::kAvx2) &&
-         detail::avx2_unit_split_kernel() != nullptr;
-}
-
 /// Every dispatch target the tree builder distinguishes that this CPU
 /// can run, the scalar one first.
 std::vector<simd::Target> builder_targets() {
   std::vector<simd::Target> targets;
   for (const simd::Target target :
-       {simd::Target::kScalar, simd::Target::kAvx2})
+       {simd::Target::kScalar, simd::Target::kAvx2, simd::Target::kAvx512})
     if (simd::cpu_supports(target)) targets.push_back(target);
   return targets;
 }
@@ -123,18 +119,22 @@ std::vector<double> residuals(const Dataset& data) {
   return g;
 }
 
-/// Runs `fit` under the scalar target and under AVX2 and demands the same
-/// fingerprint.
+/// Runs `fit` under the scalar target and under every vector target the
+/// host runs and demands the same fingerprint.
 template <class Fit>
 void expect_targets_agree(Fit fit, const char* label) {
-  if (!have_avx2()) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  const std::vector<simd::Target> targets = builder_targets();
+  if (targets.size() < 2) GTEST_SKIP() << "no vector target on this host";
   std::uint64_t scalar = 0;
   {
     simd::ScopedTarget st(simd::Target::kScalar);
     scalar = fit();
   }
-  simd::ScopedTarget st(simd::Target::kAvx2);
-  EXPECT_EQ(scalar, fit()) << label;
+  for (std::size_t i = 1; i < targets.size(); ++i) {
+    simd::ScopedTarget st(targets[i]);
+    EXPECT_EQ(scalar, fit())
+        << label << " target " << simd::target_name(targets[i]);
+  }
 }
 
 TEST(SplitKernelTest, OneAndThreeMaskWords) {
@@ -471,16 +471,37 @@ detail::UnitBest expect_kernel_matches(detail::UnitSplitFn kernel,
   return got;
 }
 
-detail::UnitSplitFn kernel_or_null() {
-  if (!simd::cpu_supports(simd::Target::kAvx2)) return nullptr;
-  return detail::avx2_unit_split_kernel();
+/// The split kernel of a vector target, or nullptr where the host cannot
+/// run it or the toolchain could not build it.
+detail::UnitSplitFn kernel_for(simd::Target target) {
+  if (!simd::cpu_supports(target)) return nullptr;
+  return target == simd::Target::kAvx512 ? detail::avx512_unit_split_kernel()
+                                         : detail::avx2_unit_split_kernel();
 }
 
-TEST(SplitKernelTest, KernelMatchesTheScatterOnOneNode) {
+/// The kernel-direct cases, once per vector instantiation.
+class SplitKernelDirectTest : public ::testing::TestWithParam<simd::Target> {
+ protected:
+  void SetUp() override {
+    kernel_ = kernel_for(GetParam());
+    if (kernel_ == nullptr)
+      GTEST_SKIP() << "no " << simd::target_name(GetParam())
+                   << " split kernel on this host";
+  }
+  detail::UnitSplitFn kernel_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Targets, SplitKernelDirectTest,
+    ::testing::Values(simd::Target::kAvx2, simd::Target::kAvx512),
+    [](const ::testing::TestParamInfo<simd::Target>& param) {
+      return std::string(simd::target_name(param.param));
+    });
+
+TEST_P(SplitKernelDirectTest, KernelMatchesTheScatterOnOneNode) {
   // 3 mask words, an ascending subset of 900 rows, sampled columns in
   // every word.
-  const detail::UnitSplitFn kernel = kernel_or_null();
-  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+  const detail::UnitSplitFn kernel = kernel_;
   KernelCase c = random_case(3, 900, 10);
   c.g[0] = -0.0;
   // Column 0 holds every row of the node, so its byte lane counts past
@@ -506,9 +527,8 @@ TEST(SplitKernelTest, KernelMatchesTheScatterOnOneNode) {
   EXPECT_NE(best.column, detail::UnitBest::kNoColumn);
 }
 
-TEST(SplitKernelTest, KernelKeepsTheFirstOfTiedGains) {
-  const detail::UnitSplitFn kernel = kernel_or_null();
-  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+TEST_P(SplitKernelDirectTest, KernelKeepsTheFirstOfTiedGains) {
+  const detail::UnitSplitFn kernel = kernel_;
   // Columns 5, 9, 70 and 130 hold the same rows, the only ones with a
   // large gradient, so their gains tie at the maximum: the lowest sampled
   // one must win, in any word.
@@ -535,9 +555,8 @@ TEST(SplitKernelTest, KernelKeepsTheFirstOfTiedGains) {
   }
 }
 
-TEST(SplitKernelTest, KernelKeepsTheFirstOfSignedZeroGains) {
-  const detail::UnitSplitFn kernel = kernel_or_null();
-  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+TEST_P(SplitKernelDirectTest, KernelKeepsTheFirstOfSignedZeroGains) {
+  const detail::UnitSplitFn kernel = kernel_;
   // Every g is +0.0, so every legal gain is a signed zero. With lambda
   // -400 both leaf denominators are negative for a column holding 201 to
   // 399 of the node's 600 rows, whose gain is then -0.0 - (+0.0) = -0.0;
@@ -569,9 +588,8 @@ TEST(SplitKernelTest, KernelKeepsTheFirstOfSignedZeroGains) {
   expect_kernel_matches(kernel, c, 0.0, 0.0, "every column");
 }
 
-TEST(SplitKernelTest, KernelSkipsNanAndTakesInfiniteGains) {
-  const detail::UnitSplitFn kernel = kernel_or_null();
-  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+TEST_P(SplitKernelDirectTest, KernelSkipsNanAndTakesInfiniteGains) {
+  const detail::UnitSplitFn kernel = kernel_;
   // The node's total is given, finite, so only the columns holding a
   // special row see it: +inf or -inf alone makes an inf gain, both or a
   // NaN make a NaN gain, which never wins.
@@ -610,9 +628,8 @@ TEST(SplitKernelTest, KernelSkipsNanAndTakesInfiniteGains) {
       detail::UnitBest::kNoColumn);
 }
 
-TEST(SplitKernelTest, KernelSkipsGroupsWithEveryRowOnOneSide) {
-  const detail::UnitSplitFn kernel = kernel_or_null();
-  if (kernel == nullptr) GTEST_SKIP() << "no AVX2 split kernel on this host";
+TEST_P(SplitKernelDirectTest, KernelSkipsGroupsWithEveryRowOnOneSide) {
+  const detail::UnitSplitFn kernel = kernel_;
   // Columns 4-7 hold every row of the node and 8-11 none, in the first
   // and in the second half of a word: no candidate of these groups is
   // legal, so the kernel skips them, and a node sampling only them
@@ -642,23 +659,31 @@ TEST(SplitKernelTest, KernelSkipsGroupsWithEveryRowOnOneSide) {
 /// Bitwise equality of two probe results, op by op.
 void expect_probes_equal(const detail::IsaProbe& want,
                          const detail::IsaProbe& got, const char* label) {
+  ASSERT_EQ(want.lanes, got.lanes) << label;
+  const std::size_t f64 = sizeof(double) * static_cast<std::size_t>(got.lanes);
   auto same = [&](const void* a, const void* b, std::size_t bytes,
                   const char* op) {
     EXPECT_EQ(0, std::memcmp(a, b, bytes)) << label << " op=" << op;
   };
-  same(want.zero, got.zero, sizeof want.zero, "d_zero");
-  same(want.splat, got.splat, sizeof want.splat, "d_splat");
-  same(want.add, got.add, sizeof want.add, "d_add");
-  same(want.sub, got.sub, sizeof want.sub, "d_sub");
-  same(want.mul, got.mul, sizeof want.mul, "d_mul");
-  same(want.div, got.div, sizeof want.div, "d_div");
-  same(want.conj, got.conj, sizeof want.conj, "d_and");
-  same(want.ge, got.ge, sizeof want.ge, "d_cmpge");
-  same(want.gt, got.gt, sizeof want.gt, "d_cmpgt");
-  same(want.from_u8, got.from_u8, sizeof want.from_u8, "d_from_u8");
-  same(want.keep, got.keep, sizeof want.keep, "d_keep");
-  EXPECT_EQ(want.mask_ge, got.mask_ge) << label << " op=d_movemask(cmpge)";
-  EXPECT_EQ(want.sign_a, got.sign_a) << label << " op=d_movemask";
+  same(want.zero, got.zero, f64, "d_zero");
+  same(want.splat, got.splat, f64, "d_splat");
+  same(want.add, got.add, f64, "d_add");
+  same(want.sub, got.sub, f64, "d_sub");
+  same(want.mul, got.mul, f64, "d_mul");
+  same(want.div, got.div, f64, "d_div");
+  same(want.from_u8, got.from_u8, f64, "d_from_u8");
+  same(want.select, got.select, f64, "d_select");
+  EXPECT_EQ(want.ge, got.ge) << label << " op=d_cmpge";
+  EXPECT_EQ(want.gt, got.gt) << label << " op=d_cmpgt";
+  EXPECT_EQ(want.conj, got.conj) << label << " op=m_and";
+  for (int k = 0; k < 64 / got.lanes; ++k) {
+    same(want.add_kept[k], got.add_kept[k], f64, "d_add_kept");
+    EXPECT_EQ(want.lanes_of[k], got.lanes_of[k])
+        << label << " op=m_lanes k=" << k;
+  }
+  same(want.count, got.count, 8 * static_cast<std::size_t>(got.lanes),
+       "c_add_bits");
+  if (!got.has_bytes) return;
   same(want.bsplat, got.bsplat, sizeof want.bsplat, "b_splat");
   same(want.bones, got.bones, sizeof want.bones, "b_ones");
   same(want.bits_lo, got.bits_lo, sizeof want.bits_lo, "b_bits(lo)");
@@ -669,10 +694,11 @@ void expect_probes_equal(const detail::IsaProbe& want,
   same(want.blt, got.blt, sizeof want.blt, "b_cmplt_s8");
 }
 
-TEST(SimdOpsTest, Avx2OpsMatchScalarIsa) {
-  const detail::IsaProbeFn avx2 = detail::avx2_isa_probe();
-  if (!simd::cpu_supports(simd::Target::kAvx2) || avx2 == nullptr)
-    GTEST_SKIP() << "no AVX2 build of the Isa ops on this host";
+/// Runs `vector` and the scalar meaning `Scalar` (the BasicScalarIsa of
+/// the same f64 lane count) on random and special inputs and demands the
+/// same bits from every op.
+template <class Scalar>
+void expect_ops_match(detail::IsaProbeFn vector, const char* label) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   // One NaN only: which of two NaN operands a lane returns is not part of
   // either side's contract.
@@ -688,7 +714,7 @@ TEST(SimdOpsTest, Avx2OpsMatchScalarIsa) {
   };
   for (int round = 0; round < 2000; ++round) {
     detail::IsaProbe in;
-    for (int j = 0; j < 4; ++j) {
+    for (int j = 0; j < detail::IsaProbe::kMaxLanes; ++j) {
       in.a[j] = pick();
       in.b[j] = rng.bernoulli(0.2) ? in.a[j] : pick();
     }
@@ -699,11 +725,25 @@ TEST(SimdOpsTest, Avx2OpsMatchScalarIsa) {
     }
     detail::IsaProbe want = in;
     detail::IsaProbe got = in;
-    detail::kernels::probe_isa<simd::ScalarIsa>(want);
-    avx2(got);
-    expect_probes_equal(want, got, "random");
+    detail::kernels::probe_isa<Scalar>(want);
+    vector(got);
+    expect_probes_equal(want, got, label);
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+TEST(SimdOpsTest, Avx2OpsMatchScalarIsa) {
+  const detail::IsaProbeFn avx2 = detail::avx2_isa_probe();
+  if (!simd::cpu_supports(simd::Target::kAvx2) || avx2 == nullptr)
+    GTEST_SKIP() << "no AVX2 build of the Isa ops on this host";
+  expect_ops_match<simd::ScalarIsa>(avx2, "avx2");
+}
+
+TEST(SimdOpsTest, Avx512OpsMatchScalarIsa) {
+  const detail::IsaProbeFn avx512 = detail::avx512_isa_probe();
+  if (!simd::cpu_supports(simd::Target::kAvx512) || avx512 == nullptr)
+    GTEST_SKIP() << "no AVX-512 build of the Isa ops on this host";
+  expect_ops_match<simd::BasicScalarIsa<8>>(avx512, "avx512");
 }
 
 }  // namespace

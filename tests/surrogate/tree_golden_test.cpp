@@ -10,8 +10,8 @@
 // deliberate model change lands, regenerate by pasting the "actual" values
 // from the failure output. Every list is checked under each dispatch target
 // this CPU runs: the scalar target sums two-valued columns with the
-// builder's scatter, and AVX2 runs unit-row fits through the split kernel
-// (split_kernels.hpp).
+// builder's scatter, and AVX2 and AVX-512 run unit-row fits through the
+// split kernel's 4-lane and 8-lane instantiations (split_kernels.hpp).
 
 #include <gtest/gtest.h>
 
@@ -327,7 +327,7 @@ template <class Fingerprints>
 void expect_under_every_target(const std::vector<std::uint64_t>& expected,
                                Fingerprints fingerprints) {
   for (const simd::Target target :
-       {simd::Target::kScalar, simd::Target::kAvx2}) {
+       {simd::Target::kScalar, simd::Target::kAvx2, simd::Target::kAvx512}) {
     if (!simd::cpu_supports(target)) continue;
     simd::ScopedTarget scoped(target);
     const auto actual = fingerprints();

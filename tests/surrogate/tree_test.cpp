@@ -397,10 +397,10 @@ void expect_same_tree(const Tree& want, const Tree& got, const char* label) {
   }
 }
 
-/// Fits one tree with unit hessians and weights (the rows the AVX2 split
-/// kernel takes) under the scalar scatter and, where the CPU has it, the
-/// AVX2 kernel. Each must equal the value-routed reference, and every row
-/// must be reported in the leaf walk_tree reaches.
+/// Fits one tree with unit hessians and weights (the rows the split
+/// kernel takes) under the scalar scatter and, where the CPU has them, the
+/// AVX2 and AVX-512 kernels. Each must equal the value-routed reference,
+/// and every row must be reported in the leaf walk_tree reaches.
 void expect_value_routing(const Dataset& data, const TreeParams& params,
                           const char* label) {
   const std::size_t n = data.size();
@@ -410,7 +410,7 @@ void expect_value_routing(const Dataset& data, const TreeParams& params,
   ASSERT_GT(want.size(), 1u) << label << ": the reference never splits";
   const ColumnIndex columns(data);
   for (const simd::Target target :
-       {simd::Target::kScalar, simd::Target::kAvx2}) {
+       {simd::Target::kScalar, simd::Target::kAvx2, simd::Target::kAvx512}) {
     if (!simd::cpu_supports(target)) continue;
     simd::ScopedTarget scoped(target);
     TreeBuilder builder(data, columns);
