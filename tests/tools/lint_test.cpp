@@ -295,6 +295,38 @@ TEST(RawSimdPass, FlagsIntrinsicsOutsideWrapper) {
       "src/util/bad.cpp", 1));
 }
 
+TEST(RawSimdPass, FlagsAvx512MaskNamesOutsideWrapper) {
+  // Mask types and the k-register intrinsics have no _mm prefix; each
+  // name is one finding.
+  const std::string mask_use =
+      "__mmask8 f(unsigned long long w) {\n"
+      "  const __mmask64 k = _cvtu64_mask64(w);\n"
+      "  return static_cast<__mmask8>(_kshiftri_mask64(k, 8));\n"
+      "}\n"
+      "unsigned g(__mmask16 a, __mmask16 b) {\n"
+      "  return _cvtmask16_u32(_kand_mask16(a, b));\n"
+      "}\n";
+  const auto findings =
+      run_on("raw-simd", {{"src/surrogate/bad.cpp", mask_use}});
+  EXPECT_EQ(findings.size(), 9u);
+  for (const int line : {1, 2, 3, 5, 6})
+    EXPECT_TRUE(has_finding(findings, "src/surrogate/bad.cpp", line)) << line;
+  // Names that only resemble them: no leading underscore, a longer word
+  // than mask<width>, or a width the mask types do not have.
+  const std::string lookalikes =
+      "int lane_mask8 = 0;\n"
+      "int mask64 = 1;\n"
+      "int _masked64(int x) { return x; }\n"
+      "int _row_mask12(int x) { return x; }\n"
+      "struct __mask64_like { int v; };\n";
+  EXPECT_TRUE(
+      run_on("raw-simd", {{"src/surrogate/fine.cpp", lookalikes}}).empty());
+  // The wrapper may name them.
+  EXPECT_TRUE(run_on("raw-simd",
+                     {{"src/util/include/anb/util/simd.hpp", mask_use}})
+                  .empty());
+}
+
 TEST(RawSimdPass, ExemptsWrapperTestsAndBench) {
   const std::string avx_use =
       "#include <immintrin.h>\n"

@@ -1,14 +1,15 @@
 // raw-simd: vector intrinsics live in anb/util/simd.hpp and nowhere else.
 //
 // The SIMD surface (src/util/include/anb/util/simd.hpp) is the single
-// home of raw AVX2/NEON intrinsics: kernels consume the Isa policy
-// structs, the Avx2Isa type only exists in TUs compiled with -mavx2, and
-// the runtime dispatcher guards every vector entry point behind a CPU
-// probe. A stray intrinsic anywhere else in src/ re-opens the failure
-// modes that layering closes — AVX2 instructions leaking into baseline
-// code paths (SIGILL on older CPUs), or ad-hoc kernels skipping the
-// exactness rules (-mno-fma, ordered compares) the wrapper documents —
-// so outside the wrapper they are findings. Tests, benches, and tools
+// home of raw AVX2/AVX-512/NEON intrinsics: kernels consume the Isa
+// policy structs, the Avx2Isa and Avx512Isa types only exist in TUs
+// compiled with the matching -m flags, and the runtime dispatcher guards
+// every vector entry point behind a CPU probe. A stray intrinsic anywhere
+// else in src/ re-opens the failure modes that layering closes — vector
+// instructions leaking into baseline code paths (SIGILL on older CPUs),
+// or ad-hoc kernels skipping the exactness rules (-mno-fma, ordered
+// compares) the wrapper documents — so outside the wrapper they are
+// findings. Tests, benches, and tools
 // stay out of scope like the other discipline passes.
 
 #include <cstddef>
@@ -63,11 +64,33 @@ bool is_neon_vector_type(std::string_view s) {
   return w < x && all_digits(body.substr(x + 1));
 }
 
-/// _mm_/ _mm256_/ _mm512_ intrinsics and the __m128/__m256i/__m512d
-/// register types.
+/// AVX-512 mask-register names: the __mmask8/16/32/64 types and the
+/// intrinsics that move, convert or combine k registers without an _mm
+/// prefix (_cvtu64_mask64, _cvtmask64_u64, _kshiftri_mask64, _kand_mask8,
+/// _kortestz_mask64_u8, _load_mask16, ...): one leading underscore and
+/// `mask<width>`, ended by the name or by another `_`.
+bool is_x86_mask_name(std::string_view s) {
+  if (s.rfind("__mmask", 0) == 0) return true;
+  if (s.size() < 2 || s[0] != '_' || s[1] == '_') return false;
+  static constexpr std::string_view kWidths[] = {"mask8", "mask16",
+                                                 "mask32", "mask64"};
+  for (const std::string_view width : kWidths) {
+    for (std::size_t at = s.find(width); at != std::string_view::npos;
+         at = s.find(width, at + 1)) {
+      const std::size_t end = at + width.size();
+      if (end == s.size() || s[end] == '_') return true;
+    }
+  }
+  return false;
+}
+
+/// _mm_/ _mm256_/ _mm512_ intrinsics, the __m128/__m256i/__m512d
+/// register types and the AVX-512 mask names.
 bool is_x86_vector_name(std::string_view s) {
   if (s.rfind("_mm", 0) == 0) return true;
-  return s.rfind("__m", 0) == 0 && s.size() > 3 && s[3] >= '0' && s[3] <= '9';
+  if (s.rfind("__m", 0) == 0 && s.size() > 3 && s[3] >= '0' && s[3] <= '9')
+    return true;
+  return is_x86_mask_name(s);
 }
 
 class RawSimdPass final : public FilePass {
