@@ -62,18 +62,7 @@ class FbnetSpaceSim final : public SpaceSim {
     return sim_.training_cost_hours(FbnetSpace::to_ops(arch), scheme);
   }
   double int8_accuracy_drop(const Arch& arch) const override {
-    // The FBNet simulator has no quantization model; use the same
-    // qualitative structure as MnasNet's: a small base drop that grows
-    // with expansion-6 layers (wider activation ranges quantize worse)
-    // and shrinks with skip connections (fewer quantized layers).
-    const FbnetArchitecture fb = FbnetSpace::to_ops(arch);
-    int wide = 0;
-    int skips = 0;
-    for (FbnetOp op : fb.ops) {
-      if (op == FbnetOp::kE6K3 || op == FbnetOp::kE6K5) ++wide;
-      if (op == FbnetOp::kSkip) ++skips;
-    }
-    return 0.002 + 0.0003 * wide - 0.0001 * skips;
+    return sim_.int8_accuracy_drop(FbnetSpace::to_ops(arch));
   }
   ModelIR lower(const Arch& arch, int resolution) const override {
     return build_fbnet_ir(FbnetSpace::to_ops(arch), resolution);

@@ -175,4 +175,15 @@ TrainResult FbnetTrainingSimulator::train(const FbnetArchitecture& arch,
   return result;
 }
 
+double FbnetTrainingSimulator::int8_accuracy_drop(
+    const FbnetArchitecture& arch) const {
+  int wide = 0;
+  int skips = 0;
+  for (FbnetOp op : arch.ops) {
+    if (op == FbnetOp::kE6K3 || op == FbnetOp::kE6K5) ++wide;
+    if (op == FbnetOp::kSkip) ++skips;
+  }
+  return 0.002 + 0.0003 * wide - 0.0001 * skips;
+}
+
 }  // namespace anb

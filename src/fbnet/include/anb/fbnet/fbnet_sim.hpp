@@ -32,6 +32,11 @@ class FbnetTrainingSimulator {
                            const TrainingScheme& scheme) const;
   double training_cost_hours(const FbnetArchitecture& arch,
                              const TrainingScheme& scheme) const;
+  /// Top-1 lost to post-training int8 quantization, with the qualitative
+  /// structure of MnasNet's model: a small base drop that grows with
+  /// expansion-6 layers (wider activation ranges quantize worse) and
+  /// shrinks with skip connections (fewer quantized layers).
+  double int8_accuracy_drop(const FbnetArchitecture& arch) const;
 
   double latent_quality(const FbnetArchitecture& arch) const;
   ArchTraits traits(const FbnetArchitecture& arch) const;

@@ -119,6 +119,7 @@ TEST(SpaceSimTest, FbnetMatchesTheTypedSimulatorBitForBit) {
                 typed.training_cost_hours(ops, scheme));
     }
     EXPECT_EQ(sim->reference_accuracy(arch), typed.reference_accuracy(ops));
+    EXPECT_EQ(sim->int8_accuracy_drop(arch), typed.int8_accuracy_drop(ops));
     for (int resolution : {160, 224}) {
       expect_same_ir(sim->lower(arch, resolution),
                      build_fbnet_ir(ops, resolution));
