@@ -4,17 +4,22 @@
 // Fits each tree-surrogate family (xgb / lgb / rf) on 1k/5k/20k-row
 // datasets over the real 63-dim architecture encoding, once pinned to a
 // single thread and once with all hardware threads, and reports the
-// speedup. One more row, `xgb_trial`, fits the shape benchmark
-// construction fits most: a full-size SMAC trial of the xgb family (the
-// 1600-row tuning subsample, depth 6, subsample 0.8, colsample 0.75).
+// speedup. The `xgb_trial` rows fit the shape benchmark construction fits
+// most: a full-size SMAC trial of the xgb family (the 1600-row tuning
+// subsample, depth 6, subsample 0.8, colsample 0.75), once under each
+// dispatch target the host runs (scalar, then avx2, avx512 or neon),
+// forced, so the rows time the tree builder's scalar scatter against each
+// vector build of its split kernel. The sweep rows run under the default
+// dispatch; the `target` column names the target of every row.
 // Doubles as a differential harness: the binary exits non-zero unless the
 // serialized model fitted at every thread count is byte-identical to the
-// single-threaded one — the determinism contract the engine is built on.
+// single-threaded one, and each target's xgb_trial model to the scalar
+// one — the determinism contracts the engine is built on.
 //
 // Usage: fit_throughput [n_rows] [--trace]
 //                                  (one size; default 1k/5k/20k sweep,
 //                                   ANB_FAST=1 -> 1000 only; the
-//                                   xgb_trial row runs every time)
+//                                   xgb_trial rows run every time)
 // Output: results/fit_throughput.csv + fit_throughput_metrics.csv
 //         (+ fit_throughput_trace.json with --trace / ANB_TRACE)
 
@@ -28,6 +33,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "anb/anb/tuning.hpp"
@@ -36,6 +42,7 @@
 #include "anb/surrogate/hist_gbdt.hpp"
 #include "anb/surrogate/random_forest.hpp"
 #include "anb/util/parallel.hpp"
+#include "anb/util/simd.hpp"
 #include "common.hpp"
 
 namespace anb::bench {
@@ -74,11 +81,13 @@ Dataset make_dataset(int n, std::uint64_t seed, std::span<const double> w,
 /// hardware threads, plus whether the two models serialize identically.
 struct RowResult {
   std::string name;
+  std::string target;
   std::size_t rows = 0;
   unsigned threads = 1;
   double serial_secs = 0.0;
   double parallel_secs = 0.0;
   bool bit_identical = false;
+  std::string model;  ///< the single-threaded fit, serialized
 };
 
 /// Fits a fresh model from `make_model` with the given pinned thread count
@@ -102,6 +111,7 @@ RowResult bench_family(const std::string& name, const MakeModel& make_model,
                        const Dataset& train, std::uint64_t fit_seed) {
   RowResult r;
   r.name = name;
+  r.target = simd::target_name(simd::active_target());
   r.rows = train.size();
   r.threads = std::max(1u, std::thread::hardware_concurrency());
   const auto [serial_secs, serial_json] =
@@ -111,14 +121,15 @@ RowResult bench_family(const std::string& name, const MakeModel& make_model,
   r.serial_secs = serial_secs;
   r.parallel_secs = parallel_secs;
   r.bit_identical = serial_json == parallel_json;
+  r.model = serial_json;
   return r;
 }
 
 void print_row(const RowResult& r) {
-  std::printf("%-9s rows=%-6zu serial=%8.3fs  parallel=%8.3fs (%u threads, "
-              "%5.2fx)  identical=%s\n",
-              r.name.c_str(), r.rows, r.serial_secs, r.parallel_secs,
-              r.threads, r.serial_secs / r.parallel_secs,
+  std::printf("%-9s %-6s rows=%-6zu serial=%8.3fs  parallel=%8.3fs (%u "
+              "threads, %5.2fx)  identical=%s\n",
+              r.name.c_str(), r.target.c_str(), r.rows, r.serial_secs,
+              r.parallel_secs, r.threads, r.serial_secs / r.parallel_secs,
               r.bit_identical ? "yes" : "NO");
 }
 
@@ -183,18 +194,30 @@ int run(int argc, char** argv) {
       trial_rows,
       hash_combine(kWorldSeed, static_cast<std::uint64_t>(trial_rows)), w,
       num_features);
-  results.push_back(bench_family(
-      "xgb_trial", [&] { return Gbdt(trial_params); }, trial, 14));
-  print_row(results.back());
+  std::string scalar_model;
+  for (const simd::Target target :
+       {simd::Target::kScalar, simd::Target::kAvx2, simd::Target::kAvx512,
+        simd::Target::kNeon}) {
+    if (!simd::cpu_supports(target)) continue;
+    const simd::ScopedTarget forced(target);
+    RowResult r = bench_family(
+        "xgb_trial", [&] { return Gbdt(trial_params); }, trial, 14);
+    if (target == simd::Target::kScalar) scalar_model = r.model;
+    r.bit_identical = r.bit_identical && r.model == scalar_model;
+    results.push_back(std::move(r));
+    print_row(results.back());
+  }
 
   const std::string path = results_path("fit_throughput.csv");
   std::string csv =
-      "name,rows,threads,serial_secs,parallel_secs,speedup,bit_identical\n";
+      "name,target,rows,threads,serial_secs,parallel_secs,speedup,"
+      "bit_identical\n";
   for (const auto& r : results) {
     char line[256];
-    std::snprintf(line, sizeof(line), "%s,%zu,%u,%.4f,%.4f,%.3f,%s\n",
-                  r.name.c_str(), r.rows, r.threads, r.serial_secs,
-                  r.parallel_secs, r.serial_secs / r.parallel_secs,
+    std::snprintf(line, sizeof(line), "%s,%s,%zu,%u,%.4f,%.4f,%.3f,%s\n",
+                  r.name.c_str(), r.target.c_str(), r.rows, r.threads,
+                  r.serial_secs, r.parallel_secs,
+                  r.serial_secs / r.parallel_secs,
                   r.bit_identical ? "yes" : "no");
     csv += line;
   }
@@ -205,8 +228,8 @@ int run(int argc, char** argv) {
   bool all_exact = true;
   for (const auto& r : results) all_exact = all_exact && r.bit_identical;
   if (!all_exact) {
-    std::printf("FAILED: parallel fit diverged from the single-threaded "
-                "model\n");
+    std::printf("FAILED: a parallel fit diverged from the single-threaded "
+                "model, or a vector target's from the scalar one\n");
     return 1;
   }
   return 0;
