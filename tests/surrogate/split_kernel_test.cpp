@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "anb/anb/pipeline.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/tree.hpp"
@@ -308,8 +310,11 @@ TEST(SplitKernelTest, TunedBuildsAreByteIdenticalUnderEveryTarget) {
     options.n_archs = 300;
     options.tune = true;
     options.tuning.n_trials = 4;
-    const std::string path =
-        ::testing::TempDir() + "/split_kernel_tuned_build.anbb";
+    // Per process: a concurrent run of this binary must not overwrite
+    // the artifact between its save and its read.
+    const std::string path = ::testing::TempDir() +
+                             "/split_kernel_tuned_build." +
+                             std::to_string(::getpid()) + ".anbb";
     std::string scalar;
     for (const simd::Target target : builder_targets()) {
       simd::ScopedTarget st(target);
