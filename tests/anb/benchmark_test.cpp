@@ -8,6 +8,8 @@
 
 #include "anb/anb/pipeline.hpp"
 #include "anb/anb/tuning.hpp"
+#include "anb/fbnet/fbnet_space.hpp"
+#include "anb/obs/registry.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/fault.hpp"
 
@@ -74,6 +76,38 @@ TEST(AccelNASBenchTest, MissingSurrogateThrows) {
   EXPECT_THROW(bench.query_perf(a, MetricKey{DeviceKind::kA100, PerfMetric::kThroughput}),
                Error);
   EXPECT_THROW(bench.set_accuracy_surrogate(nullptr), Error);
+}
+
+TEST(AccelNASBenchTest, ForeignSpaceQueriesThrowAndCountNothing) {
+  // A MnasNet-backed benchmark must refuse an FBNet genotype on every
+  // query path, before any cache lookup or counter moves — including a
+  // batch whose foreign row comes last, after rows that would hit.
+  const MetricKey key{DeviceKind::kA100, PerfMetric::kThroughput};
+  AccelNASBench bench;
+  bench.set_accuracy_surrogate(tiny_model(40));
+  bench.set_perf_surrogate(key, tiny_model(41, 100.0));
+  Rng rng(42);
+  const Arch mnas = MnasSpace::instance().sample(rng);
+  const Arch fbnet = FbnetSpace::instance().sample(rng);
+  bench.query_accuracy(mnas);
+  bench.query_perf(mnas, key);
+
+  const obs::Counter& queries = obs::counter("anb.query.count");
+  const auto expect_refused = [&](const auto& call) {
+    const QueryCacheStats before = bench.cache_stats();
+    const std::uint64_t count_before = queries.value();
+    EXPECT_THROW(call(), Error);
+    EXPECT_EQ(bench.cache_stats().hits, before.hits);
+    EXPECT_EQ(bench.cache_stats().misses, before.misses);
+    EXPECT_EQ(queries.value(), count_before);
+  };
+  const std::vector<Arch> foreign_last = {mnas, mnas, fbnet};
+  expect_refused([&] { return bench.query_accuracy(fbnet); });
+  expect_refused([&] { return bench.query_perf(fbnet, key); });
+  expect_refused([&] { return bench.query_accuracy_batch({&fbnet, 1}); });
+  expect_refused([&] { return bench.query_perf_batch({&fbnet, 1}, key); });
+  expect_refused([&] { return bench.query_accuracy_batch(foreign_last); });
+  expect_refused([&] { return bench.query_perf_batch(foreign_last, key); });
 }
 
 TEST(AccelNASBenchTest, LatencyOnlyOnFpgas) {

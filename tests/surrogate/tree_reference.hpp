@@ -2,9 +2,10 @@
 
 // An oracle for the batched descent engines that shares none of their
 // code: the per-tree walk FlatForest::predict_tree, summed in tree order
-// with the model's own base score and scale. Gbdt::predict and
-// HistGbdt::predict are one-row batches, so comparing a batch against
-// them would compare the engine with itself.
+// with the model's own base score and scale (boosting) or divided by the
+// tree count (random forests). Every family's predict() is a one-row
+// batch, so comparing a batch against it would compare the engine with
+// itself.
 
 #include <cstddef>
 #include <span>
@@ -13,6 +14,7 @@
 #include "anb/surrogate/flat_forest.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/hist_gbdt.hpp"
+#include "anb/surrogate/random_forest.hpp"
 #include "anb/surrogate/surrogate.hpp"
 
 namespace anb {
@@ -26,9 +28,9 @@ inline double per_tree_sum(const FlatForest& forest, double base,
 }
 
 /// The model's prediction for `x` from per-tree walks: boosted families
-/// sum their trees, ensembles average their members the way
-/// EnsembleSurrogate::predict does, and every other family — whose
-/// predict() does not route through a batch — answers itself.
+/// sum their trees, random forests sum theirs and divide by the tree count
+/// (predict_mean_std's mean), ensembles average their members in member
+/// order, and the one family without trees (SVR) answers itself.
 inline double per_tree_predict(const Surrogate& model,
                                std::span<const double> x) {
   if (const auto* m = dynamic_cast<const Gbdt*>(&model))
@@ -37,6 +39,8 @@ inline double per_tree_predict(const Surrogate& model,
   if (const auto* m = dynamic_cast<const HistGbdt*>(&model))
     return per_tree_sum(m->forest(), m->base_score(),
                         m->params().learning_rate, x);
+  if (const auto* m = dynamic_cast<const RandomForest*>(&model))
+    return m->predict_mean_std(x).first;
   if (const auto* m = dynamic_cast<const EnsembleSurrogate*>(&model)) {
     double sum = 0.0;
     for (std::size_t i = 0; i < m->size(); ++i)
