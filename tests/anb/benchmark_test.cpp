@@ -12,6 +12,7 @@
 #include "anb/obs/registry.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/fault.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -137,7 +138,7 @@ TEST(AccelNASBenchTest, SaveLoadRoundTrip) {
   bench.set_perf_surrogate(MetricKey{DeviceKind::kVck190, PerfMetric::kLatency},
                            tiny_model(11, 3.0));
 
-  const std::string path = ::testing::TempDir() + "/anb_bench_test.json";
+  const std::string path = scratch_path("anb_bench_test.json");
   bench.save(path);
   const AccelNASBench loaded = AccelNASBench::load(path);
   std::remove(path.c_str());
@@ -186,7 +187,7 @@ TEST(AccelNASBenchTest, EnsemblePipelineEnablesNoisyQueries) {
     EXPECT_NE(d1, d2);
   }
   // Noisy mode survives save/load (ensemble serializes).
-  const std::string path = ::testing::TempDir() + "/anb_noisy.json";
+  const std::string path = scratch_path("anb_noisy.json");
   result.bench.save(path);
   const AccelNASBench loaded = AccelNASBench::load(path);
   std::remove(path.c_str());
@@ -224,7 +225,7 @@ TEST(BenchmarkNamingTest, ParsersRejectNearMissNames) {
 TEST(AccelNASBenchTest, InjectedShortWriteThrowsAndNeverLoads) {
   AccelNASBench bench;
   bench.set_accuracy_surrogate(tiny_model(30));
-  const std::string path = ::testing::TempDir() + "/anb_short_write.json";
+  const std::string path = scratch_path("anb_short_write.json");
 
   {
     fault::ScopedFault guard(kBenchmarkSaveFaultSite,
@@ -242,7 +243,7 @@ TEST(AccelNASBenchTest, InjectedShortWriteThrowsAndNeverLoads) {
 TEST(AccelNASBenchTest, InjectedShortReadThrowsWithoutCorruptingFile) {
   AccelNASBench bench;
   bench.set_accuracy_surrogate(tiny_model(31));
-  const std::string path = ::testing::TempDir() + "/anb_short_read.json";
+  const std::string path = scratch_path("anb_short_read.json");
   bench.save(path);
 
   {

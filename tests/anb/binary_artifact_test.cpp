@@ -28,13 +28,10 @@
 #include "anb/util/error.hpp"
 #include "anb/util/fault.hpp"
 #include "anb/util/io.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
-
-std::string scratch(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
 
 Dataset make_dataset(int n, std::uint64_t seed) {
   Rng rng(seed);
@@ -137,8 +134,8 @@ void expect_identical(const AccelNASBench& a, const AccelNASBench& b,
 class BinaryArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    text_path_ = scratch("binary_artifact.json");
-    anbb_path_ = scratch("binary_artifact.anbb");
+    text_path_ = scratch_path("binary_artifact.json");
+    anbb_path_ = scratch_path("binary_artifact.anbb");
     const AccelNASBench bench = make_full_benchmark();
     bench.save(text_path_);
     bench.save_binary(anbb_path_);
@@ -167,7 +164,7 @@ TEST_F(BinaryArtifactTest, OpenSniffsBothFormats) {
 
 TEST_F(BinaryArtifactTest, SaveLoadSaveIsByteStable) {
   const AccelNASBench reloaded = AccelNASBench::load_binary(anbb_path_);
-  const std::string again = scratch("binary_artifact_again.anbb");
+  const std::string again = scratch_path("binary_artifact_again.anbb");
   reloaded.save_binary(again);
   const auto first = io::Buffer::read_file(anbb_path_);
   const auto second = io::Buffer::read_file(again);
@@ -178,7 +175,7 @@ TEST_F(BinaryArtifactTest, SaveLoadSaveIsByteStable) {
 TEST_F(BinaryArtifactTest, RefitSaveIsByteIdentical) {
   // Fitting the same models from the same seeds must save the same bytes:
   // nothing uninitialized (struct padding included) reaches the file.
-  const std::string again = scratch("binary_artifact_refit.anbb");
+  const std::string again = scratch_path("binary_artifact_refit.anbb");
   make_full_benchmark().save_binary(again);
   const auto first = io::Buffer::read_file(anbb_path_);
   const auto second = io::Buffer::read_file(again);
@@ -193,16 +190,16 @@ std::string file_bytes(const std::string& path) {
 
 TEST_F(BinaryArtifactTest, CrossFormatConversionsAreLossless) {
   // text -> load -> .anbb -> load -> text gives the original text bytes.
-  const std::string anbb = scratch("binary_artifact_cross.anbb");
+  const std::string anbb = scratch_path("binary_artifact_cross.anbb");
   AccelNASBench::load(text_path_).save_binary(anbb);
-  const std::string text = scratch("binary_artifact_cross.json");
+  const std::string text = scratch_path("binary_artifact_cross.json");
   AccelNASBench::load_binary(anbb).save(text);
   EXPECT_EQ(file_bytes(text), file_bytes(text_path_));
 
   // .anbb -> load -> text -> load -> .anbb gives the original binary bytes.
-  const std::string text2 = scratch("binary_artifact_cross2.json");
+  const std::string text2 = scratch_path("binary_artifact_cross2.json");
   AccelNASBench::load_binary(anbb_path_).save(text2);
-  const std::string anbb2 = scratch("binary_artifact_cross2.anbb");
+  const std::string anbb2 = scratch_path("binary_artifact_cross2.anbb");
   AccelNASBench::load(text2).save_binary(anbb2);
   EXPECT_EQ(file_bytes(anbb2), file_bytes(anbb_path_));
 }
@@ -226,7 +223,7 @@ TEST_F(BinaryArtifactTest, VersionMismatchRejected) {
   std::memcpy(bytes.data() + bin::kChecksumOffset, &zero, sizeof(zero));
   const std::uint64_t sum = bin::checksum64(bytes);
   std::memcpy(bytes.data() + bin::kChecksumOffset, &sum, sizeof(sum));
-  const std::string path = scratch("binary_artifact_version.anbb");
+  const std::string path = scratch_path("binary_artifact_version.anbb");
   io::write_file(path, bytes);
   try {
     AccelNASBench::load_binary(path);
@@ -242,7 +239,7 @@ TEST_F(BinaryArtifactTest, ChecksumMismatchRejected) {
   auto image = io::Buffer::read_file(anbb_path_);
   std::vector<char> bytes(image->data(), image->data() + image->size());
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  const std::string path = scratch("binary_artifact_checksum.anbb");
+  const std::string path = scratch_path("binary_artifact_checksum.anbb");
   io::write_file(path, bytes);
   for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
     try {
@@ -257,7 +254,7 @@ TEST_F(BinaryArtifactTest, ChecksumMismatchRejected) {
 }
 
 TEST_F(BinaryArtifactTest, TextLoaderNamesThePathOnFailure) {
-  const std::string path = scratch("binary_artifact_bad.json");
+  const std::string path = scratch_path("binary_artifact_bad.json");
   write_text_file(path, "{\"format\": \"not-a-benchmark\"}");
   for (const auto load : {+[](const std::string& p) {
                             return AccelNASBench::load(p);
@@ -279,7 +276,7 @@ TEST_F(BinaryArtifactTest, FaultSitesCoverTheBinaryPaths) {
   // The save/load fault sites injected for the text format fire on the
   // binary paths too — a short write leaves a file load_binary rejects,
   // and a short read rejects an intact file.
-  const std::string path = scratch("binary_artifact_fault.anbb");
+  const std::string path = scratch_path("binary_artifact_fault.anbb");
   {
     fault::ScopedFault guard(kBenchmarkSaveFaultSite,
                              fault::Policy::one_shot());
@@ -369,17 +366,17 @@ std::uint64_t fnv1a(const std::string& bytes) {
 }
 
 TEST(FormatGoldenTest, HandWrittenTextResavesByteIdentical) {
-  const std::string in = scratch("format_golden.json");
+  const std::string in = scratch_path("format_golden.json");
   write_text_file(in, kGoldenText);
-  const std::string out = scratch("format_golden_resaved.json");
+  const std::string out = scratch_path("format_golden_resaved.json");
   AccelNASBench::load(in).save(out);
   EXPECT_EQ(read_text_file(out), kGoldenText);
 }
 
 TEST(FormatGoldenTest, BinaryBytesArePinnedAndConvertBack) {
-  const std::string in = scratch("format_golden.json");
+  const std::string in = scratch_path("format_golden.json");
   write_text_file(in, kGoldenText);
-  const std::string anbb = scratch("format_golden.anbb");
+  const std::string anbb = scratch_path("format_golden.anbb");
   AccelNASBench::load(in).save_binary(anbb);
   EXPECT_EQ(fnv1a(file_bytes(anbb)), kGoldenAnbbFnv)
       << std::hex << fnv1a(file_bytes(anbb));

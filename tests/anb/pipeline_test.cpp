@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "anb/util/error.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -85,7 +86,7 @@ TEST(PipelineTest, SavedBenchmarkLoadsElsewhere) {
   options.n_archs = 200;
   options.collect_perf = false;
   const PipelineResult result = construct_benchmark(options);
-  const std::string path = ::testing::TempDir() + "/anb_pipe_bench.json";
+  const std::string path = scratch_path("anb_pipe_bench.json");
   result.bench.save(path);
   const AccelNASBench loaded = AccelNASBench::load(path);
   std::remove(path.c_str());

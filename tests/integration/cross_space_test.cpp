@@ -25,6 +25,7 @@
 #include "anb/fbnet/fbnet_space.hpp"
 #include "anb/nas/evolution.hpp"
 #include "anb/nas/random_search.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -113,8 +114,8 @@ void mini_pipeline_roundtrip(SpaceId space) {
   EXPECT_TRUE(result.bench.has_accuracy());
 
   // Binary round-trip preserves the space tag and the predictions.
-  const std::string path = ::testing::TempDir() + "/anb_cross_space_" +
-                           std::string(sp.name()) + ".anbb";
+  const std::string path =
+      scratch_path("anb_cross_space_" + std::string(sp.name()) + ".anbb");
   result.bench.save_binary(path);
   const AccelNASBench loaded = AccelNASBench::load_binary(path);
   std::remove(path.c_str());

@@ -5,6 +5,7 @@
 #include "anb/anb/harness.hpp"
 #include "anb/anb/pipeline.hpp"
 #include "anb/util/metrics.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -28,7 +29,7 @@ TEST(EndToEndTest, FullBenchmarkConstructionAndUse) {
   }
 
   // Zero-cost queries agree with fresh predictions after save/load.
-  const std::string path = ::testing::TempDir() + "/anb_e2e_bench.json";
+  const std::string path = scratch_path("anb_e2e_bench.json");
   result.bench.save(path);
   const AccelNASBench loaded = AccelNASBench::load(path);
   std::remove(path.c_str());

@@ -19,6 +19,7 @@
 #include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/io.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -301,7 +302,7 @@ class BenchmarkCorruptionFuzz : public ::testing::Test {
   /// with anb::Error specifically.
   void expect_load_throws(const std::string& payload, const std::string& what) {
     const std::string path =
-        ::testing::TempDir() + "anb_corruption_fuzz.json";
+        scratch_path("anb_corruption_fuzz.json");
     write_text_file(path, payload);
     try {
       AccelNASBench::load(path);
@@ -405,7 +406,7 @@ TEST_F(BenchmarkCorruptionFuzz, CorpusMeetsMinimumSize) {
 TEST_F(BenchmarkCorruptionFuzz, UncorruptedPayloadStillLoads) {
   // Control case: the corpus template itself round-trips, so every failure
   // above is attributable to the injected corruption.
-  const std::string path = ::testing::TempDir() + "anb_fuzz_control.json";
+  const std::string path = scratch_path("anb_fuzz_control.json");
   write_text_file(path, saved_benchmark_text());
   const AccelNASBench bench = AccelNASBench::load(path);
   EXPECT_TRUE(bench.has_accuracy());
@@ -478,7 +479,7 @@ std::vector<TableEntry> parse_section_table(const std::string& bytes) {
 
 const std::string& saved_benchmark_anbb() {
   static const std::string bytes = [] {
-    const std::string path = ::testing::TempDir() + "anb_fuzz_template.anbb";
+    const std::string path = scratch_path("anb_fuzz_template.anbb");
     make_fuzz_benchmark().save_binary(path);
     const auto buf = io::Buffer::read_file(path);
     return std::string(buf->data(), buf->size());
@@ -674,7 +675,7 @@ class BinaryCorruptionFuzz : public ::testing::Test {
   /// it with anb::Error — through the heap path and the mmap path — with
   /// the offending path named in the message.
   void expect_rejected(const std::string& label, const std::string& image) {
-    const std::string path = ::testing::TempDir() + "anb_corruption.anbb";
+    const std::string path = scratch_path("anb_corruption.anbb");
     io::write_file(path, {image.data(), image.size()});
     for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {
       try {
@@ -707,7 +708,7 @@ TEST_F(BinaryCorruptionFuzz, CorpusMeetsMinimumSize) {
 TEST_F(BinaryCorruptionFuzz, UncorruptedArtifactStillLoads) {
   // Control: the template itself loads in both modes, so every rejection
   // above is attributable to the injected corruption.
-  const std::string path = ::testing::TempDir() + "anb_fuzz_control.anbb";
+  const std::string path = scratch_path("anb_fuzz_control.anbb");
   const std::string& good = saved_benchmark_anbb();
   io::write_file(path, {good.data(), good.size()});
   for (const io::MapMode mode : {io::MapMode::kCopy, io::MapMode::kMap}) {

@@ -23,14 +23,13 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "anb/anb/pipeline.hpp"
 #include "anb/surrogate/gbdt.hpp"
 #include "anb/surrogate/tree.hpp"
 #include "anb/util/io.hpp"
 #include "anb/util/rng.hpp"
 #include "anb/util/simd.hpp"
+#include "scratch_path.hpp"
 #include "split_kernels.hpp"
 
 namespace anb {
@@ -310,11 +309,7 @@ TEST(SplitKernelTest, TunedBuildsAreByteIdenticalUnderEveryTarget) {
     options.n_archs = 300;
     options.tune = true;
     options.tuning.n_trials = 4;
-    // Per process: a concurrent run of this binary must not overwrite
-    // the artifact between its save and its read.
-    const std::string path = ::testing::TempDir() +
-                             "/split_kernel_tuned_build." +
-                             std::to_string(::getpid()) + ".anbb";
+    const std::string path = scratch_path("split_kernel_tuned_build.anbb");
     std::string scalar;
     for (const simd::Target target : builder_targets()) {
       simd::ScopedTarget st(target);

@@ -354,6 +354,41 @@ TEST(RawSimdPass, ExemptsWrapperTestsAndBench) {
   EXPECT_TRUE(run_on("raw-simd", {{"src/util/fine.cpp", allowed}}).empty());
 }
 
+TEST(TestScratchNamePass, FlagsTempDirOutsideScratchHeader) {
+  // A fixed name under TempDir() is shared by concurrent runs of one
+  // binary; each TempDir token in a test file is a finding.
+  const std::string fixed_name =
+      "#include <gtest/gtest.h>\n"
+      "std::string p = ::testing::TempDir() + \"a.json\";\n"
+      "std::string q = testing::TempDir() + \"b.json\";\n";
+  const auto findings =
+      run_on("test-scratch-name", {{"tests/anb/some_test.cpp", fixed_name}});
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_TRUE(has_finding(findings, "tests/anb/some_test.cpp", 2));
+  EXPECT_TRUE(has_finding(findings, "tests/anb/some_test.cpp", 3));
+}
+
+TEST(TestScratchNamePass, ExemptsScratchHeaderAndNonTestTrees) {
+  const std::string temp_dir_use =
+      "std::string p = ::testing::TempDir() + \"a.json\";\n";
+  // The one sanctioned caller.
+  EXPECT_TRUE(run_on("test-scratch-name",
+                     {{"tests/scratch_path.hpp", temp_dir_use}})
+                  .empty());
+  EXPECT_TRUE(
+      run_on("test-scratch-name", {{"bench/harness.cpp", temp_dir_use}})
+          .empty());
+  // scratch_path() itself, and the word in a comment or a string, are clean.
+  const std::string clean =
+      "#include \"scratch_path.hpp\"\n"
+      "// never call TempDir directly\n"
+      "std::string p = scratch_path(\"a.json\");\n"
+      "const char* kWhy = \"TempDir\";\n";
+  EXPECT_TRUE(
+      run_on("test-scratch-name", {{"tests/anb/some_test.cpp", clean}})
+          .empty());
+}
+
 TEST(DeterministicIterationPass, FlagsOrderSensitiveSinks) {
   const std::string streaming =
       "#include <unordered_map>\n"

@@ -12,20 +12,17 @@
 #include "anb/util/binary.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/io.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
-
-std::string scratch(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
 
 std::string slurp(const std::shared_ptr<const io::Buffer>& buf) {
   return std::string(buf->data(), buf->size());
 }
 
 TEST(BufferTest, ReadFileRoundTripsBytes) {
-  const std::string path = scratch("io_buffer_rt.bin");
+  const std::string path = scratch_path("io_buffer_rt.bin");
   const std::string payload("ab\0cd\xFFz", 7);
   io::write_file(path, {payload.data(), payload.size()});
   const auto buf = io::Buffer::read_file(path);
@@ -34,7 +31,7 @@ TEST(BufferTest, ReadFileRoundTripsBytes) {
 }
 
 TEST(BufferTest, MapFileSeesSameBytesAsRead) {
-  const std::string path = scratch("io_buffer_map.bin");
+  const std::string path = scratch_path("io_buffer_map.bin");
   std::vector<char> payload(10000);
   for (std::size_t i = 0; i < payload.size(); ++i)
     payload[i] = static_cast<char>(i * 31 + 7);
@@ -47,14 +44,14 @@ TEST(BufferTest, MapFileSeesSameBytesAsRead) {
 }
 
 TEST(BufferTest, EmptyFileYieldsEmptyBuffer) {
-  const std::string path = scratch("io_buffer_empty.bin");
+  const std::string path = scratch_path("io_buffer_empty.bin");
   io::write_file(path, {});
   EXPECT_EQ(io::Buffer::read_file(path)->size(), 0u);
   EXPECT_EQ(io::Buffer::map_file(path)->size(), 0u);
 }
 
 TEST(BufferTest, MissingFileThrowsWithPath) {
-  const std::string path = scratch("io_no_such_file.bin");
+  const std::string path = scratch_path("io_no_such_file.bin");
   for (const auto loader : {io::Buffer::read_file, io::Buffer::map_file}) {
     try {
       loader(path);
@@ -68,7 +65,7 @@ TEST(BufferTest, MissingFileThrowsWithPath) {
 TEST(BufferTest, MappingSurvivesUnlink) {
   // POSIX keeps a mapped file's pages alive after the name is gone; the
   // Buffer must stay readable until destruction.
-  const std::string path = scratch("io_buffer_unlink.bin");
+  const std::string path = scratch_path("io_buffer_unlink.bin");
   const std::string payload(4096, 'q');
   io::write_file(path, {payload.data(), payload.size()});
   const auto buf = io::Buffer::map_file(path);

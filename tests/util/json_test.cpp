@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "anb/util/rng.hpp"
+#include "scratch_path.hpp"
 
 namespace anb {
 namespace {
@@ -130,7 +131,7 @@ TEST(JsonTest, NonFiniteRejectedOnDump) {
 }
 
 TEST(JsonTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/anb_json_test.json";
+  const std::string path = scratch_path("anb_json_test.json");
   Json j = Json::object();
   j["k"] = 3.25;
   write_text_file(path, j.dump());

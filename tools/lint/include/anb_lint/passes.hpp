@@ -33,4 +33,7 @@ void register_io_pass(PassList& out);
 /// raw-simd (vector intrinsics confined to anb/util/simd.hpp).
 void register_simd_pass(PassList& out);
 
+/// test-scratch-name (test scratch files through tests/scratch_path.hpp).
+void register_test_scratch_pass(PassList& out);
+
 }  // namespace anb::lint

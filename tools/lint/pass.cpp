@@ -76,6 +76,7 @@ const std::vector<std::unique_ptr<Pass>>& passes() {
     register_layering_pass(*list);
     register_io_pass(*list);
     register_simd_pass(*list);
+    register_test_scratch_pass(*list);
     return list;
   }();
   return *kPasses;
