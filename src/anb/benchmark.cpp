@@ -204,7 +204,10 @@ bool AccelNASBench::has_perf(MetricKey key) const {
 double AccelNASBench::query_accuracy(const Arch& arch) const {
   ANB_CHECK(accuracy_ != nullptr,
             "AccelNASBench: accuracy surrogate not installed");
-  return cached_query(*accuracy_, nullptr, arch);
+  double out = 0.0;
+  query_rows(*accuracy_, nullptr, {&arch, 1}, {&out, 1});
+  query_count().add(1);
+  return out;
 }
 
 std::vector<double> AccelNASBench::query_accuracy_batch(
@@ -247,7 +250,10 @@ double AccelNASBench::query_perf(const Arch& arch, MetricKey key) const {
   const auto it = perf_.find(key);
   ANB_CHECK(it != perf_.end(),
             "AccelNASBench: no surrogate for " + dataset_name(key));
-  return cached_query(*it->second, &key, arch);
+  double out = 0.0;
+  query_rows(*it->second, &key, {&arch, 1}, {&out, 1});
+  query_count().add(1);
+  return out;
 }
 
 std::vector<double> AccelNASBench::query_perf_batch(
@@ -258,47 +264,29 @@ std::vector<double> AccelNASBench::query_perf_batch(
   return cached_query_batch(*it->second, &key, archs);
 }
 
-double AccelNASBench::cached_query(const Surrogate& surrogate,
-                                   const MetricKey* key,
-                                   const Arch& arch) const {
-  check_space(arch);
-  const SearchSpace& sp = space_obj();
-  query_count().add(1);
-  if (cache_ == nullptr || !cache_->enabled.load(std::memory_order_relaxed))
-    return surrogate.predict(sp.features(arch));
-  const std::uint64_t cache_key = sp.to_index(arch);
-  {
-    MutexLock lock(cache_->mu);
-    const auto& map = cache_->map_for(key);
-    const auto hit = map.find(cache_key);
-    if (hit != map.end()) {
-      cache_hits().add(1);
-      return hit->second;
-    }
-  }
-  const double value = surrogate.predict(sp.features(arch));
-  {
-    MutexLock lock(cache_->mu);
-    auto& map = cache_->map_for(key);
-    if (map.size() >= kMaxCacheEntries) map.clear();
-    map.emplace(cache_key, value);
-  }
-  cache_misses().add(1);
-  return value;
-}
-
 std::vector<double> AccelNASBench::cached_query_batch(
     const Surrogate& surrogate, const MetricKey* key,
     std::span<const Arch> archs) const {
   const std::size_t n = archs.size();
   std::vector<double> out(n);
   if (n == 0) return out;
-  for (const Arch& arch : archs) check_space(arch);
-  const SearchSpace& sp = space_obj();
-  ANB_SPAN("anb.query.batch");
+  {
+    ANB_SPAN("anb.query.batch");
+    query_rows(surrogate, key, archs, out);
+  }
   batch_count().add(1);
   batch_rows().add(n);
   batch_size_hist().observe(n);
+  return out;
+}
+
+void AccelNASBench::query_rows(const Surrogate& surrogate,
+                               const MetricKey* key,
+                               std::span<const Arch> archs,
+                               std::span<double> out) const {
+  const std::size_t n = archs.size();
+  for (const Arch& arch : archs) check_space(arch);
+  const SearchSpace& sp = space_obj();
 
   // Encodes the rows listed in `rows_to_encode` into one flat feature
   // matrix and predicts them with the surrogate's parallel batch path.
@@ -324,7 +312,7 @@ std::vector<double> AccelNASBench::cached_query_batch(
     std::vector<std::size_t> all(n);
     for (std::size_t i = 0; i < n; ++i) all[i] = i;
     predict_rows(all, out);
-    return out;
+    return;
   }
 
   std::vector<std::uint64_t> keys(n);
@@ -354,7 +342,7 @@ std::vector<double> AccelNASBench::cached_query_batch(
     }
   }
   if (hits > 0) cache_hits().add(hits);
-  if (miss_rows.empty()) return out;
+  if (miss_rows.empty()) return;
 
   // Phase 2 (unlocked): one batched prediction over the unique misses.
   std::vector<double> pred(miss_rows.size());
@@ -372,7 +360,6 @@ std::vector<double> AccelNASBench::cached_query_batch(
   cache_misses().add(static_cast<std::uint64_t>(pred.size()));
   for (std::size_t i = 0; i < n; ++i)
     if (filled[i] == 0) out[i] = pred[miss_slot.at(keys[i])];
-  return out;
 }
 
 void AccelNASBench::set_cache_enabled(bool enabled) {

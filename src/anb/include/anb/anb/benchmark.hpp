@@ -139,7 +139,8 @@ class AccelNASBench {
   /// misses into one feature matrix, predicts them with the surrogate's
   /// parallel batch path, and serves repeats from the cache. Element i
   /// corresponds to archs[i] and equals query_accuracy(archs[i]) exactly
-  /// (batched prediction is bit-identical to scalar prediction).
+  /// (a scalar query is a one-row batch, and a row's prediction does not
+  /// depend on the rest of its batch).
   std::vector<double> query_accuracy_batch(std::span<const Arch> archs) const;
 
   /// Batched performance query; element i equals
@@ -219,9 +220,13 @@ class AccelNASBench {
   const SearchSpace& space_obj() const;
   void check_space(const Arch& arch) const;
 
+  /// The one query path: checks every arch's space, serves cache hits,
+  /// predicts the unique misses in one batch and publishes them, writing
+  /// out[i] for archs[i] (non-empty). Counts only cache hits and misses;
   /// `key == nullptr` addresses the accuracy cache map.
-  double cached_query(const Surrogate& surrogate, const MetricKey* key,
-                      const Arch& arch) const;
+  void query_rows(const Surrogate& surrogate, const MetricKey* key,
+                  std::span<const Arch> archs, std::span<double> out) const;
+  /// query_rows under the anb.query.batch span and batch metrics.
   std::vector<double> cached_query_batch(const Surrogate& surrogate,
                                          const MetricKey* key,
                                          std::span<const Arch> archs) const;

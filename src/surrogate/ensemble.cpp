@@ -51,10 +51,6 @@ void EnsembleSurrogate::fit(const Dataset& train, Rng& rng) {
   }
 }
 
-double EnsembleSurrogate::predict(std::span<const double> x) const {
-  return predict_dist(x).first;
-}
-
 void EnsembleSurrogate::predict_batch(std::span<const double> rows,
                                       std::size_t num_features,
                                       std::span<double> out) const {

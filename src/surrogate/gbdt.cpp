@@ -97,15 +97,6 @@ void Gbdt::fit_impl(const Dataset& train, const ColumnIndex& columns,
   flat_ = FlatForest(trees);
 }
 
-double Gbdt::predict(std::span<const double> x) const {
-  // A one-row batch: kAuto dispatch sends it to the interleaved engine's
-  // eight-tree lockstep walk, bit-identical to the per-tree walk by its
-  // contract.
-  double out = 0.0;
-  predict_batch(x, x.size(), std::span<double>(&out, 1));
-  return out;
-}
-
 void Gbdt::predict_batch(std::span<const double> rows,
                          std::size_t num_features,
                          std::span<double> out) const {

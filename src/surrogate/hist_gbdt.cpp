@@ -292,13 +292,6 @@ void HistGbdt::fit(const Dataset& train, const BinnedMatrix& binned,
   flat_ = FlatForest(trees);
 }
 
-double HistGbdt::predict(std::span<const double> x) const {
-  // A one-row batch, as in Gbdt::predict.
-  double out = 0.0;
-  predict_batch(x, x.size(), std::span<double>(&out, 1));
-  return out;
-}
-
 void HistGbdt::predict_batch(std::span<const double> rows,
                              std::size_t num_features,
                              std::span<double> out) const {

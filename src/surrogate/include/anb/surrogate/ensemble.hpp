@@ -35,9 +35,8 @@ class EnsembleSurrogate final : public Surrogate {
   // context overload; re-export it (it falls back to the plain fit).
   using Surrogate::fit;
   void fit(const Dataset& train, Rng& rng) override;
-  double predict(std::span<const double> x) const override;
   /// Batched ensemble mean: members' batched predictions accumulated in
-  /// member order, matching the scalar predict_dist() mean bit for bit.
+  /// member order, matching the predict_dist() mean bit for bit.
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "ensemble"; }

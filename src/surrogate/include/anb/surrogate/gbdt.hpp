@@ -42,7 +42,6 @@ class Gbdt final : public Surrogate {
 
   void fit(const Dataset& train, Rng& rng) override;
   void fit(const Dataset& train, TrainContext& ctx, Rng& rng) override;
-  double predict(std::span<const double> x) const override;
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "xgb"; }

@@ -51,7 +51,6 @@ class HistGbdt final : public Surrogate {
   /// Fit against a pre-built bin matrix (must be built from `train` with
   /// this model's max_bins). The two-argument overloads route here.
   void fit(const Dataset& train, const BinnedMatrix& binned, Rng& rng);
-  double predict(std::span<const double> x) const override;
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override { return "lgb"; }

@@ -46,8 +46,8 @@ class Surrogate {
   /// fit; tree families override.
   virtual void fit(const Dataset& train, TrainContext& ctx, Rng& rng);
 
-  /// Predict one example; requires fit() to have been called.
-  virtual double predict(std::span<const double> x) const = 0;
+  /// Predict one example: a one-row predict_batch. Requires fit().
+  double predict(std::span<const double> x) const;
 
   /// Short identifier ("xgb", "lgb", "rf", "esvr", "nusvr").
   virtual std::string name() const = 0;
@@ -67,14 +67,16 @@ class Surrogate {
   /// out.size() rows by `num_features` columns; prediction for row i is
   /// written to out[i]. Runs on the calling thread.
   ///
-  /// Contract: the output is bit-identical to calling predict() on each
-  /// row (tests/surrogate/predict_batch_test.cpp). The base implementation
-  /// is exactly that scalar loop; tree ensembles and SVR override it with
-  /// vectorized paths (flattened-forest traversal, blocked kernel
-  /// expansion) that preserve per-row operation order.
+  /// The one prediction method each family implements: predict() is its
+  /// one-row case. Contract: row i's output depends on row i alone, so it
+  /// is bit-identical at every batch size and position
+  /// (tests/surrogate/predict_batch_test.cpp holds the tree families to an
+  /// independent per-tree walk). Tree ensembles descend a flattened forest
+  /// and SVR expands its kernel in row blocks, both in per-row operation
+  /// order.
   virtual void predict_batch(std::span<const double> rows,
                              std::size_t num_features,
-                             std::span<double> out) const;
+                             std::span<double> out) const = 0;
 
   /// Batched prediction parallelized over row chunks with anb::parallel_for
   /// (chunking is a pure partition, so results are deterministic and equal

@@ -45,10 +45,8 @@ class Svr final : public Surrogate {
   // context overload; re-export it (it falls back to the plain fit).
   using Surrogate::fit;
   void fit(const Dataset& train, Rng& rng) override;
-  /// Scalar prediction is the one-row case of predict_batch (a single code
-  /// path, so batch and scalar results are identical by construction).
-  double predict(std::span<const double> x) const override;
-  /// Blocked kernel expansion over a contiguous support-vector matrix.
+  /// Blocked kernel expansion over a contiguous support-vector matrix;
+  /// predict() is its one-row case, like every family's.
   void predict_batch(std::span<const double> rows, std::size_t num_features,
                      std::span<double> out) const override;
   std::string name() const override {

@@ -82,23 +82,14 @@ void RandomForest::fit_impl(const Dataset& train, const ColumnIndex& columns,
   flat_ = FlatForest(trees);
 }
 
-double RandomForest::predict(std::span<const double> x) const {
-  // Sums the trees' walks in tree order, then divides, as predict_batch
-  // does, so the two match bit for bit.
-  ANB_CHECK(!flat_.empty(), "RandomForest::predict: model not fitted");
-  double acc = 0.0;
-  for (std::size_t t = 0; t < flat_.num_trees(); ++t)
-    acc += flat_.predict_tree(t, x);
-  return acc / static_cast<double>(flat_.num_trees());
-}
-
 void RandomForest::predict_batch(std::span<const double> rows,
                                  std::size_t num_features,
                                  std::span<double> out) const {
   ANB_CHECK(!flat_.empty(), "RandomForest::predict_batch: model not fitted");
   std::fill(out.begin(), out.end(), 0.0);
-  // Accumulating with scale 1.0 then dividing matches the scalar path's
-  // sum-then-divide exactly (1.0 * leaf is an exact multiplication).
+  // Accumulating with scale 1.0 then dividing matches predict_mean_std's
+  // per-tree sum-then-divide exactly (1.0 * leaf is an exact
+  // multiplication).
   flat_.accumulate(rows, num_features, 1.0, out);
   const double n = static_cast<double>(flat_.num_trees());
   for (double& v : out) v /= n;

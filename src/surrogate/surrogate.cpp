@@ -25,13 +25,10 @@ namespace {
 constexpr std::size_t kPredictChunk = 256;
 }  // namespace
 
-void Surrogate::predict_batch(std::span<const double> rows,
-                              std::size_t num_features,
-                              std::span<double> out) const {
-  ANB_CHECK(num_features > 0 && rows.size() == out.size() * num_features,
-            "Surrogate::predict_batch: row matrix / output size mismatch");
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = predict(rows.subspan(i * num_features, num_features));
+double Surrogate::predict(std::span<const double> x) const {
+  double out = 0.0;
+  predict_batch(x, x.size(), {&out, 1});
+  return out;
 }
 
 void Surrogate::predict_matrix(std::span<const double> rows,

@@ -179,12 +179,6 @@ void Svr::fit(const Dataset& train, Rng& /*rng*/) {
   sv_flat_ = io::ArrayRef<double>(std::move(sv_flat));
 }
 
-double Svr::predict(std::span<const double> x) const {
-  double out = 0.0;
-  predict_batch(x, x.size(), {&out, 1});
-  return out;
-}
-
 void Svr::predict_batch(std::span<const double> rows,
                         std::size_t num_features,
                         std::span<double> out) const {

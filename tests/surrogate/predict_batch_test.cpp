@@ -1,13 +1,13 @@
 // Differential tests for the batched prediction engine: for every
 // surrogate family, predict_batch / predict_matrix over a row matrix must
 // reproduce the scalar per-row predict() BIT FOR BIT — not approximately.
-// Boosted families answer predict() with a one-row batch, so both are
-// held to an independent per-tree walk (tree_reference.hpp).
+// predict() is a one-row batch, so the tree families and ensembles of
+// them are held to an independent per-tree walk (tree_reference.hpp).
 // This is the exactness guarantee the batched query engine is built on
 // (see DESIGN.md "Batched prediction & the query cache"): trees make the
-// same comparisons and accumulate leaf values in the same order, SVR
-// shares one code path between the scalar and batched entry points, and
-// ensembles sum members in member order.
+// same comparisons and accumulate leaf values in the same order, SVR's
+// blocked kernel expansion keeps each row's term order, and ensembles sum
+// members in member order.
 
 #include <gtest/gtest.h>
 
@@ -135,28 +135,6 @@ TEST(PredictBatchTest, EnsembleBitIdentical) {
       [member_params] { return std::make_unique<Gbdt>(member_params); },
       /*size=*/3);
   run_differential(model, 16);
-}
-
-TEST(PredictBatchTest, DefaultFallbackMatchesScalar) {
-  // A surrogate without a vectorized override goes through the base-class
-  // scalar fallback; the contract must hold there too. SVR predicts via
-  // its batched path, so wrap one and strip the override by calling
-  // through the base pointer after slicing to the default implementation:
-  // instead, simply verify the base fallback on a model whose predict is
-  // deterministic — use Svr but call Surrogate::predict_batch explicitly.
-  const Dataset train = make_dataset(200, 19);
-  Svr model;
-  Rng rng(20);
-  model.fit(train, rng);
-  const std::size_t n = 17;
-  const std::vector<double> rows = make_rows(n, 21);
-  std::vector<double> fallback(n);
-  model.Surrogate::predict_batch(rows, kNumFeatures, fallback);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scalar = model.predict(
-        std::span<const double>(rows).subspan(i * kNumFeatures, kNumFeatures));
-    EXPECT_EQ(scalar, fallback[i]) << "row " << i;
-  }
 }
 
 TEST(PredictBatchTest, SizeMismatchThrows) {
