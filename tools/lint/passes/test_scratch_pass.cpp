@@ -5,9 +5,10 @@
 // process of one test binary on the host, so two concurrent runs (a
 // sanitizer build beside a plain one, two ctest invocations) overwrite
 // each other's artifacts between a save and the load that checks it.
-// scratch_path() puts the process id in the name; a TempDir token in any
-// other file under tests/ is a finding. Library code, benches and tools
-// never call gtest, so the pass looks at tests/ only.
+// scratch_path() places them in a directory named by process id; a
+// TempDir token in any other file under tests/ is a finding. Library
+// code, benches and tools never call gtest, so the pass looks at tests/
+// only.
 
 #include <string_view>
 
@@ -32,7 +33,7 @@ class TestScratchNamePass final : public FilePass {
       if (tok.kind == TokenKind::kIdentifier && tok.text == "TempDir") {
         diag.report(f, tok.line,
                     "TempDir: name test scratch files with scratch_path() "
-                    "(tests/scratch_path.hpp), which adds the process id");
+                    "(tests/scratch_path.hpp), which keeps them per process");
       }
     }
   }
