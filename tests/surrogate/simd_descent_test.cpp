@@ -474,7 +474,7 @@ std::uint64_t simd_rows_of(Body body) {
 TEST(SimdDescentTest, AutoSendsSingleRowsToInterleavedWalk) {
   // The batch-size cutoff: on a vector target, auto sends a masked-
   // eligible forest's batches of kMaskedMinRows rows or more through the
-  // masked engine, and a single row — a scalar Gbdt::predict included —
+  // masked engine, and a single row — a scalar predict() included —
   // through the interleaved walk's eight-tree lockstep, which counts no
   // SIMD rows. A forest the masks cannot represent (a 9-leaf tree, like
   // a deep RandomForest), and scalar dispatch, stay on the interleaved
