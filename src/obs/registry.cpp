@@ -68,12 +68,12 @@ struct RegistryImpl {
   std::deque<std::atomic<std::uint64_t>> gauge_slots ANB_GUARDED_BY(mu);
 
   // Shard lifecycle: live shards in registration order, a serial
-  // accumulation of dead threads' cells, and a freelist so the short-lived
-  // workers parallel_for spawns per call recycle storage instead of
-  // growing it without bound. The cells *inside* a live shard are written
-  // lock-free by their owning thread (that is the whole point of sharding)
-  // and only read by others under mu at merge time — so the pointers are
-  // guarded, the pointees deliberately are not.
+  // accumulation of dead threads' cells, and a freelist so threads that
+  // come and go (a server's workers, a test's client threads) recycle
+  // storage instead of growing it without bound. The cells *inside* a live
+  // shard are written lock-free by their owning thread (that is the whole
+  // point of sharding) and only read by others under mu at merge time — so
+  // the pointers are guarded, the pointees deliberately are not.
   std::vector<Shard*> live ANB_GUARDED_BY(mu);
   std::vector<std::uint64_t> retired ANB_GUARDED_BY(mu);
   std::vector<Shard*> free_shards ANB_GUARDED_BY(mu);

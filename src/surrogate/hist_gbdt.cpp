@@ -41,9 +41,10 @@ struct Leaf {
 };
 
 /// Minimum per-leaf work (cells touched) before histogram construction
-/// fans out across features. parallel_for spawns short-lived threads, so
-/// small leaves run inline; either path produces identical bits — each
-/// histogram cell receives its contributions in leaf-row order regardless.
+/// fans out across features. A parallel_for call wakes pool helpers and
+/// waits for them to leave, so small leaves run inline; either path
+/// produces identical bits — each histogram cell receives its
+/// contributions in leaf-row order regardless.
 constexpr std::size_t kMinParallelHistWork = 1u << 16;
 
 }  // namespace

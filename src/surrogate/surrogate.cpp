@@ -20,7 +20,7 @@ void Surrogate::fit(const Dataset& train, TrainContext& ctx, Rng& rng) {
 
 namespace {
 /// Rows per parallel_for_chunks work item in predict_matrix. Large enough
-/// to amortize thread dispatch, small enough to spread a NAS population
+/// to amortize waking pool helpers, small enough to spread a NAS population
 /// across workers.
 constexpr std::size_t kPredictChunk = 256;
 }  // namespace

@@ -36,19 +36,28 @@ unsigned default_num_threads();
 /// fall back to ANB_NUM_THREADS / hardware concurrency). Thread-safe.
 void set_default_num_threads(unsigned num_threads);
 
-/// Run `body(i)` for every i in [0, n) across up to `num_threads` worker
-/// threads (0 = default_num_threads()). Blocks until all iterations finish.
+/// Run `body(i)` for every i in [0, n) on the calling thread plus up to
+/// `num_threads - 1` helpers (0 = default_num_threads()) from one
+/// process-wide pool of persistent threads. Blocks until all iterations
+/// finish. Each item goes to whichever participant claims the next index,
+/// so the body must be a pure function of i for results to be independent
+/// of the thread count.
 ///
-/// The body must be safe to run concurrently for distinct i and must not
-/// throw across the call boundary — exceptions are captured and the first
-/// one is rethrown on the calling thread after all workers join. The join
-/// provides the happens-before edge: workers' writes are visible to the
-/// caller once parallel_for returns, with no extra synchronization.
+/// The body must be safe to run concurrently for distinct i. Exceptions
+/// are captured and the first one is rethrown on the calling thread after
+/// every helper has left the call; that hand-off is also the
+/// happens-before edge that makes helpers' writes visible to the caller
+/// once parallel_for returns, with no extra synchronization.
 ///
-/// Nested calls are supported: each invocation owns short-lived workers
-/// and joins before returning, so there is no pool to re-enter and no
-/// deadlock — the cost is thread oversubscription, which is why library
-/// call sites parallelize only the outermost loop. Audited under TSan by
+/// The pool starts helpers lazily, up to the largest count any call has
+/// asked for and never more than 64 (a call asking for more runs with 64);
+/// they never exit. So only a call asking for more helpers than every call
+/// before it starts threads. The gauge `anb.parallel.pool_threads` reads
+/// the pool's size. Nested calls are supported and share the pool: a
+/// nested call takes only helpers that are idle, and runs on its caller
+/// alone when every helper is busy. A caller whose items are done sleeps
+/// until its helpers leave and never runs another call's items, so a body
+/// may call parallel_for while holding a lock. Audited under TSan by
 /// tests/util/parallel_stress_test.cpp.
 ///
 /// Every simulator in this library derives its randomness from per-item

@@ -103,9 +103,9 @@ TEST(ObsRegistryTest, DisabledCountersDoNotAdvance) {
 }
 
 // The determinism contract: counter totals are sums of uint64 increments,
-// so they are bit-identical at any thread count — worker shards merge by
-// addition, and retired shards (parallel_for workers are short-lived) fold
-// into the same totals.
+// so they are bit-identical at any thread count — the shards of the
+// caller and of parallel_for's pool workers (which live on between calls)
+// merge by addition, and retired threads' shards fold into the same totals.
 TEST(ObsRegistryTest, CountersAreThreadCountInvariant) {
   obs::Counter& c = obs::counter("test.registry.invariant");
   obs::Histogram& h = obs::histogram("test.registry.invariant_hist");
