@@ -34,10 +34,6 @@ inline bool fast_mode() {
 /// Paper-scale dataset size (~5.2k architectures) unless fast mode.
 inline int collection_size() { return fast_mode() ? 1000 : 5200; }
 
-inline TrainingSimulator make_simulator() {
-  return TrainingSimulator(kWorldSeed);
-}
-
 /// Collect the paper's datasets once (accuracy + all device metrics).
 inline CollectedData collect_datasets(bool with_perf = true) {
   const auto sim = make_space_sim(SpaceId::kMnasNet, kWorldSeed);

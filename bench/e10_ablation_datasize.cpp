@@ -55,14 +55,13 @@ int main(int argc, char** argv) {
   // the op-level structure (paper SS1: they are poor device proxies AND
   // mediocre accuracy rankers).
   {
-    TrainingSimulator sim = bench::make_simulator();
+    const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
     std::vector<double> acc, flops, params;
     Rng prng(hash_combine(bench::kWorldSeed, 0xBA5E));
     for (int i = 0; i < 400; ++i) {
-      const Architecture arch =
-          MnasSpace::to_blocks(MnasSpace::instance().sample(prng));
-      acc.push_back(sim.train(arch, canonical_p_star(), 0).top1);
-      const ModelIR ir = build_ir(arch, 224);
+      const Arch arch = sim->space().sample(prng);
+      acc.push_back(sim->train(arch, canonical_p_star(), 0).top1);
+      const ModelIR ir = sim->lower(arch, 224);
       flops.push_back(ir.gflops());
       params.push_back(ir.mparams());
     }

@@ -11,11 +11,12 @@
 //   4. search shape: RE vs RS on the surrogate, Fig-5-style.
 
 #include <cstdio>
-#include <set>
 #include <iostream>
+#include <set>
+#include <span>
 
+#include "anb/anb/space_sim.hpp"
 #include "anb/anb/tuning.hpp"
-#include "anb/fbnet/fbnet_sim.hpp"
 #include "anb/nas/evolution.hpp"
 #include "anb/nas/random_search.hpp"
 #include "anb/util/csv.hpp"
@@ -29,23 +30,24 @@ int main(int argc, char** argv) {
   bench::print_header("E13: FBNet-space generalizability",
                       "DESIGN.md E13 (paper §3.1 pointer)");
 
-  FbnetTrainingSimulator sim(bench::kWorldSeed);
+  const std::unique_ptr<SpaceSim> sim =
+      make_space_sim(SpaceId::kFbnet, bench::kWorldSeed);
+  const SearchSpace& sp = sim->space();
+  const auto dim = static_cast<std::size_t>(sp.feature_dim());
   const TrainingScheme p_star = canonical_p_star();
   const int n_archs = bench::fast_mode() ? 800 : 2600;
 
   // --- 1. proxy fidelity on the new space --------------------------------
   Rng rng(hash_combine(bench::kWorldSeed, 0xFB13));
-  std::vector<FbnetArchitecture> archs;
   std::vector<double> ref_acc, proxy_acc;
   double proxy_cost = 0.0, ref_cost = 0.0;
   for (int i = 0; i < 120; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    archs.push_back(arch);
-    ref_acc.push_back(sim.train(arch, reference_scheme(), 0).top1);
-    const TrainResult run = sim.train(arch, p_star, 0);
+    const Arch arch = sp.sample(rng);
+    ref_acc.push_back(sim->train(arch, reference_scheme(), 0).top1);
+    const TrainResult run = sim->train(arch, p_star, 0);
     proxy_acc.push_back(run.top1);
     proxy_cost += run.gpu_hours;
-    ref_cost += sim.training_cost_hours(arch, reference_scheme());
+    ref_cost += sim->training_cost_hours(arch, reference_scheme());
   }
   std::printf("\n[1/4] proxy fidelity on FBNet space (120 models):\n");
   std::printf("  tau(p*, r) = %.3f (MnasNet space: ~0.93; paper: 0.926)\n",
@@ -55,17 +57,17 @@ int main(int argc, char** argv) {
   // --- 2. accuracy-surrogate fidelity -------------------------------------
   std::printf("\n[2/4] accuracy surrogates on %d FBNet architectures:\n",
               n_archs);
-  Dataset acc_data(static_cast<std::size_t>(FbnetSpace::instance().feature_dim()));
-  std::vector<FbnetArchitecture> collected;
+  Dataset acc_data(dim);
+  std::vector<Arch> collected;
   {
     Rng crng(hash_combine(bench::kWorldSeed, 0xFB14));
     std::set<std::uint64_t> seen;
     while (static_cast<int>(collected.size()) < n_archs) {
-      const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(crng));
-      if (!seen.insert(arch.hash()).second) continue;
+      const Arch arch = sp.sample(crng);
+      if (!seen.insert(sp.to_index(arch)).second) continue;
       collected.push_back(arch);
-      acc_data.add(FbnetSpace::features(arch),
-                   sim.train(arch, p_star, collected.size()).top1);
+      acc_data.add(sp.features(arch),
+                   sim->train(arch, p_star, collected.size()).top1);
     }
   }
   Rng split_rng(13);
@@ -88,11 +90,10 @@ int main(int argc, char** argv) {
   // --- 3. device surrogate (ZCU102 throughput) ---------------------------
   std::printf("\n[3/4] ZCU102 throughput surrogate on the FBNet space:\n");
   const Device zcu = make_device(DeviceKind::kZcu102);
-  Dataset thr_data(static_cast<std::size_t>(FbnetSpace::instance().feature_dim()));
+  Dataset thr_data(dim);
   for (std::size_t i = 0; i < collected.size(); ++i) {
-    const ModelIR ir = build_fbnet_ir(collected[i], 224);
-    thr_data.add(FbnetSpace::features(collected[i]),
-                 zcu.measure_throughput(ir, i));
+    thr_data.add(sp.features(collected[i]),
+                 zcu.measure_throughput(sim->lower(collected[i], 224), i));
   }
   Rng split2(14);
   const DatasetSplits thr_splits = thr_data.split(0.8, 0.1, split2);
@@ -109,40 +110,26 @@ int main(int argc, char** argv) {
   auto acc_model = make_default_surrogate(SurrogateKind::kXgb);
   Rng fit3(102);
   acc_model->fit(splits.train, fit3);
-  // Hand-rolled RS/RE loop over the typed FbnetArchitecture view (the
-  // space-generic optimizers cover this path in bench/e14_cross_space).
-  auto incumbent_curve = [&](bool evolutionary, std::uint64_t seed) {
-    Rng search_rng(seed);
-    std::vector<double> curve;
-    std::vector<std::pair<FbnetArchitecture, double>> population;
-    double best = -1.0;
-    const int budget = bench::fast_mode() ? 150 : 300;
-    for (int t = 0; t < budget; ++t) {
-      FbnetArchitecture cand;
-      if (!evolutionary || static_cast<int>(population.size()) < 30) {
-        cand = FbnetSpace::to_ops(FbnetSpace::instance().sample(search_rng));
-      } else {
-        const auto& parent = [&]() -> const auto& {
-          const auto& a = population[search_rng.uniform_index(population.size())];
-          const auto& b = population[search_rng.uniform_index(population.size())];
-          return a.second > b.second ? a : b;
-        }();
-        cand = FbnetSpace::mutate(parent.first, search_rng);
-      }
-      const double value = acc_model->predict(FbnetSpace::features(cand));
-      best = std::max(best, value);
-      curve.push_back(best);
-      population.emplace_back(cand, value);
-      if (evolutionary && population.size() > 30)
-        population.erase(population.begin());
+  const BatchEvalOracle oracle = [&](std::span<const Arch> archs) {
+    std::vector<double> rows;
+    rows.reserve(archs.size() * dim);
+    for (const Arch& arch : archs) {
+      const std::vector<double> x = sp.features(arch);
+      rows.insert(rows.end(), x.begin(), x.end());
     }
-    return curve;
+    std::vector<double> out(archs.size());
+    acc_model->predict_batch(rows, dim, out);
+    return out;
   };
-  const auto rs_curve = incumbent_curve(false, 7);
-  const auto re_curve = incumbent_curve(true, 7);
+  const int budget = bench::fast_mode() ? 150 : 300;
+  RandomSearchNas rs(sp);
+  RegularizedEvolution re({.population_size = 30, .sample_size = 2}, sp);
+  Rng rs_rng(7), re_rng(7);
+  const double rs_best = rs.run(oracle, budget, rs_rng).incumbent.back();
+  const double re_best = re.run(oracle, budget, re_rng).incumbent.back();
   std::printf("  incumbent@end: RS %.4f | RE %.4f (RE should lead, as on "
               "MnasNet)\n",
-              rs_curve.back(), re_curve.back());
+              rs_best, re_best);
 
   csv.save(bench::results_path("e13_generalizability.csv"));
   std::printf("\nSurrogate rows written to results/e13_generalizability.csv\n");

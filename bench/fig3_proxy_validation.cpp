@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace anb;
   bench::print_header("E2: validation of p* on unseen models", "Figure 3");
 
-  TrainingSimulator sim = bench::make_simulator();
+  const auto sim = make_space_sim(SpaceId::kMnasNet, bench::kWorldSeed);
+  const SearchSpace& sp = sim->space();
   const TrainingScheme p_star = canonical_p_star();
   const TrainingScheme ref = reference_scheme();
 
@@ -32,20 +33,19 @@ int main(int argc, char** argv) {
                  "acc_proxy_std"});
 
   for (int m = 0; m < n_models; ++m) {
-    const Architecture arch =
-        MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+    const Arch arch = sp.sample(rng);
     std::vector<double> proxy_runs, ref_runs;
     for (int s = 0; s < n_seeds; ++s) {
       proxy_runs.push_back(
-          sim.train(arch, p_star, static_cast<std::uint64_t>(s)).top1);
+          sim->train(arch, p_star, static_cast<std::uint64_t>(s)).top1);
       ref_runs.push_back(
-          sim.train(arch, ref, static_cast<std::uint64_t>(s)).top1);
+          sim->train(arch, ref, static_cast<std::uint64_t>(s)).top1);
     }
     mean_proxy.push_back(mean(proxy_runs));
     mean_ref.push_back(mean(ref_runs));
     err_proxy.push_back(stddev(proxy_runs));
     err_ref.push_back(stddev(ref_runs));
-    csv.add_row({arch.to_string(), std::to_string(mean_ref.back()),
+    csv.add_row({sp.arch_to_string(arch), std::to_string(mean_ref.back()),
                  std::to_string(err_ref.back()),
                  std::to_string(mean_proxy.back()),
                  std::to_string(err_proxy.back())});

@@ -15,7 +15,6 @@
 #include "anb/obs/obs.hpp"
 #include "anb/searchspace/space.hpp"
 #include "anb/surrogate/flat_forest.hpp"
-#include "anb/trainsim/simulator.hpp"
 #include "anb/anb/pipeline.hpp"
 #include "anb/util/simd.hpp"
 #include "common.hpp"
@@ -25,13 +24,13 @@ namespace {
 using namespace anb;
 
 Dataset small_training_set() {
-  TrainingSimulator sim(42);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
   Rng rng(1);
   Dataset ds(static_cast<std::size_t>(MnasSpace::instance().feature_dim()));
   for (int i = 0; i < 800; ++i) {
     const Arch a = MnasSpace::instance().sample(rng);
     ds.add(MnasSpace::instance().features(a),
-           sim.train(MnasSpace::to_blocks(a), canonical_p_star(), 0).top1);
+           sim->train(a, canonical_p_star(), 0).top1);
   }
   return ds;
 }
@@ -143,13 +142,12 @@ BENCHMARK(BM_PredictBatchDescent)->Arg(1)->Arg(0);
 
 // Contrast: the cost this zero-cost path replaces (simulated training run).
 void BM_SimulatedTrainingEvaluation(benchmark::State& state) {
-  TrainingSimulator sim(42);
+  const auto sim = make_space_sim(SpaceId::kMnasNet, 42);
   Rng rng(7);
   const TrainingScheme p = canonical_p_star();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim.train(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)),
-                  p, 0));
+        sim->train(MnasSpace::instance().sample(rng), p, 0));
   }
 }
 BENCHMARK(BM_SimulatedTrainingEvaluation);

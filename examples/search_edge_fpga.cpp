@@ -43,16 +43,16 @@ int main() {
     std::printf("no front member met the budget — relax it or search more\n");
     return 1;
   }
-  const Architecture winner = MnasSpace::to_blocks(outcome.archs[*best]);
-  std::printf("winner: %s\n", winner.to_string().c_str());
+  const auto sim = make_space_sim(SpaceId::kMnasNet, options.world_seed);
+  const Arch& winner = outcome.archs[*best];
+  std::printf("winner: %s\n", sim->space().arch_to_string(winner).c_str());
   std::printf("  predicted: top-1 %.4f (proxy scale), latency %.2f ms\n",
               outcome.accuracy[*best], outcome.perf[*best]);
 
   // Verify: "train" it for real (reference scheme) and measure the board.
-  TrainingSimulator sim(options.world_seed);
   const Device zcu = make_device(DeviceKind::kZcu102);
-  const ModelIR ir = build_ir(winner, 224);
-  const double true_acc = sim.train(winner, reference_scheme(), 0).top1;
+  const ModelIR ir = sim->lower(winner, 224);
+  const double true_acc = sim->train(winner, reference_scheme(), 0).top1;
   const double true_lat = zcu.measure_latency(ir, 7);
   std::printf("  verified:  top-1 %.4f (reference), latency %.2f ms, "
               "%.2f GFLOPs, %.1fM params\n",
@@ -61,9 +61,10 @@ int main() {
   // Context: the usual suspects on the same board.
   std::printf("\nbaselines on ZCU102:\n");
   for (const auto& model : reference_zoo()) {
-    const ModelIR base_ir = build_ir(model.arch, 224);
+    const Arch arch = MnasSpace::from_blocks(model.arch);
+    const ModelIR base_ir = sim->lower(arch, 224);
     std::printf("  %-16s top-1 %.4f, latency %.2f ms\n", model.name.c_str(),
-                sim.train(model.arch, reference_scheme(), 0).top1,
+                sim->train(arch, reference_scheme(), 0).top1,
                 zcu.measure_latency(base_ir, 7));
   }
   std::printf("\nwithin budget (%.1f ms): searched model %s\n",

@@ -80,6 +80,9 @@ FbnetArchitecture FbnetArchitecture::from_string(const std::string& s) {
             "FbnetArchitecture::from_string: expected " +
                 std::to_string(kFbnetNumLayers) + " layers, got " +
                 std::to_string(i));
+  ANB_CHECK(arch.to_string() == s,
+            "FbnetArchitecture::from_string: non-canonical string '" + s +
+                "'");
   return arch;
 }
 
@@ -153,15 +156,6 @@ void FbnetSpace::validate(const FbnetArchitecture& arch) {
   }
 }
 
-bool FbnetSpace::is_valid(const FbnetArchitecture& arch) {
-  try {
-    validate(arch);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
 Arch FbnetSpace::from_ops(const FbnetArchitecture& ops) {
   validate(ops);
   Arch arch;
@@ -207,7 +201,14 @@ Arch FbnetSpace::sample(Rng& rng) const {
 }
 
 std::vector<double> FbnetSpace::features(const Arch& arch) const {
-  return features(to_ops(arch));
+  validate(arch);
+  std::vector<double> f(
+      static_cast<std::size_t>(kFbnetNumLayers * kFbnetNumOps), 0.0);
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    f[static_cast<std::size_t>(i * kFbnetNumOps +
+                               arch.d[static_cast<std::size_t>(i)])] = 1.0;
+  }
+  return f;
 }
 
 std::string FbnetSpace::arch_to_string(const Arch& arch) const {
@@ -216,33 +217,6 @@ std::string FbnetSpace::arch_to_string(const Arch& arch) const {
 
 Arch FbnetSpace::arch_from_string(const std::string& s) const {
   return from_ops(FbnetArchitecture::from_string(s));
-}
-
-FbnetArchitecture FbnetSpace::mutate(const FbnetArchitecture& arch, Rng& rng) {
-  validate(arch);
-  FbnetArchitecture out = arch;
-  const int layer = static_cast<int>(rng.uniform_index(kFbnetNumLayers));
-  const int options = num_ops(layer);
-  const int current = static_cast<int>(out.ops[static_cast<std::size_t>(layer)]);
-  const int offset =
-      1 + static_cast<int>(rng.uniform_index(
-              static_cast<std::uint64_t>(options - 1)));
-  out.ops[static_cast<std::size_t>(layer)] =
-      static_cast<FbnetOp>((current + offset) % options);
-  ANB_ASSERT(!(out == arch), "FbnetSpace::mutate produced identical arch");
-  return out;
-}
-
-std::vector<double> FbnetSpace::features(const FbnetArchitecture& arch) {
-  validate(arch);
-  std::vector<double> f(
-      static_cast<std::size_t>(kFbnetNumLayers * kFbnetNumOps), 0.0);
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    f[static_cast<std::size_t>(i * kFbnetNumOps +
-                               static_cast<int>(arch.ops[static_cast<std::size_t>(i)]))] =
-        1.0;
-  }
-  return f;
 }
 
 ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution) {

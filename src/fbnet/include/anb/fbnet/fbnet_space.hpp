@@ -36,6 +36,8 @@ struct FbnetArchitecture {
 
   bool operator==(const FbnetArchitecture&) const = default;
   std::string to_string() const;  ///< dash-separated op names
+  /// Inverse of to_string; throws anb::Error unless `s` is exactly the
+  /// to_string() of the result.
   static FbnetArchitecture from_string(const std::string& s);
   std::uint64_t hash() const;
 };
@@ -78,25 +80,18 @@ class FbnetSpace final : public SearchSpace {
   static Arch from_ops(const FbnetArchitecture& arch);
   static FbnetArchitecture to_ops(const Arch& arch);
 
-  /// Typed legacy helpers over FbnetArchitecture, kept alongside the
-  /// interface overloads (the base Arch versions remain visible).
-  using SearchSpace::features;
-  using SearchSpace::is_valid;
-  using SearchSpace::mutate;
+  /// Throws anb::Error on an out-of-range op or a skip on a shape-changing
+  /// layer: the check behind from_ops, the typed simulator and the IR.
   using SearchSpace::validate;
   static void validate(const FbnetArchitecture& arch);
-  static bool is_valid(const FbnetArchitecture& arch);
-  /// Change exactly one layer's op to a different legal one.
-  static FbnetArchitecture mutate(const FbnetArchitecture& arch, Rng& rng);
-  /// One-hot encoding, kFbnetNumLayers x kFbnetNumOps = 154 dims (illegal
-  /// skip positions simply never activate their last column).
-  static std::vector<double> features(const FbnetArchitecture& arch);
 
   SpaceId id() const override { return SpaceId::kFbnet; }
   int num_decisions() const override { return kFbnetNumLayers; }
   const std::vector<int>& decision_sizes() const override;
   int feature_dim() const override { return kFbnetNumLayers * kFbnetNumOps; }
   Arch sample(Rng& rng) const override;
+  /// One-hot encoding, kFbnetNumLayers x kFbnetNumOps = 154 dims (illegal
+  /// skip positions simply never activate their last column).
   std::vector<double> features(const Arch& arch) const override;
   std::string arch_to_string(const Arch& arch) const override;
   Arch arch_from_string(const std::string& s) const override;

@@ -41,6 +41,8 @@ Architecture Architecture::from_string(const std::string& s) {
             "Architecture::from_string: expected " +
                 std::to_string(kNumBlocks) + " blocks, got " +
                 std::to_string(b));
+  ANB_CHECK(arch.to_string() == s,
+            "Architecture::from_string: non-canonical string '" + s + "'");
   return arch;
 }
 

@@ -38,7 +38,9 @@ struct Architecture {
   /// Compact human-readable id, e.g. "e6k5L3s1-..." (one group per block).
   std::string to_string() const;
 
-  /// Parse the to_string() format; throws anb::Error on malformed input.
+  /// Parse the to_string() format; throws anb::Error unless `s` is exactly
+  /// the to_string() of the result (trailing text, signs and spaces inside a
+  /// number, leading zeros and a trailing '-' are all rejected).
   static Architecture from_string(const std::string& s);
 
   /// Stable 64-bit hash (FNV-1a over the canonical encoding); architectures

@@ -15,6 +15,8 @@ FbnetArchitecture all_op(FbnetOp op) {
   return arch;
 }
 
+const SearchSpace& sp() { return FbnetSpace::instance(); }
+
 TEST(FbnetSpaceTest, SlotTableStructure) {
   const auto& slots = FbnetSpace::slots();
   // 1 + 4*5 + 1 = 22 layers; four strided stage entries.
@@ -38,15 +40,16 @@ TEST(FbnetSpaceTest, CardinalityAboutTenToTheSeventeen) {
 }
 
 TEST(FbnetSpaceTest, ValidationEnforcesSkipLegality) {
-  EXPECT_TRUE(FbnetSpace::is_valid(all_op(FbnetOp::kE6K5)));
+  EXPECT_NO_THROW(FbnetSpace::validate(all_op(FbnetOp::kE6K5)));
   const FbnetArchitecture all_skip = all_op(FbnetOp::kSkip);
-  EXPECT_FALSE(FbnetSpace::is_valid(all_skip));  // strided layers can't skip
+  // Strided layers can't skip.
+  EXPECT_THROW(FbnetSpace::validate(all_skip), Error);
 
   FbnetArchitecture legal_skip = all_op(FbnetOp::kE3K3);
   legal_skip.ops[2] = FbnetOp::kSkip;  // a trailing stage-2 layer
-  EXPECT_TRUE(FbnetSpace::is_valid(legal_skip));
+  EXPECT_NO_THROW(FbnetSpace::validate(legal_skip));
   legal_skip.ops[1] = FbnetOp::kSkip;  // first (strided) layer of stage 2
-  EXPECT_FALSE(FbnetSpace::is_valid(legal_skip));
+  EXPECT_THROW(FbnetSpace::validate(legal_skip), Error);
 }
 
 TEST(FbnetSpaceTest, SampleValidAndVaried) {
@@ -63,13 +66,13 @@ TEST(FbnetSpaceTest, SampleValidAndVaried) {
 TEST(FbnetSpaceTest, MutateChangesOneLayer) {
   Rng rng(2);
   for (int i = 0; i < 200; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    const FbnetArchitecture mutant = FbnetSpace::mutate(arch, rng);
-    FbnetSpace::validate(mutant);
+    const Arch arch = sp().sample(rng);
+    const Arch mutant = sp().mutate(arch, rng);
+    sp().validate(mutant);
     int diffs = 0;
     for (int l = 0; l < kFbnetNumLayers; ++l)
-      diffs += arch.ops[static_cast<std::size_t>(l)] !=
-               mutant.ops[static_cast<std::size_t>(l)];
+      diffs += arch.d[static_cast<std::size_t>(l)] !=
+               mutant.d[static_cast<std::size_t>(l)];
     EXPECT_EQ(diffs, 1);
   }
 }
@@ -86,13 +89,17 @@ TEST(FbnetSpaceTest, StringRoundTrip) {
                                                   .to_string()
                                                   .substr(5)),
                Error);
+  // A trailing '-' is not the canonical spelling of a valid string.
+  const std::string valid = all_op(FbnetOp::kE3K3).to_string();
+  ASSERT_NO_THROW(FbnetArchitecture::from_string(valid));
+  EXPECT_THROW(FbnetArchitecture::from_string(valid + "-"), Error);
+  EXPECT_THROW(sp().arch_from_string(valid + "-"), Error);
 }
 
 TEST(FbnetSpaceTest, FeaturesOneHot) {
   EXPECT_EQ(FbnetSpace::instance().feature_dim(), 154);
   Rng rng(4);
-  const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-  const auto f = FbnetSpace::features(arch);
+  const auto f = sp().features(sp().sample(rng));
   ASSERT_EQ(f.size(), 154u);
   double total = 0.0;
   for (double v : f) {
@@ -115,8 +122,6 @@ TEST(FbnetSpaceTest, OpHelpers) {
 // FbnetSpace as seen through the polymorphic SearchSpace interface: the
 // same contracts space_test.cpp pins for MnasSpace, at the points where
 // FBNet differs (mixed per-layer radix from skip legality).
-
-const SearchSpace& sp() { return FbnetSpace::instance(); }
 
 TEST(FbnetSpaceContract, RegistryResolvesFbnet) {
   register_builtin_spaces();

@@ -49,6 +49,16 @@ TEST(ArchitectureTest, FromStringRejectsMalformed) {
   const std::string bad_se =
       "e1k3L1s2-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0";
   EXPECT_THROW(Architecture::from_string(bad_se), Error);
+  // Non-canonical spellings of a valid string: a trailing '-', text after
+  // a block's last number, and a space or a sign before a number.
+  const std::string tail = "-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-"
+                           "e1k3L1s0";
+  ASSERT_NO_THROW(Architecture::from_string("e4k3L3s1" + tail));
+  EXPECT_THROW(Architecture::from_string("e4k3L3s1" + tail + "-"), Error);
+  EXPECT_THROW(Architecture::from_string("e4k3L3s1junk" + tail), Error);
+  EXPECT_THROW(Architecture::from_string("e +4k3L3s1" + tail), Error);
+  EXPECT_THROW(Architecture::from_string("e 4k3L3s1" + tail), Error);
+  EXPECT_THROW(Architecture::from_string("e04k3L3s1" + tail), Error);
 }
 
 TEST(ArchitectureTest, HashEqualityConsistent) {

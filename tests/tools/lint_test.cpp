@@ -389,6 +389,40 @@ TEST(TestScratchNamePass, ExemptsScratchHeaderAndNonTestTrees) {
           .empty());
 }
 
+TEST(OneSimHandlePass, FlagsTypedSimulatorInBench) {
+  const std::string typed =
+      "#include \"common.hpp\"\n"
+      "// a TrainingSimulator in a comment is fine\n"
+      "anb::TrainingSimulator sim = anb::bench::make_simulator();\n";
+  const auto findings =
+      run_on("one-sim-handle", {{"bench/some_harness.cpp", typed}});
+  EXPECT_EQ(findings.size(), 2u);  // both identifiers on line 3
+  EXPECT_TRUE(has_finding(findings, "bench/some_harness.cpp", 3));
+  EXPECT_EQ(run_on("one-sim-handle",
+                   {{"examples/demo.cpp",
+                     "anb::FbnetArchitecture a;\n"
+                     "anb::FbnetTrainingSimulator s(42);\n"}})
+                .size(),
+            2u);
+}
+
+TEST(OneSimHandlePass, LibraryAndTestsKeepTheTypedSimulators) {
+  const std::string typed =
+      "anb::TrainingSimulator sim(42);\n"
+      "anb::FbnetTrainingSimulator fb(42);\n"
+      "anb::FbnetArchitecture arch;\n";
+  EXPECT_TRUE(
+      run_on("one-sim-handle", {{"tests/anb/space_sim_test.cpp", typed}})
+          .empty());
+  EXPECT_TRUE(
+      run_on("one-sim-handle", {{"src/anb/space_sim.cpp", typed}}).empty());
+  // The facade itself is clean in a bench.
+  EXPECT_TRUE(run_on("one-sim-handle",
+                     {{"bench/e13.cpp",
+                       "auto sim = anb::make_space_sim(anb::SpaceId::kFbnet);\n"}})
+                  .empty());
+}
+
 TEST(DeterministicIterationPass, FlagsOrderSensitiveSinks) {
   const std::string streaming =
       "#include <unordered_map>\n"

@@ -36,4 +36,7 @@ void register_simd_pass(PassList& out);
 /// test-scratch-name (test scratch files through tests/scratch_path.hpp).
 void register_test_scratch_pass(PassList& out);
 
+/// one-sim-handle (bench/ and examples/ simulate through make_space_sim).
+void register_one_sim_handle_pass(PassList& out);
+
 }  // namespace anb::lint

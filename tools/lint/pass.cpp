@@ -77,6 +77,7 @@ const std::vector<std::unique_ptr<Pass>>& passes() {
     register_io_pass(*list);
     register_simd_pass(*list);
     register_test_scratch_pass(*list);
+    register_one_sim_handle_pass(*list);
     return list;
   }();
   return *kPasses;
