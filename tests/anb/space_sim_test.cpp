@@ -127,20 +127,53 @@ TEST(SpaceSimTest, FbnetMatchesTheTypedSimulatorBitForBit) {
   }
 }
 
-TEST(SpaceSimTest, FbnetInt8DropMatchesRecordedValues) {
-  // FBNet's quantization model, pinned bit for bit: an FNV-1a hash of
-  // int8_accuracy_drop's bits over the sampled architectures.
-  const auto sim = make_space_sim(SpaceId::kFbnet, kWorldSeed);
+/// FNV-1a over the bits of everything `sim` derives from the sampled
+/// genotypes: train at three run seeds under both schemes, the noise-free
+/// expected accuracy and cost per scheme, the reference accuracy, the int8
+/// drop, and lower's per-layer MACs and params at 160 and 224.
+std::uint64_t fingerprint(const SpaceSim& sim) {
   std::uint64_t hash = 1469598103934665603ULL;
-  for (const Arch& arch : sample_archs(FbnetSpace::instance())) {
-    const auto bits =
-        std::bit_cast<std::uint64_t>(sim->int8_accuracy_drop(arch));
+  const auto add = [&hash](std::uint64_t bits) {
     for (int i = 0; i < 8; ++i) {
       hash ^= (bits >> (8 * i)) & 0xFF;
       hash *= 1099511628211ULL;
     }
+  };
+  const auto add_double = [&add](double v) {
+    add(std::bit_cast<std::uint64_t>(v));
+  };
+  for (const Arch& arch : sample_archs(sim.space())) {
+    for (const TrainingScheme& scheme : schemes()) {
+      for (std::uint64_t run_seed : {0ULL, 1ULL, 99ULL}) {
+        const TrainResult result = sim.train(arch, scheme, run_seed);
+        add_double(result.top1);
+        add_double(result.gpu_hours);
+      }
+      add_double(sim.expected_accuracy(arch, scheme));
+      add_double(sim.training_cost_hours(arch, scheme));
+    }
+    add_double(sim.reference_accuracy(arch));
+    add_double(sim.int8_accuracy_drop(arch));
+    for (int resolution : {160, 224}) {
+      for (const Layer& layer : sim.lower(arch, resolution).layers) {
+        add(layer.macs);
+        add(layer.params);
+      }
+    }
   }
-  EXPECT_EQ(hash, 0x5a4f416d52723af0ULL) << std::hex << hash;
+  return hash;
+}
+
+TEST(SpaceSimTest, MnasNetMatchesRecordedValues) {
+  const auto sim = make_space_sim(SpaceId::kMnasNet, kWorldSeed);
+  const std::uint64_t hash = fingerprint(*sim);
+  EXPECT_EQ(hash, 0xec74b92f5f7a2750ULL) << std::hex << hash;
+}
+
+TEST(SpaceSimTest, FbnetMatchesRecordedValues) {
+  const auto sim = make_space_sim(SpaceId::kFbnet, kWorldSeed);
+  const std::uint64_t hash = fingerprint(*sim);
+  EXPECT_EQ(hash, 0xf421c1ce3841d091ULL) << std::hex << hash;
 }
 
 TEST(SpaceSimTest, EachSimRejectsTheOtherSpacesGenotypes) {
