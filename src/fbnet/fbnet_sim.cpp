@@ -1,7 +1,7 @@
 #include "anb/fbnet/fbnet_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 
 #include "anb/util/error.hpp"
 
@@ -41,149 +41,57 @@ double op_gain(FbnetOp op, int layer) {
   return gain;
 }
 
-constexpr double kAccFloor = 0.48;
-constexpr double kAccRange = 0.46;
-constexpr double kQualityScale = 9.0;
-constexpr double kLatentWiggleSigma = 0.07;
-constexpr int kNumMotifs = 48;
-constexpr double kMotifWeightSigma = 0.14;
-
-// log-MAC bounds of the FBNet space at 224 (all-skip-eligible minimal vs
-// all-e6k5 maximal; verified in fbnet tests).
-constexpr double kLogMacsMin = 17.5;
-constexpr double kLogMacsMax = 20.5;
-
 }  // namespace
 
-FbnetTrainingSimulator::FbnetTrainingSimulator(std::uint64_t world_seed)
-    : world_seed_(world_seed) {
-  Rng rng(hash_combine(world_seed_, 0xFB307F1FULL));
-  motifs_.reserve(kNumMotifs);
-  for (int m = 0; m < kNumMotifs; ++m) {
-    Motif motif;
-    motif.arity = rng.bernoulli(1.0 / 3.0) ? 3 : 2;
-    const auto picks = rng.sample_indices(
-        kFbnetNumLayers, static_cast<std::size_t>(motif.arity));
-    for (int a = 0; a < motif.arity; ++a) {
-      const int layer = static_cast<int>(picks[static_cast<std::size_t>(a)]);
-      motif.layer[static_cast<std::size_t>(a)] = layer;
-      motif.op[static_cast<std::size_t>(a)] = static_cast<int>(
-          rng.uniform_index(static_cast<std::uint64_t>(FbnetSpace::num_ops(layer))));
-    }
-    motif.weight = rng.normal(0.0, kMotifWeightSigma);
-    motifs_.push_back(motif);
-  }
-}
+FbnetSpaceSim::FbnetSpaceSim(std::uint64_t world_seed)
+    : SpaceSim(FbnetSpace::instance(), world_seed,
+               {.motif_salt = 0xFB307F1FULL,
+                .num_motifs = 48,
+                .motif_weight_sigma = 0.14,
+                .acc_floor = 0.48,
+                .acc_range = 0.46,
+                // log-MAC bounds at 224 (all-skip-eligible minimal vs
+                // all-e6k5 maximal; verified in fbnet tests).
+                .log_macs_min = 17.5,
+                .log_macs_max = 20.5}) {}
 
-double FbnetTrainingSimulator::arch_noise_unit(const FbnetArchitecture& arch,
-                                               std::uint64_t stream) const {
-  Rng rng(hash_combine(hash_combine(world_seed_, arch.hash()), stream));
-  return rng.normal();
-}
-
-double FbnetTrainingSimulator::latent_quality(
-    const FbnetArchitecture& arch) const {
-  FbnetSpace::validate(arch);
+SpaceSim::Terms FbnetSpaceSim::terms(const Arch& arch) const {
+  const FbnetArchitecture ops = FbnetSpace::to_ops(arch);  // validates
+  Terms terms;
+  terms.noise_key = ops.hash();
   double q = 0.0;
-  int non_skip = 0;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = arch.ops[static_cast<std::size_t>(i)];
-    q += layer_weight(i) * op_gain(op, i);
-    non_skip += op != FbnetOp::kSkip;
-  }
-  // Too many skipped layers starve the network of depth.
-  if (non_skip < 14) q -= 0.22 * (14 - non_skip);
-
-  // Sparse (layer, op) motif interactions.
-  for (const auto& motif : motifs_) {
-    bool active = true;
-    for (int a = 0; a < motif.arity && active; ++a) {
-      active = static_cast<int>(
-                   arch.ops[static_cast<std::size_t>(
-                       motif.layer[static_cast<std::size_t>(a)])]) ==
-               motif.op[static_cast<std::size_t>(a)];
-    }
-    if (active) q += motif.weight;
-  }
-
-  q += kLatentWiggleSigma * arch_noise_unit(arch, 1);
-  return q;
-}
-
-ArchTraits FbnetTrainingSimulator::traits(const FbnetArchitecture& arch) const {
-  // Every public query (train / expected_accuracy / training_cost_hours)
-  // funnels through here; reject out-of-range op codes before they index
-  // the motif tables.
-  for (const FbnetOp op : arch.ops) {
-    ANB_CHECK(static_cast<int>(op) >= 0 &&
-                  static_cast<int>(op) < kFbnetNumOps,
-              "FbnetTrainingSimulator: architecture has out-of-range op");
-  }
-  const double q = latent_quality(arch);
-  ArchTraits traits;
-  traits.reference_accuracy =
-      kAccFloor + kAccRange * (1.0 - std::exp(-q / kQualityScale));
-
-  const ModelIR ir = build_fbnet_ir(arch, 224);
-  traits.macs_224 = static_cast<double>(ir.total_macs());
-  const double log_macs = std::log(traits.macs_224);
-  traits.size_factor = std::clamp(
-      (log_macs - kLogMacsMin) / (kLogMacsMax - kLogMacsMin), 0.0, 1.0);
-
   int non_skip = 0;
   double mean_expansion = 0.0;
   for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = arch.ops[static_cast<std::size_t>(i)];
+    const FbnetOp op = ops.ops[static_cast<std::size_t>(i)];
+    q += layer_weight(i) * op_gain(op, i);
     if (op == FbnetOp::kSkip) continue;
     ++non_skip;
     mean_expansion += fbnet_op_expansion(op);
   }
+  // Too many skipped layers starve the network of depth.
+  if (non_skip < 14) q -= 0.22 * (14 - non_skip);
+  terms.quality = q;
+
+  terms.macs_224 = static_cast<double>(build_fbnet_ir(ops, 224).total_macs());
   mean_expansion /= std::max(1, non_skip);
-  traits.depth_norm = std::clamp((non_skip - 6) / 16.0, 0.0, 1.0);
-  traits.expand_norm = std::clamp((mean_expansion - 1.0) / 5.0, 0.0, 1.0);
-  traits.res_wiggle = arch_noise_unit(arch, 2);
-  traits.epoch_wiggle = arch_noise_unit(arch, 3);
-  return traits;
+  terms.depth_norm = std::clamp((non_skip - 6) / 16.0, 0.0, 1.0);
+  terms.expand_norm = std::clamp((mean_expansion - 1.0) / 5.0, 0.0, 1.0);
+  return terms;
 }
 
-double FbnetTrainingSimulator::reference_accuracy(
-    const FbnetArchitecture& arch) const {
-  return expected_accuracy(arch, reference_scheme());
-}
-
-double FbnetTrainingSimulator::expected_accuracy(
-    const FbnetArchitecture& arch, const TrainingScheme& scheme) const {
-  return scheme_expected_accuracy(traits(arch), scheme);
-}
-
-double FbnetTrainingSimulator::training_cost_hours(
-    const FbnetArchitecture& arch, const TrainingScheme& scheme) const {
-  return scheme_training_cost_hours(traits(arch), scheme);
-}
-
-TrainResult FbnetTrainingSimulator::train(const FbnetArchitecture& arch,
-                                          const TrainingScheme& scheme,
-                                          std::uint64_t run_seed) const {
-  TrainResult result;
-  const double mean_acc = expected_accuracy(arch, scheme);
-  const double sigma = scheme_seed_noise_sigma(scheme);
-  Rng rng(hash_combine(
-      hash_combine(hash_combine(world_seed_, arch.hash()), scheme.hash()),
-      run_seed));
-  result.top1 = std::clamp(mean_acc + sigma * rng.normal(), 0.001, 0.999);
-  result.gpu_hours = training_cost_hours(arch, scheme);
-  return result;
-}
-
-double FbnetTrainingSimulator::int8_accuracy_drop(
-    const FbnetArchitecture& arch) const {
+double FbnetSpaceSim::int8_accuracy_drop(const Arch& arch) const {
   int wide = 0;
   int skips = 0;
-  for (FbnetOp op : arch.ops) {
+  for (FbnetOp op : FbnetSpace::to_ops(arch).ops) {
     if (op == FbnetOp::kE6K3 || op == FbnetOp::kE6K5) ++wide;
     if (op == FbnetOp::kSkip) ++skips;
   }
   return 0.002 + 0.0003 * wide - 0.0001 * skips;
+}
+
+ModelIR FbnetSpaceSim::lower(const Arch& arch, int resolution) const {
+  return build_fbnet_ir(FbnetSpace::to_ops(arch), resolution);
 }
 
 }  // namespace anb

@@ -7,8 +7,11 @@ namespace anb {
 
 namespace {
 
-// Scheme-response constants shared across search spaces; the rationale for
-// each value is documented in simulator.cpp's calibration notes.
+// Scheme-response constants shared across search spaces (SpaceSim in
+// space_sim.hpp describes the model). trainsim_test pins what they are
+// calibrated for: tens of GPU-hours for a mid-size model under r,
+// accuracy monotone in epochs and resolution, and tau > 0.85 between r
+// and a sane proxy.
 constexpr double kEpochExponent = 0.55;      // power-law convergence
 constexpr double kEpochDeficitBase = 0.040;  // mean deficit coefficient
 constexpr double kEpochDeficitDepth = 0.012;

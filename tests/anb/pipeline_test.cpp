@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "anb/trainsim/space_sim.hpp"
 #include "anb/util/error.hpp"
 #include "scratch_path.hpp"
 
@@ -13,10 +14,9 @@ namespace {
 TEST(PipelineTest, CanonicalPStarIsValidAndCheap) {
   const TrainingScheme p = canonical_p_star();
   EXPECT_NO_THROW(p.validate());
-  TrainingSimulator sim(42);
+  const MnasSpaceSim sim(42);
   Rng rng(1);
-  const Architecture arch =
-      MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+  const Arch arch = MnasSpace::instance().sample(rng);
   const double proxy_cost = sim.training_cost_hours(arch, p);
   const double ref_cost = sim.training_cost_hours(arch, reference_scheme());
   EXPECT_GT(ref_cost / proxy_cost, 4.0);

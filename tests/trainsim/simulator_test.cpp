@@ -1,4 +1,4 @@
-#include "anb/trainsim/simulator.hpp"
+#include "anb/trainsim/space_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,15 +21,22 @@ TrainingScheme proxy_scheme(int epochs, int res_finish) {
   return s;
 }
 
+/// Every block set to `block`.
+Arch uniform_arch(const BlockConfig& block) {
+  Architecture blocks;
+  for (auto& b : blocks.blocks) b = block;
+  return MnasSpace::from_blocks(blocks);
+}
+
 class SimulatorTest : public ::testing::Test {
  protected:
-  TrainingSimulator sim_{42};
+  MnasSpaceSim sim_{42};
   Rng rng_{7};
 };
 
 TEST_F(SimulatorTest, DeterministicAcrossInstances) {
-  TrainingSimulator other(42);
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  MnasSpaceSim other(42);
+  const Arch a = MnasSpace::instance().sample(rng_);
   const auto r1 = sim_.train(a, reference_scheme(), 3);
   const auto r2 = other.train(a, reference_scheme(), 3);
   EXPECT_DOUBLE_EQ(r1.top1, r2.top1);
@@ -37,18 +44,18 @@ TEST_F(SimulatorTest, DeterministicAcrossInstances) {
 }
 
 TEST_F(SimulatorTest, WorldSeedChangesLandscape) {
-  TrainingSimulator other(43);
+  MnasSpaceSim other(43);
   // Latent quality differs between worlds for at least some architectures.
   int diffs = 0;
   for (int i = 0; i < 20; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     diffs += std::abs(sim_.latent_quality(a) - other.latent_quality(a)) > 1e-6;
   }
   EXPECT_GT(diffs, 15);
 }
 
 TEST_F(SimulatorTest, SeedNoiseIsSmallAndZeroMeanIsh) {
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  const Arch a = MnasSpace::instance().sample(rng_);
   const double expected = sim_.expected_accuracy(a, reference_scheme());
   std::vector<double> runs;
   for (int s = 0; s < 40; ++s)
@@ -60,7 +67,7 @@ TEST_F(SimulatorTest, SeedNoiseIsSmallAndZeroMeanIsh) {
 
 TEST_F(SimulatorTest, MoreEpochsMeansHigherAccuracy) {
   for (int i = 0; i < 10; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     const double a10 = sim_.expected_accuracy(a, proxy_scheme(10, 224));
     const double a50 = sim_.expected_accuracy(a, proxy_scheme(50, 224));
     const double a200 = sim_.expected_accuracy(a, proxy_scheme(200, 224));
@@ -71,14 +78,14 @@ TEST_F(SimulatorTest, MoreEpochsMeansHigherAccuracy) {
 
 TEST_F(SimulatorTest, HigherResolutionMeansHigherAccuracy) {
   for (int i = 0; i < 10; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     EXPECT_LT(sim_.expected_accuracy(a, proxy_scheme(30, 160)),
               sim_.expected_accuracy(a, proxy_scheme(30, 224)));
   }
 }
 
 TEST_F(SimulatorTest, HugeBatchCostsAccuracy) {
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  const Arch a = MnasSpace::instance().sample(rng_);
   auto big = proxy_scheme(30, 224);
   big.batch_size = 4096;
   EXPECT_LT(sim_.expected_accuracy(a, big),
@@ -87,7 +94,7 @@ TEST_F(SimulatorTest, HugeBatchCostsAccuracy) {
 
 TEST_F(SimulatorTest, AccuracyInValidRange) {
   for (int i = 0; i < 50; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     const double acc = sim_.train(a, proxy_scheme(10, 160), i).top1;
     EXPECT_GT(acc, 0.0);
     EXPECT_LT(acc, 1.0);
@@ -97,24 +104,23 @@ TEST_F(SimulatorTest, AccuracyInValidRange) {
 TEST_F(SimulatorTest, ReferenceAccuracyRealisticRange) {
   // ImageNet top-1 for this space: roughly 55-80%.
   for (int i = 0; i < 100; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     const double acc = sim_.reference_accuracy(a);
     EXPECT_GT(acc, 0.50);
     EXPECT_LT(acc, 0.85);
   }
-  EXPECT_GT(sim_.reference_accuracy(effnet_b0_like().arch), 0.74);
+  EXPECT_GT(sim_.reference_accuracy(MnasSpace::from_blocks(effnet_b0_like().arch)), 0.74);
 }
 
 TEST_F(SimulatorTest, CapacityImprovesQuality) {
-  Architecture small, big;
-  for (auto& b : small.blocks) b = BlockConfig{1, 3, 1, false};
-  for (auto& b : big.blocks) b = BlockConfig{6, 5, 3, true};
+  const Arch small = uniform_arch({1, 3, 1, false});
+  const Arch big = uniform_arch({6, 5, 3, true});
   EXPECT_GT(sim_.latent_quality(big), sim_.latent_quality(small) + 1.0);
   EXPECT_GT(sim_.reference_accuracy(big), sim_.reference_accuracy(small));
 }
 
 TEST_F(SimulatorTest, TrainingCostScalesWithEpochsAndResolution) {
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  const Arch a = MnasSpace::instance().sample(rng_);
   const double c10 = sim_.training_cost_hours(a, proxy_scheme(10, 224));
   const double c20 = sim_.training_cost_hours(a, proxy_scheme(20, 224));
   EXPECT_NEAR(c20 / c10, 2.0, 1e-9);
@@ -123,7 +129,7 @@ TEST_F(SimulatorTest, TrainingCostScalesWithEpochsAndResolution) {
 }
 
 TEST_F(SimulatorTest, ProgressiveResizingSavesTime) {
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  const Arch a = MnasSpace::instance().sample(rng_);
   TrainingScheme ramp = proxy_scheme(30, 224);
   ramp.res_start = 128;
   ramp.resize_finish_epoch = 20;
@@ -135,15 +141,15 @@ TEST_F(SimulatorTest, ReferenceCostRealistic) {
   // Paper-scale: a mid-size model costs tens of GPU-hours under r and the
   // ~5.6-7x cheaper proxy lands near 3 GPU-hours.
   const double ref =
-      sim_.training_cost_hours(effnet_b0_like().arch, reference_scheme());
+      sim_.training_cost_hours(MnasSpace::from_blocks(effnet_b0_like().arch),
+                                reference_scheme());
   EXPECT_GT(ref, 8.0);
   EXPECT_LT(ref, 60.0);
 }
 
 TEST_F(SimulatorTest, BiggerModelsCostMore) {
-  Architecture small, big;
-  for (auto& b : small.blocks) b = BlockConfig{1, 3, 1, false};
-  for (auto& b : big.blocks) b = BlockConfig{6, 5, 3, true};
+  const Arch small = uniform_arch({1, 3, 1, false});
+  const Arch big = uniform_arch({6, 5, 3, true});
   EXPECT_GT(sim_.training_cost_hours(big, reference_scheme()),
             2.0 * sim_.training_cost_hours(small, reference_scheme()));
 }
@@ -152,7 +158,7 @@ TEST_F(SimulatorTest, ProxyPreservesRankingsApproximately) {
   // The central premise (Eq. 1): a sane proxy keeps tau high.
   std::vector<double> ref, prox;
   for (int i = 0; i < 150; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     ref.push_back(sim_.train(a, reference_scheme(), 0).top1);
     prox.push_back(sim_.train(a, proxy_scheme(30, 224), 0).top1);
   }
@@ -162,7 +168,7 @@ TEST_F(SimulatorTest, ProxyPreservesRankingsApproximately) {
 TEST_F(SimulatorTest, AggressiveProxyDegradesRankings) {
   std::vector<double> ref, gentle, harsh;
   for (int i = 0; i < 150; ++i) {
-    const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+    const Arch a = MnasSpace::instance().sample(rng_);
     ref.push_back(sim_.expected_accuracy(a, reference_scheme()));
     gentle.push_back(sim_.train(a, proxy_scheme(50, 224), 0).top1);
     harsh.push_back(sim_.train(a, proxy_scheme(10, 160), 0).top1);
@@ -171,33 +177,32 @@ TEST_F(SimulatorTest, AggressiveProxyDegradesRankings) {
 }
 
 TEST_F(SimulatorTest, InvalidInputsThrow) {
-  Architecture bad;
-  bad.blocks[0].kernel = 9;
+  // Block 0's kernel decision forged past its two options.
+  Arch bad = uniform_arch({1, 3, 1, false});
+  bad.d[1] = 9;
   EXPECT_THROW(sim_.latent_quality(bad), Error);
   TrainingScheme s = proxy_scheme(10, 224);
   s.resize_finish_epoch = 20;  // > total
-  const Architecture ok = MnasSpace::to_blocks(MnasSpace::instance().sample(rng_));
+  const Arch ok = MnasSpace::instance().sample(rng_);
   EXPECT_THROW(sim_.train(ok, s, 0), Error);
 }
 
 TEST_F(SimulatorTest, Int8DropSmallAndStructured) {
-  Architecture no_se, all_se;
-  for (auto& b : no_se.blocks) b = BlockConfig{6, 3, 3, false};
-  for (auto& b : all_se.blocks) b = BlockConfig{6, 3, 3, true};
+  const Arch no_se = uniform_arch({6, 3, 3, false});
+  const Arch all_se = uniform_arch({6, 3, 3, true});
   const double d_no_se = sim_.int8_accuracy_drop(no_se);
   const double d_all_se = sim_.int8_accuracy_drop(all_se);
   EXPECT_GT(d_all_se, d_no_se);  // SE gates quantize poorly
   for (int i = 0; i < 30; ++i) {
-    const double d = sim_.int8_accuracy_drop(MnasSpace::to_blocks(MnasSpace::instance().sample(rng_)));
+    const double d = sim_.int8_accuracy_drop(MnasSpace::instance().sample(rng_));
     EXPECT_GT(d, 0.0);
     EXPECT_LT(d, 0.02);  // PTQ on convnets: well under 2 points
   }
 }
 
 TEST_F(SimulatorTest, Int8DropLargerForSmallModels) {
-  Architecture small, big;
-  for (auto& b : small.blocks) b = BlockConfig{1, 3, 1, false};
-  for (auto& b : big.blocks) b = BlockConfig{6, 5, 3, false};
+  const Arch small = uniform_arch({1, 3, 1, false});
+  const Arch big = uniform_arch({6, 5, 3, false});
   EXPECT_GT(sim_.int8_accuracy_drop(small), sim_.int8_accuracy_drop(big));
 }
 
@@ -205,9 +210,9 @@ TEST_F(SimulatorTest, Int8DropLargerForSmallModels) {
 class EpochMonotonicity : public ::testing::TestWithParam<int> {};
 
 TEST_P(EpochMonotonicity, AccuracyNonDecreasingInEpochs) {
-  TrainingSimulator sim(42);
+  MnasSpaceSim sim(42);
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 500);
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+  const Arch a = MnasSpace::instance().sample(rng);
   double prev = 0.0;
   for (int epochs : {10, 15, 20, 30, 50, 100, 200}) {
     const double acc = sim.expected_accuracy(a, proxy_scheme(epochs, 224));
