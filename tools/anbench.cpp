@@ -1,7 +1,7 @@
 // anbench — command-line front end for Accel-NASBench.
 //
-//   anbench build  [--out FILE] [--archs N] [--tune] [--energy]
-//                  [--proxy-search] [--seed S]
+//   anbench build  [--out FILE] [--archs N] [--tune] [--energy] [--memory]
+//                  [--extended-devices] [--proxy-search] [--seed S]
 //       Construct a benchmark (Fig. 2 pipeline) and save it. The output
 //       format follows the --out extension: .anbb writes the zero-copy
 //       binary container, anything else writes JSON.
@@ -32,7 +32,8 @@
 //
 // Every subcommand that touches architectures takes --space
 // {mnasnet,fbnet} (default mnasnet); query and search validate it
-// against the artifact's space.
+// against the artifact's space. A flag the command does not read, or a
+// flag given twice, is a usage error (exit 2).
 //
 // Devices: tpuv2 tpuv3 a100 rtx3090 zcu102 vck190 npu-mobile cpu-server;
 // metrics: Thr Lat Enr Mem.
@@ -43,12 +44,15 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "anb/anb/harness.hpp"
 #include "anb/anb/pipeline.hpp"
 #include "anb/fbnet/fbnet_space.hpp"
 #include "anb/serve/client.hpp"
+#include "anb/util/error.hpp"
 #include "anb/util/table.hpp"
 #include "parse_count.hpp"
 
@@ -61,19 +65,31 @@ using namespace anb;
   std::fprintf(stderr,
                "usage: anbench <build|convert|info|query|search|query-remote|"
                "random> [options]\n"
-               "run with a command and no options for per-command help; see "
-               "the header of tools/anbench.cpp for details.\n");
+               "see the header of tools/anbench.cpp for each command's "
+               "flags.\n");
   std::exit(2);
 }
 
-/// Simple --key value / --flag argument map.
+/// Simple --key value / --flag argument map over the flags one command
+/// reads: an unknown or repeated flag is a usage error, so a typo such as
+/// `build --arhcs 300` stops instead of building the default 2600 archs.
 class Args {
  public:
-  Args(int argc, char** argv, int start) {
+  Args(int argc, char** argv, int start, const char* command,
+       std::set<std::string> flags)
+      : flags_(std::move(flags)) {
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage(("unexpected argument " + key).c_str());
       key = key.substr(2);
+      if (flags_.count(key) == 0) {
+        std::string known;
+        for (const std::string& flag : flags_) known += " --" + flag;
+        usage(("unknown flag --" + key + " for " + command + " (flags:" +
+               known + ")")
+                  .c_str());
+      }
+      if (values_.count(key) > 0) usage(("--" + key + " given twice").c_str());
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -82,28 +98,36 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const { return find(key) != values_.end(); }
   std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
   /// --key as a strict decimal integer in [lo, INT_MAX]; a sign, junk
   /// or overflow is a usage error.
   int get_int(const std::string& key, int fallback, int lo = 0) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) return fallback;
     return static_cast<int>(cli::parse_count(
         "--" + key, it->second, static_cast<unsigned long>(lo),
         static_cast<unsigned long>(std::numeric_limits<int>::max()), usage));
   }
   std::string require(const std::string& key) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end() || it->second.empty())
       usage(("missing --" + key).c_str());
     return it->second;
   }
 
  private:
+  /// Every flag a command reads must be in its table entry in main().
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    ANB_CHECK(flags_.count(key) > 0, "anbench reads undeclared flag --" + key);
+    return values_.find(key);
+  }
+
+  std::set<std::string> flags_;
   std::map<std::string, std::string> values_;
 };
 
@@ -271,20 +295,35 @@ int cmd_random(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    std::set<std::string> flags;
+  };
+  const Command commands[] = {
+      {"build", cmd_build,
+       {"out", "archs", "tune", "energy", "memory", "proxy-search",
+        "extended-devices", "seed", "space"}},
+      {"convert", cmd_convert, {"bench", "out"}},
+      {"info", cmd_info, {"bench"}},
+      {"query", cmd_query, {"bench", "space", "arch", "device", "metric"}},
+      {"search", cmd_search,
+       {"bench", "space", "device", "metric", "budget", "seed"}},
+      {"query-remote", cmd_query_remote,
+       {"socket", "shutdown", "space", "arch", "device", "metric"}},
+      {"random", cmd_random, {"count", "seed", "space"}},
+  };
   if (argc < 2) usage();
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  try {
-    if (command == "build") return cmd_build(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "info") return cmd_info(args);
-    if (command == "query") return cmd_query(args);
-    if (command == "search") return cmd_search(args);
-    if (command == "query-remote") return cmd_query_remote(args);
-    if (command == "random") return cmd_random(args);
-    usage(("unknown command " + command).c_str());
-  } catch (const anb::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  const std::string name = argv[1];
+  for (const Command& command : commands) {
+    if (name != command.name) continue;
+    const Args args(argc, argv, 2, command.name, command.flags);
+    try {
+      return command.run(args);
+    } catch (const anb::Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
+  usage(("unknown command " + name).c_str());
 }
