@@ -389,11 +389,11 @@ TEST(TestScratchNamePass, ExemptsScratchHeaderAndNonTestTrees) {
           .empty());
 }
 
-TEST(OneSimHandlePass, FlagsTypedSimulatorInBench) {
+TEST(OneSimHandlePass, FlagsConcreteSimInBench) {
   const std::string typed =
       "#include \"common.hpp\"\n"
-      "// a TrainingSimulator in a comment is fine\n"
-      "anb::TrainingSimulator sim = anb::bench::make_simulator();\n";
+      "// a MnasSpaceSim in a comment is fine\n"
+      "anb::MnasSpaceSim sim = anb::bench::make_simulator();\n";
   const auto findings =
       run_on("one-sim-handle", {{"bench/some_harness.cpp", typed}});
   EXPECT_EQ(findings.size(), 2u);  // both identifiers on line 3
@@ -401,22 +401,22 @@ TEST(OneSimHandlePass, FlagsTypedSimulatorInBench) {
   EXPECT_EQ(run_on("one-sim-handle",
                    {{"examples/demo.cpp",
                      "anb::FbnetArchitecture a;\n"
-                     "anb::FbnetTrainingSimulator s(42);\n"}})
+                     "anb::FbnetSpaceSim s(42);\n"}})
                 .size(),
             2u);
 }
 
-TEST(OneSimHandlePass, LibraryAndTestsKeepTheTypedSimulators) {
+TEST(OneSimHandlePass, LibraryAndTestsMayNameTheConcreteSims) {
   const std::string typed =
-      "anb::TrainingSimulator sim(42);\n"
-      "anb::FbnetTrainingSimulator fb(42);\n"
+      "anb::MnasSpaceSim sim(42);\n"
+      "anb::FbnetSpaceSim fb(42);\n"
       "anb::FbnetArchitecture arch;\n";
   EXPECT_TRUE(
       run_on("one-sim-handle", {{"tests/anb/space_sim_test.cpp", typed}})
           .empty());
   EXPECT_TRUE(
       run_on("one-sim-handle", {{"src/anb/space_sim.cpp", typed}}).empty());
-  // The facade itself is clean in a bench.
+  // The make_space_sim handle itself is clean in a bench.
   EXPECT_TRUE(run_on("one-sim-handle",
                      {{"bench/e13.cpp",
                        "auto sim = anb::make_space_sim(anb::SpaceId::kFbnet);\n"}})

@@ -1,12 +1,11 @@
 // one-sim-handle: benches and examples get a simulator only through
 // make_space_sim and work only on the space-tagged Arch.
 //
-// A harness that builds a typed simulator (TrainingSimulator,
-// FbnetTrainingSimulator) or holds the typed FbnetArchitecture view keeps
-// a second copy of the machinery the SpaceSim facade already owns, and
-// drifts from it. The typed simulators stay in the library, where the
-// facade wraps them and the tests pin it against them, so the pass looks
-// at bench/ and examples/ only.
+// A harness that names a concrete simulator (MnasSpaceSim, FbnetSpaceSim)
+// or holds the typed FbnetArchitecture view ties itself to one space and
+// to machinery make_space_sim already hands out behind SpaceSim. The
+// library builds the concrete sims and the tests pin them, so the pass
+// looks at bench/ and examples/ only.
 
 #include <algorithm>
 #include <array>
@@ -20,8 +19,7 @@ namespace anb::lint {
 namespace {
 
 constexpr std::array<std::string_view, 4> kTypedHandles = {
-    "TrainingSimulator", "FbnetTrainingSimulator", "FbnetArchitecture",
-    "make_simulator"};
+    "MnasSpaceSim", "FbnetSpaceSim", "FbnetArchitecture", "make_simulator"};
 
 class OneSimHandlePass final : public FilePass {
  public:
