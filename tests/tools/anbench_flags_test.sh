@@ -1,8 +1,9 @@
 #!/bin/sh
-# anbench flag checking: a misspelt or repeated flag is a usage error
-# (exit 2, the message names the flag) and nothing is built, while the
-# invocations README.md and CI run still work as written (README's
-# query-remote line is driven by anbd_sigterm_test.sh).
+# anbench flag checking: a misspelt or repeated flag, a valued flag with
+# no value and a word after a switch are usage errors (exit 2, the message
+# names the flag) and nothing is built, while the invocations README.md
+# and CI run still work as written (README's query-remote line is driven
+# by anbd_sigterm_test.sh).
 #
 #   anbench_flags_test.sh ANBENCH
 set -u
@@ -32,6 +33,9 @@ expect_usage "--archs given twice" build --archs 300 --archs 400
 expect_usage "--count given twice" random --count 1 --count 2
 expect_usage "unknown flag --tune for random" random --tune
 expect_usage "unknown flag --archs for query" query --archs 3
+expect_usage "missing value for --out" build --archs 20 --out
+expect_usage "missing value for --archs" build --archs --tune
+expect_usage "unexpected argument 300" build --tune 300 --archs 20
 
 cd "$dir" || fail "cd $dir"
 run() {

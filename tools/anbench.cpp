@@ -32,8 +32,10 @@
 //
 // Every subcommand that touches architectures takes --space
 // {mnasnet,fbnet} (default mnasnet); query and search validate it
-// against the artifact's space. A flag the command does not read, or a
-// flag given twice, is a usage error (exit 2).
+// against the artifact's space. A flag the command does not read, a flag
+// given twice, a valued flag with no value and a word after a switch
+// (--tune, --energy, --memory, --extended-devices, --proxy-search,
+// --shutdown) are usage errors (exit 2).
 //
 // Devices: tpuv2 tpuv3 a100 rtx3090 zcu102 vck190 npu-mobile cpu-server;
 // metrics: Thr Lat Enr Mem.
@@ -70,30 +72,35 @@ using namespace anb;
   std::exit(2);
 }
 
-/// Simple --key value / --flag argument map over the flags one command
-/// reads: an unknown or repeated flag is a usage error, so a typo such as
+/// Simple --key value / --switch argument map over the flags one command
+/// reads: an unknown or repeated flag, a valued flag with no value and a
+/// stray word after a switch are usage errors, so a typo such as
 /// `build --arhcs 300` stops instead of building the default 2600 archs.
 class Args {
  public:
   Args(int argc, char** argv, int start, const char* command,
-       std::set<std::string> flags)
-      : flags_(std::move(flags)) {
+       std::set<std::string> valued, std::set<std::string> switches)
+      : valued_(std::move(valued)), switches_(std::move(switches)) {
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage(("unexpected argument " + key).c_str());
       key = key.substr(2);
-      if (flags_.count(key) == 0) {
+      if (!declared(key)) {
+        std::set<std::string> flags = valued_;
+        flags.insert(switches_.begin(), switches_.end());
         std::string known;
-        for (const std::string& flag : flags_) known += " --" + flag;
+        for (const std::string& flag : flags) known += " --" + flag;
         usage(("unknown flag --" + key + " for " + command + " (flags:" +
                known + ")")
                   .c_str());
       }
       if (values_.count(key) > 0) usage(("--" + key + " given twice").c_str());
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      if (switches_.count(key) > 0) {
+        values_[key] = "";
+      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
-        values_[key] = "";  // boolean flag
+        usage(("missing value for --" + key).c_str());
       }
     }
   }
@@ -120,14 +127,18 @@ class Args {
   }
 
  private:
+  bool declared(const std::string& key) const {
+    return valued_.count(key) > 0 || switches_.count(key) > 0;
+  }
   /// Every flag a command reads must be in its table entry in main().
   std::map<std::string, std::string>::const_iterator find(
       const std::string& key) const {
-    ANB_CHECK(flags_.count(key) > 0, "anbench reads undeclared flag --" + key);
+    ANB_CHECK(declared(key), "anbench reads undeclared flag --" + key);
     return values_.find(key);
   }
 
-  std::set<std::string> flags_;
+  std::set<std::string> valued_;
+  std::set<std::string> switches_;
   std::map<std::string, std::string> values_;
 };
 
@@ -298,26 +309,27 @@ int main(int argc, char** argv) {
   struct Command {
     const char* name;
     int (*run)(const Args&);
-    std::set<std::string> flags;
+    std::set<std::string> valued;    ///< flags that take a value
+    std::set<std::string> switches;  ///< flags that take none
   };
   const Command commands[] = {
-      {"build", cmd_build,
-       {"out", "archs", "tune", "energy", "memory", "proxy-search",
-        "extended-devices", "seed", "space"}},
-      {"convert", cmd_convert, {"bench", "out"}},
-      {"info", cmd_info, {"bench"}},
-      {"query", cmd_query, {"bench", "space", "arch", "device", "metric"}},
+      {"build", cmd_build, {"out", "archs", "seed", "space"},
+       {"tune", "energy", "memory", "proxy-search", "extended-devices"}},
+      {"convert", cmd_convert, {"bench", "out"}, {}},
+      {"info", cmd_info, {"bench"}, {}},
+      {"query", cmd_query, {"bench", "space", "arch", "device", "metric"}, {}},
       {"search", cmd_search,
-       {"bench", "space", "device", "metric", "budget", "seed"}},
+       {"bench", "space", "device", "metric", "budget", "seed"}, {}},
       {"query-remote", cmd_query_remote,
-       {"socket", "shutdown", "space", "arch", "device", "metric"}},
-      {"random", cmd_random, {"count", "seed", "space"}},
+       {"socket", "space", "arch", "device", "metric"}, {"shutdown"}},
+      {"random", cmd_random, {"count", "seed", "space"}, {}},
   };
   if (argc < 2) usage();
   const std::string name = argv[1];
   for (const Command& command : commands) {
     if (name != command.name) continue;
-    const Args args(argc, argv, 2, command.name, command.flags);
+    const Args args(argc, argv, 2, command.name, command.valued,
+                    command.switches);
     try {
       return command.run(args);
     } catch (const anb::Error& e) {
