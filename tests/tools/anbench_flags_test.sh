@@ -7,7 +7,11 @@
 #
 #   anbench_flags_test.sh ANBENCH
 set -u
-anbench=$1
+# The script changes directory below, so make the binary's path absolute.
+case $1 in
+  /*) anbench=$1 ;;
+  *) anbench=$PWD/$1 ;;
+esac
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 fail() {
