@@ -86,10 +86,9 @@ class Args {
       if (key.rfind("--", 0) != 0) usage(("unexpected argument " + key).c_str());
       key = key.substr(2);
       if (!declared(key)) {
-        std::set<std::string> flags = valued_;
-        flags.insert(switches_.begin(), switches_.end());
         std::string known;
-        for (const std::string& flag : flags) known += " --" + flag;
+        for (const std::string& flag : valued_) known += " --" + flag;
+        for (const std::string& flag : switches_) known += " --" + flag;
         usage(("unknown flag --" + key + " for " + command + " (flags:" +
                known + ")")
                   .c_str());
