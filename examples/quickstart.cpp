@@ -30,7 +30,7 @@ int main() {
       "e1k3L1s0-e6k3L2s0-e6k5L2s1-e6k3L3s1-e6k5L3s1-e6k5L3s1-e6k3L1s1");
 
   // 3. Zero-cost queries.
-  const Arch b0 = MnasSpace::from_blocks(effnet_b0_like().arch);
+  const Arch b0 = effnet_b0_like().arch;
   for (const auto& [name, arch] :
        {std::pair<const char*, Arch>{"my_arch", my_arch},
         {"effnet-b0", b0}}) {

@@ -61,10 +61,9 @@ int main() {
   // Context: the usual suspects on the same board.
   std::printf("\nbaselines on ZCU102:\n");
   for (const auto& model : reference_zoo()) {
-    const Arch arch = MnasSpace::from_blocks(model.arch);
-    const ModelIR base_ir = sim->lower(arch, 224);
+    const ModelIR base_ir = sim->lower(model.arch, 224);
     std::printf("  %-16s top-1 %.4f, latency %.2f ms\n", model.name.c_str(),
-                sim->train(arch, reference_scheme(), 0).top1,
+                sim->train(model.arch, reference_scheme(), 0).top1,
                 zcu.measure_latency(base_ir, 7));
   }
   std::printf("\nwithin budget (%.1f ms): searched model %s\n",

@@ -190,12 +190,11 @@ std::vector<TrueEvalRow> true_evaluation(const ParetoOutcome& outcome,
   // is no published baseline set to compare against.
   if (sim.space().id() == SpaceId::kMnasNet) {
     for (const auto& baseline : reference_zoo()) {
-      const Arch arch = MnasSpace::from_blocks(baseline.arch);
       TrueEvalRow row;
       row.name = baseline.name;
-      row.accuracy = accuracy_of(arch);
-      row.perf = measure(sim.lower(arch, 224),
-                         hash_combine(seed, baseline.arch.hash()));
+      row.accuracy = accuracy_of(baseline.arch);
+      row.perf = measure(sim.lower(baseline.arch, 224),
+                         hash_combine(seed, sim.noise_key(baseline.arch)));
       row.is_ours = false;
       rows.push_back(std::move(row));
     }

@@ -11,6 +11,7 @@
 #include "anb/surrogate/svr.hpp"
 #include "anb/surrogate/train_context.hpp"
 #include "anb/util/error.hpp"
+#include "anb/util/metrics.hpp"
 
 namespace anb {
 
@@ -195,7 +196,9 @@ TunedSurrogate tune_surrogate(SurrogateKind kind, const Dataset& train,
     } catch (const Error&) {
       return 1e6;  // degenerate config (e.g. ε tube swallowing all points)
     }
-    return model->evaluate(val).rmse;
+    // RMSE alone: evaluate() also computes Kendall τ, which throws when a
+    // degenerate config predicts one constant on a small split.
+    return rmse(val.targets(), model->predict_all(val));
   };
 
   SmacLite::Options smac;

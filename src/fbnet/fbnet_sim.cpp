@@ -55,15 +55,24 @@ FbnetSpaceSim::FbnetSpaceSim(std::uint64_t world_seed)
                 .log_macs_min = 17.5,
                 .log_macs_max = 20.5}) {}
 
+std::uint64_t FbnetSpaceSim::noise_key(const Arch& arch) const {
+  space().validate(arch);
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    h ^= static_cast<std::uint64_t>(arch.d[static_cast<std::size_t>(i)]) + 1;
+    h *= 0x100000001B3ULL;  // FNV-1a 64 prime
+  }
+  return h;
+}
+
 SpaceSim::Terms FbnetSpaceSim::terms(const Arch& arch) const {
-  const FbnetArchitecture ops = FbnetSpace::to_ops(arch);  // validates
+  space().validate(arch);
   Terms terms;
-  terms.noise_key = ops.hash();
   double q = 0.0;
   int non_skip = 0;
   double mean_expansion = 0.0;
   for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = ops.ops[static_cast<std::size_t>(i)];
+    const auto op = FbnetSpace::op_at(arch, i);
     q += layer_weight(i) * op_gain(op, i);
     if (op == FbnetOp::kSkip) continue;
     ++non_skip;
@@ -73,7 +82,7 @@ SpaceSim::Terms FbnetSpaceSim::terms(const Arch& arch) const {
   if (non_skip < 14) q -= 0.22 * (14 - non_skip);
   terms.quality = q;
 
-  terms.macs_224 = static_cast<double>(build_fbnet_ir(ops, 224).total_macs());
+  terms.macs_224 = static_cast<double>(build_fbnet_ir(arch, 224).total_macs());
   mean_expansion /= std::max(1, non_skip);
   terms.depth_norm = std::clamp((non_skip - 6) / 16.0, 0.0, 1.0);
   terms.expand_norm = std::clamp((mean_expansion - 1.0) / 5.0, 0.0, 1.0);
@@ -81,9 +90,11 @@ SpaceSim::Terms FbnetSpaceSim::terms(const Arch& arch) const {
 }
 
 double FbnetSpaceSim::int8_accuracy_drop(const Arch& arch) const {
+  space().validate(arch);
   int wide = 0;
   int skips = 0;
-  for (FbnetOp op : FbnetSpace::to_ops(arch).ops) {
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    const auto op = FbnetSpace::op_at(arch, i);
     if (op == FbnetOp::kE6K3 || op == FbnetOp::kE6K5) ++wide;
     if (op == FbnetOp::kSkip) ++skips;
   }
@@ -91,7 +102,7 @@ double FbnetSpaceSim::int8_accuracy_drop(const Arch& arch) const {
 }
 
 ModelIR FbnetSpaceSim::lower(const Arch& arch, int resolution) const {
-  return build_fbnet_ir(FbnetSpace::to_ops(arch), resolution);
+  return build_fbnet_ir(arch, resolution);
 }
 
 }  // namespace anb

@@ -47,54 +47,6 @@ int fbnet_op_kernel(FbnetOp op) {
   throw Error("fbnet_op_kernel: skip has no kernel");
 }
 
-std::string FbnetArchitecture::to_string() const {
-  std::string out;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    if (i) out += '-';
-    out += fbnet_op_name(ops[static_cast<std::size_t>(i)]);
-  }
-  return out;
-}
-
-FbnetArchitecture FbnetArchitecture::from_string(const std::string& s) {
-  FbnetArchitecture arch;
-  std::istringstream in(s);
-  std::string token;
-  int i = 0;
-  while (std::getline(in, token, '-')) {
-    ANB_CHECK(i < kFbnetNumLayers,
-              "FbnetArchitecture::from_string: too many layers");
-    bool found = false;
-    for (int o = 0; o < kFbnetNumOps; ++o) {
-      if (token == fbnet_op_name(static_cast<FbnetOp>(o))) {
-        arch.ops[static_cast<std::size_t>(i)] = static_cast<FbnetOp>(o);
-        found = true;
-        break;
-      }
-    }
-    ANB_CHECK(found, "FbnetArchitecture::from_string: unknown op '" + token +
-                         "'");
-    ++i;
-  }
-  ANB_CHECK(i == kFbnetNumLayers,
-            "FbnetArchitecture::from_string: expected " +
-                std::to_string(kFbnetNumLayers) + " layers, got " +
-                std::to_string(i));
-  ANB_CHECK(arch.to_string() == s,
-            "FbnetArchitecture::from_string: non-canonical string '" + s +
-                "'");
-  return arch;
-}
-
-std::uint64_t FbnetArchitecture::hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (FbnetOp op : ops) {
-    h ^= static_cast<std::uint64_t>(op) + 1;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 const FbnetSpace& FbnetSpace::instance() {
   static const FbnetSpace space;
   return space;
@@ -142,42 +94,6 @@ double FbnetSpace::log10_cardinality() {
   return log10;
 }
 
-void FbnetSpace::validate(const FbnetArchitecture& arch) {
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = arch.ops[static_cast<std::size_t>(i)];
-    const auto raw = static_cast<int>(op);
-    ANB_CHECK(raw >= 0 && raw < kFbnetNumOps,
-              "FbnetSpace: invalid op at layer " + std::to_string(i));
-    if (op == FbnetOp::kSkip) {
-      ANB_CHECK(slots()[static_cast<std::size_t>(i)].skip_allowed,
-                "FbnetSpace: skip is illegal at layer " + std::to_string(i) +
-                    " (shape-changing position)");
-    }
-  }
-}
-
-Arch FbnetSpace::from_ops(const FbnetArchitecture& ops) {
-  validate(ops);
-  Arch arch;
-  arch.space = SpaceId::kFbnet;
-  arch.n = kFbnetNumLayers;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    arch.d[static_cast<std::size_t>(i)] =
-        static_cast<std::int8_t>(ops.ops[static_cast<std::size_t>(i)]);
-  }
-  return arch;
-}
-
-FbnetArchitecture FbnetSpace::to_ops(const Arch& arch) {
-  instance().validate(arch);
-  FbnetArchitecture out;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    out.ops[static_cast<std::size_t>(i)] =
-        static_cast<FbnetOp>(arch.d[static_cast<std::size_t>(i)]);
-  }
-  return out;
-}
-
 const std::vector<int>& FbnetSpace::decision_sizes() const {
   static const std::vector<int> sizes = [] {
     std::vector<int> out;
@@ -212,15 +128,46 @@ std::vector<double> FbnetSpace::features(const Arch& arch) const {
 }
 
 std::string FbnetSpace::arch_to_string(const Arch& arch) const {
-  return to_ops(arch).to_string();
+  validate(arch);
+  std::string out;
+  for (int i = 0; i < kFbnetNumLayers; ++i) {
+    if (i) out += '-';
+    out += fbnet_op_name(op_at(arch, i));
+  }
+  return out;
 }
 
 Arch FbnetSpace::arch_from_string(const std::string& s) const {
-  return from_ops(FbnetArchitecture::from_string(s));
+  Arch arch = make_arch();
+  std::istringstream in(s);
+  std::string token;
+  int i = 0;
+  while (std::getline(in, token, '-')) {
+    ANB_CHECK(i < kFbnetNumLayers,
+              "FbnetSpace::arch_from_string: too many layers");
+    int op = 0;
+    while (op < kFbnetNumOps &&
+           token != fbnet_op_name(static_cast<FbnetOp>(op)))
+      ++op;
+    ANB_CHECK(op < kFbnetNumOps,
+              "FbnetSpace::arch_from_string: unknown op '" + token + "'");
+    // Skip is the last option, so it is out of range exactly where illegal.
+    ANB_CHECK(op < num_ops(i),
+              "FbnetSpace::arch_from_string: skip is illegal at layer " +
+                  std::to_string(i) + " (shape-changing position)");
+    arch.d[static_cast<std::size_t>(i++)] = static_cast<std::int8_t>(op);
+  }
+  ANB_CHECK(i == kFbnetNumLayers,
+            "FbnetSpace::arch_from_string: expected " +
+                std::to_string(kFbnetNumLayers) + " layers, got " +
+                std::to_string(i));
+  ANB_CHECK(arch_to_string(arch) == s,
+            "FbnetSpace::arch_from_string: non-canonical string '" + s + "'");
+  return arch;
 }
 
-ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution) {
-  FbnetSpace::validate(arch);
+ModelIR build_fbnet_ir(const Arch& arch, int resolution) {
+  FbnetSpace::instance().validate(arch);
   ANB_CHECK(resolution >= 32 && resolution <= 1024,
             "build_fbnet_ir: resolution must be in [32, 1024]");
 
@@ -231,7 +178,7 @@ ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution) {
   b.conv("stem.conv", FbnetSpace::kStemChannels, 3, 2);
   const auto& slots = FbnetSpace::slots();
   for (int i = 0; i < kFbnetNumLayers; ++i) {
-    const FbnetOp op = arch.ops[static_cast<std::size_t>(i)];
+    const auto op = FbnetSpace::op_at(arch, i);
     if (op == FbnetOp::kSkip) continue;  // identity
     const auto& slot = slots[static_cast<std::size_t>(i)];
     b.mbconv("l" + std::to_string(i + 1), slot.out_c, fbnet_op_expansion(op),

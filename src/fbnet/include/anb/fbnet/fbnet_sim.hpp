@@ -18,6 +18,9 @@ class FbnetSpaceSim final : public SpaceSim {
  public:
   explicit FbnetSpaceSim(std::uint64_t world_seed = 42);
 
+  /// FNV-1a over (op index + 1) per layer.
+  std::uint64_t noise_key(const Arch& arch) const override;
+
   /// Top-1 lost to post-training int8 quantization, with the qualitative
   /// structure of MnasNet's model: a small base drop that grows with
   /// expansion-6 layers (wider activation ranges quantize worse) and

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -30,18 +30,6 @@ const char* fbnet_op_name(FbnetOp op);
 int fbnet_op_expansion(FbnetOp op);  ///< throws for kSkip
 int fbnet_op_kernel(FbnetOp op);     ///< throws for kSkip
 
-/// A point in the FBNet-style space: one op per searchable layer.
-struct FbnetArchitecture {
-  std::array<FbnetOp, kFbnetNumLayers> ops{};
-
-  bool operator==(const FbnetArchitecture&) const = default;
-  std::string to_string() const;  ///< dash-separated op names
-  /// Inverse of to_string; throws anb::Error unless `s` is exactly the
-  /// to_string() of the result.
-  static FbnetArchitecture from_string(const std::string& s);
-  std::uint64_t hash() const;
-};
-
 /// The layer-wise generalizability search space (paper §3.1: "for
 /// experiments with additional search spaces ... see our GitHub"; FBNet [17]
 /// is the space HW-NAS-Bench also covers), registered as SpaceId::kFbnet.
@@ -53,7 +41,8 @@ struct FbnetArchitecture {
 /// a strided or channel-changing stage) — the genotype encodes that by
 /// giving skip-legal layers 7 options and the rest 6, so every in-range
 /// decision vector is a legal architecture and the index bijection is
-/// gap-free. Cardinality 6^7 · 7^15 ≈ 1.3×10^18 (fits std::uint64_t).
+/// gap-free. Decision i is the FbnetOp index of layer i. Cardinality
+/// 6^6 · 7^16 ≈ 1.5×10^18 (fits std::uint64_t).
 class FbnetSpace final : public SearchSpace {
  public:
   struct LayerSlot {
@@ -74,16 +63,10 @@ class FbnetSpace final : public SearchSpace {
   static int num_ops(int layer);
   static double log10_cardinality();
 
-  /// Typed conversions between the opaque genotype (decision i = op index
-  /// of layer i) and the op view the simulator/IR consume. from_ops throws
-  /// on illegal skips; to_ops throws on a non-FBNet genotype.
-  static Arch from_ops(const FbnetArchitecture& arch);
-  static FbnetArchitecture to_ops(const Arch& arch);
-
-  /// Throws anb::Error on an out-of-range op or a skip on a shape-changing
-  /// layer: the check behind from_ops, the typed simulator and the IR.
-  using SearchSpace::validate;
-  static void validate(const FbnetArchitecture& arch);
+  /// Op of layer `layer` of a valid genotype (validate it first).
+  static FbnetOp op_at(const Arch& arch, int layer) {
+    return static_cast<FbnetOp>(arch.d[static_cast<std::size_t>(layer)]);
+  }
 
   SpaceId id() const override { return SpaceId::kFbnet; }
   int num_decisions() const override { return kFbnetNumLayers; }
@@ -93,13 +76,18 @@ class FbnetSpace final : public SearchSpace {
   /// One-hot encoding, kFbnetNumLayers x kFbnetNumOps = 154 dims (illegal
   /// skip positions simply never activate their last column).
   std::vector<double> features(const Arch& arch) const override;
+  /// Dash-separated op names, one per layer ("e1k3-skip-...").
   std::string arch_to_string(const Arch& arch) const override;
+  /// Exact inverse: throws anb::Error on an unknown op, a skip on a
+  /// shape-changing layer, or unless `s` is exactly the arch_to_string() of
+  /// the result.
   Arch arch_from_string(const std::string& s) const override;
 };
 
-/// Lower to the same ModelIR the device models consume. Skip ops contribute
-/// no layers. `ModelIR::arch` is left default (this is not a MnasNet arch).
-ModelIR build_fbnet_ir(const FbnetArchitecture& arch, int resolution = 224);
+/// Lower an FBNet genotype to the same ModelIR the device models consume.
+/// Skip ops contribute no layers. Throws anb::Error unless `arch` is a
+/// member of FbnetSpace and `resolution` is in [32, 1024].
+ModelIR build_fbnet_ir(const Arch& arch, int resolution = 224);
 
 /// Register every in-tree space (currently FbnetSpace; MnasSpace is always
 /// resolvable) with the searchspace registry. Idempotent and thread-safe;

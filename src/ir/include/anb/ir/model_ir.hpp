@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "anb/searchspace/architecture.hpp"
+#include "anb/searchspace/space.hpp"
 
 namespace anb {
 
@@ -46,12 +46,10 @@ struct Layer {
   std::uint64_t weight_elems = 0;  ///< parameter reads
 };
 
-/// A fully expanded model: the architecture lowered onto the fixed MnasNet
-/// macro-skeleton (stem=32ch s2; stage widths 16/24/40/80/112/192/320 with
-/// strides 1/2/2/2/1/2/1; head 1280ch; 1000 classes) at a given input
-/// resolution.
+/// A fully expanded model: an architecture lowered onto its space's fixed
+/// macro-skeleton (build_ir: MnasNet, build_fbnet_ir: FBNet) at a given
+/// input resolution.
 struct ModelIR {
-  Architecture arch;
   int resolution = 224;
   std::vector<Layer> layers;
 
@@ -65,7 +63,9 @@ struct ModelIR {
   double mparams() const;
 };
 
-/// Fixed macro-skeleton constants (not searchable, as in the paper).
+/// Fixed MnasNet macro-skeleton constants (not searchable, as in the paper):
+/// stem 32ch s2; stage widths 16/24/40/80/112/192/320 with strides
+/// 1/2/2/2/1/2/1; head 1280ch; 1000 classes.
 struct MacroSkeleton {
   static constexpr int kStemChannels = 32;
   static constexpr int kHeadChannels = 1280;
@@ -77,8 +77,8 @@ struct MacroSkeleton {
   static int se_channels(int block_in_c);
 };
 
-/// Expand `arch` at `resolution` (must be in [32, 1024]).
-/// Throws anb::Error on invalid architectures.
-ModelIR build_ir(const Architecture& arch, int resolution = 224);
+/// Expand the MnasNet genotype `arch` at `resolution` (must be in
+/// [32, 1024]). Throws anb::Error unless `arch` is a member of MnasSpace.
+ModelIR build_ir(const Arch& arch, int resolution = 224);
 
 }  // namespace anb

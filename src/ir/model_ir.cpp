@@ -63,29 +63,29 @@ double ModelIR::mparams() const {
   return static_cast<double>(total_params()) / 1e6;
 }
 
-ModelIR build_ir(const Architecture& arch, int resolution) {
-  MnasSpace::from_blocks(arch);  // throws on out-of-space option values
+ModelIR build_ir(const Arch& arch, int resolution) {
+  MnasSpace::instance().validate(arch);
   ANB_CHECK(resolution >= 32 && resolution <= 1024,
             "build_ir: resolution must be in [32, 1024]");
 
   ModelIR ir;
-  ir.arch = arch;
   ir.resolution = resolution;
 
   IrBuilder b(resolution);
   b.conv("stem.conv", MacroSkeleton::kStemChannels, 3, 2);
 
   for (int s = 0; s < kNumBlocks; ++s) {
-    const auto& blk = arch.blocks[static_cast<std::size_t>(s)];
+    const int layers = MnasSpace::layers(arch, s);
     const int out_c =
         MacroSkeleton::stage_channels()[static_cast<std::size_t>(s)];
     const int stage_stride =
         MacroSkeleton::stage_strides()[static_cast<std::size_t>(s)];
-    for (int layer = 0; layer < blk.layers; ++layer) {
+    for (int layer = 0; layer < layers; ++layer) {
       const std::string prefix =
           "b" + std::to_string(s + 1) + ".l" + std::to_string(layer + 1);
       const int stride = layer == 0 ? stage_stride : 1;
-      b.mbconv(prefix, out_c, blk.expansion, blk.kernel, stride, blk.se);
+      b.mbconv(prefix, out_c, MnasSpace::expansion(arch, s),
+               MnasSpace::kernel(arch, s), stride, MnasSpace::se(arch, s));
     }
   }
 

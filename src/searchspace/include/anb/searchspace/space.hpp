@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "anb/searchspace/architecture.hpp"
 #include "anb/searchspace/genotype.hpp"
 #include "anb/util/rng.hpp"
 
@@ -92,6 +91,10 @@ class SearchSpace {
   Arch make_arch() const;
 };
 
+/// Number of sequentially connected searchable blocks/stages in the MnasNet
+/// search space (paper §3.1).
+inline constexpr int kNumBlocks = 7;
+
 /// The MnasNet hierarchical block-based search space (paper §3.1).
 ///
 /// Seven sequential blocks, each with four categorical decisions:
@@ -99,7 +102,10 @@ class SearchSpace {
 /// Cardinality (3·2·3·2)^7 = 36^7 ≈ 7.8×10^10 ≈ 10^11 unique models,
 /// matching the paper's figure. Decision order is block-major
 /// (block0: e,k,L,se, block1: e,k,L,se, ...), which keeps to_index
-/// bit-compatible with the pre-interface static encoding.
+/// bit-compatible with the pre-interface static encoding: d[4b + j] is
+/// block b's option index into expansion_options(), kernel_options(),
+/// layer_options() and {no, yes} for j = 0..3 (read through expansion(),
+/// kernel(), layers() and se()).
 class MnasSpace final : public SearchSpace {
  public:
   /// The process-wide instance (stateless; auto-registered on first
@@ -112,14 +118,15 @@ class MnasSpace final : public SearchSpace {
   static const std::vector<int>& layer_options();
   // SE options are {false, true}.
 
+  /// Option values of block `block` of a valid genotype (validate it
+  /// first): the one place that knows the decision layout.
+  static int expansion(const Arch& arch, int block);
+  static int kernel(const Arch& arch, int block);
+  static int layers(const Arch& arch, int block);
+  static bool se(const Arch& arch, int block);
+
   /// Number of flat categorical decisions (7 blocks × 4 = 28).
   static constexpr int kNumDecisions = kNumBlocks * 4;
-
-  /// Typed conversions between the opaque genotype and the block view the
-  /// IR/training layers consume. from_blocks throws on option values
-  /// outside the space; to_blocks throws on a non-MnasNet genotype.
-  static Arch from_blocks(const Architecture& arch);
-  static Architecture to_blocks(const Arch& arch);
 
   SpaceId id() const override { return SpaceId::kMnasNet; }
   int num_decisions() const override { return kNumDecisions; }
@@ -129,7 +136,12 @@ class MnasSpace final : public SearchSpace {
   int feature_dim() const override;  ///< 7 × (3+2+3+1) = 63 one-hot dims
   Arch sample(Rng& rng) const override;
   std::vector<double> features(const Arch& arch) const override;
+  /// Compact form with one "e<expansion>k<kernel>L<layers>s<0|1>" group
+  /// per block, dash-separated, e.g. "e6k5L3s1-...".
   std::string arch_to_string(const Arch& arch) const override;
+  /// Exact inverse: throws anb::Error on an option value outside the space
+  /// and unless `s` is exactly the arch_to_string() of the result (signs,
+  /// spaces, leading zeros, trailing text and a trailing '-' are rejected).
   Arch arch_from_string(const std::string& s) const override;
 };
 

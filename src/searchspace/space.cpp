@@ -1,7 +1,9 @@
 #include "anb/searchspace/space.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <sstream>
 
 #include "anb/util/error.hpp"
 #include "anb/util/mutex.hpp"
@@ -11,12 +13,19 @@ namespace anb {
 
 namespace {
 
-template <typename T>
-int option_index(const std::vector<T>& options, T value, const char* what) {
-  auto it = std::find(options.begin(), options.end(), value);
+/// Option index of `value` in `options`; throws anb::Error if absent.
+std::int8_t option_index(const std::vector<int>& options, int value,
+                         const char* what) {
+  const auto it = std::find(options.begin(), options.end(), value);
   ANB_CHECK(it != options.end(),
             std::string("MnasSpace: invalid ") + what + " value");
-  return static_cast<int>(it - options.begin());
+  return static_cast<std::int8_t>(it - options.begin());
+}
+
+/// Option index of decision j of MnasNet block `block`.
+std::size_t option(const Arch& arch, int block, int j) {
+  return static_cast<std::size_t>(
+      arch.d[static_cast<std::size_t>(4 * block + j)]);
 }
 
 /// Registry state: spaces have static storage duration, so bare pointers
@@ -216,6 +225,22 @@ const std::vector<int>& MnasSpace::layer_options() {
   return opts;
 }
 
+int MnasSpace::expansion(const Arch& arch, int block) {
+  return expansion_options()[option(arch, block, 0)];
+}
+
+int MnasSpace::kernel(const Arch& arch, int block) {
+  return kernel_options()[option(arch, block, 1)];
+}
+
+int MnasSpace::layers(const Arch& arch, int block) {
+  return layer_options()[option(arch, block, 2)];
+}
+
+bool MnasSpace::se(const Arch& arch, int block) {
+  return option(arch, block, 3) == 1;
+}
+
 const std::vector<int>& MnasSpace::decision_sizes() const {
   static const std::vector<int> sizes = [] {
     std::vector<int> out;
@@ -243,37 +268,6 @@ int MnasSpace::feature_dim() const {
   return kNumBlocks * (3 + 2 + 3 + 1);
 }
 
-Arch MnasSpace::from_blocks(const Architecture& blocks) {
-  Arch arch;
-  arch.space = SpaceId::kMnasNet;
-  arch.n = kNumDecisions;
-  std::size_t i = 0;
-  for (const auto& blk : blocks.blocks) {
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(expansion_options(), blk.expansion, "expansion"));
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(kernel_options(), blk.kernel, "kernel"));
-    arch.d[i++] = static_cast<std::int8_t>(
-        option_index(layer_options(), blk.layers, "layers"));
-    arch.d[i++] = blk.se ? 1 : 0;
-  }
-  return arch;
-}
-
-Architecture MnasSpace::to_blocks(const Arch& arch) {
-  instance().validate(arch);
-  Architecture out;
-  std::size_t i = 0;
-  for (auto& blk : out.blocks) {
-    blk.expansion =
-        expansion_options()[static_cast<std::size_t>(arch.d[i++])];
-    blk.kernel = kernel_options()[static_cast<std::size_t>(arch.d[i++])];
-    blk.layers = layer_options()[static_cast<std::size_t>(arch.d[i++])];
-    blk.se = arch.d[i++] == 1;
-  }
-  return out;
-}
-
 Arch MnasSpace::sample(Rng& rng) const {
   // Draw order matches the pre-interface static sampler exactly (an
   // option pick per decision, a Bernoulli for se) so pinned-seed
@@ -293,14 +287,18 @@ Arch MnasSpace::sample(Rng& rng) const {
 }
 
 std::vector<double> MnasSpace::features(const Arch& arch) const {
-  const Architecture blocks = to_blocks(arch);
+  validate(arch);
   std::vector<double> f;
   f.reserve(static_cast<std::size_t>(feature_dim()));
-  for (const auto& blk : blocks.blocks) {
-    for (int opt : expansion_options()) f.push_back(blk.expansion == opt);
-    for (int opt : kernel_options()) f.push_back(blk.kernel == opt);
-    for (int opt : layer_options()) f.push_back(blk.layers == opt);
-    f.push_back(blk.se ? 1.0 : 0.0);
+  const auto one_hot = [&f](std::size_t options, int index) {
+    for (std::size_t o = 0; o < options; ++o)
+      f.push_back(index == static_cast<int>(o) ? 1.0 : 0.0);
+  };
+  for (std::size_t i = 0; i < kNumDecisions; i += 4) {
+    one_hot(expansion_options().size(), arch.d[i]);
+    one_hot(kernel_options().size(), arch.d[i + 1]);
+    one_hot(layer_options().size(), arch.d[i + 2]);
+    f.push_back(arch.d[i + 3]);
   }
   ANB_ASSERT(f.size() == static_cast<std::size_t>(feature_dim()),
              "feature vector size mismatch");
@@ -308,11 +306,45 @@ std::vector<double> MnasSpace::features(const Arch& arch) const {
 }
 
 std::string MnasSpace::arch_to_string(const Arch& arch) const {
-  return to_blocks(arch).to_string();
+  validate(arch);
+  std::string out;
+  for (int b = 0; b < kNumBlocks; ++b) {
+    if (b) out += '-';
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "e%dk%dL%ds%d", expansion(arch, b),
+                  kernel(arch, b), layers(arch, b), se(arch, b) ? 1 : 0);
+    out += buf;
+  }
+  return out;
 }
 
 Arch MnasSpace::arch_from_string(const std::string& s) const {
-  return from_blocks(Architecture::from_string(s));
+  Arch arch = make_arch();
+  std::istringstream in(s);
+  std::string group;
+  std::size_t i = 0;
+  while (std::getline(in, group, '-')) {
+    ANB_CHECK(i < kNumDecisions,
+              "MnasSpace::arch_from_string: too many blocks");
+    int e = 0, k = 0, L = 0, se = 0;
+    const int matched =
+        std::sscanf(group.c_str(), "e%dk%dL%ds%d", &e, &k, &L, &se);
+    ANB_CHECK(matched == 4,
+              "MnasSpace::arch_from_string: malformed block '" + group + "'");
+    ANB_CHECK(se == 0 || se == 1,
+              "MnasSpace::arch_from_string: se must be 0 or 1");
+    arch.d[i++] = option_index(expansion_options(), e, "expansion");
+    arch.d[i++] = option_index(kernel_options(), k, "kernel");
+    arch.d[i++] = option_index(layer_options(), L, "layers");
+    arch.d[i++] = static_cast<std::int8_t>(se);
+  }
+  ANB_CHECK(i == kNumDecisions,
+            "MnasSpace::arch_from_string: expected " +
+                std::to_string(kNumBlocks) + " blocks, got " +
+                std::to_string(i / 4));
+  ANB_CHECK(arch_to_string(arch) == s,
+            "MnasSpace::arch_from_string: non-canonical string '" + s + "'");
+  return arch;
 }
 
 // --- Registry --------------------------------------------------------------

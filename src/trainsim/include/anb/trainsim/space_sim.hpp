@@ -81,6 +81,12 @@ class SpaceSim {
   /// consumed by the shared learning-curve model.
   ArchTraits traits(const Arch& arch) const;
 
+  /// Key of every noise stream of `arch`: an FNV-1a over its option
+  /// values, which callers outside the simulator (the zoo measurements of
+  /// true_evaluation) use to seed their own noise. Throws anb::Error unless
+  /// `arch` is a member of space().
+  virtual std::uint64_t noise_key(const Arch& arch) const = 0;
+
   /// Top-1 drop from 8-bit post-training quantization — the paper
   /// quantizes all models for DPU deployment (§3.3.2).
   virtual double int8_accuracy_drop(const Arch& arch) const = 0;
@@ -104,7 +110,6 @@ class SpaceSim {
 
   /// What a space derives from one validated genotype.
   struct Terms {
-    std::uint64_t noise_key = 0;  ///< keys every noise stream of the arch
     double quality = 0.0;  ///< structural latent quality (no motifs/noise)
     double macs_224 = 0.0;
     double depth_norm = 0.0;   ///< in [0, 1]
@@ -118,8 +123,8 @@ class SpaceSim {
   /// of space()) and computes its terms.
   virtual Terms terms(const Arch& arch) const = 0;
 
-  /// Unit-normal draw of one noise stream of the arch keyed `noise_key`.
-  double noise_unit(std::uint64_t noise_key, std::uint64_t stream) const;
+  /// Unit-normal draw of one noise stream of the arch keyed `key`.
+  double noise_unit(std::uint64_t key, std::uint64_t stream) const;
 
   /// log-MAC position of a model within the space, clamped to [0, 1].
   double size_factor(double macs_224) const;
@@ -151,6 +156,8 @@ class MnasSpaceSim final : public SpaceSim {
  public:
   explicit MnasSpaceSim(std::uint64_t world_seed = 42);
 
+  /// FNV-1a over (expansion, kernel, layers, se ? 2 : 1) per block.
+  std::uint64_t noise_key(const Arch& arch) const override;
   /// Small models and SE-heavy models (sigmoid gates with wide activation
   /// ranges) lose more; typical drops are a fraction of a percent.
   double int8_accuracy_drop(const Arch& arch) const override;

@@ -45,9 +45,8 @@ SpaceSim::SpaceSim(const SearchSpace& space, std::uint64_t world_seed,
   }
 }
 
-double SpaceSim::noise_unit(std::uint64_t noise_key,
-                            std::uint64_t stream) const {
-  Rng rng(hash_combine(hash_combine(world_seed_, noise_key), stream));
+double SpaceSim::noise_unit(std::uint64_t key, std::uint64_t stream) const {
+  Rng rng(hash_combine(hash_combine(world_seed_, key), stream));
   return rng.normal();
 }
 
@@ -73,7 +72,7 @@ double SpaceSim::latent_quality(const Arch& arch, const Terms& terms) const {
 
   // Idiosyncratic component: the part of model quality no simple analytic
   // form captures; this is what bounds surrogate fidelity below 1.0.
-  q += kLatentWiggleSigma * noise_unit(terms.noise_key, kWiggleStream);
+  q += kLatentWiggleSigma * noise_unit(noise_key(arch), kWiggleStream);
   return q;
 }
 
@@ -87,8 +86,9 @@ ArchTraits SpaceSim::traits(const Arch& arch, const Terms& terms) const {
   traits.size_factor = size_factor(terms.macs_224);
   traits.depth_norm = terms.depth_norm;
   traits.expand_norm = terms.expand_norm;
-  traits.res_wiggle = noise_unit(terms.noise_key, kResWiggleStream);
-  traits.epoch_wiggle = noise_unit(terms.noise_key, kEpochWiggleStream);
+  const std::uint64_t key = noise_key(arch);
+  traits.res_wiggle = noise_unit(key, kResWiggleStream);
+  traits.epoch_wiggle = noise_unit(key, kEpochWiggleStream);
   return traits;
 }
 
@@ -116,14 +116,12 @@ double SpaceSim::training_cost_hours(const Arch& arch,
 
 TrainResult SpaceSim::train(const Arch& arch, const TrainingScheme& scheme,
                             std::uint64_t run_seed) const {
-  const Terms arch_terms = terms(arch);
-  const ArchTraits arch_traits = traits(arch, arch_terms);
+  const ArchTraits arch_traits = traits(arch);
   TrainResult result;
   const double mean_acc = scheme_expected_accuracy(arch_traits, scheme);
   const double sigma = scheme_seed_noise_sigma(scheme);
   Rng rng(hash_combine(
-      hash_combine(hash_combine(world_seed_, arch_terms.noise_key),
-                   scheme.hash()),
+      hash_combine(hash_combine(world_seed_, noise_key(arch)), scheme.hash()),
       run_seed));
   result.top1 = std::clamp(mean_acc + sigma * rng.normal(), 0.001, 0.999);
   result.gpu_hours = scheme_training_cost_hours(arch_traits, scheme);
@@ -176,43 +174,57 @@ MnasSpaceSim::MnasSpaceSim(std::uint64_t world_seed)
                 .log_macs_min = 17.76,    // ~5.2e7 (all-minimal architecture)
                 .log_macs_max = 20.59}) {}  // ~8.8e8 (all-maximal architecture)
 
+std::uint64_t MnasSpaceSim::noise_key(const Arch& arch) const {
+  space().validate(arch);
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
+  const auto mix = [&h](int value) {
+    h ^= static_cast<std::uint64_t>(value);
+    h *= 0x100000001B3ULL;  // FNV-1a 64 prime
+  };
+  for (int b = 0; b < kNumBlocks; ++b) {
+    mix(MnasSpace::expansion(arch, b));
+    mix(MnasSpace::kernel(arch, b));
+    mix(MnasSpace::layers(arch, b));
+    mix(MnasSpace::se(arch, b) ? 2 : 1);
+  }
+  return h;
+}
+
 SpaceSim::Terms MnasSpaceSim::terms(const Arch& arch) const {
-  const Architecture blocks = MnasSpace::to_blocks(arch);  // validates
+  space().validate(arch);
   Terms terms;
-  terms.noise_key = blocks.hash();
   double q = 0.0;
+  int total_depth = 0;
+  double mean_expansion = 0.0;
+  int mid_k5 = 0;
   for (int s = 0; s < kNumBlocks; ++s) {
-    const auto& blk = blocks.blocks[static_cast<std::size_t>(s)];
-    const double fe = expansion_gain(blk.expansion);
-    const double fl = depth_gain(blk.layers);
+    const int expansion = MnasSpace::expansion(arch, s);
+    const bool k5 = MnasSpace::kernel(arch, s) == 5;
+    const int layers = MnasSpace::layers(arch, s);
+    const double fe = expansion_gain(expansion);
+    const double fl = depth_gain(layers);
     double contrib = fe + fl;
     // Depth and width reinforce each other; depth with e=1 is mostly wasted.
     contrib += 0.12 * (fl / 0.45) * (fe / 0.75);
-    if (blk.kernel == 5) contrib += kKernel5Gain[static_cast<std::size_t>(s)];
-    if (blk.se) {
+    if (k5) contrib += kKernel5Gain[static_cast<std::size_t>(s)];
+    if (MnasSpace::se(arch, s)) {
       // SE helps more on wide blocks (it gates more channels usefully).
       contrib += 0.14 * kSeStageWeight[static_cast<std::size_t>(s)] *
                  (0.7 + 0.3 * fe / 0.75);
     }
     q += kStageWeight[static_cast<std::size_t>(s)] * contrib;
+    total_depth += layers;
+    mean_expansion += expansion;
+    if (k5 && s >= 2 && s <= 5) ++mid_k5;
   }
 
   // Global shape terms: very shallow networks underfit ImageNet...
-  int total_depth = 0;
-  double mean_expansion = 0.0;
-  for (const auto& blk : blocks.blocks) {
-    total_depth += blk.layers;
-    mean_expansion += blk.expansion;
-  }
   if (total_depth < 9) q -= 0.05 * (9 - total_depth);
   // ...and some mid-network 5x5 coverage is needed for receptive field.
-  int mid_k5 = 0;
-  for (int s = 2; s <= 5; ++s)
-    if (blocks.blocks[static_cast<std::size_t>(s)].kernel == 5) ++mid_k5;
   if (mid_k5 >= 2) q += 0.08;
   terms.quality = q;
 
-  terms.macs_224 = static_cast<double>(build_ir(blocks, 224).total_macs());
+  terms.macs_224 = static_cast<double>(build_ir(arch, 224).total_macs());
   mean_expansion /= kNumBlocks;
   terms.depth_norm =
       (total_depth - kNumBlocks) / static_cast<double>(2 * kNumBlocks);
@@ -221,20 +233,21 @@ SpaceSim::Terms MnasSpaceSim::terms(const Arch& arch) const {
 }
 
 double MnasSpaceSim::int8_accuracy_drop(const Arch& arch) const {
-  const Architecture blocks = MnasSpace::to_blocks(arch);  // validates
   const double size =
-      size_factor(static_cast<double>(build_ir(blocks, 224).total_macs()));
+      size_factor(static_cast<double>(build_ir(arch, 224).total_macs()));
   double se_fraction = 0.0;
-  for (const auto& blk : blocks.blocks) se_fraction += blk.se ? 1.0 : 0.0;
+  for (int b = 0; b < kNumBlocks; ++b)
+    se_fraction += MnasSpace::se(arch, b) ? 1.0 : 0.0;
   se_fraction /= kNumBlocks;
   // Base ~0.2%, up to ~0.9% for small SE-heavy models; small seeded wiggle.
-  const double drop = 0.002 + 0.003 * se_fraction + 0.003 * (1.0 - size) +
-                      0.0005 * std::abs(noise_unit(blocks.hash(), kInt8Stream));
+  const double drop =
+      0.002 + 0.003 * se_fraction + 0.003 * (1.0 - size) +
+      0.0005 * std::abs(noise_unit(noise_key(arch), kInt8Stream));
   return std::clamp(drop, 0.0, 0.02);
 }
 
 ModelIR MnasSpaceSim::lower(const Arch& arch, int resolution) const {
-  return build_ir(MnasSpace::to_blocks(arch), resolution);
+  return build_ir(arch, resolution);
 }
 
 }  // namespace anb

@@ -81,6 +81,16 @@ TEST(PipelineTest, TunedPipelineRunsEndToEnd) {
   EXPECT_GT(result.test_metrics.at("ANB-Acc").kendall_tau, 0.5);
 }
 
+TEST(PipelineTest, SmallTunedBuildFinishes) {
+  // `anbench build --tune --archs 20`: on 2-row splits some SMAC trials
+  // predict one constant, so the objective must not compute Kendall tau.
+  PipelineOptions options;
+  options.n_archs = 20;
+  options.tune = true;
+  const PipelineResult result = construct_benchmark(options);
+  EXPECT_TRUE(result.bench.has_accuracy());
+}
+
 TEST(PipelineTest, SavedBenchmarkLoadsElsewhere) {
   PipelineOptions options;
   options.n_archs = 200;

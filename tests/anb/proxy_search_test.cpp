@@ -39,8 +39,7 @@ TEST_F(ProxySearchTest, StratifiedModelsSpreadOverComplexity) {
   std::vector<double> macs;
   for (const auto& m : models) {
     unique.insert(MnasSpace::instance().to_index(m));
-    macs.push_back(static_cast<double>(
-        build_ir(MnasSpace::to_blocks(m), 224).total_macs()));
+    macs.push_back(static_cast<double>(build_ir(m, 224).total_macs()));
   }
   EXPECT_EQ(unique.size(), models.size());
   // Coverage: largest at least 3x the smallest.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "anb/util/error.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/stats.hpp"
 
@@ -21,21 +25,19 @@ TrainingScheme quick_scheme(int epochs) {
 
 /// Every layer e6k5.
 Arch biggest_arch() {
-  FbnetArchitecture ops;
-  for (auto& o : ops.ops) o = FbnetOp::kE6K5;
-  return FbnetSpace::from_ops(ops);
+  std::string s = "e6k5";
+  for (int i = 1; i < kFbnetNumLayers; ++i) s += "-e6k5";
+  return FbnetSpace::instance().arch_from_string(s);
 }
 
 /// Skip wherever legal, e1k3 elsewhere.
 Arch smallest_arch() {
-  FbnetArchitecture ops;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    ops.ops[static_cast<std::size_t>(i)] =
-        FbnetSpace::slots()[static_cast<std::size_t>(i)].skip_allowed
-            ? FbnetOp::kSkip
-            : FbnetOp::kE1K3;
+  std::string s;
+  for (const auto& slot : FbnetSpace::slots()) {
+    if (!s.empty()) s += '-';
+    s += slot.skip_allowed ? "skip" : "e1k3";
   }
-  return FbnetSpace::from_ops(ops);
+  return FbnetSpace::instance().arch_from_string(s);
 }
 
 class FbnetSimTest : public ::testing::Test {
@@ -104,6 +106,26 @@ TEST_F(FbnetSimTest, TraitsWellFormed) {
     EXPECT_LE(traits.expand_norm, 1.0);
     EXPECT_GT(traits.macs_224, 1e7);
   }
+}
+
+TEST_F(FbnetSimTest, NoiseKeyIsTheOpIndexHash) {
+  // FNV-1a over (op index + 1) per layer; these recorded keys seed every
+  // noise stream.
+  EXPECT_EQ(sim_.noise_key(biggest_arch()), 0xc6197d6bc33da81dULL);
+  std::string e1k3 = "e1k3";
+  for (int i = 1; i < kFbnetNumLayers; ++i) e1k3 += "-e1k3";
+  EXPECT_EQ(sim_.noise_key(FbnetSpace::instance().arch_from_string(e1k3)),
+            0x67ca3783ba361cdbULL);
+  // Distinct genotypes essentially never collide.
+  std::set<std::uint64_t> keys;
+  std::set<std::uint64_t> indices;
+  for (int i = 0; i < 2000; ++i) {
+    const Arch arch = FbnetSpace::instance().sample(rng_);
+    if (indices.insert(FbnetSpace::instance().to_index(arch)).second)
+      keys.insert(sim_.noise_key(arch));
+  }
+  EXPECT_EQ(keys.size(), indices.size());
+  EXPECT_THROW(sim_.noise_key(MnasSpace::instance().from_index(0)), Error);
 }
 
 TEST_F(FbnetSimTest, WorldSeedMatters) {

@@ -3,19 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "anb/util/error.hpp"
 
 namespace anb {
 namespace {
 
-FbnetArchitecture all_op(FbnetOp op) {
-  FbnetArchitecture arch;
-  for (auto& o : arch.ops) o = op;
-  return arch;
+const SearchSpace& sp() { return FbnetSpace::instance(); }
+
+/// Canonical string with `op` on every layer.
+std::string all_op_string(FbnetOp op) {
+  std::string s = fbnet_op_name(op);
+  for (int i = 1; i < kFbnetNumLayers; ++i)
+    s += std::string("-") + fbnet_op_name(op);
+  return s;
 }
 
-const SearchSpace& sp() { return FbnetSpace::instance(); }
+Arch all_op(FbnetOp op) { return sp().arch_from_string(all_op_string(op)); }
 
 TEST(FbnetSpaceTest, SlotTableStructure) {
   const auto& slots = FbnetSpace::slots();
@@ -40,25 +45,25 @@ TEST(FbnetSpaceTest, CardinalityAboutTenToTheSeventeen) {
 }
 
 TEST(FbnetSpaceTest, ValidationEnforcesSkipLegality) {
-  EXPECT_NO_THROW(FbnetSpace::validate(all_op(FbnetOp::kE6K5)));
-  const FbnetArchitecture all_skip = all_op(FbnetOp::kSkip);
+  EXPECT_NO_THROW(sp().validate(all_op(FbnetOp::kE6K5)));
   // Strided layers can't skip.
-  EXPECT_THROW(FbnetSpace::validate(all_skip), Error);
+  EXPECT_THROW(all_op(FbnetOp::kSkip), Error);
 
-  FbnetArchitecture legal_skip = all_op(FbnetOp::kE3K3);
-  legal_skip.ops[2] = FbnetOp::kSkip;  // a trailing stage-2 layer
-  EXPECT_NO_THROW(FbnetSpace::validate(legal_skip));
-  legal_skip.ops[1] = FbnetOp::kSkip;  // first (strided) layer of stage 2
-  EXPECT_THROW(FbnetSpace::validate(legal_skip), Error);
+  Arch legal_skip = all_op(FbnetOp::kE3K3);
+  const auto skip = static_cast<std::int8_t>(FbnetOp::kSkip);
+  legal_skip.d[2] = skip;  // a trailing stage-2 layer
+  EXPECT_NO_THROW(sp().validate(legal_skip));
+  legal_skip.d[1] = skip;  // first (strided) layer of stage 2
+  EXPECT_THROW(sp().validate(legal_skip), Error);
 }
 
 TEST(FbnetSpaceTest, SampleValidAndVaried) {
   Rng rng(1);
   std::set<std::uint64_t> unique;
   for (int i = 0; i < 300; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    FbnetSpace::validate(arch);
-    unique.insert(arch.hash());
+    const Arch arch = sp().sample(rng);
+    sp().validate(arch);
+    unique.insert(sp().to_index(arch));
   }
   EXPECT_GT(unique.size(), 295u);
 }
@@ -80,20 +85,26 @@ TEST(FbnetSpaceTest, MutateChangesOneLayer) {
 TEST(FbnetSpaceTest, StringRoundTrip) {
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(FbnetSpace::instance().sample(rng));
-    EXPECT_EQ(FbnetArchitecture::from_string(arch.to_string()), arch);
+    const Arch arch = sp().sample(rng);
+    EXPECT_EQ(sp().arch_from_string(sp().arch_to_string(arch)), arch);
   }
-  EXPECT_THROW(FbnetArchitecture::from_string("e1k3"), Error);
-  EXPECT_THROW(FbnetArchitecture::from_string("bogus-" +
-                                              all_op(FbnetOp::kE1K3)
-                                                  .to_string()
-                                                  .substr(5)),
+  EXPECT_EQ(sp().arch_to_string(all_op(FbnetOp::kE6K5)),
+            all_op_string(FbnetOp::kE6K5));
+  EXPECT_THROW(sp().arch_from_string("e1k3"), Error);
+  EXPECT_THROW(sp().arch_from_string(
+                   "bogus-" + all_op_string(FbnetOp::kE1K3).substr(5)),
                Error);
+  // 23 layers.
+  EXPECT_THROW(
+      sp().arch_from_string(all_op_string(FbnetOp::kE1K3) + "-e1k3"), Error);
   // A trailing '-' is not the canonical spelling of a valid string.
-  const std::string valid = all_op(FbnetOp::kE3K3).to_string();
-  ASSERT_NO_THROW(FbnetArchitecture::from_string(valid));
-  EXPECT_THROW(FbnetArchitecture::from_string(valid + "-"), Error);
+  const std::string valid = all_op_string(FbnetOp::kE3K3);
+  ASSERT_NO_THROW(sp().arch_from_string(valid));
   EXPECT_THROW(sp().arch_from_string(valid + "-"), Error);
+  // A genotype outside the space has no string form.
+  Arch bad = all_op(FbnetOp::kE3K3);
+  bad.d[1] = static_cast<std::int8_t>(FbnetOp::kSkip);  // strided layer
+  EXPECT_THROW(sp().arch_to_string(bad), Error);
 }
 
 TEST(FbnetSpaceTest, FeaturesOneHot) {
@@ -169,10 +180,10 @@ TEST(FbnetSpaceContract, SkipLegalityHoldsThroughTheInterface) {
   // genotype decodes to a skip on a strided layer.
   Rng rng(32);
   for (int i = 0; i < 100; ++i) {
-    const FbnetArchitecture arch = FbnetSpace::to_ops(sp().sample(rng));
+    const Arch arch = sp().sample(rng);
     const auto& slots = FbnetSpace::slots();
     for (int l = 0; l < kFbnetNumLayers; ++l) {
-      if (arch.ops[static_cast<std::size_t>(l)] == FbnetOp::kSkip) {
+      if (FbnetSpace::op_at(arch, l) == FbnetOp::kSkip) {
         EXPECT_TRUE(slots[static_cast<std::size_t>(l)].skip_allowed) << l;
       }
     }
@@ -215,14 +226,12 @@ TEST(FbnetIrTest, LoweringShapesAndComplexity) {
         << big.layers[l].name;
   }
   // FBNet-max ~ 800M MACs; minimal (max skips, e1k3 elsewhere) far smaller.
-  FbnetArchitecture minimal;
-  for (int i = 0; i < kFbnetNumLayers; ++i) {
-    minimal.ops[static_cast<std::size_t>(i)] =
-        FbnetSpace::slots()[static_cast<std::size_t>(i)].skip_allowed
-            ? FbnetOp::kSkip
-            : FbnetOp::kE1K3;
+  std::string minimal;
+  for (const auto& slot : FbnetSpace::slots()) {
+    if (!minimal.empty()) minimal += '-';
+    minimal += slot.skip_allowed ? "skip" : "e1k3";
   }
-  const ModelIR small = build_fbnet_ir(minimal, 224);
+  const ModelIR small = build_fbnet_ir(sp().arch_from_string(minimal), 224);
   EXPECT_GT(big.total_macs(), 3 * small.total_macs());
   // Log-MAC bounds used by the simulator's size normalization.
   EXPECT_GT(std::log(static_cast<double>(small.total_macs())), 17.4);
@@ -230,9 +239,9 @@ TEST(FbnetIrTest, LoweringShapesAndComplexity) {
 }
 
 TEST(FbnetIrTest, SkipContributesNothing) {
-  FbnetArchitecture base = all_op(FbnetOp::kE3K3);
-  FbnetArchitecture skipped = base;
-  skipped.ops[3] = FbnetOp::kSkip;
+  const Arch base = all_op(FbnetOp::kE3K3);
+  Arch skipped = base;
+  skipped.d[3] = static_cast<std::int8_t>(FbnetOp::kSkip);
   const ModelIR a = build_fbnet_ir(base, 224);
   const ModelIR b = build_fbnet_ir(skipped, 224);
   EXPECT_LT(b.total_macs(), a.total_macs());
@@ -240,7 +249,15 @@ TEST(FbnetIrTest, SkipContributesNothing) {
 }
 
 TEST(FbnetIrTest, InvalidInputsThrow) {
-  EXPECT_THROW(build_fbnet_ir(all_op(FbnetOp::kSkip), 224), Error);
+  // Skip on every layer, the strided ones included.
+  Arch all_skip = all_op(FbnetOp::kE3K3);
+  for (int i = 0; i < kFbnetNumLayers; ++i)
+    all_skip.d[static_cast<std::size_t>(i)] =
+        static_cast<std::int8_t>(FbnetOp::kSkip);
+  EXPECT_THROW(build_fbnet_ir(all_skip, 224), Error);
+  // A MnasNet genotype is not an FBNet one.
+  EXPECT_THROW(build_fbnet_ir(MnasSpace::instance().from_index(0), 224),
+               Error);
   EXPECT_THROW(build_fbnet_ir(all_op(FbnetOp::kE3K3), 8), Error);
 }
 

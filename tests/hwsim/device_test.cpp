@@ -7,15 +7,10 @@
 #include "anb/util/error.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/rng.hpp"
+#include "uniform_arch.hpp"
 
 namespace anb {
 namespace {
-
-Architecture uniform_arch(int e, int k, int L, bool se) {
-  Architecture a;
-  for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-  return a;
-}
 
 TEST(DeviceTest, CatalogHasSixPlatforms) {
   const auto devices = device_catalog();
@@ -132,7 +127,7 @@ TEST(DeviceTest, DeviceRankingsDiverge) {
   const Device zcu = make_device(DeviceKind::kZcu102);
   const Device tpu = make_device(DeviceKind::kTpuV3);
   for (int i = 0; i < 150; ++i) {
-    const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+    const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
     zcu_thr.push_back(zcu.throughput_fps(ir));
     tpu_thr.push_back(tpu.throughput_fps(ir));
     inv_flops.push_back(1.0 / ir.gflops());
@@ -197,7 +192,7 @@ class DeviceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeviceProperty, AllMeasurementsPositiveFinite) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 1200);
-  const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+  const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
   for (const auto& device : device_catalog()) {
     const double thr = device.measure_throughput(ir, 99);
     EXPECT_TRUE(std::isfinite(thr));

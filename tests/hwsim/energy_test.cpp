@@ -4,15 +4,10 @@
 #include "anb/searchspace/space.hpp"
 #include "anb/searchspace/zoo.hpp"
 #include "anb/util/rng.hpp"
+#include "uniform_arch.hpp"
 
 namespace anb {
 namespace {
-
-Architecture uniform_arch(int e, int k, int L, bool se) {
-  Architecture a;
-  for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-  return a;
-}
 
 TEST(EnergyTest, PositiveFiniteOnAllDevices) {
   const ModelIR b0 = build_ir(effnet_b0_like().arch, 224);
@@ -72,7 +67,7 @@ TEST(EnergyTest, StaticPlusSwitchingStructure) {
   const Device dev = make_device(DeviceKind::kA100);
   double min_share = 1.0, max_share = 0.0;
   for (int i = 0; i < 40; ++i) {
-    const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+    const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
     const int batch = dev.spec().measure_batch;
     const double static_mj = dev.spec().idle_power_w *
                              dev.batch_time_s(ir, batch) /

@@ -6,15 +6,10 @@
 #include "anb/searchspace/zoo.hpp"
 #include "anb/util/error.hpp"
 #include "anb/util/rng.hpp"
+#include "uniform_arch.hpp"
 
 namespace anb {
 namespace {
-
-Architecture uniform_arch(int e, int k, int L, bool se) {
-  Architecture a;
-  for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-  return a;
-}
 
 TEST(ModelIrTest, EffnetB0LikeMatchesKnownComplexity) {
   // Real EfficientNet-B0: ~0.39B MACs, ~5.3M params at 224x224. Our B0-like
@@ -48,7 +43,7 @@ TEST(ModelIrTest, StemAndHeadStructure) {
 TEST(ModelIrTest, ShapesChainCorrectly) {
   Rng rng(1);
   for (int i = 0; i < 30; ++i) {
-    const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+    const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
     for (std::size_t l = 1; l < ir.layers.size(); ++l) {
       const Layer& prev = ir.layers[l - 1];
       const Layer& cur = ir.layers[l];
@@ -62,7 +57,7 @@ TEST(ModelIrTest, ShapesChainCorrectly) {
 
 TEST(ModelIrTest, SpatialDownsamplingBy32) {
   Rng rng(2);
-  const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+  const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
   // Stem s2 + four s2 stages -> 224 / 32 = 7 before head pooling.
   const Layer& pool = ir.layers[ir.layers.size() - 2];
   EXPECT_EQ(pool.in_h, 7);
@@ -129,7 +124,7 @@ TEST(ModelIrTest, MacsScaleWithOptions) {
 
 TEST(ModelIrTest, MacsScaleQuadraticallyWithResolution) {
   Rng rng(3);
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+  const Arch a = MnasSpace::instance().sample(rng);
   const auto m224 = static_cast<double>(build_ir(a, 224).total_macs());
   const auto m112 = static_cast<double>(build_ir(a, 112).total_macs());
   // FC/SE layers are resolution-independent, so the ratio is slightly
@@ -140,7 +135,7 @@ TEST(ModelIrTest, MacsScaleQuadraticallyWithResolution) {
 
 TEST(ModelIrTest, ParamsIndependentOfResolution) {
   Rng rng(4);
-  const Architecture a = MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+  const Arch a = MnasSpace::instance().sample(rng);
   EXPECT_EQ(build_ir(a, 224).total_params(), build_ir(a, 160).total_params());
 }
 
@@ -154,11 +149,15 @@ TEST(ModelIrTest, DepthwiseKernelRecorded) {
 }
 
 TEST(ModelIrTest, RejectsBadInputs) {
-  Architecture bad;
-  bad.blocks[0].expansion = 2;
+  Arch bad = uniform_arch(1, 3, 1, false);
+  bad.d[0] = 3;  // expansion index out of range
   EXPECT_THROW(build_ir(bad, 224), Error);
+  Arch foreign = bad;
+  foreign.d[0] = 0;
+  foreign.space = SpaceId::kFbnet;  // right bytes, wrong tag
+  EXPECT_THROW(build_ir(foreign, 224), Error);
   Rng rng(5);
-  const Architecture ok = MnasSpace::to_blocks(MnasSpace::instance().sample(rng));
+  const Arch ok = MnasSpace::instance().sample(rng);
   EXPECT_THROW(build_ir(ok, 16), Error);
   EXPECT_THROW(build_ir(ok, 2048), Error);
 }
@@ -174,7 +173,7 @@ TEST(ModelIrTest, OpKindNamesComplete) {
 
 TEST(ModelIrTest, GflopsCountsTwoPerMac) {
   Rng rng(6);
-  const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+  const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
   EXPECT_NEAR(ir.gflops(),
               2.0 * static_cast<double>(ir.total_macs()) / 1e9, 1e-9);
 }
@@ -184,7 +183,7 @@ class IrLayerProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IrLayerProperty, LayerAccountingConsistent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 900);
-  const ModelIR ir = build_ir(MnasSpace::to_blocks(MnasSpace::instance().sample(rng)), 224);
+  const ModelIR ir = build_ir(MnasSpace::instance().sample(rng), 224);
   for (const auto& layer : ir.layers) {
     EXPECT_GT(layer.output_elems, 0u) << layer.name;
     EXPECT_GT(layer.input_elems, 0u) << layer.name;

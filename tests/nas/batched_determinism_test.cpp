@@ -28,12 +28,12 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic synthetic objective (no surrogate, no RNG).
 double synthetic_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
-    score += blk.expansion == 6 ? 1.0 : 0.0;
-    score += blk.se ? 0.5 : 0.0;
-    score += 0.2 * blk.layers + (blk.kernel == 5 ? 0.1 : 0.0);
+  for (int b = 0; b < kNumBlocks; ++b) {
+    score += MnasSpace::expansion(genotype, b) == 6 ? 1.0 : 0.0;
+    score += MnasSpace::se(genotype, b) ? 0.5 : 0.0;
+    score += 0.2 * MnasSpace::layers(genotype, b) +
+             (MnasSpace::kernel(genotype, b) == 5 ? 0.1 : 0.0);
   }
   return score;
 }

@@ -32,12 +32,12 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic objective over exact binary fractions (see header note).
 double golden_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
-    score += blk.expansion == 6 ? 1.0 : 0.0;
-    score += blk.se ? 0.5 : 0.0;
-    score += 0.25 * blk.layers + (blk.kernel == 5 ? 0.125 : 0.0);
+  for (int b = 0; b < kNumBlocks; ++b) {
+    score += MnasSpace::expansion(genotype, b) == 6 ? 1.0 : 0.0;
+    score += MnasSpace::se(genotype, b) ? 0.5 : 0.0;
+    score += 0.25 * MnasSpace::layers(genotype, b) +
+             (MnasSpace::kernel(genotype, b) == 5 ? 0.125 : 0.0);
   }
   return score;
 }
@@ -55,11 +55,11 @@ std::vector<double> golden_batch(std::span<const Arch> archs) {
 /// Second objective for the bi-objective run: prefers shallow, narrow
 /// models (a stand-in for -latency), also an exact binary fraction.
 double golden_objective2(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
-    score -= 0.5 * blk.layers + (blk.expansion == 6 ? 1.0 : 0.0) +
-             (blk.se ? 0.25 : 0.0);
+  for (int b = 0; b < kNumBlocks; ++b) {
+    score -= 0.5 * MnasSpace::layers(genotype, b) +
+             (MnasSpace::expansion(genotype, b) == 6 ? 1.0 : 0.0) +
+             (MnasSpace::se(genotype, b) ? 0.25 : 0.0);
   }
   return score;
 }

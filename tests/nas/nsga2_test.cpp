@@ -13,13 +13,14 @@ namespace {
 /// Synthetic conflicting objectives: "accuracy" rewards capacity,
 /// "speed" rewards its absence — a clean trade-off with a wide front.
 std::pair<double, double> conflicting_objectives(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double capacity = 0.0;
-  for (const auto& blk : arch.blocks) {
-    capacity += blk.expansion + 2.0 * blk.layers + (blk.se ? 1.5 : 0.0) +
-                (blk.kernel == 5 ? 0.7 : 0.0);
+  for (int b = 0; b < kNumBlocks; ++b) {
+    capacity += MnasSpace::expansion(genotype, b) +
+                2.0 * MnasSpace::layers(genotype, b) +
+                (MnasSpace::se(genotype, b) ? 1.5 : 0.0) +
+                (MnasSpace::kernel(genotype, b) == 5 ? 0.7 : 0.0);
   }
-  return {capacity, 120.0 - capacity + 0.3 * arch.blocks[0].layers};
+  return {capacity, 120.0 - capacity + 0.3 * MnasSpace::layers(genotype, 0)};
 }
 
 TEST(Nsga2Test, RanksMatchDominationDefinition) {

@@ -14,13 +14,13 @@ const SearchSpace& sp() { return MnasSpace::instance(); }
 
 /// Deterministic synthetic objective: rewards expansion-6 + SE + depth.
 double synthetic_objective(const Arch& genotype) {
-  const Architecture arch = MnasSpace::to_blocks(genotype);
   double score = 0.0;
-  for (const auto& blk : arch.blocks) {
-    score += blk.expansion == 6 ? 1.0 : (blk.expansion == 4 ? 0.5 : 0.0);
-    score += blk.se ? 0.5 : 0.0;
-    score += 0.2 * blk.layers;
-    score += blk.kernel == 5 ? 0.1 : 0.0;
+  for (int b = 0; b < kNumBlocks; ++b) {
+    const int expansion = MnasSpace::expansion(genotype, b);
+    score += expansion == 6 ? 1.0 : (expansion == 4 ? 0.5 : 0.0);
+    score += MnasSpace::se(genotype, b) ? 0.5 : 0.0;
+    score += 0.2 * MnasSpace::layers(genotype, b);
+    score += MnasSpace::kernel(genotype, b) == 5 ? 0.1 : 0.0;
   }
   return score;
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "anb/trainsim/space_sim.hpp"
 #include "anb/util/error.hpp"
 
 namespace anb {
@@ -13,11 +14,14 @@ namespace {
 /// cost proportional to epochs.
 BudgetedOracle synthetic_oracle() {
   return [](const Arch& genotype, int epochs) {
-    const Architecture arch = MnasSpace::to_blocks(genotype);
     double quality = 0.0;
-    for (const auto& blk : arch.blocks)
-      quality += blk.expansion * 0.1 + blk.layers * 0.05 + (blk.se ? 0.1 : 0);
-    Rng noise(hash_combine(arch.hash(), static_cast<std::uint64_t>(epochs)));
+    for (int b = 0; b < kNumBlocks; ++b)
+      quality += MnasSpace::expansion(genotype, b) * 0.1 +
+                 MnasSpace::layers(genotype, b) * 0.05 +
+                 (MnasSpace::se(genotype, b) ? 0.1 : 0);
+    static const MnasSpaceSim sim;
+    Rng noise(hash_combine(sim.noise_key(genotype),
+                           static_cast<std::uint64_t>(epochs)));
     BudgetedEval eval;
     eval.accuracy = quality + noise.normal() * (0.5 / std::sqrt(epochs));
     eval.cost_hours = epochs * 0.01;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "anb/util/error.hpp"
+#include "uniform_arch.hpp"
 
 namespace anb {
 namespace {
@@ -39,23 +42,18 @@ TEST(SearchSpaceTest, ValidationAcceptsAllOptionCombos) {
   for (int e : MnasSpace::expansion_options())
     for (int k : MnasSpace::kernel_options())
       for (int L : MnasSpace::layer_options())
-        for (bool se : {false, true}) {
-          Architecture a;
-          for (auto& b : a.blocks) b = BlockConfig{e, k, L, se};
-          EXPECT_TRUE(sp().is_valid(MnasSpace::from_blocks(a)));
-        }
+        for (bool se : {false, true})
+          EXPECT_TRUE(sp().is_valid(uniform_arch(e, k, L, se)));
 }
 
 TEST(SearchSpaceTest, ValidationRejectsBadOptions) {
-  Architecture a;  // default valid
-  a.blocks[0].expansion = 3;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
-  a.blocks[0].expansion = 1;
-  a.blocks[2].kernel = 7;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
-  a.blocks[2].kernel = 3;
-  a.blocks[6].layers = 4;
-  EXPECT_THROW(MnasSpace::from_blocks(a), Error);
+  // Option values outside the space do not parse.
+  const std::string tail =
+      "-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0";
+  ASSERT_NO_THROW(sp().arch_from_string("e1k3L1s0" + tail));
+  EXPECT_THROW(sp().arch_from_string("e3k3L1s0" + tail), Error);
+  EXPECT_THROW(sp().arch_from_string("e1k7L1s0" + tail), Error);
+  EXPECT_THROW(sp().arch_from_string("e1k3L4s0" + tail), Error);
 }
 
 TEST(SearchSpaceTest, ValidationRejectsForeignGenotypes) {
@@ -88,11 +86,11 @@ TEST(SearchSpaceTest, SampleMarginalsRoughlyUniform) {
   int e_counts[3] = {0, 0, 0};
   const int n = 30000;
   for (int i = 0; i < n; ++i) {
-    const Architecture a = MnasSpace::to_blocks(sp().sample(rng));
-    for (const auto& b : a.blocks) {
-      if (b.expansion == 1) ++e_counts[0];
-      if (b.expansion == 4) ++e_counts[1];
-      if (b.expansion == 6) ++e_counts[2];
+    const Arch a = sp().sample(rng);
+    for (int b = 0; b < kNumBlocks; ++b) {
+      if (MnasSpace::expansion(a, b) == 1) ++e_counts[0];
+      if (MnasSpace::expansion(a, b) == 4) ++e_counts[1];
+      if (MnasSpace::expansion(a, b) == 6) ++e_counts[2];
     }
   }
   const double total = n * kNumBlocks;
@@ -163,12 +161,52 @@ TEST(SearchSpaceTest, FromDecisionsValidatesShape) {
   EXPECT_THROW(sp().from_decisions(decisions), Error);
 }
 
-TEST(SearchSpaceTest, BlockConversionRoundTrips) {
-  Rng rng(12);
-  for (int i = 0; i < 100; ++i) {
-    const Arch a = sp().sample(rng);
-    EXPECT_EQ(MnasSpace::from_blocks(MnasSpace::to_blocks(a)), a);
+TEST(SearchSpaceTest, StringFormat) {
+  const std::string s = sp().arch_to_string(uniform_arch(6, 5, 3, true));
+  EXPECT_EQ(s.substr(0, 8), "e6k5L3s1");
+  // 7 groups separated by dashes.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '-'), 6);
+  EXPECT_EQ(uniform_arch(6, 5, 3, true).to_string(), s);
+}
+
+TEST(SearchSpaceTest, StringRoundTrips) {
+  for (const std::uint64_t seed : {3, 12}) {
+    Rng rng(seed);
+    for (int i = 0; i < 100; ++i) {
+      const Arch a = sp().sample(rng);
+      EXPECT_EQ(sp().arch_from_string(sp().arch_to_string(a)), a);
+    }
   }
+}
+
+TEST(SearchSpaceTest, StringRejectsMalformed) {
+  EXPECT_THROW(sp().arch_from_string(""), Error);
+  EXPECT_THROW(sp().arch_from_string("e6k5L3s1"), Error);  // one block
+  EXPECT_THROW(sp().arch_from_string("garbage-in-seven-pieces-x-y-z"),
+               Error);
+  // Eight blocks.
+  const std::string eight =
+      "e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-"
+      "e1k3L1s0";
+  EXPECT_THROW(sp().arch_from_string(eight), Error);
+  // Bad se flag.
+  const std::string bad_se =
+      "e1k3L1s2-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0";
+  EXPECT_THROW(sp().arch_from_string(bad_se), Error);
+  // Non-canonical spellings of a valid string: a trailing '-', text after
+  // a block's last number, and a space or a sign before a number.
+  const std::string tail = "-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-e1k3L1s0-"
+                           "e1k3L1s0";
+  ASSERT_NO_THROW(sp().arch_from_string("e4k3L3s1" + tail));
+  EXPECT_THROW(sp().arch_from_string("e4k3L3s1" + tail + "-"), Error);
+  EXPECT_THROW(sp().arch_from_string("e4k3L3s1junk" + tail), Error);
+  EXPECT_THROW(sp().arch_from_string("e +4k3L3s1" + tail), Error);
+  EXPECT_THROW(sp().arch_from_string("e 4k3L3s1" + tail), Error);
+  EXPECT_THROW(sp().arch_from_string("e04k3L3s1" + tail), Error);
+  // A genotype outside the space has no string form.
+  Arch bad = uniform_arch(1, 3, 1, false);
+  bad.d[0] = 3;
+  EXPECT_THROW(sp().arch_to_string(bad), Error);
 }
 
 TEST(SearchSpaceTest, FeaturesOneHotStructure) {

@@ -12,8 +12,7 @@ namespace {
 TEST(ZooTest, AllReferenceModelsAreInTheSpace) {
   const SearchSpace& sp = MnasSpace::instance();
   for (const auto& model : reference_zoo()) {
-    // from_blocks validates; is_valid double-checks the lifted genotype.
-    EXPECT_TRUE(sp.is_valid(MnasSpace::from_blocks(model.arch))) << model.name;
+    EXPECT_TRUE(sp.is_valid(model.arch)) << model.name;
     EXPECT_FALSE(model.name.empty());
   }
 }
@@ -25,7 +24,7 @@ TEST(ZooTest, ZooHasFourDistinctBaselines) {
   std::set<std::uint64_t> unique;
   std::set<std::string> names;
   for (const auto& model : zoo) {
-    unique.insert(sp.to_index(MnasSpace::from_blocks(model.arch)));
+    unique.insert(sp.to_index(model.arch));
     names.insert(model.name);
   }
   EXPECT_EQ(unique.size(), zoo.size());
@@ -34,15 +33,16 @@ TEST(ZooTest, ZooHasFourDistinctBaselines) {
 
 TEST(ZooTest, EffnetB0UsesSeEverywhere) {
   const auto b0 = effnet_b0_like();
-  for (const auto& block : b0.arch.blocks) EXPECT_TRUE(block.se);
-  EXPECT_EQ(b0.arch.blocks[0].expansion, 1);  // stage 1 is e=1 in B0
+  for (int b = 0; b < kNumBlocks; ++b) EXPECT_TRUE(MnasSpace::se(b0.arch, b));
+  EXPECT_EQ(MnasSpace::expansion(b0.arch, 0), 1);  // stage 1 is e=1 in B0
 }
 
 TEST(ZooTest, EdgeTpuVariantAvoidsSe) {
   // EfficientNet-EdgeTPU drops SE because DPU-style accelerators stall on
   // the global-pool side path — the motif Fig. 6 relies on.
   const auto edgetpu = effnet_edgetpu_s_like();
-  for (const auto& block : edgetpu.arch.blocks) EXPECT_FALSE(block.se);
+  for (int b = 0; b < kNumBlocks; ++b)
+    EXPECT_FALSE(MnasSpace::se(edgetpu.arch, b));
 }
 
 TEST(ZooTest, NamesAreStable) {

@@ -400,7 +400,7 @@ TEST(OneSimHandlePass, FlagsConcreteSimInBench) {
   EXPECT_TRUE(has_finding(findings, "bench/some_harness.cpp", 3));
   EXPECT_EQ(run_on("one-sim-handle",
                    {{"examples/demo.cpp",
-                     "anb::FbnetArchitecture a;\n"
+                     "auto m = anb::bench::make_simulator();\n"
                      "anb::FbnetSpaceSim s(42);\n"}})
                 .size(),
             2u);
@@ -409,8 +409,7 @@ TEST(OneSimHandlePass, FlagsConcreteSimInBench) {
 TEST(OneSimHandlePass, LibraryAndTestsMayNameTheConcreteSims) {
   const std::string typed =
       "anb::MnasSpaceSim sim(42);\n"
-      "anb::FbnetSpaceSim fb(42);\n"
-      "anb::FbnetArchitecture arch;\n";
+      "anb::FbnetSpaceSim fb(42);\n";
   EXPECT_TRUE(
       run_on("one-sim-handle", {{"tests/anb/space_sim_test.cpp", typed}})
           .empty());

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "anb/searchspace/space.hpp"
 #include "anb/searchspace/zoo.hpp"
 #include "anb/util/metrics.hpp"
 #include "anb/util/stats.hpp"
+#include "uniform_arch.hpp"
 
 namespace anb {
 namespace {
@@ -19,13 +22,6 @@ TrainingScheme proxy_scheme(int epochs, int res_finish) {
   s.res_start = res_finish;
   s.res_finish = res_finish;
   return s;
-}
-
-/// Every block set to `block`.
-Arch uniform_arch(const BlockConfig& block) {
-  Architecture blocks;
-  for (auto& b : blocks.blocks) b = block;
-  return MnasSpace::from_blocks(blocks);
 }
 
 class SimulatorTest : public ::testing::Test {
@@ -109,12 +105,12 @@ TEST_F(SimulatorTest, ReferenceAccuracyRealisticRange) {
     EXPECT_GT(acc, 0.50);
     EXPECT_LT(acc, 0.85);
   }
-  EXPECT_GT(sim_.reference_accuracy(MnasSpace::from_blocks(effnet_b0_like().arch)), 0.74);
+  EXPECT_GT(sim_.reference_accuracy(effnet_b0_like().arch), 0.74);
 }
 
 TEST_F(SimulatorTest, CapacityImprovesQuality) {
-  const Arch small = uniform_arch({1, 3, 1, false});
-  const Arch big = uniform_arch({6, 5, 3, true});
+  const Arch small = uniform_arch(1, 3, 1, false);
+  const Arch big = uniform_arch(6, 5, 3, true);
   EXPECT_GT(sim_.latent_quality(big), sim_.latent_quality(small) + 1.0);
   EXPECT_GT(sim_.reference_accuracy(big), sim_.reference_accuracy(small));
 }
@@ -141,15 +137,14 @@ TEST_F(SimulatorTest, ReferenceCostRealistic) {
   // Paper-scale: a mid-size model costs tens of GPU-hours under r and the
   // ~5.6-7x cheaper proxy lands near 3 GPU-hours.
   const double ref =
-      sim_.training_cost_hours(MnasSpace::from_blocks(effnet_b0_like().arch),
-                                reference_scheme());
+      sim_.training_cost_hours(effnet_b0_like().arch, reference_scheme());
   EXPECT_GT(ref, 8.0);
   EXPECT_LT(ref, 60.0);
 }
 
 TEST_F(SimulatorTest, BiggerModelsCostMore) {
-  const Arch small = uniform_arch({1, 3, 1, false});
-  const Arch big = uniform_arch({6, 5, 3, true});
+  const Arch small = uniform_arch(1, 3, 1, false);
+  const Arch big = uniform_arch(6, 5, 3, true);
   EXPECT_GT(sim_.training_cost_hours(big, reference_scheme()),
             2.0 * sim_.training_cost_hours(small, reference_scheme()));
 }
@@ -176,9 +171,36 @@ TEST_F(SimulatorTest, AggressiveProxyDegradesRankings) {
   EXPECT_GT(kendall_tau(ref, gentle), kendall_tau(ref, harsh));
 }
 
+TEST_F(SimulatorTest, NoiseKeyIsTheOptionValueHash) {
+  // FNV-1a over (expansion, kernel, layers, se ? 2 : 1) per block; these
+  // recorded keys seed every noise stream and the zoo measurements.
+  EXPECT_EQ(sim_.noise_key(uniform_arch(1, 3, 1, false)),
+            0x32e1c686c4e09007ULL);
+  EXPECT_EQ(sim_.noise_key(effnet_b0_like().arch), 0x2404ea4eaa38107eULL);
+  // Equal genotypes key equal, however they were built.
+  const Arch a = uniform_arch(4, 3, 2, false);
+  const Arch b = MnasSpace::instance().arch_from_string(
+      "e4k3L2s0-e4k3L2s0-e4k3L2s0-e4k3L2s0-e4k3L2s0-e4k3L2s0-e4k3L2s0");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(sim_.noise_key(a), sim_.noise_key(b));
+  // Distinct genotypes essentially never collide.
+  Rng rng(5);
+  std::set<std::uint64_t> keys;
+  std::set<std::uint64_t> indices;
+  for (int i = 0; i < 2000; ++i) {
+    const Arch c = MnasSpace::instance().sample(rng);
+    if (indices.insert(MnasSpace::instance().to_index(c)).second)
+      keys.insert(sim_.noise_key(c));
+  }
+  EXPECT_EQ(keys.size(), indices.size());
+  Arch foreign = a;
+  foreign.space = SpaceId::kFbnet;  // right bytes, wrong tag
+  EXPECT_THROW(sim_.noise_key(foreign), Error);
+}
+
 TEST_F(SimulatorTest, InvalidInputsThrow) {
   // Block 0's kernel decision forged past its two options.
-  Arch bad = uniform_arch({1, 3, 1, false});
+  Arch bad = uniform_arch(1, 3, 1, false);
   bad.d[1] = 9;
   EXPECT_THROW(sim_.latent_quality(bad), Error);
   TrainingScheme s = proxy_scheme(10, 224);
@@ -188,8 +210,8 @@ TEST_F(SimulatorTest, InvalidInputsThrow) {
 }
 
 TEST_F(SimulatorTest, Int8DropSmallAndStructured) {
-  const Arch no_se = uniform_arch({6, 3, 3, false});
-  const Arch all_se = uniform_arch({6, 3, 3, true});
+  const Arch no_se = uniform_arch(6, 3, 3, false);
+  const Arch all_se = uniform_arch(6, 3, 3, true);
   const double d_no_se = sim_.int8_accuracy_drop(no_se);
   const double d_all_se = sim_.int8_accuracy_drop(all_se);
   EXPECT_GT(d_all_se, d_no_se);  // SE gates quantize poorly
@@ -201,8 +223,8 @@ TEST_F(SimulatorTest, Int8DropSmallAndStructured) {
 }
 
 TEST_F(SimulatorTest, Int8DropLargerForSmallModels) {
-  const Arch small = uniform_arch({1, 3, 1, false});
-  const Arch big = uniform_arch({6, 5, 3, false});
+  const Arch small = uniform_arch(1, 3, 1, false);
+  const Arch big = uniform_arch(6, 5, 3, false);
   EXPECT_GT(sim_.int8_accuracy_drop(small), sim_.int8_accuracy_drop(big));
 }
 

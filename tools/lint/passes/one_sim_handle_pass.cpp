@@ -2,10 +2,9 @@
 // make_space_sim and work only on the space-tagged Arch.
 //
 // A harness that names a concrete simulator (MnasSpaceSim, FbnetSpaceSim)
-// or holds the typed FbnetArchitecture view ties itself to one space and
-// to machinery make_space_sim already hands out behind SpaceSim. The
-// library builds the concrete sims and the tests pin them, so the pass
-// looks at bench/ and examples/ only.
+// ties itself to one space and to machinery make_space_sim already hands
+// out behind SpaceSim. The library builds the concrete sims and the tests
+// pin them, so the pass looks at bench/ and examples/ only.
 
 #include <algorithm>
 #include <array>
@@ -18,8 +17,8 @@ namespace anb::lint {
 
 namespace {
 
-constexpr std::array<std::string_view, 4> kTypedHandles = {
-    "MnasSpaceSim", "FbnetSpaceSim", "FbnetArchitecture", "make_simulator"};
+constexpr std::array<std::string_view, 3> kTypedHandles = {
+    "MnasSpaceSim", "FbnetSpaceSim", "make_simulator"};
 
 class OneSimHandlePass final : public FilePass {
  public:
