@@ -134,10 +134,13 @@ RowResult bench_model(const std::string& name, const Surrogate& model,
 // interleaved walk at the same batch size — the pre-SIMD baseline —
 // which keeps them comparable across hosts even though absolute rows/sec
 // are not. Besides the full query matrix, every engine is timed on a
-// 40-row batch (an NSGA-II population), a 2-row batch (kMaskedMinRows,
-// the smallest batch auto sends to the masked engine) and a 1-row batch
-// (a scalar query), keyed `<engine>@40`, `<engine>@2` and `<engine>@1`:
-// there a batch is all tail block. The `auto@<m>` rows pin the cutoff.
+// 40-row batch (an NSGA-II population), on batches of kTableMaxRows + 1
+// and kTableMaxRows rows (either side of the largest batch auto sends to
+// the table engine), a 2-row batch (kMaskedMinRows, the smallest batch
+// auto sends to the masked engine when the table engine is unavailable)
+// and a 1-row batch (a scalar query), keyed `<engine>@40`, `<engine>@16`,
+// `<engine>@15`, `<engine>@2` and `<engine>@1`. The `auto@<m>` rows pin
+// the cutoffs.
 // A small-batch timing walks up to kSmallBatchSlices consecutive batches
 // of distinct rows, as a search asks about a new architecture each time.
 // Re-asking one row would let the branch predictor learn its every turn
@@ -166,8 +169,9 @@ std::vector<PathResult> bench_paths(const std::string& name,
     model.predict_batch(rows, num_features, ref);
   }
   const DescentPath kPaths[] = {DescentPath::kInterleaved, DescentPath::kMasked,
-                                DescentPath::kAuto};
-  const std::size_t kBatchRows[] = {n, 40, kMaskedMinRows, 1};
+                                DescentPath::kTable, DescentPath::kAuto};
+  const std::size_t kBatchRows[] = {n,  40, kTableMaxRows + 1, kTableMaxRows,
+                                    kMaskedMinRows, 1};
   std::vector<PathResult> results;
   for (std::size_t b = 0; b < std::size(kBatchRows); ++b) {
     const std::size_t m = kBatchRows[b];

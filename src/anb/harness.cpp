@@ -81,11 +81,10 @@ ParetoOutcome pareto_search(const AccelNASBench& bench,
 
   // Estimate the device's performance range to place the reward targets.
   Rng range_rng(hash_combine(config.seed, 0xFA2));
-  std::vector<double> sampled_perf;
-  for (int i = 0; i < 256; ++i) {
-    sampled_perf.push_back(
-        bench.query_perf(sp.sample(range_rng), config.key));
-  }
+  std::vector<Arch> sampled;
+  for (int i = 0; i < 256; ++i) sampled.push_back(sp.sample(range_rng));
+  const std::vector<double> sampled_perf =
+      bench.query_perf_batch(sampled, config.key);
 
   ParetoOutcome out;
   for (int t = 0; t < config.n_targets; ++t) {

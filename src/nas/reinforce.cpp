@@ -29,8 +29,8 @@ SearchTrajectory Reinforce::run_batched(const BatchEvalOracle& oracle,
   for (std::size_t d = 0; d < num_decisions; ++d)
     logits[d].assign(static_cast<std::size_t>(sizes[d]), 0.0);
 
-  auto softmax = [](const std::vector<double>& l) {
-    std::vector<double> p(l.size());
+  // Writes softmax(l) into p, which already has l's size.
+  auto softmax = [](const std::vector<double>& l, std::vector<double>& p) {
     const double mx = *std::max_element(l.begin(), l.end());
     double z = 0.0;
     for (std::size_t k = 0; k < l.size(); ++k) {
@@ -38,7 +38,6 @@ SearchTrajectory Reinforce::run_batched(const BatchEvalOracle& oracle,
       z += p[k];
     }
     for (double& v : p) v /= z;
-    return p;
   };
 
   SearchTrajectory traj;
@@ -50,11 +49,12 @@ SearchTrajectory Reinforce::run_batched(const BatchEvalOracle& oracle,
   double adv_scale = 0.0;
 
   std::vector<int> decisions(num_decisions);
+  // The policy's probabilities, rewritten in place every eval.
+  std::vector<std::vector<double>> probs = logits;
   for (int t = 0; t < n_evals; ++t) {
     // Sample an architecture from the factorized policy.
-    std::vector<std::vector<double>> probs(num_decisions);
     for (std::size_t d = 0; d < num_decisions; ++d) {
-      probs[d] = softmax(logits[d]);
+      softmax(logits[d], probs[d]);
       decisions[d] = static_cast<int>(rng.weighted_index(probs[d]));
     }
     const Arch arch = space().from_decisions(decisions);
@@ -96,10 +96,8 @@ SearchTrajectory Reinforce::run_batched(const BatchEvalOracle& oracle,
         logits[d][k] += params_.learning_rate * grad;
       }
     }
-    if (t + 1 == n_evals) {
-      last_policy_ = std::move(probs);
-    }
   }
+  last_policy_ = std::move(probs);
   return traj;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 
 // Internal header (not installed): the templated SIMD descent kernels for
-// FlatForest, instantiated once per ISA translation unit. flat_forest.cpp
+// FlatForest (the masked kernel and the table engine's AND loop),
+// instantiated once per ISA translation unit. flat_forest.cpp
 // instantiates ScalarIsa (and NeonIsa on ARM); avx2_kernels.cpp, compiled
 // with -mavx2, instantiates Avx2Isa. The Isa types are disjoint across
 // TUs (Avx2Isa is not even defined without -mavx2), so no linker merging
@@ -53,6 +54,19 @@ using MaskedFn = void (*)(const MaskedView& m, std::size_t num_trees,
 /// toolchain/architecture cannot build it. Defined in avx2_kernels.cpp;
 /// FlatForest::accumulate dispatches to it at run time.
 MaskedFn avx2_masked_kernel();
+
+/// The table engine's kernel: leafset[j] = AND of rows[k][j] over the
+/// `count` selected leaf-set table rows, for j < stride (a multiple of
+/// 32). count == 0 leaves every byte 0xFF.
+using TableAndFn = void (*)(const std::uint8_t* const* rows, std::size_t count,
+                            std::size_t stride, std::uint8_t* leafset);
+
+/// The AVX2 instantiation of the table kernel, or nullptr (as above).
+TableAndFn avx2_table_kernel();
+
+/// The table kernel under a dispatch target, chosen as masked_kernel_for
+/// chooses. Defined in flat_forest.cpp.
+TableAndFn table_kernel_for(simd::Target target);
 
 /// The masked kernel FlatForest::accumulate runs under a dispatch target:
 /// the AVX2 instantiation under kAvx2 and kAvx512 (there is no AVX-512
@@ -124,6 +138,21 @@ void run_masked(const MaskedView& m, std::size_t num_trees,
     else
       masked_block<Isa, false>(m, num_trees, codes_t + begin, stride,
                                scale, out + begin, nb);
+  }
+}
+
+/// The table engine's AND loop (see TableAndFn). Each 32-tree slice of
+/// the leaf set folds every selected row in one register and is stored
+/// once; the table rows are read in order, one load per row per slice.
+template <class Isa>
+void table_and(const std::uint8_t* const* rows, std::size_t count,
+               std::size_t stride, std::uint8_t* leafset) {
+  using VU8 = typename Isa::VU8;
+  for (std::size_t j = 0; j < stride; j += 32) {
+    VU8 acc = Isa::b_ones();
+    for (std::size_t k = 0; k < count; ++k)
+      acc = Isa::b_and(acc, Isa::b_load(rows[k] + j));
+    Isa::b_store(leafset + j, acc);
   }
 }
 

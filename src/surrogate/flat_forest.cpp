@@ -42,6 +42,8 @@ const char* descent_path_name(DescentPath p) {
       return "interleaved";
     case DescentPath::kMasked:
       return "masked";
+    case DescentPath::kTable:
+      return "table";
   }
   return "unknown";
 }
@@ -82,6 +84,20 @@ struct FlatForest::SimdTables {
   detail::MaskedView mview;
 };
 
+/// Derived lookaside for the table engine, built from the masked tables
+/// (never serialized). Row (f, c) for c = 1..last_code[f] holds one byte
+/// per tree: the AND of the masks of that tree's nodes on feature f whose
+/// threshold code is <= c — exactly the nodes a row with code c on f
+/// finds false. Rows are `stride` bytes (trees rounded up to 32; the
+/// padding bytes stay 0xFF) and feature f's rows start at row_off[f].
+struct FlatForest::LeafTable {
+  bool ok = false;  ///< masked_ok and within kTableMaxBytes
+  std::size_t stride = 0;
+  std::vector<std::uint8_t> last_code;  ///< per feature: threshold count
+  std::vector<std::uint32_t> row_off;
+  simd::AlignedBuf<std::uint8_t> masks;
+};
+
 namespace detail {
 
 MaskedFn masked_kernel_for(simd::Target target) {
@@ -100,6 +116,24 @@ MaskedFn masked_kernel_for(simd::Target target) {
       break;
   }
   return &kernels::run_masked<simd::ScalarIsa>;
+}
+
+TableAndFn table_kernel_for(simd::Target target) {
+  switch (target) {
+    case simd::Target::kAvx512:  // AVX2-capable; no AVX-512 descent kernel
+    case simd::Target::kAvx2:
+      if (const TableAndFn k = avx2_table_kernel()) return k;
+      break;
+    case simd::Target::kNeon:
+#if defined(__ARM_NEON)
+      return &kernels::table_and<simd::NeonIsa>;
+#else
+      break;
+#endif
+    case simd::Target::kScalar:
+      break;
+  }
+  return &kernels::table_and<simd::ScalarIsa>;
 }
 
 }  // namespace detail
@@ -197,9 +231,7 @@ FlatForest& FlatForest::operator=(FlatForest&& other) noexcept {
     nodes_ = std::move(other.nodes_);
     roots_ = std::move(other.roots_);
     max_feature_ = other.max_feature_;
-    MutexLock lock(simd_mu_);
-    simd_cache_.store(nullptr, std::memory_order_relaxed);
-    simd_owned_.reset();
+    reset_caches();
   }
   return *this;
 }
@@ -214,11 +246,17 @@ FlatForest& FlatForest::operator=(const FlatForest& other) {
     nodes_ = other.nodes_;
     roots_ = other.roots_;
     max_feature_ = other.max_feature_;
-    MutexLock lock(simd_mu_);
-    simd_cache_.store(nullptr, std::memory_order_relaxed);
-    simd_owned_.reset();
+    reset_caches();
   }
   return *this;
+}
+
+void FlatForest::reset_caches() {
+  MutexLock lock(simd_mu_);
+  simd_cache_.store(nullptr, std::memory_order_relaxed);
+  simd_owned_.reset();
+  table_cache_.store(nullptr, std::memory_order_relaxed);
+  table_owned_.reset();
 }
 
 void FlatForest::validate() {
@@ -403,9 +441,82 @@ const FlatForest::SimdTables& FlatForest::simd_tables() const {
   return *raw;
 }
 
+const FlatForest::LeafTable& FlatForest::leaf_table() const {
+  if (const LeafTable* cached = table_cache_.load(std::memory_order_acquire))
+    return *cached;
+  // Outside the lock: simd_tables() takes simd_mu_ itself.
+  const SimdTables& tb = simd_tables();
+
+  MutexLock lock(simd_mu_);
+  if (const LeafTable* cached = table_cache_.load(std::memory_order_relaxed))
+    return *cached;
+
+  auto lt = std::make_unique<LeafTable>();
+  if (tb.masked_ok) {
+    const std::size_t num_trees = roots_.size();
+    const std::size_t num_internal = tb.mk_node_off[num_trees];
+    lt->stride = (num_trees + 31) & ~std::size_t{31};
+    // A feature's threshold count is its largest code: every threshold
+    // of the ladder is some node's split.
+    lt->last_code.assign(tb.d_q, 0);
+    for (std::size_t k = 0; k < num_internal; ++k) {
+      std::uint8_t& last = lt->last_code[tb.mk_feature[k]];
+      last = std::max(last,
+                      static_cast<std::uint8_t>(tb.mk_qsplit_x[k] ^ 0x80));
+    }
+    lt->row_off.assign(tb.d_q, 0);
+    std::size_t num_rows = 0;
+    for (std::size_t f = 0; f < tb.d_q; ++f) {
+      lt->row_off[f] = static_cast<std::uint32_t>(num_rows);
+      num_rows += lt->last_code[f];
+    }
+    lt->ok = num_rows * lt->stride <= kTableMaxBytes;
+    if (lt->ok) {
+      lt->masks = simd::AlignedBuf<std::uint8_t>(num_rows * lt->stride);
+      std::fill_n(lt->masks.data(), num_rows * lt->stride, std::uint8_t{0xFF});
+      const auto row = [&](std::size_t f, std::size_t code) {
+        return lt->masks.data() + (lt->row_off[f] + code - 1) * lt->stride;
+      };
+      // Each node's mask lands in the row of its own code, then a prefix
+      // AND up each feature's codes folds in every lower threshold.
+      for (std::size_t t = 0; t < num_trees; ++t)
+        for (std::uint32_t k = tb.mk_node_off[t]; k < tb.mk_node_off[t + 1];
+             ++k)
+          row(tb.mk_feature[k], tb.mk_qsplit_x[k] ^ 0x80)[t] &= tb.mk_mask[k];
+      for (std::size_t f = 0; f < tb.d_q; ++f)
+        for (std::size_t c = 2; c <= lt->last_code[f]; ++c) {
+          std::uint8_t* const dst = row(f, c);
+          const std::uint8_t* const src = row(f, c - 1);
+          for (std::size_t t = 0; t < num_trees; ++t) dst[t] &= src[t];
+        }
+    }
+  }
+
+  const LeafTable* raw = lt.get();
+  table_owned_ = std::move(lt);
+  table_cache_.store(raw, std::memory_order_release);
+  return *raw;
+}
+
 bool FlatForest::masked_available() const {
   if (empty()) return false;
   return simd_tables().masked_ok;
+}
+
+bool FlatForest::table_available() const {
+  if (empty()) return false;
+  return leaf_table().ok;
+}
+
+DescentPath FlatForest::auto_path(std::size_t rows) const {
+  // The row count is tested before either table is touched, so a process
+  // that only sends big batches never builds the leaf-set table.
+  if (empty() || simd::active_target() == simd::Target::kScalar)
+    return DescentPath::kInterleaved;
+  if (rows <= kTableMaxRows && leaf_table().ok) return DescentPath::kTable;
+  if (rows >= kMaskedMinRows && simd_tables().masked_ok)
+    return DescentPath::kMasked;
+  return DescentPath::kInterleaved;
 }
 
 double FlatForest::predict_tree(std::size_t t, std::span<const double> x) const {
@@ -492,7 +603,8 @@ double accumulate_row(const FlatNode* nodes,
 /// and accumulate_row for the rows that do not fill a 4-row group. It is
 /// the dispatch floor — it runs when SIMD is off (ANB_SIMD=off), when the
 /// CPU offers no vector target, for forests the masked engine cannot
-/// represent, and for batches below kMaskedMinRows.
+/// represent, and for one-row batches of forests without a leaf-set
+/// table.
 void interleaved_accumulate(const FlatNode* nodes,
                             std::span<const std::int32_t> roots,
                             std::span<const double> rows,
@@ -593,6 +705,42 @@ void interleaved_accumulate(const FlatNode* nodes,
   }
 }
 
+/// The table engine: per row, quantize, pick the leaf-set table row of
+/// every feature whose code is not 0 (NaN's 255 and any code past the
+/// feature's last threshold clamp to its last row), AND those rows
+/// together 32 trees per vector op, and add every tree's exit leaf in
+/// tree order. A tree's byte is then the AND of the masks of its false
+/// nodes, as in the masked engine, so the exit leaf is its lowest set
+/// bit by the same argument.
+void table_accumulate(const FlatForest::SimdTables& tb,
+                      const FlatForest::LeafTable& lt,
+                      detail::TableAndFn and_rows, std::size_t num_trees,
+                      const double* rows, std::size_t num_features,
+                      double scale, double* out, std::size_t n) {
+  static thread_local std::vector<const std::uint8_t*> selected;
+  static thread_local std::vector<std::uint8_t> leafset;
+  selected.resize(tb.d_q);
+  leafset.resize(lt.stride);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* const x = rows + r * num_features;
+    std::size_t count = 0;
+    for (std::size_t f = 0; f < tb.d_q; ++f) {
+      const std::uint8_t code =
+          std::min(quantize_value(tb, f, x[f]), lt.last_code[f]);
+      // Branch-free: a code-0 feature writes a slot the next one reuses.
+      const std::size_t row = code != 0 ? lt.row_off[f] + code - 1 : 0;
+      selected[count] = lt.masks.data() + row * lt.stride;
+      count += code != 0;
+    }
+    and_rows(selected.data(), count, lt.stride, leafset.data());
+    double acc = out[r];
+    for (std::size_t t = 0; t < num_trees; ++t)
+      acc += scale *
+             tb.mk_leaf[tb.mk_leaf_off[t] + std::countr_zero(leafset[t])];
+    out[r] = acc;
+  }
+}
+
 }  // namespace
 
 void FlatForest::accumulate(std::span<const double> rows,
@@ -608,20 +756,10 @@ void FlatForest::accumulate(std::span<const double> rows,
   const std::size_t n = out.size();
   if (n == 0) return;
 
-  // Dispatch: forced path (test/bench hook) wins; otherwise the masked
-  // leaf-set engine runs on a vector target for batches of at least
-  // kMaskedMinRows rows whenever masks apply (its padded tail block runs
-  // as whole vectors; DESIGN.md "SIMD descent"), and the interleaved walk
-  // is the floor everywhere else. The row count is tested first, so
-  // single-row queries never build the masked tables.
+  // Dispatch: a forced path (test/bench hook) wins, else auto_path picks
+  // by batch size, target and forest shape (DESIGN.md "SIMD descent").
   const DescentPath forced = descent_path_override();
-  const simd::Target target = simd::active_target();
-  DescentPath path = forced;
-  if (path == DescentPath::kAuto)
-    path = n >= kMaskedMinRows && target != simd::Target::kScalar &&
-                   simd_tables().masked_ok
-               ? DescentPath::kMasked
-               : DescentPath::kInterleaved;
+  const DescentPath path = forced == DescentPath::kAuto ? auto_path(n) : forced;
 
   if (path == DescentPath::kInterleaved) {
     interleaved_accumulate(nodes_.data(), roots_.span(), rows, num_features,
@@ -629,10 +767,19 @@ void FlatForest::accumulate(std::span<const double> rows,
     return;
   }
 
+  const simd::Target target = simd::active_target();
   const SimdTables& tb = simd_tables();
-  ANB_CHECK(tb.masked_ok,
-            "FlatForest::accumulate: masked descent forced but unavailable "
-            "for this forest");
+  const LeafTable* lt = nullptr;
+  if (path == DescentPath::kTable) {
+    lt = &leaf_table();
+    ANB_CHECK(lt->ok,
+              "FlatForest::accumulate: table descent forced but unavailable "
+              "for this forest");
+  } else {
+    ANB_CHECK(tb.masked_ok,
+              "FlatForest::accumulate: masked descent forced but unavailable "
+              "for this forest");
+  }
 
   if (obs::metrics_enabled()) {
     static obs::Counter& simd_rows = obs::counter("anb.query.simd.rows");
@@ -640,6 +787,12 @@ void FlatForest::accumulate(std::span<const double> rows,
         obs::gauge("anb.query.simd.dispatch_target");
     simd_rows.add(n);
     dispatch.set(static_cast<double>(static_cast<int>(target)));
+  }
+
+  if (lt != nullptr) {
+    table_accumulate(tb, *lt, detail::table_kernel_for(target), roots_.size(),
+                     rows.data(), num_features, scale, out.data(), n);
+    return;
   }
 
   // Masked leaf-set evaluation: quantize the batch feature-major (XOR 0x80

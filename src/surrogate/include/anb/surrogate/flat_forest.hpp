@@ -18,24 +18,49 @@ namespace anb {
 /// by contract (tests/surrogate/simd_descent_test.cpp); they differ only
 /// in throughput and hardware/forest requirements.
 enum class DescentPath : int {
-  kAuto = 0,         ///< pick per active simd::Target (the default)
+  kAuto = 0,         ///< pick per batch size and simd::Target (the default)
   kInterleaved = 1,  ///< scalar walk: 2 trees x 4 rows, 8 trees x 1 row
   kMasked = 2,       ///< leaf-set masks over uint8 codes (<= 8 leaves/tree)
+  kTable = 3,        ///< per-(feature, code) leaf-set rows, 32 trees per op
 };
 
 const char* descent_path_name(DescentPath p);
 
-/// Smallest batch kAuto sends to the masked engine. A single row fills
-/// one lane of a 32-lane vector per node, and the interleaved engine's
-/// eight-tree lockstep walk beats it; at two rows the masked engine
-/// already wins (bench/query_throughput's auto@1 and auto@2 rows pin
-/// both sides; DESIGN.md "SIMD descent").
+/// Largest batch kAuto sends to the table engine. The table engine costs
+/// the same per row at any batch size (one vector AND per 32 trees per
+/// feature); the masked engine shares each node's vector op among up to
+/// 32 rows, so its per-row cost falls as batches grow. On the 1200-tree
+/// `search` accuracy model the table engine runs about 2.4 us per row and
+/// the masked engine drops below it between 16 and 20 rows (DESIGN.md
+/// "SIMD descent"). Below 16 also keeps benchmark construction off the
+/// table: a perfbench `build` run predicts no batch of 15 rows or fewer.
+/// bench/query_throughput's auto@15 and auto@16 rows sit on either side.
+inline constexpr std::size_t kTableMaxRows = 15;
+
+/// Smallest batch kAuto sends to the masked engine on a forest the table
+/// engine cannot take. A single row fills one lane of a 32-lane vector
+/// per node, and the interleaved engine's eight-tree lockstep walk beats
+/// it; at two rows the masked engine already wins.
 inline constexpr std::size_t kMaskedMinRows = 2;
 
+/// Largest leaf-set table (bytes) the table engine builds: one byte per
+/// tree (rounded up to 32 trees) for every (feature, threshold) pair,
+/// 68 KB for the 1200-tree `search` accuracy model. A row reads one
+/// table row per feature with a nonzero code, from anywhere in the
+/// table, so the engine's lead shrinks once the table leaves L2: on
+/// synthetic forests whose rows cross thresholds of every feature it ran
+/// one row 8.3x faster than the walk with a 0.93 MB table, 4.7x with
+/// 3.7 MB and 2.3x with 14.6 MB (reference Xeon, 2 MiB L2 per core).
+/// 1 MiB keeps the table in L2 beside the rows and bounds the memory
+/// each forest adds. A bigger forest keeps the engines it had before:
+/// the interleaved walk for one row, the masked engine from
+/// kMaskedMinRows rows up.
+inline constexpr std::size_t kTableMaxBytes = std::size_t{1} << 20;
+
 /// Process-wide forced path (test/bench hook; kAuto clears). A forced
-/// kMasked still honors the active simd::Target, so forcing target
-/// kScalar exercises the scalar-Isa kernel. Forcing kMasked on a forest
-/// where the engine is unavailable throws at accumulate time.
+/// kMasked or kTable still honors the active simd::Target, so forcing target
+/// kScalar exercises the scalar-Isa kernel. Forcing kMasked or kTable on a
+/// forest where the engine is unavailable throws at accumulate time.
 void set_descent_path_override(DescentPath p);
 DescentPath descent_path_override();
 
@@ -106,10 +131,13 @@ inline double walk_tree(const FlatNode* nodes, std::int32_t root,
 /// make each step uniform and turn "all states stopped moving" into the
 /// combined leaf test, so unbalanced trees cost only the deepest descent
 /// of the group. Tree-major iteration over 64-row blocks keeps each
-/// tree's nodes cache-hot while the block is processed. Batches of two
-/// or more rows on a masked-eligible forest and a vector target take the
-/// masked leaf-set engine instead (DESIGN.md "SIMD descent"). This is
-/// where the serving-throughput win comes from
+/// tree's nodes cache-hot while the block is processed. On a vector
+/// target two SIMD engines replace the walk for forests of <= 8-leaf
+/// trees (DESIGN.md "SIMD descent"): batches of up to kTableMaxRows rows
+/// take the table engine, which looks up one precomputed leaf-set row per
+/// feature and ANDs them 32 trees per vector op, and bigger batches the
+/// masked leaf-set engine, which ANDs node masks 32 rows per vector op.
+/// This is where the query and serving-throughput wins come from
 /// (bench/query_throughput.cpp).
 ///
 /// Exactness contract: each row reaches its leaf through exactly the same
@@ -175,15 +203,34 @@ class FlatForest {
   /// untouched).
   bool masked_available() const;
 
+  /// True if the table engine can run this forest: masked_available()
+  /// and a leaf-set table of at most kTableMaxBytes. Builds the SIMD
+  /// tables and the leaf-set table on first call.
+  bool table_available() const;
+
+  /// The engine kAuto runs for a batch of `rows` rows under the active
+  /// simd::Target: the table engine up to kTableMaxRows rows, the masked
+  /// engine above (from kMaskedMinRows rows up on a forest without a
+  /// table), and the interleaved walk for scalar dispatch and for
+  /// forests neither vector engine can represent.
+  DescentPath auto_path(std::size_t rows) const;
+
   /// Derived lookaside for the masked engine: threshold ladders plus the
   /// per-node leaf-set masks. Built once, on demand, from the AoS nodes_
   /// — the .anbb on-disk format stays AoS (DESIGN.md "SIMD descent").
   /// Defined (and only usable) in flat_forest.cpp.
   struct SimdTables;
 
+  /// Derived lookaside for the table engine, built from the SimdTables on
+  /// the first batch of at most kTableMaxRows rows. Defined in
+  /// flat_forest.cpp.
+  struct LeafTable;
+
  private:
   void validate();
   const SimdTables& simd_tables() const;
+  const LeafTable& leaf_table() const;
+  void reset_caches();
 
   io::ArrayRef<FlatNode> nodes_;       // all trees back to back
   io::ArrayRef<std::int32_t> roots_;   // root index of each tree
@@ -195,6 +242,11 @@ class FlatForest {
   mutable std::atomic<const SimdTables*> simd_cache_{nullptr};
   mutable Mutex simd_mu_;
   mutable std::unique_ptr<const SimdTables> simd_owned_
+      ANB_GUARDED_BY(simd_mu_);
+  // The leaf-set table: same scheme, its own pointer, so batches above
+  // kTableMaxRows never build it.
+  mutable std::atomic<const LeafTable*> table_cache_{nullptr};
+  mutable std::unique_ptr<const LeafTable> table_owned_
       ANB_GUARDED_BY(simd_mu_);
 };
 

@@ -15,10 +15,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <latch>
 #include <limits>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "anb/obs/registry.hpp"
@@ -51,12 +54,13 @@ std::vector<simd::Target> test_targets() {
 }
 
 /// Batch sizes crossing every kernel regime: empty, both sides of
-/// kAuto's masked cutoff (1/2), below and around the interleaved walk's
-/// 4-row groups (1/2/7/8/9), both sides of the masked
+/// kAuto's table cutoff (15/16) and of its masked cutoff on forests
+/// without a table (1/2), below and around the interleaved walk's 4-row
+/// groups (1/2/7/8/9), both sides of the masked
 /// engine's one- and two-vector blocks (31/32/33, 63/64/65, 127), and the
 /// 255/256/257 straddle of four 64-row blocks plus a padded tail block.
-const std::size_t kBatchSizes[] = {0,  1,  2,  7,   8,   9,   31,  32,
-                                   33, 63, 64, 65, 127, 255, 256, 257};
+const std::size_t kBatchSizes[] = {0,  1,  2,   7,   8,   9,   15,  16, 31,
+                                   32, 33, 63, 64, 65, 127, 255, 256, 257};
 
 /// A leaf at tree-local index `i`: value in the split slot, self-looping.
 FlatNode leaf_node(int i, double value) { return {value, 0, i, i}; }
@@ -167,7 +171,8 @@ void expect_paths_agree(const FlatForest& forest,
 }
 
 const std::vector<DescentPath> kAllPaths = {
-    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kMasked};
+    DescentPath::kAuto, DescentPath::kInterleaved, DescentPath::kMasked,
+    DescentPath::kTable};
 const std::vector<DescentPath> kUnmaskedPaths = {DescentPath::kAuto,
                                                  DescentPath::kInterleaved};
 
@@ -263,16 +268,20 @@ TEST(SimdDescentTest, EightTreeLockstepSpecialValues) {
   }
 }
 
-/// A forest the masked engine cannot represent: masked_available() is
-/// false, a forced kMasked throws, and auto and interleaved still agree
-/// with the scalar walk.
+/// A forest neither vector engine can represent: masked_available() and
+/// table_available() are false, a forced kMasked or kTable throws, and
+/// auto and interleaved still agree with the scalar walk.
 void expect_masked_rejected(const FlatForest& forest,
                             std::span<const double> rows, const char* label) {
   EXPECT_FALSE(forest.masked_available()) << label;
+  EXPECT_FALSE(forest.table_available()) << label;
   expect_paths_agree(forest, rows, 1, kUnmaskedPaths, label);
-  ScopedDescentPath sp(DescentPath::kMasked);
-  std::vector<double> out(rows.size(), 0.0);
-  EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error) << label;
+  for (const DescentPath path : {DescentPath::kMasked, DescentPath::kTable}) {
+    ScopedDescentPath sp(path);
+    std::vector<double> out(rows.size(), 0.0);
+    EXPECT_THROW(forest.accumulate(rows, 1, 1.0, out), Error)
+        << label << " path=" << descent_path_name(path);
+  }
 }
 
 /// Chain trees of at most 8 leaves over feature 0 whose thresholds are
@@ -311,6 +320,176 @@ TEST(SimdDescentTest, ThresholdBudgetIs255PerFeature) {
   expect_paths_agree(fits, rows, 1, kAllPaths, "255-thresholds");
 
   expect_masked_rejected(make_threshold_forest(256), rows, "256-thresholds");
+}
+
+// ---------------------------------------------------------------------------
+// The table engine: one leaf-set row per (feature, threshold code), the
+// rows a query row selects ANDed together 32 trees per vector op.
+// ---------------------------------------------------------------------------
+
+/// `tree` with every internal node moved to feature `f`.
+std::vector<FlatNode> on_feature(std::vector<FlatNode> tree, int f) {
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    if (tree[i].left != static_cast<std::int32_t>(i)) tree[i].feature = f;
+  return tree;
+}
+
+/// `num_trees` trees over features 0..3 mixing every shape the table must
+/// encode: stumps (no table byte but 0xFF), chains that put seven
+/// thresholds of one feature in one tree (codes above 1 take the prefix
+/// AND), and depth-3 trees whose last level splits feature 2 four ways.
+/// The thresholds overlap across trees, so one code selects different
+/// prefixes in different trees.
+FlatForest make_table_forest(int num_trees) {
+  std::vector<std::vector<FlatNode>> trees;
+  for (int k = 0; k < num_trees; ++k) {
+    const double mag = k % 2 == 0 ? 1.0 : 3.0e4;
+    switch (k % 4) {
+      case 0:
+        trees.push_back({leaf_node(0, mag * (0.5 + 0.01 * k))});
+        break;
+      case 1:
+        trees.push_back(make_chain_tree(8, mag * 0.1 * k, 0.5 * (k % 3)));
+        break;
+      case 2:
+        trees.push_back(make_depth3_tree(mag, 0.01 * k));
+        break;
+      default:
+        trees.push_back(on_feature(make_chain_tree(5, 0.2 * k, k % 5), 3));
+        break;
+    }
+  }
+  return FlatForest(trees);
+}
+
+TEST(SimdDescentTest, TableEngineMatchesTheWalkUpToTheCutoff) {
+  // Every batch size auto can send to the table engine, and one past it;
+  // tree counts off multiples of 32 leave the last table slice partly
+  // padding. Rows mix plain values, every threshold exactly (x < t must
+  // be false), NaN (the last code of its feature), +/-inf, and values
+  // past every threshold.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double kSpecial[] = {nan, inf, -inf, 0.5, 1.0, 1.5, 2.0, 3.0,
+                             4.0, 5.5, 7.0, 9.0, 100.0};
+  for (const int num_trees : {1, 4, 31, 33, 65, 100}) {
+    const FlatForest forest = make_table_forest(num_trees);
+    ASSERT_TRUE(forest.table_available()) << num_trees;
+    Rng rng(90 + static_cast<std::uint64_t>(num_trees));
+    for (std::size_t n = 1; n <= kTableMaxRows + 1; ++n) {
+      std::vector<double> rows(n * 4);
+      for (auto& v : rows)
+        v = rng.uniform() < 0.5
+                ? kSpecial[rng.uniform_index(std::size(kSpecial))]
+                : rng.uniform() * 9.0;
+      expect_paths_agree(forest, rows, 4,
+                         {DescentPath::kAuto, DescentPath::kTable},
+                         ("table trees=" + std::to_string(num_trees) +
+                          " n=" + std::to_string(n))
+                             .c_str());
+    }
+  }
+}
+
+TEST(SimdDescentTest, AllStumpForestRunsTheTableEngine) {
+  // No internal node anywhere: the table has no rows, every tree's leaf
+  // set stays 0xFF, and leaf 0 is every tree's exit.
+  std::vector<std::vector<FlatNode>> trees;
+  for (int k = 0; k < 40; ++k) trees.push_back({leaf_node(0, 0.25 * k)});
+  const FlatForest forest(trees);
+  ASSERT_TRUE(forest.table_available());
+  const std::vector<double> rows = {
+      1.0, std::numeric_limits<double>::quiet_NaN(), -3.0};
+  expect_paths_agree(forest, rows, 1, kAllPaths, "stumps");
+}
+
+TEST(SimdDescentTest, OverBudgetTableKeepsTodaysEngines) {
+  // Features 0..F-1 each carry 255 thresholds in chains of seven: the
+  // table needs (trees rounded up to 32) x 255F bytes. The smallest F
+  // past kTableMaxBytes has no table, yet stays masked-eligible: auto
+  // runs the interleaved walk on one row and the masked engine from
+  // kMaskedMinRows rows up, and a forced kTable throws.
+  const auto forest_of = [](int num_features) {
+    std::vector<std::vector<FlatNode>> trees;
+    for (int f = 0; f < num_features; ++f)
+      for (int base = 0; base < 255; base += 7)
+        trees.push_back(on_feature(
+            make_chain_tree(std::min(7, 255 - base) + 1, 0.01 * base, base),
+            f));
+    return FlatForest(trees);
+  };
+  const auto table_bytes = [](const FlatForest& forest, int num_features) {
+    return ((forest.num_trees() + 31) / 32 * 32) * 255 *
+           static_cast<std::size_t>(num_features);
+  };
+  int num_features = 1;
+  while (table_bytes(forest_of(num_features), num_features) <= kTableMaxBytes)
+    ++num_features;
+  const FlatForest within = forest_of(num_features - 1);
+  EXPECT_TRUE(within.table_available());
+  const FlatForest over = forest_of(num_features);
+  ASSERT_TRUE(over.masked_available());
+  EXPECT_FALSE(over.table_available());
+
+  const auto d = static_cast<std::size_t>(num_features);
+  Rng rng(99);
+  for (const std::size_t n : {1u, 2u, 9u}) {
+    std::vector<double> rows(n * d);
+    for (auto& v : rows) v = std::floor(rng.uniform() * 520.0) * 0.5;
+    expect_paths_agree(over, rows, d,
+                       {DescentPath::kAuto, DescentPath::kInterleaved,
+                        DescentPath::kMasked},
+                       ("over-budget n=" + std::to_string(n)).c_str());
+    ScopedDescentPath sp(DescentPath::kTable);
+    std::vector<double> out(n, 0.0);
+    EXPECT_THROW(over.accumulate(rows, d, 1.0, out), Error) << n;
+  }
+  for (const simd::Target target : test_targets()) {
+    if (target == simd::Target::kScalar) continue;
+    simd::ScopedTarget st(target);
+    EXPECT_EQ(over.auto_path(1), DescentPath::kInterleaved);
+    EXPECT_EQ(over.auto_path(kMaskedMinRows), DescentPath::kMasked);
+    EXPECT_EQ(over.auto_path(kTableMaxRows), DescentPath::kMasked);
+  }
+}
+
+/// Eight threads make the first small-batch query of one fresh forest at
+/// once: the SIMD tables and the leaf-set table are each built by one of
+/// them and published to all (double-checked locks), and every answer is
+/// the scalar walk's. Auto picks the table engine on a vector target;
+/// scalar dispatch (ANB_SIMD=off) forces it. CI reruns this under TSan
+/// with ANB_NUM_THREADS=8.
+TEST(SimdDescentTest, ConcurrentFirstSmallBatchesShareOneTable) {
+  const FlatForest forest = make_table_forest(97);
+  ScopedDescentPath sp(simd::active_target() == simd::Target::kScalar
+                           ? DescentPath::kTable
+                           : DescentPath::kAuto);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<double>> rows(kThreads);
+  std::vector<std::vector<double>> want(kThreads);
+  Rng rng(111);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    const std::size_t n = 1 + i % kTableMaxRows;
+    rows[i].resize(n * 4);
+    for (auto& v : rows[i]) v = rng.uniform() * 9.0;
+    want[i] = reference(forest, rows[i], 4, 0.5, 0.25);
+  }
+  std::vector<std::vector<double>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      got[i].assign(want[i].size(), 0.25);
+      start.arrive_and_wait();
+      forest.accumulate(rows[i], 4, 0.5, got[i]);
+    });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < kThreads; ++i)
+    for (std::size_t r = 0; r < want[i].size(); ++r)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i][r]),
+                std::bit_cast<std::uint64_t>(got[i][r]))
+          << "thread " << i << " row " << r;
+  EXPECT_TRUE(forest.table_available());
 }
 
 // ---------------------------------------------------------------------------
@@ -471,15 +650,15 @@ std::uint64_t simd_rows_of(Body body) {
   return 0;
 }
 
-TEST(SimdDescentTest, AutoSendsSingleRowsToInterleavedWalk) {
-  // The batch-size cutoff: on a vector target, auto sends a masked-
-  // eligible forest's batches of kMaskedMinRows rows or more through the
-  // masked engine, and a single row — a scalar predict() included —
-  // through the interleaved walk's eight-tree lockstep, which counts no
-  // SIMD rows. A forest the masks cannot represent (a 9-leaf tree, like
-  // a deep RandomForest), and scalar dispatch, stay on the interleaved
-  // walk at every batch size.
-  ASSERT_EQ(kMaskedMinRows, 2u);
+TEST(SimdDescentTest, AutoSendsSmallBatchesToTheTableEngine) {
+  // The batch-size cutoff: on a vector target, auto sends a table-
+  // eligible forest's batches of up to kTableMaxRows rows — a scalar
+  // predict() included — to the table engine and bigger ones to the
+  // masked engine; both count their rows in anb.query.simd.rows. A forest
+  // the masks cannot represent (a 9-leaf tree, like a deep RandomForest)
+  // and scalar dispatch stay on the interleaved walk at every batch size,
+  // counting no SIMD rows (ANB_SIMD=off: AnbSimdOffKeepsTheInterleavedWalk).
+  ASSERT_EQ(kTableMaxRows, 15u);
   std::vector<std::vector<FlatNode>> deep;
   deep.push_back(make_chain_tree(9, 0.0));
   const FlatForest nine_leaves(deep);
@@ -491,53 +670,76 @@ TEST(SimdDescentTest, AutoSendsSingleRowsToInterleavedWalk) {
   Gbdt gbdt(p);
   Rng rng(62);
   gbdt.fit(make_family_dataset(200, 61), rng);
-  ASSERT_TRUE(gbdt.forest().masked_available());
+  ASSERT_TRUE(gbdt.forest().table_available());
   const std::vector<double> x = make_family_rows(1, 0xD0);
-  const std::vector<double> rows2 = make_family_rows(kMaskedMinRows, 0xD2);
-  const std::vector<double> rows40 = make_family_rows(40, 0xD1);
-  std::vector<double> out1(1);
-  std::vector<double> out2(kMaskedMinRows);
-  std::vector<double> out40(40);
 
   for (const simd::Target target : test_targets()) {
     simd::ScopedTarget st(target);
-    const std::uint64_t vector_rows = target == simd::Target::kScalar ? 0 : 1;
-    EXPECT_EQ(simd_rows_of([&] { (void)gbdt.predict(x); }), 0u)
+    const bool vector = target != simd::Target::kScalar;
+    EXPECT_EQ(simd_rows_of([&] { (void)gbdt.predict(x); }), vector ? 1u : 0u)
         << simd::target_name(target);
-    EXPECT_EQ(simd_rows_of([&] {
-                gbdt.predict_batch(x, kNumFeatures, out1);
-              }),
-              0u)
-        << simd::target_name(target);
-    EXPECT_EQ(simd_rows_of([&] {
-                gbdt.predict_batch(rows2, kNumFeatures, out2);
-              }),
-              kMaskedMinRows * vector_rows)
-        << simd::target_name(target);
-    EXPECT_EQ(simd_rows_of([&] {
-                gbdt.predict_batch(rows40, kNumFeatures, out40);
-              }),
-              40 * vector_rows)
-        << simd::target_name(target);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, kTableMaxRows, kTableMaxRows + 1,
+          std::size_t{40}}) {
+      const DescentPath want = !vector              ? DescentPath::kInterleaved
+                               : n <= kTableMaxRows ? DescentPath::kTable
+                                                    : DescentPath::kMasked;
+      EXPECT_EQ(gbdt.forest().auto_path(n), want)
+          << simd::target_name(target) << " n=" << n;
+      const std::vector<double> rows = make_family_rows(n, 0xD1 + n);
+      std::vector<double> out(n);
+      EXPECT_EQ(simd_rows_of([&] {
+                  gbdt.predict_batch(rows, kNumFeatures, out);
+                }),
+                vector ? n : 0u)
+          << simd::target_name(target) << " n=" << n;
 
-    const std::vector<double> col = {3.0};
-    std::vector<double> out(1, 0.0);
-    EXPECT_EQ(simd_rows_of([&] { nine_leaves.accumulate(col, 1, 1.0, out); }),
-              0u)
-        << simd::target_name(target);
-    const std::vector<double> col40(40, 5.0);
-    EXPECT_EQ(simd_rows_of([&] {
-                nine_leaves.accumulate(col40, 1, 1.0, out40);
-              }),
-              0u)
-        << simd::target_name(target);
+      EXPECT_EQ(nine_leaves.auto_path(n), DescentPath::kInterleaved)
+          << simd::target_name(target) << " n=" << n;
+      const std::vector<double> col(n, 5.0);
+      EXPECT_EQ(simd_rows_of([&] { nine_leaves.accumulate(col, 1, 1.0, out); }),
+                0u)
+          << simd::target_name(target) << " n=" << n;
+    }
   }
+}
+
+TEST(SimdDescentTest, AnbSimdOffKeepsTheInterleavedWalk) {
+  // ANB_SIMD is read once per process, so the check runs in a re-executed
+  // child (gtest's threadsafe death-test style) that inherits
+  // ANB_SIMD=off: there auto runs the interleaved walk at every batch
+  // size, table-eligible forest or not, and counts no SIMD rows.
+  (void)simd::env_disabled();  // this process keeps its own reading
+  const char* const saved = std::getenv("ANB_SIMD");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ::setenv("ANB_SIMD", "off", 1);
+  EXPECT_EXIT(
+      {
+        const FlatForest forest = make_table_forest(40);
+        int code = simd::active_target() == simd::Target::kScalar ? 0 : 1;
+        for (std::size_t n = 1; n <= 2 * kTableMaxRows && code == 0; ++n) {
+          if (forest.auto_path(n) != DescentPath::kInterleaved) code = 2;
+          std::vector<double> rows(n * 4, 2.0);
+          std::vector<double> out(n);
+          if (simd_rows_of([&] { forest.accumulate(rows, 4, 1.0, out); }) !=
+              0)
+            code = 3;
+        }
+        std::exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
+  if (saved != nullptr)
+    ::setenv("ANB_SIMD", saved_value.c_str(), 1);
+  else
+    ::unsetenv("ANB_SIMD");
 }
 
 TEST(SimdDescentTest, Avx512TargetRunsTheAvx2Engine) {
   // There is no AVX-512 descent kernel: the AVX-512 target is AVX2-capable
-  // and must run the AVX2 masked kernel, pick the same engine as AVX2 at
-  // every batch size, and predict the same bits for every family.
+  // and must run the AVX2 masked and table kernels, pick the same engine
+  // as AVX2 at every batch size, and predict the same bits for every
+  // family.
   if (!simd::cpu_supports(simd::Target::kAvx512))
     GTEST_SKIP() << "no AVX-512 on this host";
   ASSERT_NE(detail::avx2_masked_kernel(), nullptr);
@@ -545,6 +747,11 @@ TEST(SimdDescentTest, Avx512TargetRunsTheAvx2Engine) {
             detail::avx2_masked_kernel());
   EXPECT_EQ(detail::masked_kernel_for(simd::Target::kAvx2),
             detail::avx2_masked_kernel());
+  ASSERT_NE(detail::avx2_table_kernel(), nullptr);
+  EXPECT_EQ(detail::table_kernel_for(simd::Target::kAvx512),
+            detail::avx2_table_kernel());
+  EXPECT_EQ(detail::table_kernel_for(simd::Target::kAvx2),
+            detail::avx2_table_kernel());
 
   HistGbdtParams hp;
   hp.n_estimators = 20;
@@ -567,12 +774,20 @@ TEST(SimdDescentTest, Avx512TargetRunsTheAvx2Engine) {
       std::vector<double> want(n);
       std::vector<double> got(n);
       std::uint64_t want_rows = 0;
+      DescentPath want_path = DescentPath::kAuto;
+      const FlatForest* const flat = model == &hist   ? &hist.forest()
+                                     : model == &gbdt ? &gbdt.forest()
+                                                      : nullptr;
       {
         simd::ScopedTarget st(simd::Target::kAvx2);
         want_rows = simd_rows_of(
             [&] { model->predict_batch(rows, kNumFeatures, want); });
+        if (flat != nullptr) want_path = flat->auto_path(n);
       }
       simd::ScopedTarget st(simd::Target::kAvx512);
+      if (flat != nullptr) {
+        EXPECT_EQ(flat->auto_path(n), want_path) << model->name() << " n=" << n;
+      }
       EXPECT_EQ(simd_rows_of(
                     [&] { model->predict_batch(rows, kNumFeatures, got); }),
                 want_rows)
