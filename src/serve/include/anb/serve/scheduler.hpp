@@ -23,6 +23,15 @@
 // saturated one flushes full batches, where FlatForest's batched descent
 // pays off.
 //
+// A caller that submits many requests in a row (anbd's I/O loop, once
+// per poll turn) submits them with Wake::kDeferred and then calls
+// flush_or_wake() once. When no worker is flushing and at most
+// kInlineMaxRows rows wait, that call runs the flush itself, so a lone
+// query costs no thread hand-off; otherwise it wakes one worker, so a
+// busy turn pays one wake, not one per request. Both executors run the
+// same extract_flush/execute_flush, so batching, stats() and the values
+// are one code path.
+//
 // Determinism contract: coalescing NEVER changes a response value. A
 // flushed batch runs through query_*_batch, which is bit-identical to
 // per-row scalar queries by the PR 2/8 contracts; rows of different
@@ -78,9 +87,25 @@ enum class Admit {
   kStopped,    ///< scheduler is draining/stopped — no new work
 };
 
+/// Who starts a submission's rows.
+enum class Wake {
+  kNow,       ///< submit() wakes an idle worker
+  kDeferred,  ///< the caller calls flush_or_wake() after its submissions
+};
+
+/// Most pending rows flush_or_wake() flushes on the calling thread. A
+/// flush on anbd's I/O thread holds every other socket for its length.
+/// On bench/serve_throughput's 10 x 1500-tree ensemble (~45 us a row),
+/// coalesced QPS at 16 connections reads ~38% below the worker-only
+/// server with no bound and ~6% below it at 4 rows (1 row is no better),
+/// while perfbench serve's ~2 us rows take 47% off its op_ms at 4 rows
+/// (4 cores; DESIGN.md "One I/O thread").
+inline constexpr std::size_t kInlineMaxRows = 4;
+
 class Scheduler {
  public:
-  /// Called exactly once per admitted submission, on a worker thread.
+  /// Called exactly once per admitted submission, on a worker thread or
+  /// in flush_or_wake() on its caller's thread.
   /// `values[i]` answers `archs[i]` of the submission; `error` is empty on
   /// success (non-empty means an unexpected benchmark failure — the values
   /// are meaningless). Callbacks must not block: they run on the flush
@@ -103,8 +128,17 @@ class Scheduler {
 
   /// Queue `archs` (architecture indices) against `bucket`. The caller
   /// must have verified the benchmark has a surrogate for the bucket.
+  /// With Wake::kDeferred nobody is woken: the caller must call
+  /// flush_or_wake() before it waits for anything.
   Admit submit(const BucketKey& bucket, std::vector<std::uint64_t> archs,
-               BatchCallback done);
+               BatchCallback done, Wake wake = Wake::kNow);
+
+  /// Start the pending rows. When no worker is executing a flush,
+  /// flushing is neither paused nor draining, and at most kInlineMaxRows
+  /// rows wait, run one flush on the calling thread (its callbacks fire
+  /// before this returns) and return true. Otherwise wake one worker and
+  /// return false. Rows the flush leaves behind wake a worker either way.
+  bool flush_or_wake() ANB_EXCLUDES(mu_);
 
   /// Hold all flushing (submissions still accepted until the queue
   /// fills). Deterministic admission-control tests use this to fill the
@@ -134,6 +168,8 @@ class Scheduler {
   bool draining_ ANB_GUARDED_BY(mu_) = false;
   bool paused_ ANB_GUARDED_BY(mu_) = false;
   std::size_t total_rows_ ANB_GUARDED_BY(mu_) = 0;
+  /// Workers between extract_flush() and the end of execute_flush().
+  unsigned busy_workers_ ANB_GUARDED_BY(mu_) = 0;
   std::map<BucketKey, Bucket> buckets_ ANB_GUARDED_BY(mu_);
   // SchedulerStats, keyed by bucket; stats() turns keys into names.
   std::uint64_t batches_ ANB_GUARDED_BY(mu_) = 0;

@@ -21,11 +21,16 @@
 // answers protocol frames over a unix-domain socket. One I/O thread runs
 // poll(2) over the listener, every client socket and a wake descriptor; it
 // parses frames, submits queries to the scheduler and writes each
-// connection's bounded outbox. Scheduler workers never touch a socket:
-// they post finished responses to a completion queue and wake the loop.
-// So a running server owns one I/O thread plus its scheduler workers,
-// however many clients connect, and a client that stops reading can
-// never hold up a flush or another connection.
+// connection's bounded outbox. Each turn of the loop submits its queries
+// without a wake and then calls Scheduler::flush_or_wake() once: with
+// every worker idle and at most kInlineMaxRows rows pending, the loop
+// runs the flush itself and queues its answers in the same turn (a lone
+// query crosses no thread); otherwise one worker is woken. Scheduler
+// workers never touch a socket: they post finished responses to a
+// completion queue and wake the loop. So a running server owns one I/O
+// thread plus its scheduler workers, however many clients connect, and a
+// client that stops reading can never hold up a flush or another
+// connection.
 // See DESIGN.md "Serving & micro-batch coalescing".
 
 namespace anb::serve {
@@ -160,6 +165,8 @@ class Server {
   void answer(std::uint64_t id, Connection& conn, Request req)
       ANB_REQUIRES(mu_);
   void post(Completion done);
+  /// Queue the posted responses on their connections.
+  void take_completions(Loop& loop) ANB_REQUIRES(mu_);
 
   const AccelNASBench& bench_;
   const ServeOptions options_;

@@ -28,6 +28,16 @@ obs::Histogram& batch_size_hist() {
   static obs::Histogram& h = obs::histogram("anb.serve.batch.size");
   return h;
 }
+/// The flushes flush_or_wake() ran on its caller, and their rows. Like
+/// batch.count they depend on timing.
+obs::Counter& inline_batches() {
+  static obs::Counter& c = obs::counter("anb.serve.inline.batches");
+  return c;
+}
+obs::Counter& inline_rows() {
+  static obs::Counter& c = obs::counter("anb.serve.inline.rows");
+  return c;
+}
 
 }  // namespace
 
@@ -130,7 +140,7 @@ void Scheduler::stop() {
 
 Admit Scheduler::submit(const BucketKey& bucket,
                         std::vector<std::uint64_t> archs,
-                        BatchCallback done) {
+                        BatchCallback done, Wake wake) {
   ANB_CHECK(!archs.empty(), "Scheduler::submit with no rows");
   auto group = std::make_shared<Group>();
   group->values.assign(archs.size(), 0.0);
@@ -152,8 +162,28 @@ Admit Scheduler::submit(const BucketKey& bucket,
     }
     total_rows_ += archs.size();
   }
-  cv_.notify_one();
+  if (wake == Wake::kNow) cv_.notify_one();
   return Admit::kOk;
+}
+
+bool Scheduler::flush_or_wake() {
+  Flush flush;
+  bool wake;
+  {
+    MutexLock lock(mu_);
+    if (total_rows_ == 0) return false;
+    if (busy_workers_ == 0 && !paused_ && !draining_ &&
+        total_rows_ <= kInlineMaxRows) {
+      flush = extract_flush();
+    }
+    wake = total_rows_ > 0;
+  }
+  if (wake) cv_.notify_one();
+  if (flush.rows.empty()) return false;
+  inline_batches().add(1);
+  inline_rows().add(flush.rows.size());
+  execute_flush(std::move(flush));
+  return true;
 }
 
 void Scheduler::pause() {
@@ -207,16 +237,18 @@ Scheduler::Flush Scheduler::extract_flush() {
 }
 
 void Scheduler::worker_loop() {
-  for (;;) {
+  for (bool flushed = false;; flushed = true) {
     Flush flush;
     bool more = false;
     {
       MutexLock lock(mu_);
+      if (flushed) busy_workers_ -= 1;
       cv_.wait(mu_, [this]() ANB_REQUIRES(mu_) {
         return draining_ || (total_rows_ > 0 && !paused_);
       });
       if (total_rows_ == 0) return;  // draining, and nothing is left
       flush = extract_flush();
+      busy_workers_ += 1;
       more = total_rows_ > 0;
     }
     // Rows left behind a full flush go to the next idle worker.

@@ -31,29 +31,6 @@ namespace {
 using namespace anb::serve;
 using namespace anb::serve_test;
 
-/// Shuts `socket` down if still alive after `limit`, so a read waiting
-/// for a reply that never comes throws Disconnected instead of blocking
-/// the suite until ctest's timeout.
-class ReadDeadline {
- public:
-  ReadDeadline(net::Socket& socket, std::chrono::seconds limit)
-      : watchdog_([&socket, limit, done = done_.get_future()] {
-          if (done.wait_for(limit) == std::future_status::timeout) {
-            socket.shutdown_both();
-          }
-        }) {}
-  ~ReadDeadline() {
-    done_.set_value();
-    watchdog_.join();
-  }
-  ReadDeadline(const ReadDeadline&) = delete;
-  ReadDeadline& operator=(const ReadDeadline&) = delete;
-
- private:
-  std::promise<void> done_;  // declared first: the watchdog reads it
-  std::thread watchdog_;
-};
-
 /// One client request: a target bucket and one or more architectures
 /// (size 1 = scalar frame, larger = batch frame).
 struct Op {

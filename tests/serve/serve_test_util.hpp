@@ -2,17 +2,22 @@
 
 // Shared fixture helpers for the serve test suites: a small fitted
 // benchmark (accuracy + two performance targets), distinct-architecture
-// sampling, and the serial oracle the determinism tests compare against.
+// sampling, the serial oracle the determinism tests compare against, and
+// a deadline for reads that may never be answered.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "anb/anb/benchmark.hpp"
 #include "anb/anb/tuning.hpp"
 #include "anb/fbnet/fbnet_space.hpp"
+#include "anb/util/net.hpp"
 
 namespace anb::serve_test {
 
@@ -64,5 +69,28 @@ inline std::vector<std::uint64_t> distinct_indices(
   }
   return out;
 }
+
+/// Shuts `socket` down if still alive after `limit`, so a read waiting
+/// for a reply that never comes throws Disconnected instead of blocking
+/// the suite until ctest's timeout.
+class ReadDeadline {
+ public:
+  ReadDeadline(net::Socket& socket, std::chrono::seconds limit)
+      : watchdog_([&socket, limit, done = done_.get_future()] {
+          if (done.wait_for(limit) == std::future_status::timeout) {
+            socket.shutdown_both();
+          }
+        }) {}
+  ~ReadDeadline() {
+    done_.set_value();
+    watchdog_.join();
+  }
+  ReadDeadline(const ReadDeadline&) = delete;
+  ReadDeadline& operator=(const ReadDeadline&) = delete;
+
+ private:
+  std::promise<void> done_;  // declared first: the watchdog reads it
+  std::thread watchdog_;
+};
 
 }  // namespace anb::serve_test

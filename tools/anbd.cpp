@@ -16,11 +16,12 @@
 // then answers every admitted request, prints a summary on stderr,
 // removes its socket file and exits 0.
 //
-// Scheduler flags: a free worker flushes pending rows at once, up to
-// --batch-max per batch (default 64), so rows batch up only while every
-// worker (--workers, default one per core) is busy; --batch-max 1 serves
-// every row on its own. --queue bounds the rows pending before requests
-// get kRetryLater.
+// Scheduler flags: pending rows are flushed at once, up to --batch-max
+// per batch (default 64), so rows batch up only while every worker
+// (--workers, default one per core) is busy; --batch-max 1 serves every
+// row on its own. With every worker idle, the I/O thread flushes a few
+// rows itself; the summary counts those batches as "inline". --queue
+// bounds the rows pending before requests get kRetryLater.
 // Numbers are parsed strictly; a bad value is a usage error (exit 2).
 
 #include <csignal>
@@ -32,6 +33,7 @@
 #include <string>
 
 #include "anb/anb/benchmark.hpp"
+#include "anb/obs/registry.hpp"
 #include "anb/serve/server.hpp"
 #include "parse_count.hpp"
 
@@ -104,17 +106,24 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, SIG_DFL);
 
     const anb::serve::ServeReport report = server.report();
+    // Of those flushes, the ones the I/O thread ran itself.
+    const std::uint64_t inline_batches =
+        anb::obs::counter("anb.serve.inline.batches").value();
+    const std::uint64_t inline_rows =
+        anb::obs::counter("anb.serve.inline.rows").value();
     std::fprintf(stderr,
                  "anbd: served %llu requests (%llu ok, %llu error, "
                  "%llu retry) over %llu connections, %llu batches / %llu "
-                 "rows\n",
+                 "rows (%llu / %llu inline)\n",
                  static_cast<unsigned long long>(report.requests_received),
                  static_cast<unsigned long long>(report.responses_ok),
                  static_cast<unsigned long long>(report.responses_error),
                  static_cast<unsigned long long>(report.retry_later),
                  static_cast<unsigned long long>(report.connections_accepted),
                  static_cast<unsigned long long>(report.batches),
-                 static_cast<unsigned long long>(report.rows));
+                 static_cast<unsigned long long>(report.rows),
+                 static_cast<unsigned long long>(inline_batches),
+                 static_cast<unsigned long long>(inline_rows));
     return 0;
   } catch (const anb::Error& e) {
     std::fprintf(stderr, "anbd: error: %s\n", e.what());
